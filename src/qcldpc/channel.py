@@ -1,10 +1,10 @@
 """Encoding, BPSK-AWGN channel, and iterative decoding with BCJR components.
 
-The decoder runs a flooding schedule on the constraint graph of a GLDPC
-spec: single-parity-check rows use the tanh rule, generalized rows run a
-log-domain BCJR sweep over the component's syndrome trellis. Circulant
-structure batches the N shift instances of each base row through one
-vectorized update.
+The decoder updates every constraint of a GLDPC spec in parallel
+(flooding): single-parity-check rows use the tanh rule, generalized
+rows run a log-domain BCJR sweep over the component's syndrome trellis.
+Circulant structure batches the N shift instances of each base row
+through one vectorized update.
 """
 
 from __future__ import annotations
@@ -35,15 +35,12 @@ class DecoderConfig:
     max_iterations: int = 100
     llr_clip: float = 20.0
     bcjr_metric_threshold: float = 2.5e4
-    schedule: str = "flooding"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.llr_clip <= 0:
             raise ValueError("llr_clip must be positive")
-        if self.schedule != "flooding":
-            raise ValueError(f"unsupported schedule {self.schedule!r}")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .gldpc import (
     design_rate,
     expand_binary,
     load_spec,
-    reduce_prelift,
+    reduce_spec,
     schur_reduce,
 )
 from .polymat import PolyMatrix, circulant_expand, read_pmx, write_pmx
@@ -138,6 +138,8 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be at least 1")
     result, _, N = _load_generator(args)
     Gb = circulant_expand(result.matrix)
     if args.exact:
@@ -275,9 +277,7 @@ def _selftest_checks():
     yield "pre-lifted N=90", gldpc_check("prelift90.json", 91)
 
     def prelift68_check():
-        spec = load_spec(os.path.join(_DATA_DIR, "prelift68.json"))
-        comp = spec.assignment[0]
-        H1s, _ = reduce_prelift(spec.base, comp)
+        H1s, _, _ = reduce_spec(load_spec(os.path.join(_DATA_DIR, "prelift68.json")))
         rep = rank_qc(H1s)
         rest, _, _ = schur_reduce(H1s, (1, 2, 3), (1, 2, 3))
         want = [
@@ -347,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the artifact here instead of stdout")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
         return p
 
     p = add("rank", _cmd_rank, "rank and dimension of a polynomial matrix")
@@ -381,6 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--short-distance", type=int, help="known distance of the short code")
+    p.add_argument("--threads", type=int, default=1, help="search worker count")
 
     p = add("encode", _cmd_encode, "encode a message with a constructed generator")
     p.add_argument("--matrix", help=".pmx parity-check matrix")

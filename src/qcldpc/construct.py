@@ -329,15 +329,6 @@ def _expansion_rows(row, N):
         yield bits
 
 
-def shorten_compose(G_short, A):
-    """Extend a short-code generator across appended identity columns.
-
-    For H = [[H_short, 0], [A, I]] the composed generator is
-    [G_short | G_short * transpose_entrywise(A)].
-    """
-    return G_short.hstack(matmul_mod(G_short, transpose_entrywise(A)))
-
-
 def verify_generator(H, G, dimension=None):
     """Check zero syndrome and full expansion rank against H.
 

@@ -182,26 +182,15 @@ def gcd(a, b):
 
 def xgcd(a, b):
     """Extended gcd: returns (g, u, v) with u*a + v*b = g in GF(2)[x]."""
-    r0, r1 = a.bits, b.bits
-    u0, u1 = 1, 0
-    v0, v1 = 0, 1
+    r0, r1 = a, b
+    u0, u1 = ONE, ZERO
+    v0, v1 = ZERO, ONE
     while r1:
-        q, r = _divmod_bits(r0, r1)
+        q, r = divmod(r0, r1)
         r0, r1 = r1, r
-        u0, u1 = u1, u0 ^ _mul_bits(q, u1)
-        v0, v1 = v1, v0 ^ _mul_bits(q, v1)
-    return BinaryPoly(r0), BinaryPoly(u0), BinaryPoly(v0)
-
-
-def _mul_bits(a, b):
-    r = 0
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    while a:
-        low = a & -a
-        r ^= b << (low.bit_length() - 1)
-        a ^= low
-    return r
+        u0, u1 = u1, u0 + q * u1
+        v0, v1 = v1, v0 + q * v1
+    return r0, u0, v0
 
 
 class RingModulus:

@@ -3,8 +3,12 @@
 A GldpcSpec pairs a quasi-cyclic base matrix with a per-row constraint
 assignment: None keeps the row as a single-parity check, a
 ComponentCode replaces it by the component's parity rows, entrywise
-scaled by the (monomial) row entries.  Pre-lifted specs first split the
-base over a factor of N and assign components to the split rows.
+scaled by the (monomial) row entries.  Any row may carry a component.
+Pre-lifted specs first split the base over a factor of N and assign
+components to the split rows.  Generators are built on one path: the
+identity columns of the components are eliminated by a single Schur
+step (reduce_spec), a generator is synthesized for the short matrix,
+and the eliminated columns are recomposed.
 """
 
 from __future__ import annotations
@@ -19,22 +23,19 @@ from .gf2poly import BinaryPoly, NotInvertible, RingModulus, gcd, inverse_mod, t
 from .polymat import (
     PolyMatrix,
     circulant_expand,
-    identity_matrix,
-    lifted_expand,
     matmul_mod,
     minor_det,
     transpose_entrywise,
-    zero_matrix,
 )
-from .construct import GeneratorResult, generator_general, shorten_compose
+from .construct import GeneratorResult, generator_general
 
 
 class ComponentCode:
     """Binary parity-check matrix of a constraint code.
 
-    parity is a p x q 0/1 matrix.  When the last p columns form an
-    identity the code is in [M | I] form and the reductions below can
-    eliminate the identity positions; the split is detected
+    parity is a p x q 0/1 matrix.  When p of its columns form an
+    identity block, reduce_spec eliminates those positions with one
+    Schur step, wherever the block sits.  The block is detected
     automatically (rightmost contiguous identity block) or can be given
     explicitly as identity_start.
     """
@@ -64,10 +65,6 @@ class ComponentCode:
     def spc(cls, q):
         return cls([(1,) * q])
 
-    @property
-    def is_spc(self):
-        return self.p == 1 and all(b == 1 for b in self.parity[0])
-
     def _is_identity_at(self, start):
         if start < 0 or start + self.p > self.q:
             return False
@@ -82,21 +79,6 @@ class ComponentCode:
             if self._is_identity_at(start):
                 return start
         return None
-
-    @property
-    def systematic_split(self):
-        """(M rows, identity column range) when parity = [M | I]."""
-        if self.identity_start is None or self.identity_start + self.p != self.q:
-            return None
-        M = tuple(row[: self.identity_start] for row in self.parity)
-        return M, range(self.identity_start, self.q)
-
-    @property
-    def M(self):
-        split = self.systematic_split
-        if split is None:
-            raise ValueError("component is not in [M | I] form")
-        return split[0]
 
     def __eq__(self, other):
         return isinstance(other, ComponentCode) and self.parity == other.parity
@@ -172,17 +154,20 @@ class GldpcSpec:
 
     @classmethod
     def from_json_dict(cls, d):
+        for key in ("N", "exponents", "assignment"):
+            if key not in d:
+                raise ValueError(f"spec has no {key!r} key")
+        if "alternative_form" in d:
+            raise ValueError(
+                "spec key 'alternative_form' is not supported; "
+                "list the assignment in base-row order"
+            )
         m = RingModulus(d["N"])
         base = base_from_exponents(d["exponents"], m)
         assignment = [
             None if c is None else ComponentCode.from_dict(c)
             for c in d["assignment"]
         ]
-        if d.get("alternative_form"):
-            # The variant with lifted component blocks on the monomial
-            # row is column-equivalent; canonicalize by moving the
-            # component onto the all-ones row.
-            assignment = list(reversed(assignment))
         prelift = None
         if "N1" in d and d["N1"]:
             prelift = (d["N1"], m.N // d["N1"])
@@ -225,7 +210,7 @@ def _validate_base_form(H):
             raise ValueError("second row must have monomial entries")
 
 
-def _component_rows(row, comp, modulus):
+def _component_rows(row, comp):
     """Component parity rows placed at the row's support, entrywise scaled."""
     support = [c for c, p in enumerate(row) if not p.is_zero()]
     if comp.q != len(support):
@@ -244,50 +229,6 @@ def _component_rows(row, comp, modulus):
             # a zero component bit leaves a zero entry
         out.append(new)
     return out
-
-
-def assemble_partial(H, comp):
-    """Displayed stack [monomial row; component rows] for a 2-row base.
-
-    The all-ones row is generalized by comp (in [M | I] form); the
-    monomial row stays as a plain SPC constraint.  An SPC component
-    returns H unchanged.
-    """
-    _validate_base_form(H)
-    if comp.is_spc:
-        return H
-    if comp.systematic_split is None:
-        raise ValueError("component must be in [M | I] form")
-    rows = [H.row(1)] + _component_rows(H.rows[0], comp, H.modulus)
-    return PolyMatrix(rows, H.modulus)
-
-
-def reduce_partial(H, comp):
-    """Eliminate the identity block: (H_short 1 x m, M as a PolyMatrix).
-
-    f_c = e_c + sum_s e_{I_s} * M[s][c] over the monomial entries e of
-    the second base row.
-    """
-    _validate_base_form(H)
-    split = comp.systematic_split
-    if split is None:
-        raise ValueError("component must be in [M | I] form")
-    M, i_range = split
-    m_count = comp.q - comp.p
-    if comp.q != H.ncols:
-        raise ValueError("component length must equal the base width")
-    mod = H.modulus
-    mono = H.rows[1]
-    f_row = []
-    for c in range(m_count):
-        f = mono[c]
-        for s in range(comp.p):
-            if M[s][c]:
-                f = f + mono[i_range[s]]
-        f_row.append(mod.reduce(f))
-    H_short = PolyMatrix([f_row], mod)
-    M_poly = PolyMatrix([[BinaryPoly(b) for b in row] for row in M], mod)
-    return H_short, M_poly
 
 
 def gshort_forms(H_short, pivot=None):
@@ -354,49 +295,6 @@ def gshort_forms(H_short, pivot=None):
     if not plain_rows or not reduced_rows:
         raise ValueError("kernel is trivial; no generator rows exist")
     return PolyMatrix(plain_rows, mod), PolyMatrix(reduced_rows, mod)
-
-
-def assemble_full(H, comp_top, comp_bottom):
-    """Stack with both base rows generalized.
-
-    comp_top rows are entrywise scaled by the monomial row; comp_bottom
-    (in [M | I] form) sits plain on the all-ones row.
-    """
-    _validate_base_form(H)
-    if comp_bottom.systematic_split is None:
-        raise ValueError("bottom component must be in [M | I] form")
-    rows = _component_rows(H.rows[1], comp_top, H.modulus)
-    rows += _component_rows(H.rows[0], comp_bottom, H.modulus)
-    return PolyMatrix(rows, H.modulus)
-
-
-def reduce_full(H, comp_top, comp_bottom):
-    """k x m short matrix: lifted M1 + lifted M2 * M.
-
-    M1/M2 are comp_top's columns at comp_bottom's M/identity positions
-    and the lifting exponents come from the monomial base row.
-    """
-    _validate_base_form(H)
-    split = comp_bottom.systematic_split
-    if split is None:
-        raise ValueError("bottom component must be in [M | I] form")
-    M, i_range = split
-    if comp_top.q != H.ncols or comp_bottom.q != H.ncols:
-        raise ValueError("component lengths must equal the base width")
-    mod = H.modulus
-    m_count = comp_bottom.q - comp_bottom.p
-    mono = H.rows[1]
-    M1 = [row[:m_count] for row in comp_top.parity]
-    M2 = [[row[i] for i in i_range] for row in comp_top.parity]
-    lifted_M1 = lifted_expand(M1, mono[:m_count], mod)
-    lifted_M2 = lifted_expand(M2, [mono[i] for i in i_range], mod)
-    M_poly = PolyMatrix([[BinaryPoly(b) for b in row] for row in M], mod)
-    prod = matmul_mod(lifted_M2, M_poly)
-    rows = [
-        [mod.add(lifted_M1.rows[r][c], prod.rows[r][c]) for c in range(m_count)]
-        for r in range(comp_top.p)
-    ]
-    return PolyMatrix(rows, mod)
 
 
 def prelift_entry(g, N1, m2):
@@ -469,59 +367,6 @@ def split_even_odd(H):
     return PolyMatrix(rows, P.modulus)
 
 
-def reduce_prelift(H, comp):
-    """Short matrix and outer map for the split-and-generalize layout.
-
-    The split base's first three rows are generalized by comp = [M | I]
-    (M is n x m for m even and n odd exponents) and the fourth stays
-    SPC.  Eliminating the identity positions leaves H_1_short
-    ((n+1) x 2m) over the even groups and the outer map diag(M, M)
-    recovering the odd groups.
-    """
-    _validate_base_form(H)
-    mod = H.modulus
-    if mod.N % 2:
-        raise ValueError("an even modulus is required")
-    split = comp.systematic_split
-    if split is None:
-        raise ValueError("component must be in [M | I] form")
-    M, _ = split
-    exps = [p.exponents()[0] for p in H.rows[1]]
-    j_exps = [e // 2 for e in exps if e % 2 == 0]
-    k_exps = [(e - 1) // 2 for e in exps if e % 2 == 1]
-    m_count, n_count = len(j_exps), len(k_exps)
-    if comp.p != n_count or comp.q != m_count + n_count:
-        raise ValueError(
-            f"component must be {n_count} x {m_count + n_count} in [M | I] form"
-        )
-    m2 = RingModulus(mod.N // 2)
-
-    def mono(e):
-        return m2.reduce(BinaryPoly(1) << (e % m2.N))
-
-    zero = BinaryPoly(0)
-    rows = []
-    for r in range(n_count):
-        left = [mono(j_exps[c]) if M[r][c] else zero for c in range(m_count)]
-        right = [mono(k_exps[r] + 1) if M[r][c] else zero for c in range(m_count)]
-        rows.append(left + right)
-    last_left = []
-    for c in range(m_count):
-        acc = zero
-        for r in range(n_count):
-            if M[r][c]:
-                acc = acc + mono(k_exps[r])
-        last_left.append(m2.reduce(acc))
-    last_right = [mono(j) for j in j_exps]
-    rows.append(last_left + last_right)
-    H1_short = PolyMatrix(rows, m2)
-
-    M_rows = [[BinaryPoly(b) for b in row] for row in M]
-    A_rows = [row + [zero] * m_count for row in M_rows]
-    A_rows += [[zero] * m_count + row for row in M_rows]
-    return H1_short, PolyMatrix(A_rows, m2)
-
-
 def assembled_parity(spec):
     """All constraint rows as one PolyMatrix (SPC rows plus component rows)."""
     eff = spec.effective_matrix()
@@ -530,13 +375,46 @@ def assembled_parity(spec):
         if comp is None:
             rows.append(eff.row(i))
         else:
-            rows.extend(_component_rows(eff.rows[i], comp, eff.modulus))
+            rows.extend(_component_rows(eff.rows[i], comp))
     return PolyMatrix(rows, eff.modulus)
 
 
 def expand_binary(spec):
     """Full (sum p_i * N) x (n_v * N) binary parity-check matrix."""
     return circulant_expand(assembled_parity(spec))
+
+
+def reduce_spec(spec):
+    """Eliminate the components' identity columns: (H_short, T, meta).
+
+    Components are taken greedily in assignment order.  Each one with an
+    identity block offers its parity rows as pivot rows and the columns
+    under its block as pivot columns; it is skipped when those columns
+    overlap ones already taken, when it would leave no row behind, or
+    when the enlarged pivot block is not invertible.  Returns
+    schur_reduce(assembled_parity(spec), pivot rows, pivot columns); with
+    no pivots H_short is the assembled matrix itself.
+    """
+    H = assembled_parity(spec)
+    eff = spec.effective_matrix()
+    rows, cols = (), ()
+    reduced = schur_reduce(H, rows, cols)
+    next_row = 1
+    for i, comp in enumerate(spec.assignment):
+        first, next_row = next_row, next_row + (1 if comp is None else comp.p)
+        if comp is None or comp.identity_start is None or len(rows) + comp.p >= H.nrows:
+            continue
+        support = [c for c, p in enumerate(eff.rows[i], 1) if not p.is_zero()]
+        comp_cols = tuple(support[comp.identity_start : comp.identity_start + comp.p])
+        if set(comp_cols) & set(cols):
+            continue
+        comp_rows = tuple(range(first, next_row))
+        try:
+            reduced = schur_reduce(H, rows + comp_rows, cols + comp_cols)
+        except NotInvertible:
+            continue
+        rows, cols = rows + comp_rows, cols + comp_cols
+    return reduced
 
 
 def construct_generator(spec):
@@ -546,44 +424,12 @@ def construct_generator(spec):
     binary expansion rank; Incomplete propagates from the synthesis on
     the short matrix.
     """
-    eff = spec.effective_matrix()
-    mod = eff.modulus
-    dim = eff.ncols * mod.N - rank_scalar(expand_binary(spec))
-    comps = [c for c in spec.assignment if c is not None]
-
-    if spec.prelift is not None:
-        if (
-            len(spec.assignment) != 4
-            or spec.assignment[3] is not None
-            or len(comps) != 3
-            or any(c != comps[0] for c in comps)
-        ):
-            raise ValueError(
-                "pre-lifted synthesis needs the first three split rows "
-                "generalized by one component and the fourth plain"
-            )
-        H_short, outer = reduce_prelift(spec.base, comps[0])
-        inner = generator_general(H_short)
-        G = shorten_compose(inner.matrix, outer)
-    elif not comps:
-        inner = generator_general(eff)
-        G = inner.matrix
-    elif eff.nrows == 2 and len(comps) == 1 and spec.assignment[0] is not None:
-        H_short, M_poly = reduce_partial(eff, comps[0])
-        inner = generator_general(H_short)
-        G = shorten_compose(inner.matrix, M_poly)
-    elif eff.nrows == 2 and len(comps) == 2:
-        comp_bottom, comp_top = spec.assignment
-        H_short = reduce_full(eff, comp_top, comp_bottom)
-        M_poly = PolyMatrix(
-            [[BinaryPoly(b) for b in row] for row in comp_bottom.M], mod
-        )
-        inner = generator_general(H_short)
-        G = shorten_compose(inner.matrix, M_poly)
-    else:
-        raise ValueError("spec is not reducible to a short-matrix pipeline")
-
-    product = matmul_mod(G, transpose_entrywise(assembled_parity(spec)))
+    H = assembled_parity(spec)
+    dim = H.ncols * H.modulus.N - rank_scalar(expand_binary(spec))
+    H_short, T, meta = reduce_spec(spec)
+    inner = generator_general(H_short)
+    G = schur_recompose(inner.matrix, T, meta, H.ncols)
+    product = matmul_mod(G, transpose_entrywise(H))
     if any(not p.is_zero() for row in product.rows for p in row):
         raise RuntimeError("composed generator fails the constraint check")
     achieved = rank_scalar(circulant_expand(G))
@@ -614,6 +460,7 @@ def schur_reduce(H, pivot_rows, pivot_cols=None):
     Returns (H_rest, T, meta) where H_rest is the reduced matrix on the
     remaining columns and T recomposes generator rows: a row v of a
     generator for ker(H_rest) extends to the pivot columns as v * T.
+    With no pivot rows nothing is eliminated: H_rest is H and T is None.
     """
     mod = H.modulus
     if mod is None:
@@ -629,6 +476,8 @@ def schur_reduce(H, pivot_rows, pivot_cols=None):
     pivot_cols = tuple(sorted(set(pivot_cols)))
     if len(pivot_cols) != len(pivot_rows):
         raise ValueError("pivot row and column counts must match")
+    if not pivot_rows:
+        return H, None, SchurMeta((), (), tuple(range(1, H.ncols + 1)), BinaryPoly(1))
     rest_rows = tuple(i for i in range(1, H.nrows + 1) if i not in pivot_rows)
     rest_cols = tuple(j for j in range(1, H.ncols + 1) if j not in pivot_cols)
     B = H.submatrix([i - 1 for i in pivot_rows], [j - 1 for j in pivot_cols])
@@ -659,6 +508,8 @@ def schur_reduce(H, pivot_rows, pivot_cols=None):
 
 def schur_recompose(G_rest, T, meta, ncols):
     """Place reduced generator rows back into the original column order."""
+    if not meta.pivot_cols:
+        return G_rest
     ext = matmul_mod(G_rest, T)
     rows = []
     for r in range(G_rest.nrows):

@@ -228,23 +228,6 @@ def circulant_expand(H):
     return BinMatrix(rows, H.ncols * N)
 
 
-def lifted_expand(pattern, exponent_polys, modulus):
-    """Scale the columns of a 0/1 pattern by given ring elements.
-
-    pattern[r][c] == 1 contributes exponent_polys[c] at position (r, c);
-    with the identity pattern this is diag(exponent_polys).
-    """
-    pattern = [list(r) for r in pattern]
-    width = len(pattern[0])
-    if len(exponent_polys) != width:
-        raise ValueError("one scaling element per column required")
-    rows = [
-        [exponent_polys[c] if pattern[r][c] else BinaryPoly(0) for c in range(width)]
-        for r in range(len(pattern))
-    ]
-    return PolyMatrix(rows, modulus)
-
-
 def write_pmx(H, path):
     """Write one matrix row per line, entries separated by ';'."""
     with open(path, "w") as fh:

@@ -17,10 +17,8 @@ import numpy as np
 from conftest import (
     P,
     data_path,
-    hamming64,
     hamming74,
     in_kernel,
-    permuted74,
     plain_display,
     random_poly_matrix,
     row_bits,
@@ -40,7 +38,6 @@ from qcldpc.construct import (
     codeword_lemma2,
     generator_case1,
     generator_general,
-    shorten_compose,
     verify_generator,
 )
 from qcldpc.gf2poly import BinaryPoly, RingModulus, gcd, transpose_poly
@@ -51,9 +48,7 @@ from qcldpc.gldpc import (
     construct_generator,
     expand_binary,
     load_spec,
-    reduce_full,
-    reduce_partial,
-    reduce_prelift,
+    reduce_spec,
     schur_recompose,
     schur_reduce,
 )
@@ -193,7 +188,7 @@ def test_criterion_04_single_row_codeword_families():
 
 def test_criterion_05_six_column_gldpc_code():
     spec = load("n79.json")
-    H_short, _ = reduce_partial(spec.base, hamming64())
+    H_short, _, _ = reduce_spec(spec)
     assert texts(H_short.rows[0]) == ["1+x^55+x^71", "x^54+x^69+x^71", "x^55+x^66+x^69"]
     assert gcd(H_short.entry(0, 2), spec.base.modulus.poly) == BinaryPoly(1)
     result = construct_generator(spec)
@@ -221,7 +216,7 @@ def test_criterion_06_partially_generalized_code():
 def test_criterion_07_fully_generalized_code():
     spec = load("c2.json")
     mod = spec.base.modulus
-    H = reduce_full(spec.base, permuted74(), hamming74())
+    H, T, meta = reduce_spec(spec)
     minors = {
         (2, 3, 4): "x^3+x^8+x^18+x^20+x^23+x^28+x^36+x^38+x^40+x^41+x^51+x^53+x^59+x^64",
         (1, 3, 4): "x^3+x^15+x^23+x^25+x^28+x^36+x^39+x^45+x^47+x^60+x^63+x^64",
@@ -245,10 +240,7 @@ def test_criterion_07_fully_generalized_code():
           for cols in ((2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3))]],
         mod,
     )
-    M_poly = PolyMatrix(
-        [[BinaryPoly(b) for b in row] for row in hamming74().M], mod
-    )
-    w = shorten_compose(und, M_poly)
+    w = schur_recompose(und, T, meta, 7)
     assert block_weight(w.rows[0]) == 88
     prod = matmul_mod(w, transpose_entrywise(assembled_parity(spec)))
     assert all(p.is_zero() for p in prod.rows[0])
@@ -260,7 +252,7 @@ def test_criterion_07_fully_generalized_code():
 
 def test_criterion_08_split_ninety_chain():
     spec = load("prelift90.json")
-    H1s, outer = reduce_prelift(spec.base, hamming64())
+    H1s, T1, meta1 = reduce_spec(spec)
     assert 6 * 45 - rank_scalar(circulant_expand(H1s)) == 91
     H2s, T, meta = schur_reduce(H1s, (1, 2, 4), (4, 5, 6))
     assert texts(H2s.rows[0]) == ["x^7+x^44", "x^26+x^27", "x^33+x^40"]
@@ -276,7 +268,7 @@ def test_criterion_08_split_ninety_chain():
     prod = matmul_mod(w6, transpose_entrywise(H1s))
     assert all(p.is_zero() for p in prod.rows[0])
 
-    w12 = shorten_compose(w6, outer)
+    w12 = schur_recompose(w6, T1, meta1, 12)
     assert block_weight(w12.rows[0]) == 39
     assert in_kernel(expand_binary(spec), row_bits(w12.rows[0], mod))
 
@@ -288,7 +280,7 @@ def test_criterion_08_split_ninety_chain():
 
 def test_criterion_09_seven_column_prelift():
     spec = load("prelift68.json")
-    H1s, _ = reduce_prelift(spec.base, hamming74())
+    H1s, _, _ = reduce_spec(spec)
     assert 8 * 34 - rank_scalar(circulant_expand(H1s)) == 136
     H2s, _, _ = schur_reduce(H1s, (1, 2, 3), (1, 2, 3))
     assert texts(H2s.rows[0]) == [

@@ -73,15 +73,13 @@ def bits_to_array(bits, n):
 class TestConfigAndCounts:
     def test_config_defaults(self):
         cfg = DecoderConfig()
-        assert cfg.max_iterations == 100 and cfg.schedule == "flooding"
+        assert cfg.max_iterations == 100
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iterations"):
             DecoderConfig(max_iterations=0)
         with pytest.raises(ValueError, match="llr_clip"):
             DecoderConfig(llr_clip=0.0)
-        with pytest.raises(ValueError, match="schedule"):
-            DecoderConfig(schedule="serial")
 
     def test_trial_result_rates(self):
         r = TrialResult(0.0, trials=4, bit_errors=6, block_errors=2, seed=1, nbits=10)

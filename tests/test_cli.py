@@ -48,6 +48,26 @@ class TestExitCodes:
         assert run(["girth"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_threads_only_on_distance(self, capsys):
+        assert run(["rank", "--matrix", "ex1.pmx", "--N", "45", "--threads", "2"]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_threads_below_one_is_domain_error(self, capsys):
+        assert run(["distance", "--spec", "n79.json", "--threads", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: --threads must be at least 1"]
+
+    @pytest.mark.parametrize("key", ["assignment", "exponents", "N"])
+    def test_spec_missing_key_is_domain_error(self, capsys, tmp_path, key):
+        with open(data_path("c1.json"), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        del spec[key]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert run(["gldpc", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: spec has no {key!r} key"]
+
 
 class TestRank:
     def test_bundled_example_at_45(self, capsys):

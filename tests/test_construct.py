@@ -19,10 +19,10 @@ from qcldpc.construct import (
     codeword_lemma2,
     generator_case1,
     generator_general,
-    shorten_compose,
     verify_generator,
 )
 from qcldpc.gf2poly import BinaryPoly, NotInvertible, RingModulus, gcd, transpose_poly
+from qcldpc.gldpc import schur_recompose, schur_reduce
 from qcldpc.polymat import (
     PolyMatrix,
     circulant_expand,
@@ -263,6 +263,14 @@ class TestGeneralSynthesis:
         d = result.to_dict()
         assert d["rank"] == 8
         assert d["complete"] is True
+
+
+def shorten_compose(G, A):
+    """Extend short-code rows G across the identity columns of [[H, 0], [A, I]]."""
+    H = A.hstack(identity_matrix(A.nrows, A.modulus))
+    pivot_cols = range(A.ncols + 1, H.ncols + 1)
+    _, T, meta = schur_reduce(H, range(1, A.nrows + 1), pivot_cols)
+    return schur_recompose(G, T, meta, H.ncols)
 
 
 class TestCompositionAndVerify:

@@ -2,9 +2,9 @@
 
 Worked values for the bundled specs (n79, c1, c2, prelift90, prelift68) are
 frozen here after hand-derivation; display-sense conversions follow the
-conventions in conftest.py.  The short-matrix eliminations are checked
-both against frozen rows and against scalar rank on the binary
-expansions.
+conventions in conftest.py.  The short-matrix eliminations (reduce_spec,
+or schur_reduce on a hand-built stack) are checked both against frozen
+rows and against scalar rank on the binary expansions.
 """
 
 import random
@@ -12,6 +12,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     P,
@@ -25,7 +26,7 @@ from conftest import (
     row_bits,
 )
 from qcldpc.analysis import girth
-from qcldpc.construct import Incomplete, generator_general, shorten_compose
+from qcldpc.construct import Incomplete, generator_general, verify_generator
 from qcldpc.gf2poly import (
     BinaryPoly,
     NotInvertible,
@@ -36,8 +37,6 @@ from qcldpc.gf2poly import (
 from qcldpc.gldpc import (
     ComponentCode,
     GldpcSpec,
-    assemble_full,
-    assemble_partial,
     assembled_parity,
     base_from_exponents,
     construct_generator,
@@ -47,9 +46,7 @@ from qcldpc.gldpc import (
     load_spec,
     prelift_entry,
     prelift_matrix,
-    reduce_full,
-    reduce_partial,
-    reduce_prelift,
+    reduce_spec,
     save_spec,
     schur_recompose,
     schur_reduce,
@@ -75,6 +72,24 @@ def t(p, modulus):
 
 def texts(row):
     return [p.to_text() for p in row]
+
+
+def scaled_rows(row, comp):
+    """Component rows on a full-support base row, entrywise scaled.
+
+    Builds stacks that GldpcSpec would reject (design rate 0), so their
+    eliminations can still be checked through schur_reduce.
+    """
+    return [
+        [p if bit else BinaryPoly(0) for p, bit in zip(row, bits)]
+        for bits in comp.parity
+    ]
+
+
+FRONT_IDENTITY64 = ComponentCode(
+    [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]],
+    identity_start=0,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,27 +120,22 @@ def prelift68():
 class TestComponentCode:
     def test_spc_constructor(self):
         c = ComponentCode.spc(6)
-        assert c.is_spc and c.p == 1 and c.q == 6
+        assert c.parity == ((1,) * 6,) and c.p == 1 and c.q == 6
+        assert c.identity_start == 5
+        assert c.identity_start == 5
 
     def test_identity_detected_on_right(self):
         c = hamming64()
         assert c.identity_start == 3
-        assert c.M == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
 
     def test_identity_elsewhere_has_no_split(self):
         c = permuted74()
         assert c.identity_start == 0
-        assert c.systematic_split is None
-        with pytest.raises(ValueError):
-            c.M
 
     def test_explicit_identity_start_is_checked(self):
         with pytest.raises(ValueError):
             ComponentCode([[1, 1, 0], [1, 0, 1]], identity_start=0)
-        assert ComponentCode([[1, 1, 0], [1, 0, 1]], identity_start=1).M == (
-            (1,),
-            (1,),
-        )
+        assert ComponentCode([[1, 1, 0], [1, 0, 1]], identity_start=1).identity_start == 1
 
     def test_rejects_ragged_and_nonbinary(self):
         with pytest.raises(ValueError):
@@ -190,11 +200,18 @@ class TestSpecAndRate:
             again = GldpcSpec.from_json_dict(spec.to_json_dict())
             assert again == spec
 
-    def test_alternative_form_reverses_assignment(self, c2):
+    def test_alternative_form_rejected(self, c2):
         d = c2.to_json_dict()
         d["alternative_form"] = True
-        flipped = GldpcSpec.from_json_dict(d)
-        assert flipped.assignment == tuple(reversed(c2.assignment))
+        with pytest.raises(ValueError, match="alternative_form"):
+            GldpcSpec.from_json_dict(d)
+
+    @pytest.mark.parametrize("key", ["N", "exponents", "assignment"])
+    def test_missing_key_named(self, c2, key):
+        d = c2.to_json_dict()
+        del d[key]
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            GldpcSpec.from_json_dict(d)
 
     def test_save_load_round_trip(self, tmp_path, prelift68):
         path = tmp_path / "spec.json"
@@ -204,25 +221,31 @@ class TestSpecAndRate:
 
 class TestAssembly:
     def test_partial_stack_layout(self, n79):
-        H = assemble_partial(n79.base, hamming64())
+        assert n79.assignment == (hamming64(), None)
+        H = assembled_parity(n79)
         assert H.nrows == 4 and H.ncols == 6
-        assert list(H.rows[0]) == list(n79.base.rows[1])
+        assert list(H.rows[3]) == list(n79.base.rows[1])
         for r in range(3):
             comp_row = hamming64().parity[r]
             for c in range(6):
                 want = n79.base.entry(0, c) if comp_row[c] else BinaryPoly(0)
-                assert H.entry(r + 1, c) == want
+                assert H.entry(r, c) == want
 
     def test_spc_component_returns_base(self, n79):
-        assert assemble_partial(n79.base, ComponentCode.spc(6)) == n79.base
+        spec = GldpcSpec(n79.base, (ComponentCode.spc(6), None))
+        assert assembled_parity(spec) == n79.base
 
-    def test_non_systematic_component_rejected(self, n79):
-        with pytest.raises(ValueError, match=r"\[M \| I\] form"):
-            assemble_partial(n79.base, permuted74())
+    def test_front_identity_component_is_eliminated(self, n79):
+        spec = GldpcSpec(n79.base, (FRONT_IDENTITY64, None))
+        H_short, _, meta = reduce_spec(spec)
+        assert meta.pivot_rows == (1, 2, 3) and meta.pivot_cols == (1, 2, 3)
+        assert H_short.shape == (1, 3)
+        result = construct_generator(spec)
+        assert result.complete and result.rank == 158
 
     def test_width_mismatch_rejected(self, n79):
-        with pytest.raises(ValueError, match="constraint row weight"):
-            assemble_partial(n79.base, hamming74())
+        with pytest.raises(ValueError, match="component length 7 != weight 6"):
+            GldpcSpec(n79.base, (hamming74(), None))
 
     def test_fifteen_column_stack_is_five_rows(self):
         spec = load("hamming15.json")
@@ -234,22 +257,19 @@ class TestAssembly:
         for r in range(4):
             assert [p.bits for p in H.rows[r]] == list(comp.parity[r])
 
-    def test_full_stack_scales_top_rows(self, n79):
-        comp_top = ComponentCode(
-            [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]],
-            identity_start=0,
-        )
-        H = assemble_full(n79.base, comp_top, hamming64())
+    def test_full_stack_scales_top_rows(self, c2):
+        assert c2.assignment == (hamming74(), permuted74())
+        H = assembled_parity(c2)
         assert H.nrows == 6
-        mono = n79.base.rows[1]
+        mono = c2.base.rows[1]
         for r in range(3):
-            for c in range(6):
-                want = mono[c] if comp_top.parity[r][c] else BinaryPoly(0)
-                assert H.entry(r, c) == want
-            for c in range(6):
+            for c in range(7):
                 want = (
-                    BinaryPoly(1) if hamming64().parity[r][c] else BinaryPoly(0)
+                    BinaryPoly(1) if hamming74().parity[r][c] else BinaryPoly(0)
                 )
+                assert H.entry(r, c) == want
+            for c in range(7):
+                want = mono[c] if permuted74().parity[r][c] else BinaryPoly(0)
                 assert H.entry(r + 3, c) == want
 
 
@@ -258,40 +278,45 @@ C1_FS = ["1+x+x^14+x^46", "x+x^46+x^61", "x+x^14+x^49", "x^14+x^44+x^46"]
 
 
 class TestReducePartial:
+    """One generalized row: the identity columns fold into the SPC row."""
+
     def test_six_column_elimination(self, n79):
-        H_short, M_poly = reduce_partial(n79.base, hamming64())
+        H_short, T, meta = reduce_spec(n79)
         assert texts(H_short.rows[0]) == EX4_FS
-        assert M_poly.nrows == 3 and M_poly.ncols == 3
-        assert [[p.bits for p in row] for row in M_poly.rows] == [
+        assert meta.pivot_cols == (4, 5, 6) and meta.rest_cols == (1, 2, 3)
+        # T is the transpose of the component's M part (here symmetric)
+        assert T.nrows == 3 and T.ncols == 3
+        assert [[p.bits for p in row] for row in T.rows] == [
             [1, 1, 0],
             [1, 0, 1],
             [0, 1, 1],
         ]
 
     def test_last_entry_is_coprime(self, n79):
-        H_short, _ = reduce_partial(n79.base, hamming64())
+        H_short, _, _ = reduce_spec(n79)
         f3 = H_short.entry(0, 2)
         assert gcd(f3, n79.base.modulus.poly) == BinaryPoly(1)
 
     def test_seven_column_elimination(self, c1):
-        H_short, _ = reduce_partial(c1.base, hamming74())
+        H_short, _, _ = reduce_spec(c1)
         assert texts(H_short.rows[0]) == C1_FS
 
     def test_zero_m_part_leaves_monomials(self):
         base = base_from_exponents([0, 2, 5], RingModulus(9))
         comp = ComponentCode([[0, 1, 0], [0, 0, 1]], identity_start=1)
-        H_short, M_poly = reduce_partial(base, comp)
+        H = PolyMatrix(scaled_rows(base.rows[0], comp) + [base.rows[1]], base.modulus)
+        H_short, T, _ = schur_reduce(H, (1, 2), (2, 3))
         assert texts(H_short.rows[0]) == ["1"]
-        assert all(p.is_zero() for row in M_poly.rows for p in row)
+        assert all(p.is_zero() for row in T.rows for p in row)
 
     def test_rejects_width_mismatch(self, c1):
-        with pytest.raises(ValueError, match="base width"):
-            reduce_partial(c1.base, hamming64())
+        with pytest.raises(ValueError, match="component length 6 != weight 7"):
+            GldpcSpec(c1.base, (hamming64(), None))
 
 
 class TestGshortForms:
     def test_pivot_pairs_last_coprime_entry(self, c1):
-        H_short, _ = reduce_partial(c1.base, hamming74())
+        H_short, _, _ = reduce_spec(c1)
         plain, reduced = gshort_forms(H_short)
         mod = H_short.modulus
         fs = H_short.rows[0]
@@ -304,9 +329,9 @@ class TestGshortForms:
             assert list(plain.rows[j]) == want
 
     def test_composed_rows_match_display(self, n79):
-        H_short, M_poly = reduce_partial(n79.base, hamming64())
+        H_short, T, meta = reduce_spec(n79)
         plain, _ = gshort_forms(H_short)
-        G = shorten_compose(plain, M_poly)
+        G = schur_recompose(plain, T, meta, 6)
         mod = n79.base.modulus
         f1, f2, f3 = H_short.rows[0]
         t1, t2, t3 = (t(f, mod) for f in (f1, f2, f3))
@@ -347,7 +372,7 @@ class TestGshortForms:
         assert rank_scalar(circulant_expand(reduced)) == 8
 
     def test_both_forms_generate_the_kernel(self, c1):
-        H_short, _ = reduce_partial(c1.base, hamming74())
+        H_short, _, _ = reduce_spec(c1)
         plain, reduced = gshort_forms(H_short)
         dim = 4 * 68 - rank_scalar(circulant_expand(H_short))
         for form in (plain, reduced):
@@ -382,8 +407,10 @@ C2_MINORS = {
 
 
 class TestReduceFull:
+    """Both rows generalized: the top rows fold through the bottom identity."""
+
     def test_two_component_elimination(self, c2):
-        H = reduce_full(c2.base, permuted74(), hamming74())
+        H, _, _ = reduce_spec(c2)
         assert [texts(r) for r in H.rows] == [
             ["1+x+x^46", "x+x^46", "x", "x^44+x^46"],
             ["x+x^14", "x+x^61", "x+x^14", "x^14+x^44"],
@@ -391,7 +418,7 @@ class TestReduceFull:
         ]
 
     def test_maximal_minors_share_quartic_factor(self, c2):
-        H = reduce_full(c2.base, permuted74(), hamming74())
+        H, _, _ = reduce_spec(c2)
         mod = c2.base.modulus
         acc = BinaryPoly(0)
         for cols, text in C2_MINORS.items():
@@ -405,7 +432,9 @@ class TestReduceFull:
             [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],
             identity_start=0,
         )
-        H = reduce_full(n79.base, comp_top, hamming64())
+        rows = scaled_rows(n79.base.rows[0], hamming64())
+        rows += scaled_rows(n79.base.rows[1], comp_top)
+        H, _, _ = schur_reduce(PolyMatrix(rows, n79.base.modulus), (1, 2, 3), (4, 5, 6))
         mono = n79.base.rows[1]
         for r in range(3):
             for c in range(3):
@@ -413,11 +442,9 @@ class TestReduceFull:
                 assert H.entry(r, c) == want
 
     def test_symmetric_variant_is_not_reducible(self, n79):
-        comp_top = ComponentCode(
-            [[1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1], [0, 0, 1, 0, 1, 1]],
-            identity_start=0,
-        )
-        H = reduce_full(n79.base, comp_top, hamming64())
+        rows = scaled_rows(n79.base.rows[0], hamming64())
+        rows += scaled_rows(n79.base.rows[1], FRONT_IDENTITY64)
+        H, _, _ = schur_reduce(PolyMatrix(rows, n79.base.modulus), (1, 2, 3), (4, 5, 6))
         assert [texts(r) for r in H.rows] == [
             ["1+x^55+x^71", "x^71", "x^55"],
             ["x^71", "x^54+x^69+x^71", "x^69"],
@@ -539,30 +566,35 @@ PRELIFT68_F = [
 
 
 class TestReducePrelift:
+    """Split rows generalized: two components' identity columns go at once."""
+
     def test_six_column_short_matrix(self, prelift90):
-        H1s, outer = reduce_prelift(prelift90.base, hamming64())
+        H1s, T, meta = reduce_spec(prelift90)
         assert [texts(r) for r in H1s.rows] == N90_SHORT
-        M = hamming64().M
-        assert outer.nrows == 6 and outer.ncols == 6
+        assert meta.pivot_rows == (1, 2, 3, 4, 5, 6)
+        assert meta.pivot_cols == (7, 8, 9, 10, 11, 12)
+        # T = transpose of the outer map diag(M, M) recovering the odd groups
+        M = [row[:3] for row in hamming64().parity]
+        assert T.nrows == 6 and T.ncols == 6
         for r in range(3):
             for c in range(3):
-                assert outer.entry(r, c).bits == M[r][c]
-                assert outer.entry(r + 3, c + 3).bits == M[r][c]
-                assert outer.entry(r, c + 3).is_zero()
-                assert outer.entry(r + 3, c).is_zero()
+                assert T.entry(c, r).bits == M[r][c]
+                assert T.entry(c + 3, r + 3).bits == M[r][c]
+                assert T.entry(c + 3, r).is_zero()
+                assert T.entry(c, r + 3).is_zero()
 
     def test_eight_column_short_matrix(self, prelift68):
-        H1s, _ = reduce_prelift(prelift68.base, hamming74())
+        H1s, _, _ = reduce_spec(prelift68)
         assert [texts(r) for r in H1s.rows] == PRELIFT68_SHORT
 
     def test_component_shape_checked(self, prelift68):
-        with pytest.raises(ValueError, match=r"3 x 7 in \[M \| I\] form"):
-            reduce_prelift(prelift68.base, hamming64())
+        with pytest.raises(ValueError, match="component length 6 != weight 7"):
+            GldpcSpec(prelift68.base, (hamming64(),) * 3 + (None,), (2, 34))
 
     def test_short_kernel_dimensions(self, prelift90, prelift68):
-        H90, _ = reduce_prelift(prelift90.base, hamming64())
+        H90, _, _ = reduce_spec(prelift90)
         assert 6 * 45 - rank_scalar(circulant_expand(H90)) == 91
-        Hb, _ = reduce_prelift(prelift68.base, hamming74())
+        Hb, _, _ = reduce_spec(prelift68)
         assert 8 * 34 - rank_scalar(circulant_expand(Hb)) == 136
 
 
@@ -612,7 +644,7 @@ class TestSchur:
             schur_reduce(H, (1, 2), (1,))
 
     def test_second_stage_elimination_rows(self, prelift68):
-        H1s, _ = reduce_prelift(prelift68.base, hamming74())
+        H1s, _, _ = reduce_spec(prelift68)
         H2s, T, meta = schur_reduce(H1s, (1, 2, 3), (1, 2, 3))
         assert meta.det == P("x^11")
         assert meta.rest_cols == (4, 5, 6, 7, 8)
@@ -620,7 +652,7 @@ class TestSchur:
         assert 5 * 34 - rank_scalar(circulant_expand(H2s)) == 136
 
     def test_second_stage_low_weight_member(self, prelift68):
-        H1s, _ = reduce_prelift(prelift68.base, hamming74())
+        H1s, _, _ = reduce_spec(prelift68)
         H2s, _, _ = schur_reduce(H1s, (1, 2, 3), (1, 2, 3))
         mod = H2s.modulus
         witness = [
@@ -643,7 +675,7 @@ class TestNinetyChain:
     V_TEXT = "x^6+x^10+x^18+x^37+x^38+x^44"
 
     def test_second_stage_short_row(self, prelift90):
-        H1s, _ = reduce_prelift(prelift90.base, hamming64())
+        H1s, _, _ = reduce_spec(prelift90)
         H2s, T, meta = schur_reduce(H1s, (1, 2, 4), (4, 5, 6))
         assert meta.pivot_cols == (4, 5, 6)
         assert texts(H2s.rows[0]) == ["x^7+x^44", "x^26+x^27", "x^33+x^40"]
@@ -651,7 +683,7 @@ class TestNinetyChain:
         assert 3 * 45 - rank_scalar(circulant_expand(H2s)) == 91
 
     def test_weight_27_recomposed_witness(self, prelift90):
-        H1s, _ = reduce_prelift(prelift90.base, hamming64())
+        H1s, _, _ = reduce_spec(prelift90)
         H2s, T, meta = schur_reduce(H1s, (1, 2, 4), (4, 5, 6))
         mod = H1s.modulus
         u = P("1+x^12+x^18")
@@ -668,7 +700,7 @@ class TestNinetyChain:
         assert all(p.is_zero() for p in prod.rows[0])
 
     def test_weight_39_composed_codeword(self, prelift90):
-        H1s, outer = reduce_prelift(prelift90.base, hamming64())
+        H1s, T1, meta1 = reduce_spec(prelift90)
         H2s, T, meta = schur_reduce(H1s, (1, 2, 4), (4, 5, 6))
         mod = H1s.modulus
         u = P("1+x^12+x^18")
@@ -676,7 +708,7 @@ class TestNinetyChain:
             [[mod.mul(u, P(e)) for e in ("1", "x^27", "x^33")]], mod
         )
         w6 = schur_recompose(w3, T, meta, 6)
-        w12 = shorten_compose(w6, outer)
+        w12 = schur_recompose(w6, T1, meta1, 12)
         assert w12.ncols == 12
         blocks = list(w12.rows[0])
         assert blocks[6:9] == [
@@ -711,7 +743,7 @@ class TestBinaryExpansion:
 
     def test_elimination_preserves_dimension(self, prelift90, prelift68):
         for spec, cols, width in ((prelift90, 12, 6), (prelift68, 14, 8)):
-            H1s, _ = reduce_prelift(spec.base, spec.assignment[0])
+            H1s, _, _ = reduce_spec(spec)
             N2 = H1s.modulus.N
             full = cols * N2 - rank_scalar(expand_binary(spec))
             short = width * N2 - rank_scalar(circulant_expand(H1s))
@@ -748,17 +780,14 @@ class TestConstructGenerator:
         assert kinds == Counter({"lemma1": 1, "lemma2": 2})
 
     def test_two_component_witness_row(self, c2):
-        H = reduce_full(c2.base, permuted74(), hamming74())
+        H, T, meta = reduce_spec(c2)
         mod = c2.base.modulus
         und = PolyMatrix(
             [[t(mod.reduce(minor_det(H, (1, 2, 3), cols)), mod)
               for cols in ((2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3))]],
             mod,
         )
-        M_poly = PolyMatrix(
-            [[BinaryPoly(b) for b in row] for row in hamming74().M], mod
-        )
-        w = shorten_compose(und, M_poly)
+        w = schur_recompose(und, T, meta, 7)
         assert sum(p.weight() for p in w.rows[0]) == 88
         assert plain_display(w.rows[0][4:], mod) == (
             P("x^7+x^18+x^20+x^22+x^25+x^36+x^37+x^41+x^53+x^63"),
@@ -775,17 +804,31 @@ class TestConstructGenerator:
         assert result.matrix.ncols == 12
 
     def test_prelift_assignment_shape_enforced(self, prelift90):
+        """Components on any subset of the split rows still build."""
         d = prelift90.to_json_dict()
         d["assignment"] = [d["assignment"][0], None, None, d["assignment"][0]]
         spec = GldpcSpec.from_json_dict(d)
-        with pytest.raises(ValueError, match="pre-lifted synthesis"):
-            construct_generator(spec)
+        result = construct_generator(spec)
+        assert result.complete and result.rank == result.target_dimension == 181
+        assert verify_generator(assembled_parity(spec), result.matrix, 181)
 
     def test_unreducible_spec_rejected(self):
+        """An SPC component on the monomial row is eliminated like any other."""
         base = base_from_exponents([0, 1, 3, 4, 5, 9], RingModulus(13))
         spec = GldpcSpec(base, (None, ComponentCode.spc(6)))
-        with pytest.raises(ValueError, match="not reducible"):
-            construct_generator(spec)
+        assert reduce_spec(spec)[0].shape == (1, 5)
+        result = construct_generator(spec)
+        assert result.complete and result.rank == result.target_dimension == 53
+        assert verify_generator(assembled_parity(spec), result.matrix, 53)
+
+    def test_component_on_monomial_row(self, c1):
+        d = c1.to_json_dict()
+        d["assignment"].reverse()
+        spec = GldpcSpec.from_json_dict(d)
+        assert reduce_spec(spec)[0].shape == (1, 4)
+        result = construct_generator(spec)
+        assert result.complete and result.rank == result.target_dimension == 204
+        assert verify_generator(assembled_parity(spec), result.matrix, 204)
 
     def test_composed_rows_satisfy_all_constraints(self, c1):
         result = construct_generator(c1)
@@ -795,3 +838,47 @@ class TestConstructGenerator:
         assert all(p.is_zero() for row in prod.rows for p in row)
         bits = row_bits(result.matrix.rows[0], c1.base.modulus)
         assert in_kernel(expand_binary(c1), bits)
+
+
+@st.composite
+def two_row_cases(draw):
+    """A two-row base and a component with its identity block anywhere."""
+    N = draw(st.integers(5, 16))
+    n = draw(st.integers(3, 7))
+    exponents = draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+    p = draw(st.integers(1, n - 1))
+    start = draw(st.integers(0, n - p))
+    bits = st.lists(st.integers(0, 1), min_size=n - p, max_size=n - p)
+    rest = draw(st.lists(bits, min_size=p, max_size=p))
+    parity = [
+        row[:start] + [int(k == r) for k in range(p)] + row[start:]
+        for r, row in enumerate(rest)
+    ]
+    comp = ComponentCode(parity, identity_start=start)
+    assignment = draw(st.sampled_from([(comp, None), (None, comp), (comp, comp)]))
+    return base_from_exponents(exponents, RingModulus(N)), assignment
+
+
+class TestReduceSpec:
+    @settings(max_examples=60, deadline=None)
+    @given(two_row_cases())
+    def test_reduction_preserves_dimension(self, case):
+        base, assignment = case
+        try:
+            spec = GldpcSpec(base, assignment)
+        except ValueError:
+            return  # design rate outside (0, 1)
+        H_short, _, _ = reduce_spec(spec)
+        N = base.modulus.N
+        Hb = expand_binary(spec)
+        short_dim = H_short.ncols * N - rank_scalar(circulant_expand(H_short))
+        assert short_dim == Hb.ncols - rank_scalar(Hb)
+
+    def test_no_component_keeps_the_base(self):
+        base = base_from_exponents([0, 1, 3, 4, 5, 9], RingModulus(13))
+        spec = GldpcSpec(base, (None, None))
+        H_short, T, meta = reduce_spec(spec)
+        assert H_short == base and T is None and meta.pivot_cols == ()
+        result = construct_generator(spec)
+        assert result.complete
+        assert result.matrix == generator_general(base).matrix

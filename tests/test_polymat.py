@@ -20,7 +20,6 @@ from qcldpc.polymat import (
     from_json_dict,
     identity_matrix,
     index_set,
-    lifted_expand,
     matmul_mod,
     minor_det,
     read_pmx,
@@ -184,13 +183,6 @@ class TestExpansion:
             circulant_expand(H)
         with pytest.raises(ValueError):
             transpose_entrywise(H)
-
-    def test_lifted_expand(self):
-        m = RingModulus(8)
-        L = lifted_expand([[1, 0], [1, 1]], [P("x^2"), P("x^3")], m)
-        assert L.rows == [[P("x^2"), P("0")], [P("x^2"), P("x^3")]]
-        with pytest.raises(ValueError):
-            lifted_expand([[1]], [P("1"), P("x")], m)
 
 
 class TestMatmul:
