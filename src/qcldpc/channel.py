@@ -1,20 +1,36 @@
-"""Encoding, BPSK-AWGN channel, and iterative decoding with BCJR components.
+"""Encoding, BPSK-AWGN channel, and iterative GLDPC decoding.
 
 The decoder updates every constraint of a GLDPC spec in parallel
-(flooding): single-parity-check rows use the tanh rule, generalized
-rows run a log-domain BCJR sweep over the component's syndrome trellis.
-Circulant structure batches the N shift instances of each base row
-through one vectorized update.
+(flooding). Circulant structure batches the N shift instances of each
+base row through one vectorized update, and ``bcjr_component`` is the
+one constraint-node update for every row, a plain single-parity check
+included. It returns the exact bitwise MAP extrinsics through one of
+three kernels, chosen from the component alone:
+
+- single-parity checks (p = 1, all ones) use the tanh rule;
+- components with at most q * 2^p codewords (2^(q-p) of them) enumerate
+  their codebook: one matrix product gives every codeword's metric and
+  a second sums them per bit value;
+- the others run a log-domain BCJR sweep over the 2^p states of the
+  syndrome trellis (Bahl et al. 1974; Wolf 1978), the reference kernel.
+
+Enumerated rows whose metrics would span more than a double's exponent
+range also go to the trellis. The edge indices, components and parity
+arrays a spec needs are built at its first decode and reused.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gf2poly import BinaryPoly, transpose_poly
-from .gldpc import ComponentCode, GldpcSpec, expand_binary
+# expand_binary defines convergence (see gldpc_decode) but the decoder
+# checks it row by row from its tables; the name stays importable here,
+# where perfbench's tracer test rebinds it.
+from .gldpc import ComponentCode, GldpcSpec, expand_binary  # noqa: F401
 from .polymat import PolyMatrix, matmul_mod
 
 __all__ = [
@@ -30,7 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Iteration and clipping limits for the message-passing decoder."""
+    """Iteration and clipping limits for the message-passing decoder.
+
+    ``bcjr_metric_threshold`` clamps the trellis metrics; the tanh rule
+    and codeword enumeration do not use it.
+    """
 
     max_iterations: int = 100
     llr_clip: float = 20.0
@@ -124,11 +144,13 @@ def _spc_extrinsics(priors: np.ndarray) -> np.ndarray:
 def bcjr_component(
     comp: ComponentCode, priors, metric_threshold: float = 2.5e4
 ) -> np.ndarray:
-    """Per-bit extrinsic LLRs of a component code via the syndrome trellis.
+    """Per-bit extrinsic LLRs of a component code: the constraint update.
 
-    States are the 2^p partial syndromes; forward and backward metrics
-    are max-normalized each step and clamped at ``metric_threshold``.
-    Accepts a single length-q prior vector or a batch of them.
+    The kernel follows from the component: the tanh rule for a
+    single-parity check, codeword enumeration when 2^(q-p) <= q * 2^p,
+    otherwise the syndrome trellis, whose metrics are clamped at
+    ``metric_threshold``. Accepts a single length-q prior vector or a
+    batch of them.
     """
     arr = np.asarray(priors, dtype=np.float64)
     single = arr.ndim == 1
@@ -136,6 +158,74 @@ def bcjr_component(
         arr = arr[None, :]
     if arr.shape[1] != comp.q:
         raise ValueError(f"got {arr.shape[1]} priors for a length-{comp.q} component")
+    if comp.p == 1 and all(comp.parity[0]):
+        ext = _spc_extrinsics(arr)
+    elif 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
+        ext = _enumerated_extrinsics(comp, arr, metric_threshold)
+    else:
+        ext = _trellis_extrinsics(comp, arr, metric_threshold)
+    return ext[0] if single else ext
+
+
+# A row whose priors sum to at most this in magnitude keeps every codeword
+# metric within this distance of the largest, and exp(-700) is still a
+# normal double, so no codeword's weight underflows.
+_ENUM_SPAN = 700.0
+
+
+@functools.cache
+def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Half-sign table (q x K) and bit-value masks (K x 2q) of K codewords.
+
+    Column w of the sign table holds +1/2 where codeword w has a 0 and
+    -1/2 where it has a 1; row w of the masks is [bit is 0 | bit is 1].
+    """
+    q = len(parity[0])
+    pivots = {}  # reduced row echelon form: pivot column -> row mask
+    for row in parity:
+        mask = sum(b << j for j, b in enumerate(row))
+        for col, r in pivots.items():
+            if mask >> col & 1:
+                mask ^= r
+        if mask:
+            col = (mask & -mask).bit_length() - 1
+            for c, r in pivots.items():
+                if r >> col & 1:
+                    pivots[c] = r ^ mask
+            pivots[col] = mask
+    words = [0]
+    for free in (j for j in range(q) if j not in pivots):
+        basis = (1 << free) | sum(1 << c for c, r in pivots.items() if r >> free & 1)
+        words += [w ^ basis for w in words]
+    ones = np.array([[w >> j & 1 for j in range(q)] for w in words], dtype=np.float64)
+    half_signs = (0.5 - ones).T.copy()
+    masks = np.hstack([1.0 - ones, ones])
+    half_signs.setflags(write=False)
+    masks.setflags(write=False)
+    return half_signs, masks
+
+
+def _enumerated_extrinsics(comp, arr, metric_threshold):
+    """Exact MAP extrinsics by summing over the enumerated codebook."""
+    wide = np.abs(arr).sum(axis=1) > _ENUM_SPAN
+    if wide.any():
+        ext = np.empty_like(arr)
+        ext[wide] = _trellis_extrinsics(comp, arr[wide], metric_threshold)
+        ext[~wide] = _enumerated_extrinsics(comp, arr[~wide], metric_threshold)
+        return ext
+    half_signs, masks = _codebook(comp.parity)
+    metric = arr @ half_signs
+    metric -= metric.max(axis=1, keepdims=True)
+    sums = np.log(np.exp(metric) @ masks)
+    return sums[:, : comp.q] - sums[:, comp.q :] - arr
+
+
+def _trellis_extrinsics(comp, arr, metric_threshold):
+    """Extrinsics of a batch of prior rows via the syndrome trellis.
+
+    States are the 2^p partial syndromes; forward and backward metrics
+    are max-normalized each step and clamped at ``metric_threshold``.
+    """
     nstates = 1 << comp.p
     cols = [
         sum((row[k] & 1) << i for i, row in enumerate(comp.parity))
@@ -167,7 +257,7 @@ def bcjr_component(
         with np.errstate(divide="ignore"):
             ext[:, k] = _logsumexp(joint) - _logsumexp(joint_flip)
         beta = _step(beta, k, perms[k])
-    return ext[0] if single else ext
+    return ext
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -192,6 +282,40 @@ def _row_edges(H: PolyMatrix):
     return edges
 
 
+# The tables of the spec decoded last: ((spec, base, assignment, prelift),
+# (n, rows)). GldpcSpec is unhashable, so the key is compared by identity.
+_decoder_cache = None
+
+
+def _decoder_tables(spec: GldpcSpec):
+    """Code length and the per-row tables of ``spec``, built once.
+
+    One entry per constraint row: (edge indices, component with None
+    resolved to its single-parity check, transposed uint8 parity, whether
+    no variable repeats in the row).
+    """
+    global _decoder_cache
+    key = (spec, spec.base, spec.assignment, spec.prelift)
+    cached = _decoder_cache
+    if cached is not None and all(a is b for a, b in zip(cached[0], key)):
+        return cached[1]
+    eff = spec.effective_matrix()
+    rows = []
+    for idx, comp in zip(_row_edges(eff), spec.assignment):
+        if comp is None:
+            comp = ComponentCode.spc(idx.shape[1])
+        parity_t = np.array(comp.parity, dtype=np.uint8).T.copy()
+        unique = np.bincount(idx.ravel()).max() == 1
+        rows.append((idx, comp, parity_t, unique))
+    tables = (eff.ncols * eff.modulus.N, rows)
+    _decoder_cache = (key, tables)
+    return tables
+
+
+def _packed(hard: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(hard, bitorder="little").tobytes(), "little")
+
+
 def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     """Flooding decode; returns (bit-packed word, converged, iterations).
 
@@ -200,33 +324,28 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     """
     if cfg is None:
         cfg = DecoderConfig()
-    eff = spec.effective_matrix()
-    N = eff.modulus.N
-    n = eff.ncols * N
+    n, rows = _decoder_tables(spec)
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.size != n:
         raise ValueError(f"got {llr.size} LLRs for a length-{n} code")
-    var_idx = _row_edges(eff)
-    ext = [np.zeros(idx.shape) for idx in var_idx]
-    parity_rows = expand_binary(spec).rows
+    ext = [np.zeros(idx.shape) for idx, _, _, _ in rows]
     total = llr
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         new_total = llr.copy()
-        for i, comp in enumerate(spec.assignment):
-            priors = np.clip(total[var_idx[i]] - ext[i], -cfg.llr_clip, cfg.llr_clip)
-            if comp is None:
-                ext[i] = _spc_extrinsics(priors)
+        for i, (idx, comp, _, unique) in enumerate(rows):
+            priors = np.clip(total[idx] - ext[i], -cfg.llr_clip, cfg.llr_clip)
+            ext[i] = bcjr_component(comp, priors, cfg.bcjr_metric_threshold)
+            # Summing in the same order either way keeps totals bit-identical.
+            if unique:
+                new_total[idx] += ext[i]
             else:
-                ext[i] = bcjr_component(comp, priors, cfg.bcjr_metric_threshold)
-            np.add.at(new_total, var_idx[i], ext[i])
+                np.add.at(new_total, idx, ext[i])
         total = new_total
-        word = int.from_bytes(
-            np.packbits(total < 0, bitorder="little").tobytes(), "little"
-        )
-        if all((row & word).bit_count() % 2 == 0 for row in parity_rows):
-            return word, True, iterations
-    return word, False, iterations
+        hard = total < 0
+        if not any(((hard[idx] @ parity_t) & 1).any() for idx, _, parity_t, _ in rows):
+            return _packed(hard), True, iterations
+    return _packed(hard), False, iterations
 
 
 def monte_carlo(

@@ -140,6 +140,8 @@ def _cmd_girth(args) -> int:
 def _cmd_distance(args) -> int:
     if args.threads < 1:
         raise ValueError("--threads must be at least 1")
+    if args.iterations < 0:
+        raise ValueError("--iterations must be at least 0")
     result, _, N = _load_generator(args)
     Gb = circulant_expand(result.matrix)
     if args.exact:
@@ -185,9 +187,15 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    snrs = [float(t) for t in args.snr.split(",")]
+    if not all(math.isfinite(s) for s in snrs):
+        raise ValueError(f"--snr values must be finite, got {args.snr}")
+    if args.max_trials < 0:
+        raise ValueError("--max-trials must be at least 0")
+    if args.min_block_errors < 1:
+        raise ValueError("--min-block-errors must be at least 1")
     spec = load_spec(_resolve(args.spec))
     result = construct_generator(spec)
-    snrs = [float(t) for t in args.snr.split(",")]
     cfg = DecoderConfig(max_iterations=args.max_iterations, llr_clip=args.llr_clip)
     rows = monte_carlo(
         spec,

@@ -2,16 +2,27 @@
 
 The BCJR oracle below enumerates every codeword of the component code
 and computes the bitwise MAP extrinsics directly; the trellis sweep must
-match it to numerical precision on generic priors.
+match it to numerical precision on generic priors, and every kernel
+bcjr_component picks must match the trellis.
 """
+
+import functools
+import json
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qcldpc
 from conftest import P, data_path, hamming64, hamming74, in_kernel
 from qcldpc.channel import (
     DecoderConfig,
     TrialResult,
+    _trellis_extrinsics,
     awgn_llrs,
     bcjr_component,
     encode,
@@ -23,8 +34,27 @@ from qcldpc.gldpc import ComponentCode, construct_generator, expand_binary, load
 from qcldpc.polymat import PolyMatrix, circulant_expand
 
 
+SPEC_NAMES = (
+    "n79.json", "c1.json", "c2.json", "prelift90.json", "prelift68.json", "hamming15.json",
+)
+
+
 def load(name):
     return load_spec(data_path(name))
+
+
+def bundled_components():
+    """pytest params (circulant size, component) of every generalized row."""
+    for name in SPEC_NAMES:
+        spec = load(name)
+        N = spec.effective_matrix().modulus.N
+        for row, comp in enumerate(spec.assignment):
+            if comp is not None:
+                yield pytest.param(N, comp, id=f"{name}-row{row}")
+
+
+def hamming15_component():
+    return load("hamming15.json").assignment[0]
 
 
 def component_codewords(comp):
@@ -116,8 +146,6 @@ class TestEncode:
             encode(G, [P("1")])
 
     def test_codewords_satisfy_parity(self):
-        import random
-
         rng = random.Random(80)
         spec = load("c1.json")
         G = construct_generator(spec).matrix
@@ -161,6 +189,37 @@ class TestBcjrComponent:
             want = map_extrinsics(comp, priors)
             assert np.allclose(got, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "comp_fn, vectors", [(hamming64, 40), (hamming74, 40), (hamming15_component, 3)]
+    )
+    def test_trellis_matches_exhaustive_map(self, comp_fn, vectors):
+        comp = comp_fn()
+        rng = np.random.default_rng(87)
+        priors = rng.uniform(-8.0, 8.0, size=(vectors, comp.q))
+        got = _trellis_extrinsics(comp, priors, 2.5e4)
+        for b in range(vectors):
+            want = map_extrinsics(comp, priors[b])
+            assert np.allclose(got[b], want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("N, comp", list(bundled_components()))
+    def test_every_bundled_component_matches_trellis(self, N, comp):
+        rng = np.random.default_rng(88)
+        priors = rng.uniform(-20.0, 20.0, size=(N, comp.q))
+        got = bcjr_component(comp, priors)
+        want = _trellis_extrinsics(comp, priors, 2.5e4)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("comp_fn", [hamming64, hamming74])
+    def test_large_priors_stay_finite(self, comp_fn):
+        comp = comp_fn()
+        rng = np.random.default_rng(89)
+        priors = rng.uniform(-8.0, 8.0, size=(6, comp.q))
+        priors[::2] = rng.choice([-1e3, 1e3], size=(3, comp.q))
+        got = bcjr_component(comp, priors)
+        assert np.all(np.isfinite(got))
+        want = _trellis_extrinsics(comp, priors, 2.5e4)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
     def test_spc_matches_tanh_rule(self):
         comp = ComponentCode.spc(6)
         rng = np.random.default_rng(82)
@@ -195,8 +254,6 @@ class TestBcjrComponent:
 
 class TestGldpcDecode:
     def test_noiseless_converges_first_iteration(self):
-        import random
-
         spec = load("c1.json")
         G = construct_generator(spec).matrix
         n = G.ncols * G.modulus.N
@@ -207,8 +264,6 @@ class TestGldpcDecode:
         assert word == sent
 
     def test_single_flip_corrected(self):
-        import random
-
         spec = load("n79.json")
         G = construct_generator(spec).matrix
         n = G.ncols * G.modulus.N
@@ -230,6 +285,64 @@ class TestGldpcDecode:
         spec = load("n79.json")
         with pytest.raises(ValueError, match="LLRs"):
             gldpc_decode(spec, np.zeros(10))
+
+
+# Decodes, in a process of its own, three noisy all-zero words of one spec.
+FRESH_DECODE = """
+import json, sys
+import numpy as np
+from qcldpc.channel import DecoderConfig, awgn_llrs, gldpc_decode
+from qcldpc.gldpc import load_spec
+spec = load_spec(sys.argv[1])
+n = int(sys.argv[2])
+out = []
+for seed in range(3):
+    llr = awgn_llrs(np.zeros(n, np.uint8), -1.0, seed)
+    word, converged, iterations = gldpc_decode(spec, llr, DecoderConfig(max_iterations=8))
+    out.append([str(word), converged, iterations])
+print(json.dumps(out))
+"""
+
+
+class TestDecoderTables:
+    def test_alternating_specs_match_fresh_process(self):
+        specs = {"c1.json": 7 * 68, "n79.json": 6 * 79}
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qcldpc.__file__)))
+        fresh = {}
+        for name, n in specs.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", FRESH_DECODE, data_path(name), str(n)],
+                capture_output=True, text=True, env=env, timeout=120, check=True,
+            )
+            fresh[name] = json.loads(proc.stdout)
+        loaded = {name: load(name) for name in specs}
+        cfg = DecoderConfig(max_iterations=8)
+        for seed in range(3):
+            for name, n in specs.items():
+                llr = awgn_llrs(np.zeros(n, np.uint8), -1.0, seed)
+                word, converged, iterations = gldpc_decode(loaded[name], llr, cfg)
+                assert [str(word), converged, iterations] == fresh[name][seed]
+
+
+@functools.cache
+def coded(name):
+    spec = load(name)
+    return spec, construct_generator(spec).matrix, expand_binary(spec)
+
+
+class TestDecodeProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SPEC_NAMES), st.integers(0, 2**32 - 1), st.floats(-2.0, 4.0))
+    def test_noiseless_decodes_and_converged_words_are_codewords(self, name, seed, snr):
+        spec, G, Hb = coded(name)
+        n = G.ncols * G.modulus.N
+        sent = encode(G, random_message(random.Random(seed), G))
+        bits = bits_to_array(sent, n)
+        assert gldpc_decode(spec, awgn_llrs(bits, snr, rng=None)) == (sent, True, 1)
+        cfg = DecoderConfig(max_iterations=10)
+        word, converged, _ = gldpc_decode(spec, awgn_llrs(bits, snr, rng=seed), cfg)
+        if converged:
+            assert in_kernel(Hb, word)
 
 
 class TestMonteCarlo:

@@ -171,6 +171,12 @@ class TestDistance:
         )
         assert out["exact"] == 4
 
+    def test_negative_iterations_is_domain_error(self, capsys):
+        assert run(["distance", "--spec", "n79.json", "--iterations", "-5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --iterations must be at least 0"]
+
     def test_threads_option_accepted(self, capsys):
         out = run_json(
             capsys,
@@ -237,6 +243,28 @@ class TestSimulate:
         assert capsys.readouterr().out == first
         rows = list(csv.DictReader(io.StringIO(first)))
         assert [r["snr_db"] for r in rows] == ["-6.0", "6.0"]
+
+    @pytest.mark.parametrize("snr", [["--snr=nan"], ["--snr", "inf"], ["--snr=-1,-inf"]])
+    def test_non_finite_snr_is_domain_error(self, capsys, snr):
+        assert run(["simulate", "--spec", "c1.json", *snr]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: --snr values must be finite")
+
+    def test_negative_max_trials_is_domain_error(self, capsys):
+        assert run(["simulate", "--spec", "c1.json", "--snr=1", "--max-trials", "-3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --max-trials must be at least 0"]
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_min_block_errors_below_one_is_domain_error(self, capsys, count):
+        argv = ["simulate", "--spec", "c1.json", "--snr=1", "--min-block-errors", count]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --min-block-errors must be at least 1"]
 
     def test_out_writes_csv_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
