@@ -291,8 +291,7 @@ def _decoder_tables(spec: GldpcSpec):
     """Code length and the per-row tables of ``spec``, built once.
 
     One entry per constraint row: (edge indices, component with None
-    resolved to its single-parity check, transposed uint8 parity, whether
-    no variable repeats in the row).
+    resolved to its single-parity check, transposed uint8 parity).
     """
     global _decoder_cache
     key = (spec, spec.base, spec.assignment, spec.prelift)
@@ -305,8 +304,7 @@ def _decoder_tables(spec: GldpcSpec):
         if comp is None:
             comp = ComponentCode.spc(idx.shape[1])
         parity_t = np.array(comp.parity, dtype=np.uint8).T.copy()
-        unique = np.bincount(idx.ravel()).max() == 1
-        rows.append((idx, comp, parity_t, unique))
+        rows.append((idx, comp, parity_t))
     tables = (eff.ncols * eff.modulus.N, rows)
     _decoder_cache = (key, tables)
     return tables
@@ -328,22 +326,18 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.size != n:
         raise ValueError(f"got {llr.size} LLRs for a length-{n} code")
-    ext = [np.zeros(idx.shape) for idx, _, _, _ in rows]
+    ext = [np.zeros(idx.shape) for idx, _, _ in rows]
     total = llr
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         new_total = llr.copy()
-        for i, (idx, comp, _, unique) in enumerate(rows):
+        for i, (idx, comp, _) in enumerate(rows):
             priors = np.clip(total[idx] - ext[i], -cfg.llr_clip, cfg.llr_clip)
             ext[i] = bcjr_component(comp, priors, cfg.bcjr_metric_threshold)
-            # Summing in the same order either way keeps totals bit-identical.
-            if unique:
-                new_total[idx] += ext[i]
-            else:
-                np.add.at(new_total, idx, ext[i])
+            np.add.at(new_total, idx, ext[i])
         total = new_total
         hard = total < 0
-        if not any(((hard[idx] @ parity_t) & 1).any() for idx, _, parity_t, _ in rows):
+        if not any(((hard[idx] @ parity_t) & 1).any() for idx, _, parity_t in rows):
             return _packed(hard), True, iterations
     return _packed(hard), False, iterations
 
