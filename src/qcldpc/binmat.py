@@ -30,18 +30,6 @@ class BinMatrix:
     def shape(self):
         return (len(self.rows), self.ncols)
 
-    @classmethod
-    def from_dense(cls, array):
-        array = np.asarray(array)
-        nrows, ncols = array.shape
-        rows = []
-        for i in range(nrows):
-            bits = 0
-            for j in np.flatnonzero(array[i]):
-                bits |= 1 << int(j)
-            rows.append(bits)
-        return cls(rows, ncols)
-
     def to_dense(self):
         out = np.zeros((len(self.rows), self.ncols), dtype=np.uint8)
         for i, bits in enumerate(self.rows):
@@ -53,18 +41,6 @@ class BinMatrix:
 
     def get(self, i, j):
         return (self.rows[i] >> j) & 1
-
-    def row_weights(self):
-        return [r.bit_count() for r in self.rows]
-
-    def column_weights(self):
-        w = [0] * self.ncols
-        for bits in self.rows:
-            while bits:
-                low = bits & -bits
-                w[low.bit_length() - 1] += 1
-                bits ^= low
-        return w
 
     def transpose(self):
         cols = [0] * self.ncols
@@ -115,14 +91,6 @@ class RowEchelon:
                 return True
             bits ^= other
         return False
-
-    def contains(self, bits):
-        while bits:
-            other = self.pivots.get(bits.bit_length() - 1)
-            if other is None:
-                return False
-            bits ^= other
-        return True
 
     def copy(self):
         clone = RowEchelon()

@@ -48,19 +48,18 @@ __all__ = [
 class DecoderConfig:
     """Iteration and clipping limits for the message-passing decoder.
 
-    ``bcjr_metric_threshold`` clamps the trellis metrics; the tanh rule
-    and codeword enumeration do not use it.
+    ``llr_clip`` bounds every prior a constraint update sees; it must be
+    a positive number (NaN is rejected).
     """
 
     max_iterations: int = 100
     llr_clip: float = 20.0
-    bcjr_metric_threshold: float = 2.5e4
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.llr_clip <= 0:
-            raise ValueError("llr_clip must be positive")
+        if not self.llr_clip > 0:
+            raise ValueError(f"llr_clip must be positive, got {self.llr_clip}")
 
 
 @dataclass(frozen=True)
@@ -141,15 +140,13 @@ def _spc_extrinsics(priors: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctanh(loo)
 
 
-def bcjr_component(
-    comp: ComponentCode, priors, metric_threshold: float = 2.5e4
-) -> np.ndarray:
+def bcjr_component(comp: ComponentCode, priors) -> np.ndarray:
     """Per-bit extrinsic LLRs of a component code: the constraint update.
 
     The kernel follows from the component: the tanh rule for a
     single-parity check, codeword enumeration when 2^(q-p) <= q * 2^p,
     otherwise the syndrome trellis, whose metrics are clamped at
-    ``metric_threshold``. Accepts a single length-q prior vector or a
+    ``_TRELLIS_CLAMP``. Accepts a single length-q prior vector or a
     batch of them.
     """
     arr = np.asarray(priors, dtype=np.float64)
@@ -161,9 +158,9 @@ def bcjr_component(
     if comp.p == 1 and all(comp.parity[0]):
         ext = _spc_extrinsics(arr)
     elif 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
-        ext = _enumerated_extrinsics(comp, arr, metric_threshold)
+        ext = _enumerated_extrinsics(comp, arr)
     else:
-        ext = _trellis_extrinsics(comp, arr, metric_threshold)
+        ext = _trellis_extrinsics(comp, arr)
     return ext[0] if single else ext
 
 
@@ -171,6 +168,9 @@ def bcjr_component(
 # metric within this distance of the largest, and exp(-700) is still a
 # normal double, so no codeword's weight underflows.
 _ENUM_SPAN = 700.0
+
+# Bound on the max-normalized trellis metrics.
+_TRELLIS_CLAMP = 2.5e4
 
 
 @functools.cache
@@ -205,13 +205,13 @@ def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
     return half_signs, masks
 
 
-def _enumerated_extrinsics(comp, arr, metric_threshold):
+def _enumerated_extrinsics(comp, arr):
     """Exact MAP extrinsics by summing over the enumerated codebook."""
     wide = np.abs(arr).sum(axis=1) > _ENUM_SPAN
     if wide.any():
         ext = np.empty_like(arr)
-        ext[wide] = _trellis_extrinsics(comp, arr[wide], metric_threshold)
-        ext[~wide] = _enumerated_extrinsics(comp, arr[~wide], metric_threshold)
+        ext[wide] = _trellis_extrinsics(comp, arr[wide])
+        ext[~wide] = _enumerated_extrinsics(comp, arr[~wide])
         return ext
     half_signs, masks = _codebook(comp.parity)
     metric = arr @ half_signs
@@ -220,11 +220,11 @@ def _enumerated_extrinsics(comp, arr, metric_threshold):
     return sums[:, : comp.q] - sums[:, comp.q :] - arr
 
 
-def _trellis_extrinsics(comp, arr, metric_threshold):
+def _trellis_extrinsics(comp, arr):
     """Extrinsics of a batch of prior rows via the syndrome trellis.
 
     States are the 2^p partial syndromes; forward and backward metrics
-    are max-normalized each step and clamped at ``metric_threshold``.
+    are max-normalized each step and clamped at ``_TRELLIS_CLAMP``.
     """
     nstates = 1 << comp.p
     cols = [
@@ -238,7 +238,7 @@ def _trellis_extrinsics(comp, arr, metric_threshold):
         g = arr[:, k, None] / 2.0
         nxt = np.logaddexp(metric + g, metric[:, perm] - g)
         nxt -= nxt.max(axis=1, keepdims=True)
-        return np.clip(nxt, -metric_threshold, metric_threshold)
+        return np.clip(nxt, -_TRELLIS_CLAMP, _TRELLIS_CLAMP)
 
     alphas = np.full((comp.q + 1, batch, nstates), -np.inf)
     alphas[0, :, 0] = 0.0
@@ -333,7 +333,7 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
         new_total = llr.copy()
         for i, (idx, comp, _) in enumerate(rows):
             priors = np.clip(total[idx] - ext[i], -cfg.llr_clip, cfg.llr_clip)
-            ext[i] = bcjr_component(comp, priors, cfg.bcjr_metric_threshold)
+            ext[i] = bcjr_component(comp, priors)
             np.add.at(new_total, idx, ext[i])
         total = new_total
         hard = total < 0

@@ -16,6 +16,7 @@ import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from .analysis import (
     DistanceReport,
@@ -54,6 +55,15 @@ def _resolve(path: str) -> str:
     raise ValueError(f"no such file: {path}")
 
 
+def _read_matrix(args) -> PolyMatrix:
+    """The --matrix file over x^N + 1; --N is required with it."""
+    if not args.matrix:
+        raise ValueError("give --matrix with --N")
+    if args.N is None:
+        raise ValueError("--N is required with --matrix")
+    return read_pmx(_resolve(args.matrix), RingModulus(args.N))
+
+
 def _emit(obj, out: str | None) -> None:
     text = json.dumps(obj, indent=2)
     if out:
@@ -65,16 +75,13 @@ def _emit(obj, out: str | None) -> None:
 
 def _load_generator(args):
     """Build a generator from --spec or from --matrix/--N; returns (result, spec, N)."""
-    if getattr(args, "spec", None):
+    if args.spec:
         spec = load_spec(_resolve(args.spec))
         result = construct_generator(spec)
         return result, spec, spec.effective_matrix().modulus.N
-    if not getattr(args, "matrix", None):
+    if not args.matrix:
         raise ValueError("give either --spec or --matrix with --N")
-    if args.N is None:
-        raise ValueError("--N is required with --matrix")
-    H = read_pmx(_resolve(args.matrix))
-    result = generator_general(H, RingModulus(args.N))
+    result = generator_general(_read_matrix(args))
     return result, None, args.N
 
 
@@ -87,8 +94,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.case1:
-        H = read_pmx(_resolve(args.matrix), RingModulus(args.N))
-        result, standard = generator_case1(H)
+        result, standard = generator_case1(_read_matrix(args))
         payload = result.to_dict()
         payload["standard_rows"] = standard.to_text_rows()
     else:
@@ -124,9 +130,7 @@ def _cmd_girth(args) -> int:
         exps = [int(t) for t in args.exponents.split(",")]
         H = base_from_exponents(exps, RingModulus(args.N))
     elif args.matrix:
-        if args.N is None:
-            raise ValueError("--N is required with --matrix")
-        H = read_pmx(_resolve(args.matrix), RingModulus(args.N))
+        H = _read_matrix(args)
     else:
         raise ValueError("give --spec, --matrix, or --exponents")
     g = girth(H)
@@ -138,10 +142,6 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be at least 1")
-    if args.iterations < 0:
-        raise ValueError("--iterations must be at least 0")
     result, _, N = _load_generator(args)
     Gb = circulant_expand(result.matrix)
     if args.exact:
@@ -150,11 +150,19 @@ def _cmd_distance(args) -> int:
             upper=d, lower=d, exact=d, ncols=Gb.ncols, method="exhaustive enumeration"
         )
     elif args.threads > 1:
+        # One seed and chunk per requested thread, so the result does not
+        # depend on how many workers the machine can run.
         chunk = max(1, args.iterations // args.threads)
         seeds = range(args.seed, args.seed + args.threads)
-        with ThreadPoolExecutor(args.threads) as pool:
+        with ThreadPoolExecutor(min(args.threads, os.cpu_count() or 1)) as pool:
             reports = list(pool.map(lambda s: low_weight_search(Gb, chunk, s), seeds))
-        report = min(reports, key=lambda r: r.upper)
+        report = replace(
+            min(reports, key=lambda r: r.upper),
+            method=(
+                f"row sweep + {chunk * args.threads} randomized evaluations, "
+                f"seeds {seeds[0]}..{seeds[-1]}"
+            ),
+        )
     else:
         report = low_weight_search(Gb, args.iterations, args.seed)
     if args.short_distance is not None:
@@ -190,13 +198,9 @@ def _cmd_simulate(args) -> int:
     snrs = [float(t) for t in args.snr.split(",")]
     if not all(math.isfinite(s) for s in snrs):
         raise ValueError(f"--snr values must be finite, got {args.snr}")
-    if args.max_trials < 0:
-        raise ValueError("--max-trials must be at least 0")
-    if args.min_block_errors < 1:
-        raise ValueError("--min-block-errors must be at least 1")
+    cfg = DecoderConfig(max_iterations=args.max_iterations, llr_clip=args.llr_clip)
     spec = load_spec(_resolve(args.spec))
     result = construct_generator(spec)
-    cfg = DecoderConfig(max_iterations=args.max_iterations, llr_clip=args.llr_clip)
     rows = monte_carlo(
         spec,
         result.matrix,
@@ -226,9 +230,7 @@ def _cmd_export(args) -> int:
         Hp = assembled_parity(spec)
         Hb = expand_binary(spec)
     else:
-        if args.N is None:
-            raise ValueError("--N is required with --matrix")
-        Hp = read_pmx(_resolve(args.matrix), RingModulus(args.N))
+        Hp = _read_matrix(args)
         Hb = circulant_expand(Hp)
     if args.format == "alist":
         write_alist(Hb, args.out)
@@ -417,6 +419,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Lowest value of each integer flag, checked on every subcommand that has it.
+_FLAG_MINIMUMS = {
+    "threads": 1,
+    "iterations": 0,
+    "max_trials": 0,
+    "min_block_errors": 1,
+}
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -427,6 +438,9 @@ def run(argv=None) -> int:
         print("error: export needs --out", file=sys.stderr)
         return 2
     try:
+        for name, low in _FLAG_MINIMUMS.items():
+            if getattr(args, name, low) < low:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {low}")
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,16 +13,18 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .binmat import RowEchelon
+from .binmat import rank as rank_scalar
 from .gf2poly import BinaryPoly, NotInvertible, gcd, inverse_mod, transpose_poly
 from .polymat import (
     PolyMatrix,
     circulant_expand,
+    circulant_rows,
     index_set,
     matmul_mod,
     minor_det,
     transpose_entrywise,
 )
-from .rank import rank_qc, rank_scalar
+from .rank import rank_qc
 
 
 class Incomplete(RuntimeError):
@@ -40,7 +42,7 @@ class Incomplete(RuntimeError):
 class RowOrigin:
     """How a generator row was produced."""
 
-    kind: str  # "lemma1" | "lemma1_reduced" | "lemma2" | "shortened"
+    kind: str  # "lemma1" | "lemma1_reduced" | "lemma2"
     S: tuple = ()
     T: tuple = ()
     a: BinaryPoly | None = None
@@ -247,7 +249,7 @@ def _greedy_build(H, m, target, S_best, reduce_rows):
 
     def admit(row, origin):
         grew = False
-        for bits in _expansion_rows(row, N):
+        for bits in circulant_rows([p.bits for p in row], N):
             grew = tracker.add(bits) or grew
         if grew:
             rows.append(row)
@@ -286,7 +288,7 @@ def _greedy_build(H, m, target, S_best, reduce_rows):
             gains = []
             for row, origin in candidates:
                 probe = tracker.copy()
-                for bits in _expansion_rows(row, N):
+                for bits in circulant_rows([p.bits for p in row], N):
                     probe.add(bits)
                 gains.append(probe.rank - tracker.rank)
             best = max(range(len(candidates)), key=lambda i: gains[i])
@@ -314,19 +316,6 @@ def _minimal_f(H, m, T, S):
             g = gcd(g, minor_det(H, tuple(sorted(T + (j,))), S))
     g_ring = gcd(g, m.poly)
     return m.poly // g_ring if not g_ring.is_zero() else BinaryPoly(1)
-
-
-def _expansion_rows(row, N):
-    """Binary rows spanning the same space as the circulant expansion."""
-    mask = (1 << N) - 1
-    blocks = [p.bits for p in row]
-    for r in range(N):
-        bits = 0
-        for j, b in enumerate(blocks):
-            if b:
-                rot = ((b << r) & mask) | (b >> (N - r)) if r else b
-                bits |= rot << (j * N)
-        yield bits
 
 
 def verify_generator(H, G, dimension=None):

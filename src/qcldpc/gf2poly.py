@@ -142,9 +142,6 @@ class BinaryPoly:
                 parts.append(f"x^{e}")
         return "+".join(parts)
 
-    def to_hex(self):
-        return format(self.bits, "#x")
-
     def __str__(self):
         return self.to_text()
 

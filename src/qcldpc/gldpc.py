@@ -213,10 +213,6 @@ def _validate_base_form(H):
 def _component_rows(row, comp):
     """Component parity rows placed at the row's support, entrywise scaled."""
     support = [c for c, p in enumerate(row) if not p.is_zero()]
-    if comp.q != len(support):
-        raise ValueError(
-            f"component length {comp.q} != constraint row weight {len(support)}"
-        )
     for c in support:
         if len(row[c].exponents()) != 1:
             raise ValueError("generalized rows must have monomial entries")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .binmat import BinMatrix
-from .gf2poly import BinaryPoly, RingModulus, gcd, transpose_poly
+from .gf2poly import BinaryPoly, gcd, transpose_poly
 
 
 class PolyMatrix:
@@ -62,18 +62,6 @@ class PolyMatrix:
         return PolyMatrix(
             [[self.rows[i][j] for j in col_idx] for i in row_idx], self.modulus
         )
-
-    def hstack(self, other):
-        if other.nrows != self.nrows or other.modulus != self.modulus:
-            raise ValueError("incompatible hstack")
-        return PolyMatrix(
-            [self.rows[i] + other.rows[i] for i in range(self.nrows)], self.modulus
-        )
-
-    def vstack(self, other):
-        if other.ncols != self.ncols or other.modulus != self.modulus:
-            raise ValueError("incompatible vstack")
-        return PolyMatrix(self.rows + other.rows, self.modulus)
 
     def __eq__(self, other):
         if isinstance(other, PolyMatrix):
@@ -201,6 +189,22 @@ def identity_matrix(n, modulus=None):
     return PolyMatrix(rows, modulus)
 
 
+def circulant_rows(blocks, N):
+    """The N packed rows of a row of length-N bit blocks, shifted cyclically.
+
+    Row r holds every block rotated left by r, i.e. block j of row r is
+    x^r * b_j mod x^N + 1.
+    """
+    mask = (1 << N) - 1
+    for r in range(N):
+        bits = 0
+        for j, b in enumerate(blocks):
+            if b:
+                shifted = ((b << r) & mask) | (b >> (N - r)) if r else b
+                bits |= shifted << (j * N)
+        yield bits
+
+
 def circulant_expand(H):
     """Expand each entry to its N x N circulant (first column = coefficients).
 
@@ -209,23 +213,12 @@ def circulant_expand(H):
     """
     if H.modulus is None:
         raise ValueError("circulant expansion needs a ring modulus")
-    N = H.modulus.N
-    mask = (1 << N) - 1
+    m = H.modulus
     # Row r of the circulant of a(x) holds the coefficients of x^r * t(a).
-    first_rows = [
-        [transpose_poly(p, H.modulus).bits for p in row] for row in H.rows
-    ]
     rows = []
-    for i in range(H.nrows):
-        blocks = first_rows[i]
-        for r in range(N):
-            bits = 0
-            for j, tg in enumerate(blocks):
-                if tg:
-                    shifted = ((tg << r) & mask) | (tg >> (N - r)) if r else tg
-                    bits |= shifted << (j * N)
-            rows.append(bits)
-    return BinMatrix(rows, H.ncols * N)
+    for row in H.rows:
+        rows.extend(circulant_rows([transpose_poly(p, m).bits for p in row], m.N))
+    return BinMatrix(rows, H.ncols * m.N)
 
 
 def write_pmx(H, path):
@@ -247,15 +240,3 @@ def read_pmx(path, modulus=None):
     if not rows:
         raise ValueError(f"no matrix rows in {path}")
     return PolyMatrix(rows, modulus)
-
-
-def to_json_dict(H):
-    d = {"rows": H.to_text_rows()}
-    if H.modulus is not None:
-        d["N"] = H.modulus.N
-    return d
-
-
-def from_json_dict(d):
-    modulus = RingModulus(d["N"]) if "N" in d else None
-    return PolyMatrix.from_text(d["rows"], modulus)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import binmat
 from .gf2poly import BinaryPoly, gcd
 from .polymat import PolyMatrix, all_minors_gcd
 
@@ -90,8 +89,3 @@ def rank_qc(H, modulus=None):
         rank=rank,
         dimension=orig_cols * N - rank,
     )
-
-
-def rank_scalar(B):
-    """GF(2) rank of a binary matrix."""
-    return binmat.rank(B)

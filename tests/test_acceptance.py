@@ -31,6 +31,7 @@ from test_construct import (
     example_matrix,
 )
 from qcldpc.analysis import bounds_combine, girth, low_weight_search, min_distance_exact
+from qcldpc.binmat import rank as rank_scalar
 from qcldpc.channel import awgn_llrs, bcjr_component, encode, gldpc_decode, monte_carlo
 from qcldpc.construct import (
     codeword_lemma1,
@@ -60,7 +61,7 @@ from qcldpc.polymat import (
     read_pmx,
     transpose_entrywise,
 )
-from qcldpc.rank import rank_qc, rank_scalar
+from qcldpc.rank import rank_qc
 
 
 def load(name):

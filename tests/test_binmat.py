@@ -20,17 +20,12 @@ def random_binmat(rng, nrows, ncols, density=0.4):
 
 
 class TestBinMatrix:
-    def test_dense_round_trip(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            m = random_binmat(rng, rng.randint(1, 8), rng.randint(1, 12))
-            assert BinMatrix.from_dense(m.to_dense()) == m
-
     def test_get_and_weights(self):
         m = BinMatrix([0b101, 0b011], 3)
         assert m.get(0, 0) == 1 and m.get(0, 1) == 0 and m.get(0, 2) == 1
-        assert m.row_weights() == [2, 2]
-        assert m.column_weights() == [2, 1, 1]
+        dense = m.to_dense()
+        assert dense.sum(axis=1).tolist() == [2, 2]
+        assert dense.sum(axis=0).tolist() == [2, 1, 1]
 
     def test_row_outside_ncols_rejected(self):
         with pytest.raises(ValueError):
@@ -75,8 +70,8 @@ class TestRank:
         assert ech.add(0b101)
         assert ech.add(0b011)
         assert not ech.add(0b110)  # xor of the first two
-        assert ech.contains(0b110)
-        assert not ech.contains(0b100)
+        assert not ech.copy().add(0b110)  # in the span
+        assert ech.copy().add(0b100)  # outside it
         snapshot = ech.copy()
         assert snapshot.add(0b100)
         assert snapshot.rank == 3

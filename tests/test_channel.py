@@ -108,8 +108,9 @@ class TestConfigAndCounts:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iterations"):
             DecoderConfig(max_iterations=0)
-        with pytest.raises(ValueError, match="llr_clip"):
-            DecoderConfig(llr_clip=0.0)
+        for clip in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="llr_clip"):
+                DecoderConfig(llr_clip=clip)
 
     def test_trial_result_rates(self):
         r = TrialResult(0.0, trials=4, bit_errors=6, block_errors=2, seed=1, nbits=10)
@@ -196,7 +197,7 @@ class TestBcjrComponent:
         comp = comp_fn()
         rng = np.random.default_rng(87)
         priors = rng.uniform(-8.0, 8.0, size=(vectors, comp.q))
-        got = _trellis_extrinsics(comp, priors, 2.5e4)
+        got = _trellis_extrinsics(comp, priors)
         for b in range(vectors):
             want = map_extrinsics(comp, priors[b])
             assert np.allclose(got[b], want, rtol=0, atol=1e-9)
@@ -206,7 +207,7 @@ class TestBcjrComponent:
         rng = np.random.default_rng(88)
         priors = rng.uniform(-20.0, 20.0, size=(N, comp.q))
         got = bcjr_component(comp, priors)
-        want = _trellis_extrinsics(comp, priors, 2.5e4)
+        want = _trellis_extrinsics(comp, priors)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("comp_fn", [hamming64, hamming74])
@@ -217,7 +218,7 @@ class TestBcjrComponent:
         priors[::2] = rng.choice([-1e3, 1e3], size=(3, comp.q))
         got = bcjr_component(comp, priors)
         assert np.all(np.isfinite(got))
-        want = _trellis_extrinsics(comp, priors, 2.5e4)
+        want = _trellis_extrinsics(comp, priors)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
     def test_spc_matches_tanh_rule(self):

@@ -10,11 +10,13 @@ import json
 
 import pytest
 
+from qcldpc import cli
+from qcldpc.analysis import low_weight_search
 from qcldpc.binmat import read_alist
 from qcldpc.cli import run
 from qcldpc.gf2poly import RingModulus
-from qcldpc.gldpc import expand_binary, load_spec
-from qcldpc.polymat import read_pmx
+from qcldpc.gldpc import construct_generator, expand_binary, load_spec
+from qcldpc.polymat import circulant_expand, read_pmx
 
 from conftest import data_path, in_kernel
 
@@ -47,6 +49,27 @@ class TestExitCodes:
     def test_girth_without_input(self, capsys):
         assert run(["girth"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--case1", "--matrix", "ex1.pmx"],
+            ["girth", "--matrix", "ex1.pmx"],
+            ["export", "--matrix", "ex1.pmx", "--out", "unused.pmx"],
+            ["distance", "--matrix", "ex1.pmx"],
+        ],
+    )
+    def test_matrix_without_modulus_names_the_flag(self, capsys, argv):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --N is required with --matrix"]
+
+    def test_case1_without_matrix_is_domain_error(self, capsys):
+        assert run(["construct", "--case1", "--spec", "n79.json"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: give --matrix with --N"]
 
     def test_threads_only_on_distance(self, capsys):
         assert run(["rank", "--matrix", "ex1.pmx", "--N", "45", "--threads", "2"]) == 2
@@ -185,6 +208,37 @@ class TestDistance:
         )
         assert out["upper"] == 16
 
+    def test_threads_capped_at_cpu_count_and_total_reported(self, capsys, monkeypatch):
+        workers = []
+
+        class SerialPool:
+            """Runs the map in the calling thread; records the pool size."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out = run_json(
+            capsys,
+            ["distance", "--spec", "n79.json", "--iterations", "400",
+             "--seed", "5", "--threads", "4"],
+        )
+        assert workers == [2]
+        assert out["method"] == "row sweep + 400 randomized evaluations, seeds 5..8"
+        Gb = circulant_expand(construct_generator(load_spec(data_path("n79.json"))).matrix)
+        reports = [low_weight_search(Gb, 100, s) for s in range(5, 9)]
+        assert out["upper"] == min(r.upper for r in reports)
+
 
 class TestEncode:
     def test_seeded_message_is_reproducible(self, capsys):
@@ -265,6 +319,14 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: --min-block-errors must be at least 1"]
+
+    def test_nan_llr_clip_is_domain_error(self, capsys):
+        argv = ["simulate", "--spec", "c1.json", "--snr=1", "--max-trials", "2",
+                "--llr-clip", "nan"]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: llr_clip must be positive, got nan"]
 
     def test_out_writes_csv_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

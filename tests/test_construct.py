@@ -11,6 +11,7 @@ import random
 import pytest
 
 from conftest import P, plain_display, random_poly_matrix, row_bits
+from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import (
     GeneratorResult,
     Incomplete,
@@ -31,7 +32,6 @@ from qcldpc.polymat import (
     transpose_entrywise,
     zero_matrix,
 )
-from qcldpc.rank import rank_scalar
 
 
 def ring_poly(N):
@@ -267,7 +267,8 @@ class TestGeneralSynthesis:
 
 def shorten_compose(G, A):
     """Extend short-code rows G across the identity columns of [[H, 0], [A, I]]."""
-    H = A.hstack(identity_matrix(A.nrows, A.modulus))
+    ident = identity_matrix(A.nrows, A.modulus)
+    H = PolyMatrix([a + i for a, i in zip(A.rows, ident.rows)], A.modulus)
     pivot_cols = range(A.ncols + 1, H.ncols + 1)
     _, T, meta = schur_reduce(H, range(1, A.nrows + 1), pivot_cols)
     return schur_recompose(G, T, meta, H.ncols)

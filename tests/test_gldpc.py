@@ -26,6 +26,7 @@ from conftest import (
     row_bits,
 )
 from qcldpc.analysis import girth
+from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import Incomplete, generator_general, verify_generator
 from qcldpc.gf2poly import (
     BinaryPoly,
@@ -59,7 +60,6 @@ from qcldpc.polymat import (
     minor_det,
     transpose_entrywise,
 )
-from qcldpc.rank import rank_scalar
 
 
 def load(name):

@@ -6,7 +6,6 @@ minor_det.
 """
 
 import itertools
-import json
 import random
 
 import pytest
@@ -17,13 +16,11 @@ from qcldpc.polymat import (
     PolyMatrix,
     all_minors_gcd,
     circulant_expand,
-    from_json_dict,
     identity_matrix,
     index_set,
     matmul_mod,
     minor_det,
     read_pmx,
-    to_json_dict,
     transpose_entrywise,
     write_pmx,
     zero_matrix,
@@ -57,15 +54,6 @@ class TestConstruction:
             PolyMatrix([])
         with pytest.raises(ValueError):
             PolyMatrix([[P("1")], [P("1"), P("x")]])
-
-    def test_stacking(self):
-        m = RingModulus(5)
-        a = PolyMatrix([[P("1"), P("x")]], m)
-        b = PolyMatrix([[P("x^2"), P("0")]], m)
-        assert a.vstack(b).shape == (2, 2)
-        assert a.hstack(b).shape == (1, 4)
-        with pytest.raises(ValueError):
-            a.hstack(PolyMatrix([[P("1"), P("x")]], RingModulus(6)))
 
     def test_submatrix_is_zero_based(self):
         H = PolyMatrix.from_text([["1", "x", "x^2"], ["x^3", "x^4", "x^5"]])
@@ -231,11 +219,3 @@ class TestSerialization:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
             read_pmx(path)
-
-    def test_json_round_trip(self):
-        rng = random.Random(108)
-        H = random_poly_matrix(rng, 2, 3, 6)
-        d = json.loads(json.dumps(to_json_dict(H)))
-        assert from_json_dict(d) == H
-        bare = PolyMatrix(H.rows)
-        assert from_json_dict(to_json_dict(bare)) == bare

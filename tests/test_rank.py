@@ -11,9 +11,10 @@ import random
 import pytest
 
 from conftest import P, random_poly_matrix
+from qcldpc.binmat import rank as rank_scalar
 from qcldpc.gf2poly import RingModulus
 from qcldpc.polymat import PolyMatrix, circulant_expand, zero_matrix
-from qcldpc.rank import rank_qc, rank_scalar
+from qcldpc.rank import rank_qc
 
 
 class TestKnownMatrix:
