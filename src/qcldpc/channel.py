@@ -11,11 +11,14 @@ three kernels, chosen from the component alone:
 - components with at most q * 2^p codewords (2^(q-p) of them) enumerate
   their codebook: one matrix product gives every codeword's metric and
   a second sums them per bit value;
-- the others run a log-domain BCJR sweep over the 2^p states of the
-  syndrome trellis (Bahl et al. 1974; Wolf 1978), the reference kernel.
+- the others run a BCJR sweep over the 2^p states of the syndrome
+  trellis (Bahl et al. 1974; Wolf 1978) in the probability domain: one
+  exp gives the bit weights, each step is a multiply-add over the state
+  permutation and a divide by the largest state, and one log ends it.
 
-Enumerated rows whose metrics would span more than a double's exponent
-range also go to the trellis. The edge indices, components and parity
+Both probability-domain kernels take only rows whose weights fit a
+double's exponent range; the wider rows run the same trellis in the log
+domain, the reference kernel. The edge indices, components and parity
 arrays a spec needs are built at its first decode and reused.
 """
 
@@ -143,11 +146,12 @@ def _spc_extrinsics(priors: np.ndarray) -> np.ndarray:
 def bcjr_component(comp: ComponentCode, priors) -> np.ndarray:
     """Per-bit extrinsic LLRs of a component code: the constraint update.
 
-    The kernel follows from the component: the tanh rule for a
-    single-parity check, codeword enumeration when 2^(q-p) <= q * 2^p,
-    otherwise the syndrome trellis, whose metrics are clamped at
-    ``_TRELLIS_CLAMP``. Accepts a single length-q prior vector or a
-    batch of them.
+    A single-parity check takes the tanh rule. Any other component takes
+    codeword enumeration when 2^(q-p) <= q * 2^p and the probability-
+    domain syndrome trellis otherwise; rows whose priors sum to more than
+    ``_PROB_SPAN`` in magnitude go to the log-domain trellis instead,
+    whose metrics are clamped at ``_TRELLIS_CLAMP``. Accepts a single
+    length-q prior vector or a batch of them.
     """
     arr = np.asarray(priors, dtype=np.float64)
     single = arr.ndim == 1
@@ -157,19 +161,28 @@ def bcjr_component(comp: ComponentCode, priors) -> np.ndarray:
         raise ValueError(f"got {arr.shape[1]} priors for a length-{comp.q} component")
     if comp.p == 1 and all(comp.parity[0]):
         ext = _spc_extrinsics(arr)
-    elif 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
-        ext = _enumerated_extrinsics(comp, arr)
     else:
-        ext = _trellis_extrinsics(comp, arr)
+        if 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
+            kernel = _enumerated_extrinsics
+        else:
+            kernel = _product_trellis
+        wide = np.abs(arr).sum(axis=1) > _PROB_SPAN
+        if wide.any():
+            ext = np.empty_like(arr)
+            ext[wide] = _trellis_extrinsics(comp, arr[wide])
+            ext[~wide] = kernel(comp, arr[~wide])
+        else:
+            ext = kernel(comp, arr)
     return ext[0] if single else ext
 
 
-# A row whose priors sum to at most this in magnitude keeps every codeword
-# metric within this distance of the largest, and exp(-700) is still a
-# normal double, so no codeword's weight underflows.
-_ENUM_SPAN = 700.0
+# Every codeword or trellis path of a row weighs at least exp(-sum |prior|)
+# against the row's hard decision, and exp(-700) is still a normal double:
+# up to this span the probability-domain kernels lose no weight to
+# underflow. Wider rows take the log-domain trellis.
+_PROB_SPAN = 700.0
 
-# Bound on the max-normalized trellis metrics.
+# Bound on the max-normalized log-domain trellis metrics.
 _TRELLIS_CLAMP = 2.5e4
 
 
@@ -205,14 +218,25 @@ def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
     return half_signs, masks
 
 
+@functools.cache
+def _state_perms(parity: tuple) -> np.ndarray:
+    """Syndrome-trellis transitions (q x 2^p): row k maps s to s xor column k.
+
+    Bit k = 0 keeps the syndrome state and bit k = 1 xors in column k; xor
+    by a constant is an involution, so one row serves both the gather and
+    the scatter direction.
+    """
+    cols = [
+        sum((row[k] & 1) << i for i, row in enumerate(parity))
+        for k in range(len(parity[0]))
+    ]
+    perms = np.arange(1 << len(parity))[None, :] ^ np.array(cols)[:, None]
+    perms.setflags(write=False)
+    return perms
+
+
 def _enumerated_extrinsics(comp, arr):
     """Exact MAP extrinsics by summing over the enumerated codebook."""
-    wide = np.abs(arr).sum(axis=1) > _ENUM_SPAN
-    if wide.any():
-        ext = np.empty_like(arr)
-        ext[wide] = _trellis_extrinsics(comp, arr[wide])
-        ext[~wide] = _enumerated_extrinsics(comp, arr[~wide])
-        return ext
     half_signs, masks = _codebook(comp.parity)
     metric = arr @ half_signs
     metric -= metric.max(axis=1, keepdims=True)
@@ -220,33 +244,67 @@ def _enumerated_extrinsics(comp, arr):
     return sums[:, : comp.q] - sums[:, comp.q :] - arr
 
 
+def _product_trellis(comp, arr):
+    """Syndrome-trellis extrinsics of a batch of prior rows, in probabilities.
+
+    Bit k weighs its two values by exp(+-L/2 - |L|/2): 1 for the value its
+    prior favours and exp(-|L|) for the other, so one exp gives every
+    weight. Forward and backward state probabilities (states x batch) are
+    divided by their largest entry at each step, and the log is taken once
+    at the end.
+    """
+    perms = _state_perms(comp.parity)
+    q, nstates = perms.shape
+    priors = np.ascontiguousarray(arr.T)
+    other = np.exp(-np.abs(priors))
+    favours_zero = priors >= 0
+    w0 = np.where(favours_zero, 1.0, other)
+    w1 = np.where(favours_zero, other, 1.0)
+
+    def _step(prob, k):
+        nxt = prob * w0[k]
+        nxt += prob[perms[k]] * w1[k]
+        nxt /= nxt.max(axis=0)
+        return nxt
+
+    alphas = np.zeros((q, nstates, arr.shape[0]))
+    alphas[0, 0] = 1.0
+    for k in range(q - 1):
+        alphas[k + 1] = _step(alphas[k], k)
+
+    sums = np.empty((2, q, arr.shape[0]))
+    beta = np.zeros((nstates, arr.shape[0]))
+    beta[0] = 1.0
+    for k in range(q - 1, -1, -1):
+        sums[0, k] = (alphas[k] * beta).sum(axis=0)
+        sums[1, k] = (alphas[k] * beta[perms[k]]).sum(axis=0)
+        if k:
+            beta = _step(beta, k)
+    logs = np.log(sums)
+    return (logs[0] - logs[1]).T
+
+
 def _trellis_extrinsics(comp, arr):
-    """Extrinsics of a batch of prior rows via the syndrome trellis.
+    """Extrinsics of a batch of prior rows via the log-domain syndrome trellis.
 
     States are the 2^p partial syndromes; forward and backward metrics
-    are max-normalized each step and clamped at ``_TRELLIS_CLAMP``.
+    are max-normalized each step and clamped at ``_TRELLIS_CLAMP``. The
+    reference kernel, and the only one for rows wider than ``_PROB_SPAN``.
     """
-    nstates = 1 << comp.p
-    cols = [
-        sum((row[k] & 1) << i for i, row in enumerate(comp.parity))
-        for k in range(comp.q)
-    ]
-    perms = [np.arange(nstates) ^ col for col in cols]
+    perms = _state_perms(comp.parity)
+    nstates = perms.shape[1]
     batch = arr.shape[0]
 
-    def _step(metric, k, perm):
+    def _step(metric, k):
         g = arr[:, k, None] / 2.0
-        nxt = np.logaddexp(metric + g, metric[:, perm] - g)
+        nxt = np.logaddexp(metric + g, metric[:, perms[k]] - g)
         nxt -= nxt.max(axis=1, keepdims=True)
         return np.clip(nxt, -_TRELLIS_CLAMP, _TRELLIS_CLAMP)
 
     alphas = np.full((comp.q + 1, batch, nstates), -np.inf)
     alphas[0, :, 0] = 0.0
     for k in range(comp.q):
-        # Bit 0 keeps the syndrome state, bit 1 xors in column k; xor by a
-        # constant is an involution so the same permutation serves both
-        # the gather and the scatter direction.
-        alphas[k + 1] = _step(alphas[k], k, perms[k])
+        alphas[k + 1] = _step(alphas[k], k)
 
     ext = np.empty_like(arr)
     beta = np.full((batch, nstates), -np.inf)
@@ -256,7 +314,7 @@ def _trellis_extrinsics(comp, arr):
         joint_flip = alphas[k] + beta[:, perms[k]]
         with np.errstate(divide="ignore"):
             ext[:, k] = _logsumexp(joint) - _logsumexp(joint_flip)
-        beta = _step(beta, k, perms[k])
+        beta = _step(beta, k)
     return ext
 
 

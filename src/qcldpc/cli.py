@@ -75,6 +75,8 @@ def _emit(obj, out: str | None) -> None:
 
 def _load_generator(args):
     """Build a generator from --spec or from --matrix/--N; returns (result, spec, N)."""
+    if args.spec and (args.matrix or args.N is not None):
+        raise ValueError("give either --spec or --matrix with --N, not both")
     if args.spec:
         spec = load_spec(_resolve(args.spec))
         result = construct_generator(spec)
@@ -425,6 +427,7 @@ _FLAG_MINIMUMS = {
     "iterations": 0,
     "max_trials": 0,
     "min_block_errors": 1,
+    "seed": 0,
 }
 
 

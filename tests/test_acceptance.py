@@ -25,7 +25,6 @@ from conftest import (
 )
 from test_channel import map_extrinsics
 from test_construct import (
-    EXAMPLE_ROW,
     PAIR_CODEWORDS,
     annihilators,
     example_matrix,

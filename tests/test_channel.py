@@ -22,6 +22,7 @@ from conftest import P, data_path, hamming64, hamming74, in_kernel
 from qcldpc.channel import (
     DecoderConfig,
     TrialResult,
+    _product_trellis,
     _trellis_extrinsics,
     awgn_llrs,
     bcjr_component,
@@ -31,7 +32,7 @@ from qcldpc.channel import (
 )
 from qcldpc.gf2poly import BinaryPoly, RingModulus
 from qcldpc.gldpc import ComponentCode, construct_generator, expand_binary, load_spec
-from qcldpc.polymat import PolyMatrix, circulant_expand
+from qcldpc.polymat import PolyMatrix
 
 
 SPEC_NAMES = (
@@ -210,7 +211,7 @@ class TestBcjrComponent:
         want = _trellis_extrinsics(comp, priors)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("comp_fn", [hamming64, hamming74])
+    @pytest.mark.parametrize("comp_fn", [hamming64, hamming74, hamming15_component])
     def test_large_priors_stay_finite(self, comp_fn):
         comp = comp_fn()
         rng = np.random.default_rng(89)
@@ -220,6 +221,46 @@ class TestBcjrComponent:
         assert np.all(np.isfinite(got))
         want = _trellis_extrinsics(comp, priors)
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+        # A batch of wide rows only leaves the fast kernel an empty batch.
+        assert np.allclose(bcjr_component(comp, priors[::2]), want[::2], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("comp_fn", [hamming64, hamming74, hamming15_component])
+    def test_product_trellis_matches_log_trellis_and_map(self, comp_fn):
+        comp = comp_fn()
+        rng = np.random.default_rng(90)
+        priors = rng.uniform(-20.0, 20.0, size=(64, comp.q))
+        got = _product_trellis(comp, priors)
+        assert np.allclose(got, _trellis_extrinsics(comp, priors), rtol=0, atol=1e-12)
+        for b in range(3):
+            assert np.allclose(got[b], map_extrinsics(comp, priors[b]), rtol=0, atol=1e-9)
+
+    def test_product_trellis_long_component_stays_finite(self):
+        # Weak priors weigh both values of every bit near 1, so unscaled
+        # state probabilities grow by nearly 2 a bit; over 1500 bits only
+        # the per-step divide keeps them finite.
+        rng = np.random.default_rng(92)
+        head = rng.integers(0, 2, size=(2, 1500))
+        comp = ComponentCode(np.hstack([head, np.eye(2, dtype=int)]))
+        priors = rng.uniform(-0.2, 0.2, size=(4, comp.q))
+        got = _product_trellis(comp, priors)
+        assert np.allclose(got, _trellis_extrinsics(comp, priors), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("comp_fn", [hamming64, hamming74, hamming15_component])
+    def test_strong_priors_within_span_stay_exact(self, comp_fn):
+        # Every |prior| in [40, 46.6] keeps a [15,11] row just inside the
+        # 700 span, where the smallest path weights approach exp(-700).
+        comp = comp_fn()
+        rng = np.random.default_rng(91)
+        priors = rng.uniform(40.0, 46.6, size=(32, comp.q))
+        priors *= rng.choice([-1.0, 1.0], size=priors.shape)
+        assert np.abs(priors).sum(axis=1).max() <= 700.0
+        with np.errstate(all="raise"):
+            fast = _product_trellis(comp, priors)
+            got = bcjr_component(comp, priors)
+        want = _trellis_extrinsics(comp, priors)
+        assert np.all(np.isfinite(fast)) and np.all(np.isfinite(got))
+        assert np.allclose(fast, want, rtol=0, atol=1e-9)
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
 
     def test_spc_matches_tanh_rule(self):
         comp = ComponentCode.spc(6)

@@ -80,6 +80,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: --threads must be at least 1"]
 
+    @pytest.mark.parametrize("command", ["construct", "distance", "encode"])
+    @pytest.mark.parametrize("extra", [["--matrix", "ex1.pmx", "--N", "44"], ["--N", "44"]])
+    def test_spec_with_matrix_is_domain_error(self, capsys, command, extra):
+        assert run([command, "--spec", "c1.json", *extra]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: give either --spec or --matrix with --N, not both"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--spec", "c1.json", "--snr=1"],
+            ["distance", "--spec", "n79.json"],
+            ["encode", "--spec", "n79.json"],
+        ],
+    )
+    def test_negative_seed_is_domain_error(self, capsys, argv):
+        assert run([*argv, "--seed", "-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --seed must be at least 0"]
+
     @pytest.mark.parametrize("key", ["assignment", "exponents", "N"])
     def test_spec_missing_key_is_domain_error(self, capsys, tmp_path, key):
         with open(data_path("c1.json"), encoding="utf-8") as fh:
@@ -327,6 +349,16 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: llr_clip must be positive, got nan"]
+
+    def test_hamming15_counts_pinned(self, capsys):
+        argv = [
+            "simulate", "--spec", "hamming15.json", "--snr", "0,0.5",
+            "--max-trials", "8", "--min-block-errors", "4", "--seed", "11",
+            "--max-iterations", "40",
+        ]
+        assert run(argv) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [",".join(r.split(",")[:4]) for r in rows] == ["0.0,4,660,4", "0.5,7,354,4"]
 
     def test_out_writes_csv_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

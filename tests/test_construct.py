@@ -10,10 +10,9 @@ import random
 
 import pytest
 
-from conftest import P, plain_display, random_poly_matrix, row_bits
+from conftest import P, plain_display, random_poly_matrix
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import (
-    GeneratorResult,
     Incomplete,
     codeword_lemma1,
     codeword_lemma1_reduced,

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from conftest import P, random_poly_matrix
-from qcldpc.gf2poly import BinaryPoly, RingModulus, gcd, transpose_poly
+from qcldpc.gf2poly import BinaryPoly, RingModulus, transpose_poly
 from qcldpc.polymat import (
     PolyMatrix,
     all_minors_gcd,
