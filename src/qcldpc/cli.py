@@ -73,10 +73,18 @@ def _emit(obj, out: str | None) -> None:
         print(text)
 
 
+def _check_inputs(args):
+    """Reject inputs that would be silently ignored: --spec with --matrix/--N,
+    and --exponents (girth only) with --spec or --matrix."""
+    spec, matrix = getattr(args, "spec", None), getattr(args, "matrix", None)
+    if spec and (matrix or getattr(args, "N", None) is not None):
+        raise ValueError("give either --spec or --matrix with --N, not both")
+    if getattr(args, "exponents", None) and (spec or matrix):
+        raise ValueError("give --exponents with --N, without --spec or --matrix")
+
+
 def _load_generator(args):
     """Build a generator from --spec or from --matrix/--N; returns (result, spec, N)."""
-    if args.spec and (args.matrix or args.N is not None):
-        raise ValueError("give either --spec or --matrix with --N, not both")
     if args.spec:
         spec = load_spec(_resolve(args.spec))
         result = construct_generator(spec)
@@ -428,6 +436,7 @@ _FLAG_MINIMUMS = {
     "max_trials": 0,
     "min_block_errors": 1,
     "seed": 0,
+    "budget": 1,
 }
 
 
@@ -444,6 +453,7 @@ def run(argv=None) -> int:
         for name, low in _FLAG_MINIMUMS.items():
             if getattr(args, name, low) < low:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {low}")
+        _check_inputs(args)
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,11 +4,11 @@ A GldpcSpec pairs a quasi-cyclic base matrix with a per-row constraint
 assignment: None keeps the row as a single-parity check, a
 ComponentCode replaces it by the component's parity rows, entrywise
 scaled by the (monomial) row entries.  Any row may carry a component.
-Pre-lifted specs first split the base over a factor of N and assign
-components to the split rows.  Generators are built on one path: the
-identity columns of the components are eliminated by a single Schur
-step (reduce_spec), a generator is synthesized for the short matrix,
-and the eliminated columns are recomposed.
+A pre-lifted spec first splits the base by any divisor N1 of N and
+assigns components to the split rows.  Generators are built on one
+path: the identity columns of the components are eliminated by a
+single Schur step (reduce_spec), a generator is synthesized for the
+short matrix, and the eliminated columns are recomposed.
 """
 
 from __future__ import annotations
@@ -94,21 +94,32 @@ class ComponentCode:
 
     @classmethod
     def from_dict(cls, d):
-        rows = [[int(ch) for ch in row] for row in d["parity"]]
-        return cls(rows, d.get("identity_start"))
+        rows = d.get("parity") if isinstance(d, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+            raise ValueError("a component needs 'parity', a list of 0/1 strings")
+        start = d.get("identity_start")
+        start = None if start is None else _int(start, "identity_start")
+        return cls([[int(ch) for ch in row] for row in rows], start)
+
+
+def _int(value, what):
+    """value itself when it is a JSON integer, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
 class GldpcSpec:
     """Base constraint matrix plus per-row component assignment.
 
-    For pre-lifted specs (prelift = (N1, N2) with N = N1 * N2) the
-    assignment addresses the rows of the split base, N1 per base row.
+    For a pre-lifted spec (prelift = N1, a divisor of N) the assignment
+    addresses the rows of the split base, N1 per base row.
     """
 
     base: PolyMatrix
     assignment: tuple
-    prelift: tuple | None = None
+    prelift: int | None = None
 
     def __post_init__(self):
         if self.base.modulus is None:
@@ -132,20 +143,31 @@ class GldpcSpec:
             raise ValueError(f"design rate {rate} outside (0, 1)")
 
     def effective_matrix(self):
-        """The constraint matrix the assignment addresses."""
+        """The constraint matrix the assignment addresses.
+
+        A pre-lift sorts split column j*N1 + c by (residues(j), c, j),
+        residues(j) being per base row the exponents mod N1 of entry j.
+        On the [ones; x^e] base with N1 = 2 this gives the column groups
+        [even res-0 | even res-1 | odd res-0 | odd res-1].
+        """
         if self.prelift is None:
             return self.base
-        N1, N2 = self.prelift
-        if N1 * N2 != self.base.modulus.N:
-            raise ValueError("prelift factors must multiply to N")
-        if N1 != 2:
-            raise ValueError("only a pre-lift factor of 2 is supported")
-        return split_even_odd(self.base)
+        N1 = self.prelift
+        P = prelift_matrix(self.base, N1)
+        residues = [
+            tuple(tuple(sorted({e % N1 for e in p.exponents()})) for p in column)
+            for column in zip(*self.base.rows)
+        ]
+        order = sorted(
+            range(self.base.ncols * N1),
+            key=lambda k: (residues[k // N1], k % N1, k // N1),
+        )
+        return P.submatrix(range(P.nrows), order)
 
     def to_json_dict(self):
         d = {"N": self.base.modulus.N}
         if self.prelift is not None:
-            d["N1"] = self.prelift[0]
+            d["N1"] = self.prelift
         d["exponents"] = _base_exponents(self.base)
         d["assignment"] = [
             None if c is None else c.to_dict() for c in self.assignment
@@ -154,6 +176,8 @@ class GldpcSpec:
 
     @classmethod
     def from_json_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("a spec must be a JSON object")
         for key in ("N", "exponents", "assignment"):
             if key not in d:
                 raise ValueError(f"spec has no {key!r} key")
@@ -162,15 +186,18 @@ class GldpcSpec:
                 "spec key 'alternative_form' is not supported; "
                 "list the assignment in base-row order"
             )
-        m = RingModulus(d["N"])
-        base = base_from_exponents(d["exponents"], m)
+        m = RingModulus(_int(d["N"], "N"))
+        exponents = d["exponents"]
+        if not isinstance(exponents, list) or not exponents:
+            raise ValueError("exponents must be a nonempty list of integers")
+        base = base_from_exponents([_int(e, "an exponent") for e in exponents], m)
+        if not isinstance(d["assignment"], list):
+            raise ValueError("assignment must be a list of components or nulls")
         assignment = [
             None if c is None else ComponentCode.from_dict(c)
             for c in d["assignment"]
         ]
-        prelift = None
-        if "N1" in d and d["N1"]:
-            prelift = (d["N1"], m.N // d["N1"])
+        prelift = _int(d["N1"], "N1") if "N1" in d else None
         return cls(base, tuple(assignment), prelift)
 
 
@@ -198,16 +225,6 @@ def design_rate(spec):
     eff = spec.effective_matrix()
     parity = sum(1 if c is None else c.p for c in spec.assignment)
     return 1 - Fraction(parity, eff.ncols)
-
-
-def _validate_base_form(H):
-    if H.nrows != 2:
-        raise ValueError("expected the two-row all-ones/monomial form")
-    if any(p.bits != 1 for p in H.rows[0]):
-        raise ValueError("first row must be all ones")
-    for p in H.rows[1]:
-        if len(p.exponents()) != 1:
-            raise ValueError("second row must have monomial entries")
 
 
 def _component_rows(row, comp):
@@ -326,8 +343,10 @@ def prelift_matrix(H, N1):
     mod = H.modulus
     if mod is None:
         raise ValueError("a ring modulus is required")
-    if mod.N % N1:
-        raise ValueError(f"N={mod.N} is not divisible by N1={N1}")
+    if N1 < 1 or mod.N % N1:
+        raise ValueError(
+            f"N1 must be a positive divisor of N: N={mod.N} is not divisible by N1={N1}"
+        )
     m2 = RingModulus(mod.N // N1)
     blocks = [[prelift_entry(p, N1, m2) for p in row] for row in H.rows]
     rows = []
@@ -337,30 +356,6 @@ def prelift_matrix(H, N1):
                 [blocks[i][j].rows[r][c] for j in range(H.ncols) for c in range(N1)]
             )
     return PolyMatrix(rows, m2)
-
-
-def split_even_odd(H):
-    """Pre-lift by 2 with columns regrouped by exponent parity.
-
-    For the two-row all-ones/monomial base the result is a canonical
-    four-row layout over column groups [even res-0 | even res-1 |
-    odd res-0 | odd res-1].
-    """
-    _validate_base_form(H)
-    if H.modulus.N % 2:
-        raise ValueError("an even modulus is required")
-    exps = [p.exponents()[0] for p in H.rows[1]]
-    even = [c for c, e in enumerate(exps) if e % 2 == 0]
-    odd = [c for c, e in enumerate(exps) if e % 2 == 1]
-    P = prelift_matrix(H, 2)
-    order = (
-        [2 * c for c in even]
-        + [2 * c + 1 for c in even]
-        + [2 * c for c in odd]
-        + [2 * c + 1 for c in odd]
-    )
-    rows = [[P.rows[r][j] for j in order] for r in range(P.nrows)]
-    return PolyMatrix(rows, P.modulus)
 
 
 def assembled_parity(spec):

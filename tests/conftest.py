@@ -11,6 +11,7 @@ asserted in the sense it is stated in.
 import os
 
 import pytest
+from hypothesis import settings
 
 import qcldpc
 from qcldpc.gf2poly import BinaryPoly, RingModulus, transpose_poly
@@ -18,6 +19,11 @@ from qcldpc.gldpc import ComponentCode
 from qcldpc.polymat import PolyMatrix, read_pmx
 
 DATA_DIR = os.path.join(os.path.dirname(qcldpc.__file__), "data")
+
+# HYPOTHESIS_PROFILE=ci replays the same examples on every run and drops
+# the per-example deadline, so a slow runner cannot fail a property test.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def data_path(name):

@@ -5,6 +5,7 @@ are exercised exactly as a shell user would see them.
 """
 
 import csv
+import hashlib
 import io
 import json
 
@@ -80,10 +81,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: --threads must be at least 1"]
 
-    @pytest.mark.parametrize("command", ["construct", "distance", "encode"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "construct",
+            "distance",
+            "encode",
+            "girth",
+            pytest.param("export --out unused.alist", id="export"),
+            pytest.param("construct --case1", id="construct-case1"),
+        ],
+    )
     @pytest.mark.parametrize("extra", [["--matrix", "ex1.pmx", "--N", "44"], ["--N", "44"]])
     def test_spec_with_matrix_is_domain_error(self, capsys, command, extra):
-        assert run([command, "--spec", "c1.json", *extra]) == 1
+        assert run([*command.split(), "--spec", "c1.json", *extra]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: give either --spec or --matrix with --N, not both"]
@@ -101,6 +112,48 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: --seed must be at least 0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--spec", "c1.json", "--exponents", "0,1,3", "--N", "7"],
+            ["--matrix", "ex1.pmx", "--exponents", "0,1,3", "--N", "7"],
+        ],
+    )
+    def test_girth_exponents_with_another_input(self, capsys, argv):
+        assert run(["girth", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: give ")
+
+    @pytest.mark.parametrize(
+        "name,key,value,message",
+        [
+            ("c1.json", "N", "68", "N must be an integer, got '68'"),
+            ("c1.json", "exponents", "013", "exponents must be a nonempty list of integers"),
+            ("c1.json", "exponents", [0, 1.5, 3], "an exponent must be an integer, got 1.5"),
+            ("c1.json", "assignment", None, "assignment must be a list of components or nulls"),
+            ("c1.json", "assignment", [{}, None], "a component needs 'parity', a list of 0/1"),
+            ("prelift68.json", "N1", 0, "N1 must be a positive divisor of N"),
+            ("prelift68.json", "N1", -4, "N1 must be a positive divisor of N"),
+            ("prelift68.json", "N1", 3, "N1 must be a positive divisor of N"),
+            ("prelift68.json", "N1", 2.0, "N1 must be an integer, got 2.0"),
+        ],
+        ids=[
+            "N-string", "exponents-string", "exponents-float", "assignment-null",
+            "component-no-parity", "N1-zero", "N1-negative", "N1-not-divisor", "N1-float",
+        ],
+    )
+    def test_malformed_spec_is_domain_error(self, capsys, tmp_path, name, key, value, message):
+        with open(data_path(name), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec[key] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert run(["gldpc", "--spec", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("key", ["assignment", "exponents", "N"])
     def test_spec_missing_key_is_domain_error(self, capsys, tmp_path, key):
@@ -177,6 +230,17 @@ class TestConstruct:
         assert "standard_rows" not in out
 
 
+# sha256 of the stdout of `qcldpc gldpc --spec <name>.json`, byte for byte.
+GLDPC_STDOUT_SHA256 = {
+    "n79": "01ac2fc7b1e67130b23d86348430163bb3cf7b24964dce208ebdedb4d7788ef4",
+    "c1": "5ea17dc3ccb396a7f38e72fb570defb69d7fa9c9cfac99b60be3e54d2a5aa71c",
+    "c2": "f986eaa3bc995b564a106d9378f56c04435239a9e2fb0f92b6689cfefa6561d3",
+    "prelift90": "06f08db6efebb64998bf4e89507d2005c66f9370d75282a0e98ac098aebc67bc",
+    "prelift68": "d8bab2f9b52a6a9083d1c512028e161b158c7a165b9b54b669ffa96e731bf625",
+    "hamming15": "8617ea987b9b3319460e7058a308a926d57f604f6fdca4577faf95ced9cc0ae4",
+}
+
+
 class TestGldpc:
     def test_dimension_and_rate(self, capsys):
         out = run_json(capsys, ["gldpc", "--spec", "c2.json"])
@@ -184,6 +248,12 @@ class TestGldpc:
         assert out["dimension"] == 72
         assert out["design_rate"] == "1/7"
         assert len(out["generator"]["rows"]) * 68 >= 72
+
+    @pytest.mark.parametrize("name", sorted(GLDPC_STDOUT_SHA256))
+    def test_output_is_pinned(self, capsys, name):
+        assert run(["gldpc", "--spec", f"{name}.json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GLDPC_STDOUT_SHA256[name]
 
     def test_prelifted_spec(self, capsys):
         out = run_json(capsys, ["gldpc", "--spec", "prelift90.json"])
@@ -221,6 +291,13 @@ class TestDistance:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: --iterations must be at least 0"]
+
+    def test_budget_below_one_is_domain_error(self, capsys):
+        argv = ["distance", "--matrix", "ar4ja.pmx", "--N", "4", "--exact", "--budget", "-5"]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: --budget must be at least 1"]
 
     def test_threads_option_accepted(self, capsys):
         out = run_json(

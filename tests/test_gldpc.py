@@ -51,7 +51,6 @@ from qcldpc.gldpc import (
     save_spec,
     schur_recompose,
     schur_reduce,
-    split_even_odd,
 )
 from qcldpc.polymat import (
     PolyMatrix,
@@ -60,6 +59,7 @@ from qcldpc.polymat import (
     minor_det,
     transpose_entrywise,
 )
+from qcldpc.rank import rank_qc
 
 
 def load(name):
@@ -148,6 +148,34 @@ class TestComponentCode:
             assert ComponentCode.from_dict(c.to_dict()) == c
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+# Spec-shaped objects whose fields may each be malformed, so the checks
+# past the first key are reached as well.
+SPEC_LIKE = st.fixed_dictionaries(
+    {
+        "N": st.integers(-2, 12) | JSON_VALUES,
+        "exponents": st.lists(st.integers(-20, 20), max_size=5) | JSON_VALUES,
+        "assignment": st.lists(
+            st.none()
+            | st.fixed_dictionaries(
+                {"parity": st.lists(st.text("01", max_size=6), max_size=3) | JSON_VALUES},
+                optional={"identity_start": st.integers(-2, 6) | JSON_VALUES},
+            )
+            | JSON_VALUES,
+            max_size=4,
+        )
+        | JSON_VALUES,
+    },
+    optional={"N1": st.integers(-2, 6) | JSON_VALUES},
+)
+
+
 class TestSpecAndRate:
     def test_base_from_exponents(self):
         m = RingModulus(5)
@@ -212,6 +240,15 @@ class TestSpecAndRate:
         del d[key]
         with pytest.raises(ValueError, match=f"no '{key}' key"):
             GldpcSpec.from_json_dict(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(JSON_VALUES, SPEC_LIKE))
+    def test_malformed_spec_raises_value_error(self, d):
+        """Any JSON value is a spec or a ValueError, never another exception."""
+        try:
+            GldpcSpec.from_json_dict(d)
+        except ValueError:
+            pass
 
     def test_save_load_round_trip(self, tmp_path, prelift68):
         path = tmp_path / "spec.json"
@@ -519,7 +556,7 @@ class TestPrelift:
             prelift_matrix(H, 2)
 
     def test_split_groups_columns_by_parity(self, prelift90):
-        S = split_even_odd(prelift90.base)
+        S = prelift90.effective_matrix()
         assert S.nrows == 4 and S.ncols == 12
         # exponents 0,54,66 are even and 71,55,69 odd; group layout is
         # [even res-0 | even res-1 | odd res-0 | odd res-1]
@@ -530,7 +567,7 @@ class TestPrelift:
 
     def test_split_all_even_degenerates(self):
         base = base_from_exponents([0, 2, 4], RingModulus(6))
-        S = split_even_odd(base)
+        S = GldpcSpec(base, (None,) * 4, 2).effective_matrix()
         P2 = prelift_matrix(base, 2)
         order = [0, 2, 4, 1, 3, 5]
         for r in range(4):
@@ -538,8 +575,19 @@ class TestPrelift:
 
     def test_split_needs_even_modulus(self):
         base = base_from_exponents([0, 1, 3], RingModulus(7))
-        with pytest.raises(ValueError, match="even modulus"):
-            split_even_odd(base)
+        with pytest.raises(ValueError, match="not divisible"):
+            GldpcSpec(base, (None,) * 4, 2)
+
+    def test_split_by_four_groups_columns_by_residue(self, prelift68):
+        """N1 = 4: sub-column c of every residue class, base order inside."""
+        spec = GldpcSpec(prelift68.base, (None,) * 8, 4)
+        S = spec.effective_matrix()
+        P4 = prelift_matrix(prelift68.base, 4)
+        # exponents 0,44,46,14,61,49,1 leave residues 0,0,2,2,1,1,1 mod 4
+        classes = [[0, 1], [4, 5, 6], [2, 3]]
+        order = [4 * j + c for cols in classes for c in range(4) for j in cols]
+        assert S.shape == (8, 28) and S.modulus.N == 17
+        assert S == P4.submatrix(range(8), order)
 
 
 N90_SHORT = [
@@ -589,7 +637,7 @@ class TestReducePrelift:
 
     def test_component_shape_checked(self, prelift68):
         with pytest.raises(ValueError, match="component length 6 != weight 7"):
-            GldpcSpec(prelift68.base, (hamming64(),) * 3 + (None,), (2, 34))
+            GldpcSpec(prelift68.base, (hamming64(),) * 3 + (None,), 2)
 
     def test_short_kernel_dimensions(self, prelift90, prelift68):
         H90, _, _ = reduce_spec(prelift90)
@@ -812,6 +860,21 @@ class TestConstructGenerator:
         assert result.complete and result.rank == result.target_dimension == 181
         assert verify_generator(assembled_parity(spec), result.matrix, 181)
 
+    @pytest.mark.parametrize(
+        "name,N1,rows,dim", [("prelift90.json", 3, 2, 240), ("prelift68.json", 4, 3, 238)]
+    )
+    def test_other_split_factors_build(self, name, N1, rows, dim):
+        """The bundled bases split by 3 and 4, components on the first rows."""
+        d = load(name).to_json_dict()
+        d["N1"] = N1
+        d["assignment"] = [d["assignment"][0]] * rows + [None] * (2 * N1 - rows)
+        spec = GldpcSpec.from_json_dict(d)
+        assert GldpcSpec.from_json_dict(spec.to_json_dict()) == spec
+        result = construct_generator(spec)
+        assert result.complete and result.rank == result.target_dimension == dim
+        assert verify_generator(assembled_parity(spec), result.matrix, dim)
+        assert girth(spec.effective_matrix()) == 12
+
     def test_unreducible_spec_rejected(self):
         """An SPC component on the monomial row is eliminated like any other."""
         base = base_from_exponents([0, 1, 3, 4, 5, 9], RingModulus(13))
@@ -841,11 +904,13 @@ class TestConstructGenerator:
 
 
 @st.composite
-def two_row_cases(draw):
-    """A two-row base and a component with its identity block anywhere."""
-    N = draw(st.integers(5, 16))
-    n = draw(st.integers(3, 7))
-    exponents = draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+def two_row_cases(draw, max_N2=16, max_width=7, max_split_width=21):
+    """A two-row base of width n split by N1 = 1, 2 or 3 over x^N2 + 1, and a
+    component with its identity block anywhere on some of the split rows."""
+    n = draw(st.integers(3, max_width))
+    N1 = draw(st.sampled_from([f for f in (1, 2, 3) if f * n <= max_split_width]))
+    N2 = draw(st.integers(3, max_N2))
+    exponents = draw(st.lists(st.integers(0, N1 * N2 - 1), min_size=n, max_size=n))
     p = draw(st.integers(1, n - 1))
     start = draw(st.integers(0, n - p))
     bits = st.lists(st.integers(0, 1), min_size=n - p, max_size=n - p)
@@ -855,24 +920,34 @@ def two_row_cases(draw):
         for r, row in enumerate(rest)
     ]
     comp = ComponentCode(parity, identity_start=start)
-    assignment = draw(st.sampled_from([(comp, None), (None, comp), (comp, comp)]))
-    return base_from_exponents(exponents, RingModulus(N)), assignment
+    rows = st.lists(st.booleans(), min_size=2 * N1, max_size=2 * N1).filter(any)
+    assignment = tuple(comp if on else None for on in draw(rows))
+    return base_from_exponents(exponents, RingModulus(N1 * N2)), assignment, N1
 
 
 class TestReduceSpec:
     @settings(max_examples=60, deadline=None)
     @given(two_row_cases())
     def test_reduction_preserves_dimension(self, case):
-        base, assignment = case
         try:
-            spec = GldpcSpec(base, assignment)
+            spec = GldpcSpec(*case)
         except ValueError:
             return  # design rate outside (0, 1)
         H_short, _, _ = reduce_spec(spec)
-        N = base.modulus.N
+        N = H_short.modulus.N
         Hb = expand_binary(spec)
         short_dim = H_short.ncols * N - rank_scalar(circulant_expand(H_short))
         assert short_dim == Hb.ncols - rank_scalar(Hb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_row_cases(max_N2=6, max_width=5, max_split_width=10))
+    def test_rank_formula_matches_expansion(self, case):
+        """The rank from the gcds of the minors equals the scalar rank."""
+        try:
+            spec = GldpcSpec(*case)
+        except ValueError:
+            return  # design rate outside (0, 1)
+        assert rank_qc(assembled_parity(spec)).rank == rank_scalar(expand_binary(spec))
 
     def test_no_component_keeps_the_base(self):
         base = base_from_exponents([0, 1, 3, 4, 5, 9], RingModulus(13))
