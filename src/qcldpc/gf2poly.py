@@ -240,14 +240,9 @@ def transpose_poly(a, modulus):
     """Map sum x^e to sum x^((N-e) mod N); the circulant-transpose map.
 
     This is a ring automorphism of GF(2)[x]/(x^N + 1) and an involution.
+    Reversing the N-bit word sends e to N-1-e, and a one-bit left
+    rotation then gives N-e mod N.
     """
-    a = modulus.reduce(a)
     N = modulus.N
-    bits, out = a.bits, 0
-    e = 0
-    while bits:
-        if bits & 1:
-            out ^= 1 << ((N - e) % N)
-        bits >>= 1
-        e += 1
-    return BinaryPoly(out)
+    rev = int(format(modulus.reduce(a).bits, f"0{N}b")[::-1], 2)
+    return BinaryPoly(((rev << 1) | (rev >> (N - 1))) & ((1 << N) - 1))

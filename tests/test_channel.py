@@ -19,9 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 import qcldpc
 from conftest import P, data_path, hamming64, hamming74, in_kernel
+from qcldpc import channel
 from qcldpc.channel import (
     DecoderConfig,
     TrialResult,
+    _decode_frames,
+    _decoder_tables,
     _product_trellis,
     _trellis_extrinsics,
     awgn_llrs,
@@ -423,3 +426,153 @@ class TestMonteCarlo:
         spec = load("n79.json")
         G = construct_generator(spec).matrix
         assert monte_carlo(spec, G, [0.0], {"max_trials": 0}) == []
+
+
+def noisy_frames(name, snrs, seed):
+    """Channel LLRs (one row per SNR) of random codewords of a bundled spec."""
+    spec, G, _ = coded(name)
+    n = G.ncols * G.modulus.N
+    rng = random.Random(seed)
+    return np.stack([
+        awgn_llrs(bits_to_array(encode(G, random_message(rng, G)), n), snr, rng=seed + k)
+        for k, snr in enumerate(snrs)
+    ])
+
+
+def assert_matches_one_frame_decodes(spec, llrs, cfg):
+    hard, converged, iterations = _decode_frames(spec, llrs, cfg)
+    assert hard.shape == llrs.shape
+    for b, llr in enumerate(llrs):
+        word = int.from_bytes(np.packbits(hard[b], bitorder="little").tobytes(), "little")
+        assert (word, bool(converged[b]), int(iterations[b])) == gldpc_decode(spec, llr, cfg)
+    return converged, iterations
+
+
+# Mixed SNRs per spec: the low ones mostly run to the cap, the high ones converge early.
+BATCH_SNRS = {
+    "n79.json": (-4.0, -2.0, -1.0, 0.0, 1.0, 3.0),
+    "c1.json": (-3.0, -2.0, -1.0, 0.0, 1.0, 3.0),
+    "c2.json": (-6.0, -5.0, -4.0, -3.0, -2.0, 0.0),
+    "prelift90.json": (-6.0, -5.0, -4.0, -3.0, -2.0, 0.0),
+    "prelift68.json": (-5.0, -4.0, -3.0, -2.0, 0.0, 2.0),
+    "hamming15.json": (0.0, 0.5, 1.0, 3.0),
+}
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("max_iterations", [1, 3, 30])
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_each_frame_equals_its_decode_alone(self, name, max_iterations):
+        spec = coded(name)[0]
+        llrs = noisy_frames(name, BATCH_SNRS[name], seed=70)
+        converged, iterations = assert_matches_one_frame_decodes(
+            spec, llrs, DecoderConfig(max_iterations=max_iterations)
+        )
+        assert iterations.max() <= max_iterations
+        if max_iterations == 30:
+            # Frames leave the active set at different iterations.
+            assert converged.any() and len(set(iterations.tolist())) > 1
+
+    @pytest.mark.parametrize("name", ["c1.json", "n79.json", "hamming15.json"])
+    def test_wide_and_narrow_rows_in_one_batch(self, name):
+        spec = coded(name)[0]
+        cfg = DecoderConfig(max_iterations=12, llr_clip=200.0)
+        llrs = noisy_frames(name, (-2.0, 0.0, -2.0, 1.0), seed=71)
+        llrs[1] *= 40.0  # every row wide
+        llrs[2, ::2] *= 40.0  # wide and narrow rows in one frame
+        _, rows = _decoder_tables(spec)
+        spans = np.concatenate([
+            np.abs(np.clip(llrs[:, idx], -200.0, 200.0)).sum(axis=2).ravel()
+            for idx, _, _ in rows
+        ])
+        assert (spans > channel._PROB_SPAN).any() and (spans <= channel._PROB_SPAN).any()
+        assert_matches_one_frame_decodes(spec, llrs, cfg)
+
+    def test_single_and_empty_stacks(self):
+        spec = coded("n79.json")[0]
+        llrs = noisy_frames("n79.json", (-1.0,), seed=72)
+        assert_matches_one_frame_decodes(spec, llrs, DecoderConfig(max_iterations=5))
+        hard, converged, iterations = _decode_frames(spec, llrs[:0], DecoderConfig())
+        assert hard.shape == (0, 6 * 79) and converged.size == iterations.size == 0
+
+    def test_chunk_size_follows_rows_per_call(self):
+        assert channel._chunk_frames(coded("c1.json")[0]) == 1024 // 68
+        assert channel._chunk_frames(coded("hamming15.json")[0]) == 1024 // 376
+
+
+def sequential_monte_carlo(spec, G, snrs, stop, master_seed, cfg):
+    """Reference: every point in turn, one trial decoded at a time."""
+    N = G.modulus.N
+    n = G.ncols * N
+    results = []
+    for snr_idx, snr in enumerate(snrs):
+        trials = bit_errors = block_errors = 0
+        while trials < stop["max_trials"] and block_errors < stop["min_block_errors"]:
+            rng = np.random.default_rng([master_seed, snr_idx, trials])
+            message = [
+                BinaryPoly(int.from_bytes(np.packbits(
+                    rng.integers(0, 2, size=N, dtype=np.uint8), bitorder="little"
+                ).tobytes(), "little"))
+                for _ in range(G.nrows)
+            ]
+            sent = encode(G, message)
+            llr = awgn_llrs(bits_to_array(sent, n), snr, rng)
+            word, _, _ = gldpc_decode(spec, llr, cfg)
+            errs = (word ^ sent).bit_count()
+            bit_errors += errs
+            block_errors += 1 if errs else 0
+            trials += 1
+        results.append(TrialResult(snr, trials, bit_errors, block_errors, master_seed, n))
+    return results
+
+
+class TestChunkedMonteCarlo:
+    CFG = DecoderConfig(max_iterations=6)
+
+    @pytest.mark.parametrize(
+        "snrs, stop",
+        [
+            # -7 dB stops on its 2nd error inside the first chunk of 12.
+            ((-7.0, -1.0, 3.0), {"min_block_errors": 2, "max_trials": 13}),
+            ((-7.0, 3.0, -7.0, 0.0), {"min_block_errors": 3, "max_trials": 5}),
+            ((-2.0, 3.0), {"min_block_errors": 10**9, "max_trials": 1}),
+            ((-7.0, 3.0), {"min_block_errors": 0, "max_trials": 4}),
+            ((3.0, -7.0), {"min_block_errors": 1, "max_trials": 25}),
+        ],
+    )
+    def test_equals_sequential_loop(self, monkeypatch, snrs, stop):
+        spec, G, _ = coded("n79.json")
+        want = sequential_monte_carlo(spec, G, snrs, stop, 9, self.CFG)
+        drawn = []
+        draw = channel._draw_trial
+
+        def counting_draw(*args):
+            drawn.append(args[2])
+            return draw(*args)
+
+        monkeypatch.setattr(channel, "_draw_trial", counting_draw)
+        assert monte_carlo(spec, G, list(snrs), stop, master_seed=9, cfg=self.CFG) == want
+        # Frames drawn past a point's stop fill at most one chunk per point.
+        chunk = channel._chunk_frames(spec)
+        for point, row in enumerate(want):
+            assert row.trials <= drawn.count(point) <= row.trials + chunk - 1
+        if stop["min_block_errors"] == 0:
+            assert drawn == [] and all(r.trials == 0 for r in want)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 79 * 3, 79 * 7, 10**6])
+    def test_counts_do_not_depend_on_chunk_size(self, monkeypatch, chunk_rows):
+        spec, G, _ = coded("n79.json")
+        snrs = [-7.0, -2.0, 3.0]
+        stop = {"min_block_errors": 3, "max_trials": 11}
+        want = sequential_monte_carlo(spec, G, snrs, stop, 10, self.CFG)
+        monkeypatch.setattr(channel, "_CHUNK_ROWS", chunk_rows)
+        assert monte_carlo(spec, G, snrs, stop, master_seed=10, cfg=self.CFG) == want
+
+    def test_hamming15_odd_trials_in_chunks_of_two(self):
+        spec, G, _ = coded("hamming15.json")
+        cfg = DecoderConfig(max_iterations=10)
+        stop = {"min_block_errors": 2, "max_trials": 3}
+        snrs = [0.0, 3.0]
+        want = sequential_monte_carlo(spec, G, snrs, stop, 12, cfg)
+        assert channel._chunk_frames(spec) == 2
+        assert monte_carlo(spec, G, snrs, stop, master_seed=12, cfg=cfg) == want

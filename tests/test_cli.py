@@ -437,6 +437,36 @@ class TestSimulate:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [",".join(r.split(",")[:4]) for r in rows] == ["0.0,4,660,4", "0.5,7,354,4"]
 
+    # sha256 of the stdout of `qcldpc simulate` with SIMULATE_PIN_ARGS on each
+    # bundled spec, byte for byte. Every spec has a point that stops on
+    # --min-block-errors short of --max-trials; prelift68, c2, prelift90 and
+    # hamming15 also have points that run to --max-trials (n79 and c1 lose
+    # nearly every frame down to -4 dB).
+    SIMULATE_PIN_ARGS = ["--seed", "5", "--max-iterations", "30",
+                         "--max-trials", "10", "--min-block-errors", "3"]
+    SIMULATE_STDOUT_SHA256 = {
+        "n79": ("-6,-5,-4", "994ca65f8d4cfe37d71d459e7c1b170c49f80a655f59fbf6fbbac7715e7af8df"),
+        "c1": ("-6,-5,-4", "5849ff33041d82b7b8fe66a30b609e55a51cc4806571ee22c89c77eafbc2124e"),
+        "prelift68": (
+            "-6,-5,-4", "4eb9134373f5dd7684318655a9f44c46e462b17d2edee9a474b948ed79578eba"
+        ),
+        "c2": ("-7,-6,-5", "ed1435aff98c241219d0f79f0f77ca4726ebca98024afa8c4e23013c0a0a5f49"),
+        "prelift90": (
+            "-7,-6,-5", "0ef0e9f461843ccc8e1e4b379eb338e8cc094fc9676348eb1788cd6ab142f49d"
+        ),
+        "hamming15": (
+            "0,0.5,1", "c420a6de2712b9b735214b788da39143fc85c93f5a22887bfb1826e293b46fad"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_STDOUT_SHA256))
+    def test_output_is_pinned(self, capsys, name):
+        snr, digest = self.SIMULATE_STDOUT_SHA256[name]
+        argv = ["simulate", "--spec", f"{name}.json", f"--snr={snr}", *self.SIMULATE_PIN_ARGS]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
     def test_out_writes_csv_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         assert run(self.ARGS + ["--out", str(target)]) == 0

@@ -173,6 +173,20 @@ class TestTranspose:
             expect = BinaryPoly(1 << ((45 - k) % 45))
             assert transpose_poly(BinaryPoly(1 << k), m) == expect
 
+    @given(st.integers(min_value=0, max_value=(1 << 96) - 1), moduli)
+    def test_matches_definition(self, bits, m):
+        # Includes a = 0 and N = 1 (every a reduces to 0 or 1 there).
+        a = BinaryPoly(bits)
+        want = BinaryPoly.from_exponents((m.N - e) % m.N for e in m.reduce(a).exponents())
+        assert transpose_poly(a, m) == want
+
+    def test_edge_cases(self):
+        one = RingModulus(1)
+        assert transpose_poly(BinaryPoly(0), one) == BinaryPoly(0)
+        assert transpose_poly(P("1+x+x^2"), one) == BinaryPoly(1)
+        assert transpose_poly(P("x^2"), one) == BinaryPoly(1)
+        assert transpose_poly(BinaryPoly(0), RingModulus(7)) == BinaryPoly(0)
+
     @given(polys, moduli)
     def test_involution(self, a, m):
         assert transpose_poly(transpose_poly(a, m), m) == m.reduce(a)
