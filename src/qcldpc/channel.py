@@ -29,11 +29,20 @@ per kernel call, spanning SNR points. No arithmetic mixes frames and
 errors are counted in trial order, so results do not depend on the
 chunk size; at most one chunk per SNR point is decoded past its early
 stop, and the frames past the stop are discarded.
+
+The decoder's large per-iteration arrays (gathered priors, totals and
+extrinsics, the tanh rule's temporaries, the trellis's weights, state
+probabilities and sums) are work arrays that each thread keeps and reuses
+from call to call, growing them only when a larger batch needs it: a
+decode then writes into pages it has already touched instead of asking
+malloc for fresh ones.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,20 +148,44 @@ def awgn_llrs(codeword, es_n0_db: float, rng=None) -> np.ndarray:
     return 2.0 * received / sigma2
 
 
-def _spc_extrinsics(priors: np.ndarray) -> np.ndarray:
-    """Leave-one-out tanh-rule check update, batched over rows."""
-    t = np.tanh(priors / 2.0)
+# The calling thread's work arrays, by name (see _work).
+_workspace = threading.local()
+
+
+def _work(name: str, shape, dtype=np.float64) -> np.ndarray:
+    """The calling thread's work array ``name``, viewed as ``shape``.
+
+    It holds whatever its last user left there. It only grows, so a
+    smaller request reuses the pages of a larger one; each name has one
+    user at a time, and nothing returned to a caller is a work array.
+    """
+    size = math.prod(shape)
+    buf = getattr(_workspace, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        setattr(_workspace, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _spc_extrinsics(priors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Leave-one-out tanh-rule check update, batched over rows, into ``out``."""
     q = priors.shape[-1]
-    left = np.ones_like(t)
-    right = np.ones_like(t)
+    t = _work("spc_t", priors.shape)
+    np.divide(priors, 2.0, out=t)
+    np.tanh(t, out=t)
+    left = _work("spc_left", priors.shape)
+    right = _work("spc_right", priors.shape)
+    left[..., 0] = 1.0
+    right[..., q - 1] = 1.0
     for k in range(1, q):
-        left[..., k] = left[..., k - 1] * t[..., k - 1]
-        right[..., q - 1 - k] = right[..., q - k] * t[..., q - k]
-    loo = np.clip(left * right, -1.0 + 1e-15, 1.0 - 1e-15)
-    return 2.0 * np.arctanh(loo)
+        np.multiply(left[..., k - 1], t[..., k - 1], out=left[..., k])
+        np.multiply(right[..., q - k], t[..., q - k], out=right[..., q - 1 - k])
+    loo = np.multiply(left, right, out=left)
+    np.clip(loo, -1.0 + 1e-15, 1.0 - 1e-15, out=loo)
+    return np.multiply(2.0, np.arctanh(loo, out=loo), out=out)
 
 
-def bcjr_component(comp: ComponentCode, priors) -> np.ndarray:
+def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
     """Per-bit extrinsic LLRs of a component code: the constraint update.
 
     A single-parity check takes the tanh rule. Any other component takes
@@ -160,29 +193,30 @@ def bcjr_component(comp: ComponentCode, priors) -> np.ndarray:
     domain syndrome trellis otherwise; rows whose priors sum to more than
     ``_PROB_SPAN`` in magnitude go to the log-domain trellis instead,
     whose metrics are clamped at ``_TRELLIS_CLAMP``. Accepts a single
-    length-q prior vector or a batch of them.
+    length-q prior vector or a batch of them. The extrinsics go to a new
+    array, or into ``out``, a float64 array of the priors' shape.
     """
     arr = np.asarray(priors, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+    ext = np.empty_like(arr) if out is None else out
+    rows = ext
+    if arr.ndim == 1:
+        arr, rows = arr[None, :], ext[None, :]
     if arr.shape[1] != comp.q:
         raise ValueError(f"got {arr.shape[1]} priors for a length-{comp.q} component")
     if comp.p == 1 and all(comp.parity[0]):
-        ext = _spc_extrinsics(arr)
+        _spc_extrinsics(arr, rows)
     else:
         if 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
             kernel = _enumerated_extrinsics
         else:
             kernel = _product_trellis
-        wide = np.abs(arr).sum(axis=1) > _PROB_SPAN
+        wide = np.abs(arr, out=_work("span_abs", arr.shape)).sum(axis=1) > _PROB_SPAN
         if wide.any():
-            ext = np.empty_like(arr)
-            ext[wide] = _trellis_extrinsics(comp, arr[wide])
-            ext[~wide] = kernel(comp, arr[~wide])
+            rows[wide] = _trellis_extrinsics(comp, arr[wide])
+            rows[~wide] = kernel(comp, arr[~wide])
         else:
-            ext = kernel(comp, arr)
-    return ext[0] if single else ext
+            kernel(comp, arr, rows)
+    return ext
 
 
 # Every codeword or trellis path of a row weighs at least exp(-sum |prior|)
@@ -244,56 +278,80 @@ def _state_perms(parity: tuple) -> np.ndarray:
     return perms
 
 
-def _enumerated_extrinsics(comp, arr):
-    """Exact MAP extrinsics by summing over the enumerated codebook."""
+def _enumerated_extrinsics(comp, arr, out=None):
+    """Exact MAP extrinsics by summing over the enumerated codebook.
+
+    They go into ``out`` (batch x q), or a new array.
+    """
+    if out is None:
+        out = np.empty_like(arr)
     half_signs, masks = _codebook(comp.parity)
     metric = arr @ half_signs
     metric -= metric.max(axis=1, keepdims=True)
     sums = np.log(np.exp(metric) @ masks)
-    return sums[:, : comp.q] - sums[:, comp.q :] - arr
+    np.subtract(sums[:, : comp.q], sums[:, comp.q :], out=out)
+    out -= arr
+    return out
 
 
-def _product_trellis(comp, arr):
+def _product_trellis(comp, arr, out=None):
     """Syndrome-trellis extrinsics of a batch of prior rows, in probabilities.
 
     Bit k weighs its two values by exp(+-L/2 - |L|/2): 1 for the value its
     prior favours and exp(-|L|) for the other, so one exp gives every
     weight. Forward and backward state probabilities (states x batch) are
     divided by their largest entry at each step, and the log is taken once
-    at the end.
+    at the end. The extrinsics go into ``out`` (batch x q), or a new array.
     """
+    if out is None:
+        out = np.empty_like(arr)
     perms = _state_perms(comp.parity)
     q, nstates = perms.shape
-    priors = np.ascontiguousarray(arr.T)
-    other = np.exp(-np.abs(priors))
-    favours_zero = priors >= 0
-    w0 = np.where(favours_zero, 1.0, other)
-    w1 = np.where(favours_zero, other, 1.0)
+    batch = arr.shape[0]
+    other = np.abs(arr.T, out=_work("trellis_other", (q, batch)))
+    np.negative(other, out=other)
+    np.exp(other, out=other)
+    favours_zero = np.greater_equal(arr.T, 0, out=_work("trellis_favours", (q, batch), bool))
+    w0 = _work("trellis_w0", (q, batch))
+    w1 = _work("trellis_w1", (q, batch))
+    np.copyto(w0, other)
+    np.copyto(w0, 1.0, where=favours_zero)
+    w1.fill(1.0)
+    np.copyto(w1, other, where=favours_zero)
+    flipped = _work("trellis_flipped", (nstates, batch))
+    largest = _work("trellis_largest", (batch,))
 
-    def _step(prob, k):
-        nxt = prob * w0[k]
-        nxt += prob[perms[k]] * w1[k]
-        nxt /= nxt.max(axis=0)
+    def _step(prob, k, nxt):
+        np.multiply(prob, w0[k], out=nxt)
+        np.take(prob, perms[k], axis=0, out=flipped, mode="clip")
+        nxt += np.multiply(flipped, w1[k], out=flipped)
+        nxt /= np.max(nxt, axis=0, out=largest)
         return nxt
 
-    # One array per step: one (q x states x batch) block is large enough for
-    # malloc to map it afresh on every call, and it raised the peak RSS of a
-    # hamming15 decode by about 1.5 MB per frame in the batch.
-    alphas = [np.zeros((nstates, arr.shape[0]))]
-    alphas[0][0] = 1.0
+    # The forward probabilities of all q steps share one (q x states x batch)
+    # work array and the backward steps swap two, so a warm call touches no
+    # new pages: malloc mapped a fresh block of this size on every call.
+    alphas = _work("trellis_alphas", (q, nstates, batch))
+    alphas[0].fill(0.0)
+    alphas[0, 0] = 1.0
     for k in range(q - 1):
-        alphas.append(_step(alphas[k], k))
+        _step(alphas[k], k, alphas[k + 1])
 
-    sums = np.empty((2, q, arr.shape[0]))
-    beta = np.zeros((nstates, arr.shape[0]))
+    sums = _work("trellis_sums", (2, q, batch))
+    beta = _work("trellis_beta", (nstates, batch))
+    spare = _work("trellis_beta_next", (nstates, batch))
+    joint = _work("trellis_joint", (nstates, batch))
+    beta.fill(0.0)
     beta[0] = 1.0
     for k in range(q - 1, -1, -1):
-        sums[0, k] = (alphas[k] * beta).sum(axis=0)
-        sums[1, k] = (alphas[k] * beta[perms[k]]).sum(axis=0)
+        np.sum(np.multiply(alphas[k], beta, out=joint), axis=0, out=sums[0, k])
+        np.take(beta, perms[k], axis=0, out=joint, mode="clip")
+        np.sum(np.multiply(alphas[k], joint, out=joint), axis=0, out=sums[1, k])
         if k:
-            beta = _step(beta, k)
-    logs = np.log(sums)
-    return (logs[0] - logs[1]).T
+            beta, spare = _step(beta, k, spare), beta
+    np.log(sums, out=sums)
+    np.subtract(sums[0], sums[1], out=out.T)
+    return out
 
 
 def _trellis_extrinsics(comp, arr):
@@ -431,14 +489,20 @@ def _decode_frames(spec: GldpcSpec, llrs: np.ndarray, cfg: DecoderConfig):
     llr = np.ascontiguousarray(llrs, dtype=np.float64).ravel()
     total = llr
     gather, segments = _batch_layout(rows, frames, n)
-    ext = np.zeros(gather.size)
+    ext = _work("ext", gather.shape)
+    ext.fill(0.0)
     for iteration in range(1, cfg.max_iterations + 1):
         for comp, _, sl, shape in segments:
-            priors = np.clip(total[gather[sl]] - ext[sl], -cfg.llr_clip, cfg.llr_clip)
-            ext[sl].reshape(-1, shape[2])[...] = bcjr_component(
-                comp, priors.reshape(-1, shape[2])
+            priors = _work("priors", gather[sl].shape)
+            # Indices are in range; "clip" lets take write into out unbuffered.
+            np.take(total, gather[sl], out=priors, mode="clip")
+            priors -= ext[sl]
+            np.clip(priors, -cfg.llr_clip, cfg.llr_clip, out=priors)
+            bcjr_component(
+                comp, priors.reshape(-1, shape[2]), out=ext[sl].reshape(-1, shape[2])
             )
-        total = llr.copy()
+        total = _work("total", llr.shape)
+        np.copyto(total, llr)
         np.add.at(total, gather, ext)
         hard = total < 0
         bits = hard[gather]

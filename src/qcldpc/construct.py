@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .binmat import RowEchelon
-from .binmat import rank as rank_scalar
 from .gf2poly import BinaryPoly, NotInvertible, gcd, inverse_mod, transpose_poly
 from .polymat import (
     PolyMatrix,
-    circulant_expand,
     circulant_rows,
+    expansion_rank,
     index_set,
     matmul_mod,
     minor_det,
@@ -186,7 +185,7 @@ def generator_case1(H, S=None):
     result = GeneratorResult(
         matrix=G,
         row_provenance=provenance,
-        rank=rank_scalar(circulant_expand(G)),
+        rank=expansion_rank(G),
         target_dimension=rank_qc(H, m).dimension,
     )
     scale = inverse_mod(transpose_poly(m.reduce(delta_S), m), m)
@@ -330,7 +329,7 @@ def verify_generator(H, G, dimension=None):
         return False
     if dimension is None:
         dimension = rank_qc(H, m).dimension
-    return rank_scalar(circulant_expand(G)) == dimension
+    return expansion_rank(G) == dimension
 
 
 def _require_modulus(H):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .binmat import BinMatrix
+from .binmat import rank as rank_scalar
 from .gf2poly import BinaryPoly, gcd, transpose_poly
 
 
@@ -219,6 +220,19 @@ def circulant_expand(H):
     for row in H.rows:
         rows.extend(circulant_rows([transpose_poly(p, m).bits for p in row], m.N))
     return BinMatrix(rows, H.ncols * m.N)
+
+
+def expansion_rank(H):
+    """GF(2) rank of circulant_expand(H), with the sparsest block columns leading.
+
+    Rank does not depend on column order, so the block columns are first
+    sorted by how many rows have a nonzero entry there, the fewest last:
+    those land on the leading bits, where RowEchelon takes its pivots, and
+    rows that lead in a block of their own reduce in a few steps.
+    """
+    load = [sum(1 for row in H.rows if row[j].bits) for j in range(H.ncols)]
+    order = sorted(range(H.ncols), key=lambda j: -load[j])
+    return rank_scalar(circulant_expand(H.submatrix(range(H.nrows), order)))
 
 
 def write_pmx(H, path):

@@ -12,6 +12,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,6 +441,14 @@ def noisy_frames(name, snrs, seed):
     ])
 
 
+def wide_frames(name, seed):
+    """Frames whose rows are wide, narrow, or both, at llr_clip=200."""
+    llrs = noisy_frames(name, (-2.0, 0.0, -2.0, 1.0), seed)
+    llrs[1] *= 40.0  # every row wide
+    llrs[2, ::2] *= 40.0  # wide and narrow rows in one frame
+    return llrs
+
+
 def assert_matches_one_frame_decodes(spec, llrs, cfg):
     hard, converged, iterations = _decode_frames(spec, llrs, cfg)
     assert hard.shape == llrs.shape
@@ -477,9 +487,7 @@ class TestBatchedDecode:
     def test_wide_and_narrow_rows_in_one_batch(self, name):
         spec = coded(name)[0]
         cfg = DecoderConfig(max_iterations=12, llr_clip=200.0)
-        llrs = noisy_frames(name, (-2.0, 0.0, -2.0, 1.0), seed=71)
-        llrs[1] *= 40.0  # every row wide
-        llrs[2, ::2] *= 40.0  # wide and narrow rows in one frame
+        llrs = wide_frames(name, seed=71)
         _, rows = _decoder_tables(spec)
         spans = np.concatenate([
             np.abs(np.clip(llrs[:, idx], -200.0, 200.0)).sum(axis=2).ravel()
@@ -498,6 +506,95 @@ class TestBatchedDecode:
     def test_chunk_size_follows_rows_per_call(self):
         assert channel._chunk_frames(coded("c1.json")[0]) == 1024 // 68
         assert channel._chunk_frames(coded("hamming15.json")[0]) == 1024 // 376
+
+
+# Decodes, in a process of its own, one stack of frames saved with np.save.
+FRESH_FRAMES = """
+import json, sys
+import numpy as np
+from qcldpc.channel import DecoderConfig, _decode_frames
+from qcldpc.gldpc import load_spec
+llrs = np.load(sys.argv[2])
+cfg = DecoderConfig(max_iterations=int(sys.argv[3]), llr_clip=float(sys.argv[4]))
+hard, converged, iterations = _decode_frames(load_spec(sys.argv[1]), llrs, cfg)
+print(json.dumps([np.packbits(hard).tobytes().hex(), converged.tolist(), iterations.tolist()]))
+"""
+
+
+def decoded(spec, llrs, cfg):
+    hard, converged, iterations = _decode_frames(spec, llrs, cfg)
+    return [np.packbits(hard).tobytes().hex(), converged.tolist(), iterations.tolist()]
+
+
+class TestDecoderWorkspace:
+    """The decoder's reused work arrays neither leak between calls nor
+    between threads, and keep a warm decode from allocating them anew."""
+
+    def test_warm_decode_allocates_little(self):
+        spec = coded("hamming15.json")[0]
+        llrs = noisy_frames("hamming15.json", (3.0, 3.0), seed=80)
+        cfg = DecoderConfig()
+        _decode_frames(spec, llrs, cfg)
+        tracemalloc.start()
+        try:
+            _decode_frames(spec, llrs, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_decodes_in_turn_match_fresh_processes(self, tmp_path):
+        cases = [
+            ("c1.json", noisy_frames("c1.json", np.linspace(-3.0, 2.0, 12), seed=81), 20.0),
+            ("hamming15.json", noisy_frames("hamming15.json", (0.5, 3.0), seed=82), 20.0),
+            ("hamming15.json", noisy_frames("hamming15.json", (0.5,), seed=83), 20.0),
+            ("n79.json", wide_frames("n79.json", seed=84), 200.0),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qcldpc.__file__)))
+        fresh = []
+        for k, (name, llrs, clip) in enumerate(cases):
+            path = tmp_path / f"llrs{k}.npy"
+            np.save(path, llrs)
+            proc = subprocess.run(
+                [sys.executable, "-c", FRESH_FRAMES, data_path(name), str(path), "12", str(clip)],
+                capture_output=True, text=True, env=env, timeout=120, check=True,
+            )
+            fresh.append(json.loads(proc.stdout))
+        for (name, llrs, clip), want in zip(cases, fresh):
+            cfg = DecoderConfig(max_iterations=12, llr_clip=clip)
+            assert decoded(coded(name)[0], llrs, cfg) == want
+
+    def test_threads_match_decoding_in_turn(self):
+        cases = [
+            ("c1.json", noisy_frames("c1.json", np.linspace(-3.0, 2.0, 12), seed=85), 20.0),
+            ("hamming15.json", noisy_frames("hamming15.json", (0.5, 1.0), seed=86), 20.0),
+            ("n79.json", wide_frames("n79.json", seed=87), 200.0),
+        ]
+        jobs = [
+            (coded(name)[0], llrs, DecoderConfig(max_iterations=12, llr_clip=clip))
+            for name, llrs, clip in cases
+        ]
+        want = [decoded(*job) for job in jobs]
+        got = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def run(k):
+            start.wait(timeout=60)
+            for _ in range(3):
+                got[k].append(decoded(*jobs[k]))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside every decode
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]
 
 
 def sequential_monte_carlo(spec, G, snrs, stop, master_seed, cfg):

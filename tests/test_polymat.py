@@ -9,13 +9,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import P, random_poly_matrix
+from conftest import P, data_path, random_poly_matrix
+from qcldpc.binmat import rank
 from qcldpc.gf2poly import BinaryPoly, RingModulus, transpose_poly
+from qcldpc.gldpc import assembled_parity, construct_generator, load_spec
 from qcldpc.polymat import (
     PolyMatrix,
     all_minors_gcd,
     circulant_expand,
+    expansion_rank,
     identity_matrix,
     index_set,
     matmul_mod,
@@ -171,6 +175,60 @@ class TestExpansion:
             circulant_expand(H)
         with pytest.raises(ValueError):
             transpose_entrywise(H)
+
+
+@st.composite
+def sparse_poly_matrices(draw):
+    """1-4 x 1-6 matrices over N = 1..12, often with zero entries, a zero
+    row, a zero column or a repeated column."""
+    N = draw(st.integers(1, 12))
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, (1 << N) - 1))
+    rows = draw(st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    ))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    if draw(st.booleans()):
+        src, dst = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[dst] = row[src]
+    return PolyMatrix([[BinaryPoly(b) for b in row] for row in rows], RingModulus(N))
+
+
+class TestExpansionRank:
+    """expansion_rank against the scalar rank of the expansion in its own order."""
+
+    @settings(max_examples=300)
+    @given(sparse_poly_matrices())
+    def test_matches_rank_of_expansion(self, H):
+        assert expansion_rank(H) == rank(circulant_expand(H))
+
+    @pytest.mark.parametrize(
+        "name, parity_rank, dimension",
+        [
+            ("n79", 316, 158),
+            ("c1", 272, 204),
+            ("c2", 404, 72),
+            ("prelift90", 449, 91),
+            ("prelift68", 340, 136),
+            ("hamming15", 1880, 3760),
+        ],
+    )
+    def test_bundled_parity_and_generator(self, name, parity_rank, dimension):
+        spec = load_spec(data_path(f"{name}.json"))
+        H = assembled_parity(spec)
+        G = construct_generator(spec).matrix
+        assert expansion_rank(H) == rank(circulant_expand(H)) == parity_rank
+        assert expansion_rank(G) == rank(circulant_expand(G)) == dimension
+
+    def test_modulus_required(self):
+        with pytest.raises(ValueError):
+            expansion_rank(PolyMatrix([[P("1")]]))
 
 
 class TestMatmul:
