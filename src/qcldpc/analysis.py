@@ -2,9 +2,12 @@
 
 Girth is the length of the shortest cycle in the bipartite check/variable
 graph of a binary parity-check matrix (always even, at least 4). Minimum
-distance is certified exactly only for small message spaces; everything
-larger gets an upper bound from witnesses and searches plus a lower bound
-inherited from an exactly analysed shortened code.
+distance is certified exactly only for small message spaces, by enumerating
+every message on generator rows packed into 64-bit words: a table of all
+combinations of the leading rows (at most 2^17 bytes) is XORed against each
+combination of the other rows, taken in Gray order. Everything larger gets
+an upper bound from witnesses and searches plus a lower bound inherited
+from an exactly analysed shortened code.
 """
 
 from __future__ import annotations
@@ -151,8 +154,17 @@ def girth(H: PolyMatrix | BinMatrix) -> float:
     return best
 
 
+_TABLE_BYTES = 1 << 17  # cap on min_distance_exact's combination table
+
+
 def min_distance_exact(Gb: BinMatrix, budget: int = 1 << 24) -> int:
-    """Exact minimum nonzero codeword weight by Gray-code message sweep.
+    """Exact minimum nonzero codeword weight over all 2^k - 1 messages.
+
+    The k rows are packed into 64-bit words. The first a rows give a table
+    of their 2^a XOR combinations, with a as large as fits in 2^17 bytes.
+    A Gray-order walk over the other k - a rows XORs one row into a running
+    word per step, and each step weighs the whole table XOR that word.
+    Zero codewords from dependent rows are skipped.
 
     Raises BudgetExceeded when 2^k - 1 messages would exceed the budget.
     Returns 0 for a generator whose row space is trivial.
@@ -160,15 +172,30 @@ def min_distance_exact(Gb: BinMatrix, budget: int = 1 << 24) -> int:
     k = Gb.nrows
     if (1 << k) - 1 > budget:
         raise BudgetExceeded(f"2^{k} - 1 messages exceed budget {budget}")
-    best = 0
-    word = 0
-    for i in range(1, 1 << k):
-        word ^= Gb.rows[(i & -i).bit_length() - 1]
-        if word:
-            w = word.bit_count()
-            if best == 0 or w < best:
-                best = w
-    return best
+    nw = max(1, -(-Gb.ncols // 64))
+    words = np.frombuffer(
+        b"".join(r.to_bytes(8 * nw, "little") for r in Gb.rows), dtype="<u8"
+    ).reshape(k, nw)
+    a = min(k, max(0, (_TABLE_BYTES // (8 * nw)).bit_length() - 1))
+    table = np.zeros((1 << a, nw), dtype=np.uint64)
+    for i in range(a):
+        np.bitwise_xor(table[: 1 << i], words[i], out=table[1 << i : 2 << i])
+    buf = np.empty_like(table)
+    counts = np.empty(table.shape, dtype=np.uint8)
+    running = np.zeros(nw, dtype=np.uint64)
+    best = _min_nonzero_weight(np.bitwise_count(table, out=counts))
+    for step in range(1, 1 << (k - a)):
+        running ^= words[a + (step & -step).bit_length() - 1]
+        np.bitwise_xor(table, running, out=buf)
+        best = min(best, _min_nonzero_weight(np.bitwise_count(buf, out=counts)))
+    return best if best <= Gb.ncols else 0
+
+
+def _min_nonzero_weight(counts: np.ndarray) -> int:
+    """Least nonzero row sum of per-word popcounts; above 64·words if none."""
+    w = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1, dtype=np.uint32)
+    w -= 1  # a zero word wraps to the dtype's maximum
+    return int(w.min()) + 1
 
 
 def low_weight_search(
@@ -179,7 +206,8 @@ def low_weight_search(
     Sweeps single rows and row pairs of the generator first, then spends
     the remaining iteration budget on seeded sparse row combinations with
     an information-set re-encoding round every 500 evaluations. More
-    iterations with the same seed never worsen the bound.
+    iterations with the same seed never worsen the bound. A round that
+    finds rank 0 (rows spanning only the zero word) ends the search.
     """
     rows = Gb.rows
     k = Gb.nrows
@@ -231,6 +259,8 @@ def low_weight_search(
                 r_idx += 1
                 if r_idx == k:
                     break
+            if r_idx == 0:
+                break  # the rows span only the zero word
             for t in range(r_idx):
                 consider(work[t])
                 evals += 1

@@ -2,7 +2,8 @@
 
 The girth oracle here removes one edge at a time and measures the
 shortest path between its endpoints, which is exact on the small random
-graphs used; the distance oracle enumerates every message directly.
+graphs used. Two distance oracles enumerate every message on Python ints:
+directly, and by a Gray-code sweep that reaches the larger dimensions.
 """
 
 import math
@@ -10,8 +11,10 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import P, in_kernel, random_poly_matrix
+from qcldpc import analysis
 from qcldpc.analysis import (
     BudgetExceeded,
     DistanceReport,
@@ -73,6 +76,41 @@ def brute_min_distance(Gb):
             if best == 0 or w < best:
                 best = w
     return best
+
+
+def gray_min_distance(Gb):
+    """One XOR and one popcount per message, in Gray-code order."""
+    best = 0
+    word = 0
+    for i in range(1, 1 << Gb.nrows):
+        word ^= Gb.rows[(i & -i).bit_length() - 1]
+        if word:
+            w = word.bit_count()
+            if best == 0 or w < best:
+                best = w
+    return best
+
+
+@st.composite
+def generators(draw, max_rows=17):
+    """Rows across word boundaries: random, sparse, zero, repeated, dependent."""
+    ncols = draw(st.sampled_from([1, 7, 63, 64, 65, 127, 128, 129]))
+    k = draw(st.integers(0, max_rows))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["random", "sparse", "zero", "repeat", "sum"]))
+        if kind == "random":
+            row = draw(st.integers(0, (1 << ncols) - 1))
+        elif kind == "sparse":
+            row = sum(1 << c for c in draw(st.sets(st.integers(0, ncols - 1), max_size=3)))
+        elif kind == "zero" or not rows:
+            row = 0
+        elif kind == "repeat":
+            row = draw(st.sampled_from(rows))
+        else:
+            row = draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows))
+        rows.append(row)
+    return BinMatrix(rows, ncols)
 
 
 def ar4ja_generator():
@@ -143,11 +181,43 @@ class TestMinDistanceExact:
         assert Gb.shape == (8, 20)
         assert min_distance_exact(Gb) == 4
 
+    @settings(max_examples=60, deadline=None)
+    @given(generators())
+    def test_matches_gray_sweep(self, Gb):
+        assert min_distance_exact(Gb) == gray_min_distance(Gb)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generators(max_rows=8), st.sampled_from([8, 16, 24, 64, 256]))
+    def test_small_tables_match_gray_sweep(self, Gb, table_bytes):
+        # A table too small for one row of words still holds the zero row.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_TABLE_BYTES", table_bytes)
+            assert min_distance_exact(Gb) == gray_min_distance(Gb)
+
+    @pytest.mark.parametrize("ncols", [63, 64, 65, 127, 128, 129])
+    def test_walk_beyond_the_table(self, ncols):
+        rng = random.Random(ncols)
+        rows = [rng.getrandbits(ncols) for _ in range(16)]
+        rows.append(rows[3] ^ rows[12])
+        Gb = BinMatrix(rows, ncols)
+        assert min_distance_exact(Gb) == gray_min_distance(Gb)
+
+    def test_weight_in_the_last_word_only(self):
+        Gb = BinMatrix([0b11 << 127, 1 << 128 | 1], 129)
+        assert min_distance_exact(Gb) == 2
+
 
 class TestLowWeightSearch:
     def test_zero_generator(self):
         report = low_weight_search(BinMatrix([0, 0], 4), iterations=10)
         assert report.upper == 0 and report.lower == 0
+
+    @pytest.mark.parametrize(
+        "rows, iterations", [([0, 0], 600), ([], 5)], ids=["zero-rows", "no-rows"]
+    )
+    def test_zero_row_space_ends(self, rows, iterations):
+        report = low_weight_search(BinMatrix(rows, 4), iterations=iterations)
+        assert report.upper == report.lower == 0
 
     def test_single_rows_always_swept(self):
         Gb = BinMatrix([0b111, 0b011], 3)

@@ -268,6 +268,19 @@ class TestDistance:
         assert out["upper"] == out["lower"] == 4
         assert "enumeration" in out["method"]
 
+    @pytest.mark.parametrize("N, d", [("4", 4), ("10", 6)])
+    def test_exact_output_is_pinned(self, capsys, N, d):
+        assert run(["distance", "--matrix", "ar4ja.pmx", "--N", N, "--exact"]) == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            f'  "upper": {d},\n'
+            f'  "lower": {d},\n'
+            f'  "exact": {d},\n'
+            '  "method": "exhaustive enumeration",\n'
+            '  "witness": null\n'
+            "}\n"
+        )
+
     def test_search_is_deterministic(self, capsys):
         argv = ["distance", "--spec", "c1.json", "--iterations", "300", "--seed", "7"]
         first = run_json(capsys, argv)
