@@ -14,12 +14,19 @@ three kernels, chosen from the component alone:
 - the others run a BCJR sweep over the 2^p states of the syndrome
   trellis (Bahl et al. 1974; Wolf 1978) in the probability domain: one
   exp gives the bit weights, each step is a multiply-add over the state
-  permutation and a divide by the largest state, and one log ends it.
+  permutation, and one log ends it. State sums at most double per step,
+  so they are divided by their largest entry only every 256 steps.
 
 Both probability-domain kernels take only rows whose weights fit a
 double's exponent range; the wider rows run the same trellis in the log
 domain, the reference kernel. The edge indices, components and parity
-arrays a spec needs are built at its first decode and reused.
+checks a spec needs are built at its first decode and reused.
+
+The decoder stores its gathered priors and its extrinsics bit-major: the
+block of one constraint row holds bit k of all its instances (frames x
+N) contiguously, for each k in turn. Every kernel computes on such a
+(q x rows) block, so each step spans contiguous memory, and
+``bcjr_component`` sees its (rows x q) transpose view.
 
 One decoder core, ``_decode_frames``, runs a stack of frames at once, so
 each kernel call covers the rows of every active frame; ``gldpc_decode``
@@ -168,21 +175,28 @@ def _work(name: str, shape, dtype=np.float64) -> np.ndarray:
 
 
 def _spc_extrinsics(priors: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Leave-one-out tanh-rule check update, batched over rows, into ``out``."""
-    q = priors.shape[-1]
-    t = _work("spc_t", priors.shape)
-    np.divide(priors, 2.0, out=t)
+    """Leave-one-out tanh-rule check update, batched over rows, into ``out``.
+
+    It runs on the (q x rows) transposes, so each prefix and suffix
+    product step spans bit k of every row: contiguous memory when the
+    priors are a bit-major view.
+    """
+    bits = priors.T
+    q = bits.shape[0]
+    t = _work("spc_t", bits.shape)
+    np.divide(bits, 2.0, out=t)
     np.tanh(t, out=t)
-    left = _work("spc_left", priors.shape)
-    right = _work("spc_right", priors.shape)
-    left[..., 0] = 1.0
-    right[..., q - 1] = 1.0
+    left = _work("spc_left", bits.shape)
+    right = _work("spc_right", bits.shape)
+    left[0] = 1.0
+    right[q - 1] = 1.0
     for k in range(1, q):
-        np.multiply(left[..., k - 1], t[..., k - 1], out=left[..., k])
-        np.multiply(right[..., q - k], t[..., q - k], out=right[..., q - 1 - k])
+        np.multiply(left[k - 1], t[k - 1], out=left[k])
+        np.multiply(right[q - k], t[q - k], out=right[q - 1 - k])
     loo = np.multiply(left, right, out=left)
     np.clip(loo, -1.0 + 1e-15, 1.0 - 1e-15, out=loo)
-    return np.multiply(2.0, np.arctanh(loo, out=loo), out=out)
+    np.multiply(2.0, np.arctanh(loo, out=loo), out=out.T)
+    return out
 
 
 def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
@@ -193,8 +207,13 @@ def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
     domain syndrome trellis otherwise; rows whose priors sum to more than
     ``_PROB_SPAN`` in magnitude go to the log-domain trellis instead,
     whose metrics are clamped at ``_TRELLIS_CLAMP``. Accepts a single
-    length-q prior vector or a batch of them. The extrinsics go to a new
-    array, or into ``out``, a float64 array of the priors' shape.
+    length-q prior vector or a batch of them (rows x q) with any strides.
+    The extrinsics go to a new array of the priors' layout, or into
+    ``out``, a float64 array of the priors' shape with any strides.
+
+    Every kernel computes on the (q x rows) transpose, so it runs fastest
+    on a bit-major batch: the ``.T`` view of a C-ordered (q x rows) array,
+    which is how the decoder passes its priors and ``out``.
     """
     arr = np.asarray(priors, dtype=np.float64)
     ext = np.empty_like(arr) if out is None else out
@@ -210,10 +229,11 @@ def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
             kernel = _enumerated_extrinsics
         else:
             kernel = _product_trellis
-        wide = np.abs(arr, out=_work("span_abs", arr.shape)).sum(axis=1) > _PROB_SPAN
+        bits = arr.T
+        wide = np.abs(bits, out=_work("span_abs", bits.shape)).sum(axis=0) > _PROB_SPAN
         if wide.any():
             rows[wide] = _trellis_extrinsics(comp, arr[wide])
-            rows[~wide] = kernel(comp, arr[~wide])
+            rows[~wide] = kernel(comp, bits[:, ~wide].T)
         else:
             kernel(comp, arr, rows)
     return ext
@@ -228,13 +248,22 @@ _PROB_SPAN = 700.0
 # Bound on the max-normalized log-domain trellis metrics.
 _TRELLIS_CLAMP = 2.5e4
 
+# Steps between the probability-domain trellis's rescales. Both weights of
+# a bit are at most 1, so a state sum at most doubles per step; the value
+# a prior favours weighs exactly 1, so the largest state sum never falls
+# below its start of 1. Rescaling every 256 steps keeps forward and
+# backward sums at most 2^256 each and their products at most 2^512, far
+# inside a double's range, and the smallest sums only further from
+# underflow than a per-step rescale would leave them.
+_RESCALE_STEPS = 256
+
 
 @functools.cache
 def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Half-sign table (q x K) and bit-value masks (K x 2q) of K codewords.
+    """Half-sign table (K x q) and bit-value masks (2q x K) of K codewords.
 
-    Column w of the sign table holds +1/2 where codeword w has a 0 and
-    -1/2 where it has a 1; row w of the masks is [bit is 0 | bit is 1].
+    Row w of the sign table holds +1/2 where codeword w has a 0 and
+    -1/2 where it has a 1; column w of the masks is [bit is 0 | bit is 1].
     """
     q = len(parity[0])
     pivots = {}  # reduced row echelon form: pivot column -> row mask
@@ -254,8 +283,8 @@ def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
         basis = (1 << free) | sum(1 << c for c, r in pivots.items() if r >> free & 1)
         words += [w ^ basis for w in words]
     ones = np.array([[w >> j & 1 for j in range(q)] for w in words], dtype=np.float64)
-    half_signs = (0.5 - ones).T.copy()
-    masks = np.hstack([1.0 - ones, ones])
+    half_signs = 0.5 - ones
+    masks = np.vstack([1.0 - ones.T, ones.T])
     half_signs.setflags(write=False)
     masks.setflags(write=False)
     return half_signs, masks
@@ -281,15 +310,23 @@ def _state_perms(parity: tuple) -> np.ndarray:
 def _enumerated_extrinsics(comp, arr, out=None):
     """Exact MAP extrinsics by summing over the enumerated codebook.
 
-    They go into ``out`` (batch x q), or a new array.
+    On the (q x batch) transpose, one product gives the (K x batch)
+    codeword metrics and a second their sums per bit value. The
+    extrinsics go into ``out`` (batch x q), or a new array.
     """
     if out is None:
         out = np.empty_like(arr)
     half_signs, masks = _codebook(comp.parity)
-    metric = arr @ half_signs
-    metric -= metric.max(axis=1, keepdims=True)
-    sums = np.log(np.exp(metric) @ masks)
-    np.subtract(sums[:, : comp.q], sums[:, comp.q :], out=out)
+    q, batch = comp.q, arr.shape[0]
+    # BLAS rounds the sums of one product differently by operand layout,
+    # so every layout of the priors meets it as a C-ordered (q x batch).
+    bits = np.ascontiguousarray(arr.T)
+    metric = half_signs @ bits
+    metric -= metric.max(axis=0)
+    np.exp(metric, out=metric)
+    sums = masks @ metric
+    np.log(sums, out=sums)
+    np.subtract(sums[:q], sums[q:], out=out.T)
     out -= arr
     return out
 
@@ -299,9 +336,13 @@ def _product_trellis(comp, arr, out=None):
 
     Bit k weighs its two values by exp(+-L/2 - |L|/2): 1 for the value its
     prior favours and exp(-|L|) for the other, so one exp gives every
-    weight. Forward and backward state probabilities (states x batch) are
-    divided by their largest entry at each step, and the log is taken once
-    at the end. The extrinsics go into ``out`` (batch x q), or a new array.
+    weight. It reads the priors and writes ``out`` (batch x q, or a new
+    array) through their (q x batch) transposes, contiguous for a
+    bit-major batch. Forward and backward state probabilities (states x
+    batch) at most double per step and their largest entry never falls,
+    so they are divided by their largest entry only every
+    ``_RESCALE_STEPS`` steps: a row of up to 256 bits never rescales. The
+    log is taken once at the end.
     """
     if out is None:
         out = np.empty_like(arr)
@@ -321,11 +362,13 @@ def _product_trellis(comp, arr, out=None):
     flipped = _work("trellis_flipped", (nstates, batch))
     largest = _work("trellis_largest", (batch,))
 
-    def _step(prob, k, nxt):
+    def _step(prob, k, nxt, steps):
+        # ``steps`` counts the steps taken, this one included.
         np.multiply(prob, w0[k], out=nxt)
         np.take(prob, perms[k], axis=0, out=flipped, mode="clip")
         nxt += np.multiply(flipped, w1[k], out=flipped)
-        nxt /= np.max(nxt, axis=0, out=largest)
+        if steps % _RESCALE_STEPS == 0:
+            nxt /= np.max(nxt, axis=0, out=largest)
         return nxt
 
     # The forward probabilities of all q steps share one (q x states x batch)
@@ -335,7 +378,7 @@ def _product_trellis(comp, arr, out=None):
     alphas[0].fill(0.0)
     alphas[0, 0] = 1.0
     for k in range(q - 1):
-        _step(alphas[k], k, alphas[k + 1])
+        _step(alphas[k], k, alphas[k + 1], k + 1)
 
     sums = _work("trellis_sums", (2, q, batch))
     beta = _work("trellis_beta", (nstates, batch))
@@ -348,7 +391,7 @@ def _product_trellis(comp, arr, out=None):
         np.take(beta, perms[k], axis=0, out=joint, mode="clip")
         np.sum(np.multiply(alphas[k], joint, out=joint), axis=0, out=sums[1, k])
         if k:
-            beta, spare = _step(beta, k, spare), beta
+            beta, spare = _step(beta, k, spare, q - k), beta
     np.log(sums, out=sums)
     np.subtract(sums[0], sums[1], out=out.T)
     return out
@@ -419,7 +462,8 @@ def _decoder_tables(spec: GldpcSpec):
     """Code length and the per-row tables of ``spec``, built once.
 
     One entry per constraint row: (edge indices, component with None
-    resolved to its single-parity check, transposed uint8 parity).
+    resolved to its single-parity check, the bit positions each parity
+    row of the component checks).
     """
     global _decoder_cache
     key = (spec, spec.base, spec.assignment, spec.prelift)
@@ -431,8 +475,8 @@ def _decoder_tables(spec: GldpcSpec):
     for idx, comp in zip(_row_edges(eff), spec.assignment):
         if comp is None:
             comp = ComponentCode.spc(idx.shape[1])
-        parity_t = np.array(comp.parity, dtype=np.uint8).T.copy()
-        rows.append((idx, comp, parity_t))
+        checks = tuple(np.flatnonzero(row) for row in comp.parity)
+        rows.append((idx, comp, checks))
     tables = (eff.ncols * eff.modulus.N, rows)
     _decoder_cache = (key, tables)
     return tables
@@ -456,16 +500,19 @@ def _chunk_frames(spec: GldpcSpec) -> int:
 def _batch_layout(rows, frames: int, n: int):
     """Flat gather indices of ``frames`` frames and each row's place in them.
 
-    The indices address a flat (frames x n) array as ``b * n + idx``,
-    row by row and frame by frame within a row. Each row gets its
-    (component, transposed parity, slice, (frames, N, q) shape).
+    The indices address a flat (frames x n) array as ``b * n + idx``, row
+    after row. Each row's run is bit-major, ordered (bit, frame, shift),
+    so that bit k of all frames * N instances of the row is one contiguous
+    span. Each row gets its (component, parity checks, slice, (q, frames,
+    N) shape).
     """
     offsets = np.arange(frames)[:, None] * n
     gather, segments, start = [], [], 0
-    for idx, comp, parity_t in rows:
-        gather.append((offsets + idx.reshape(1, -1)).ravel())
+    for idx, comp, checks in rows:
+        gather.append((offsets[None] + idx.T[:, None, :]).ravel())
         size = frames * idx.size
-        segments.append((comp, parity_t, slice(start, start + size), (frames, *idx.shape)))
+        shape = (idx.shape[1], frames, idx.shape[0])
+        segments.append((comp, checks, slice(start, start + size), shape))
         start += size
     return np.concatenate(gather), segments
 
@@ -492,23 +539,24 @@ def _decode_frames(spec: GldpcSpec, llrs: np.ndarray, cfg: DecoderConfig):
     ext = _work("ext", gather.shape)
     ext.fill(0.0)
     for iteration in range(1, cfg.max_iterations + 1):
-        for comp, _, sl, shape in segments:
-            priors = _work("priors", gather[sl].shape)
-            # Indices are in range; "clip" lets take write into out unbuffered.
-            np.take(total, gather[sl], out=priors, mode="clip")
-            priors -= ext[sl]
-            np.clip(priors, -cfg.llr_clip, cfg.llr_clip, out=priors)
-            bcjr_component(
-                comp, priors.reshape(-1, shape[2]), out=ext[sl].reshape(-1, shape[2])
-            )
+        priors = _work("priors", gather.shape)
+        # Indices are in range; "clip" lets take write into out unbuffered.
+        np.take(total, gather, out=priors, mode="clip")
+        priors -= ext
+        np.clip(priors, -cfg.llr_clip, cfg.llr_clip, out=priors)
+        for comp, _, sl, (q, _, _) in segments:
+            # The (rows x q) views of the row's bit-major blocks.
+            bcjr_component(comp, priors[sl].reshape(q, -1).T, out=ext[sl].reshape(q, -1).T)
         total = _work("total", llr.shape)
         np.copyto(total, llr)
         np.add.at(total, gather, ext)
         hard = total < 0
         bits = hard[gather]
         failed = np.zeros(active.size, dtype=bool)
-        for _, parity_t, sl, shape in segments:
-            failed |= ((bits[sl].reshape(shape) @ parity_t) & 1).any(axis=(1, 2))
+        for _, checks, sl, shape in segments:
+            block = bits[sl].reshape(shape)
+            for cols in checks:
+                failed |= np.bitwise_xor.reduce(block[cols], axis=0).any(axis=1)
         hard_out[active] = hard.reshape(-1, n)
         converged[active] = ~failed
         iterations[active] = iteration
@@ -530,7 +578,8 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     Convergence means the hard decision has zero syndrome against
     expand_binary(spec); the decoder stops at the first such iteration.
     This is the one-frame call of the decoder monte_carlo runs on chunks
-    of frames.
+    of frames. A NaN LLR is rejected; +-inf are accepted, since the clip
+    bounds every prior.
     """
     if cfg is None:
         cfg = DecoderConfig()
@@ -538,6 +587,8 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.size != n:
         raise ValueError(f"got {llr.size} LLRs for a length-{n} code")
+    if np.isnan(llr).any():
+        raise ValueError("LLRs must not be NaN")
     hard, converged, iterations = _decode_frames(spec, llr.reshape(1, n), cfg)
     return _packed(hard[0]), bool(converged[0]), int(iterations[0])
 
@@ -584,7 +635,8 @@ def monte_carlo(
     Each trial draws its own generator from (master seed, SNR index,
     trial index), so results are reproducible and order-independent. A
     SNR point stops at ``min_block_errors`` or ``max_trials``, whichever
-    comes first; ``max_trials`` of 0 yields an empty result list.
+    comes first; ``max_trials`` of 0 yields an empty result list. A
+    non-finite SNR point is rejected.
 
     Trials are drawn in order, point after point, and decoded in chunks
     of frames that may span points. Errors are counted in trial order and
@@ -592,6 +644,9 @@ def monte_carlo(
     depend on the chunk size; at most one chunk per point is decoded past
     its early stop.
     """
+    snrs = list(snr_list)
+    if not all(math.isfinite(s) for s in snrs):
+        raise ValueError(f"SNR points must be finite, got {snrs}")
     stop = stop or {}
     min_block_errors = stop.get("min_block_errors", 100)
     max_trials = stop.get("max_trials", 1000)
@@ -599,7 +654,6 @@ def monte_carlo(
         return []
     if cfg is None:
         cfg = DecoderConfig()
-    snrs = list(snr_list)
     counts = [[0, 0, 0] for _ in snrs]  # trials, bit errors, block errors
 
     def stopped(point):

@@ -36,7 +36,7 @@ from qcldpc.channel import (
     monte_carlo,
 )
 from qcldpc.gf2poly import BinaryPoly, RingModulus
-from qcldpc.gldpc import ComponentCode, construct_generator, expand_binary, load_spec
+from qcldpc.gldpc import ComponentCode, GldpcSpec, construct_generator, expand_binary, load_spec
 from qcldpc.polymat import PolyMatrix
 
 
@@ -242,12 +242,33 @@ class TestBcjrComponent:
     def test_product_trellis_long_component_stays_finite(self):
         # Weak priors weigh both values of every bit near 1, so unscaled
         # state probabilities grow by nearly 2 a bit; over 1500 bits only
-        # the per-step divide keeps them finite.
+        # the divide every 256 steps keeps them finite.
         rng = np.random.default_rng(92)
         head = rng.integers(0, 2, size=(2, 1500))
         comp = ComponentCode(np.hstack([head, np.eye(2, dtype=int)]))
         priors = rng.uniform(-0.2, 0.2, size=(4, comp.q))
         got = _product_trellis(comp, priors)
+        assert np.allclose(got, _trellis_extrinsics(comp, priors), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("q", [256, 257])
+    @pytest.mark.parametrize("strength", ["weak", "strong"])
+    def test_product_trellis_rescale_bound(self, q, strength):
+        # State sums at most double per bit and are rescaled every 256
+        # bits: a 256-bit row never rescales, a 257-bit row does once per
+        # sweep. Weak priors grow the sums by about 2 a bit; strong ones
+        # fill the 700 span, where path weights approach exp(-700).
+        rng = np.random.default_rng(93)
+        head = rng.integers(0, 2, size=(2, q - 2))
+        comp = ComponentCode(np.hstack([head, np.eye(2, dtype=int)]))
+        if strength == "weak":
+            priors = rng.uniform(-0.01, 0.01, size=(4, q))
+        else:
+            priors = rng.uniform(0.99, 1.0, size=(4, q)) * (700.0 / q)
+            priors *= rng.choice([-1.0, 1.0], size=priors.shape)
+            assert 690.0 < np.abs(priors).sum(axis=1).min()
+            assert np.abs(priors).sum(axis=1).max() <= 700.0
+        with np.errstate(all="raise"):
+            got = _product_trellis(comp, priors)
         assert np.allclose(got, _trellis_extrinsics(comp, priors), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("comp_fn", [hamming64, hamming74, hamming15_component])
@@ -286,6 +307,46 @@ class TestBcjrComponent:
         assert got.shape == (5, 7)
         for b in range(5):
             assert np.allclose(got[b], bcjr_component(comp, priors[b]), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "comp_fn, wide",
+        [
+            (lambda: ComponentCode.spc(6), False),
+            (hamming64, False),
+            (hamming74, False),
+            (hamming15_component, False),
+            (hamming74, True),
+            (hamming15_component, True),
+        ],
+        ids=["spc", "enum63", "enum74", "trellis15", "enum74-wide", "trellis15-wide"],
+    )
+    def test_any_strides_give_equal_results(self, comp_fn, wide):
+        comp = comp_fn()
+        rng = np.random.default_rng(94)
+        priors = rng.uniform(-20.0, 20.0, size=(203, comp.q))
+        if wide:
+            priors[::3] *= 40.0
+            spans = np.abs(priors).sum(axis=1)
+            assert (spans > channel._PROB_SPAN).any() and (spans <= channel._PROB_SPAN).any()
+        want = bcjr_component(comp, priors)
+        bit_major = np.ascontiguousarray(priors.T)
+        assert np.array_equal(bcjr_component(comp, bit_major.T), want)
+        for arr in (priors, bit_major.T):
+            out = np.full(bit_major.shape, np.nan)
+            view = out.T
+            assert bcjr_component(comp, arr, out=view) is view
+            assert np.array_equal(out.T, want)
+        # A 1-D vector equals its one-row batch, contiguous or strided, and
+        # the many-row batch to rounding: BLAS may sum a one-row product in
+        # another order.
+        for k in range(6):
+            one = bcjr_component(comp, priors[k : k + 1])
+            out = np.full(bit_major.shape, np.nan)
+            bcjr_component(comp, bit_major[:, k], out=out[:, k])
+            assert np.array_equal(bcjr_component(comp, priors[k]), one[0])
+            assert np.array_equal(bcjr_component(comp, bit_major[:, k : k + 1].T), one)
+            assert np.array_equal(out[:, k], one[0])
+            assert np.allclose(one[0], want[k], rtol=0, atol=1e-12)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="priors"):
@@ -333,6 +394,25 @@ class TestGldpcDecode:
         with pytest.raises(ValueError, match="LLRs"):
             gldpc_decode(spec, np.zeros(10))
 
+    def test_nan_llrs_rejected(self):
+        spec = load("c1.json")
+        with pytest.raises(ValueError, match="NaN"):
+            gldpc_decode(spec, np.full(7 * 68, np.nan))
+        llr = np.full(7 * 68, 4.0)
+        llr[100] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            gldpc_decode(spec, llr)
+
+    def test_infinite_llrs_accepted(self):
+        spec = load("c1.json")
+        G = construct_generator(spec).matrix
+        n = G.ncols * G.modulus.N
+        sent = encode(G, random_message(random.Random(95), G))
+        llr = awgn_llrs(bits_to_array(sent, n), 2.0, rng=None)
+        llr[::5] *= np.inf
+        assert np.isinf(llr).sum() == len(llr[::5])
+        assert gldpc_decode(spec, llr) == (sent, True, 1)
+
 
 # Decodes, in a process of its own, three noisy all-zero words of one spec.
 FRESH_DECODE = """
@@ -371,9 +451,20 @@ class TestDecoderTables:
                 assert [str(word), converged, iterations] == fresh[name][seed]
 
 
+# c1's base with a [7,4] component whose parity rows weigh 5, 3 and 3
+# (every bundled component's rows weigh alike).
+UNEQUAL_ROWS = "c1-unequal-rows"
+
+
 @functools.cache
 def coded(name):
-    spec = load(name)
+    if name == UNEQUAL_ROWS:
+        comp = ComponentCode(
+            [[1, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0, 1]]
+        )
+        spec = GldpcSpec(load("c1.json").base, (comp, None))
+    else:
+        spec = load(name)
     return spec, construct_generator(spec).matrix, expand_binary(spec)
 
 
@@ -390,6 +481,18 @@ class TestDecodeProperties:
         word, converged, _ = gldpc_decode(spec, awgn_llrs(bits, snr, rng=seed), cfg)
         if converged:
             assert in_kernel(Hb, word)
+
+    @pytest.mark.parametrize("max_iterations", [2, 6])
+    @pytest.mark.parametrize("name", SPEC_NAMES + (UNEQUAL_ROWS,))
+    def test_converged_means_zero_syndrome(self, name, max_iterations):
+        spec, _, Hb = coded(name)
+        snrs = BATCH_SNRS.get(name, BATCH_SNRS["c1.json"])
+        llrs = noisy_frames(name, snrs * 2, seed=96)
+        cfg = DecoderConfig(max_iterations=max_iterations)
+        hard, converged, _ = _decode_frames(spec, llrs, cfg)
+        assert converged.any() and not converged.all()
+        for b in range(len(llrs)):
+            assert bool(converged[b]) == in_kernel(Hb, channel._packed(hard[b]))
 
 
 class TestMonteCarlo:
@@ -429,9 +532,15 @@ class TestMonteCarlo:
         G = construct_generator(spec).matrix
         assert monte_carlo(spec, G, [0.0], {"max_trials": 0}) == []
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_rejected(self, bad):
+        spec, G, _ = coded("c1.json")
+        with pytest.raises(ValueError, match="SNR"):
+            monte_carlo(spec, G, [1.0, bad], {"max_trials": 3})
+
 
 def noisy_frames(name, snrs, seed):
-    """Channel LLRs (one row per SNR) of random codewords of a bundled spec."""
+    """Channel LLRs (one row per SNR) of random codewords of a spec ``coded`` knows."""
     spec, G, _ = coded(name)
     n = G.ncols * G.modulus.N
     rng = random.Random(seed)
