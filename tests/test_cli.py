@@ -240,6 +240,35 @@ GLDPC_STDOUT_SHA256 = {
     "hamming15": "8617ea987b9b3319460e7058a308a926d57f604f6fdca4577faf95ced9cc0ae4",
 }
 
+# sha256 of the stdout of `qcldpc <argv>`, byte for byte: the case-1 and
+# general constructions and the seeded multi-seed distance search.
+CLI_STDOUT_SHA256 = {
+    "construct --case1 --matrix ar4ja.pmx --N 4":
+        "72f9462844f0cec9c2cd79096a5fefa732eaf6e3bba48ca5527775bb73873bd3",
+    "construct --matrix ar4ja.pmx --N 10":
+        "d56db7f2981658ba27ba4dca5b1f059aeecc87369f76335b5cd5b039b6fc95d6",
+    "distance --spec n79.json --iterations 400 --seed 5 --threads 4":
+        "4846c0e93d62ad402f78b3d52a756c58d7c0885719d34fa328de0b2f4b6b607a",
+    "distance --spec c2.json --iterations 2000 --seed 1 --threads 3":
+        "b78df11cab0ed0fe6f0d985c51fd33e756b940a4cee90c9c0ccc68eae6a9cc47",
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("argv", sorted(CLI_STDOUT_SHA256))
+    def test_stdout_is_pinned(self, capsys, argv):
+        assert run(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[argv]
+
+    def test_case1_singular_minor_is_one_error_line(self, capsys):
+        assert run(["construct", "--case1", "--matrix", "ex1.pmx", "--N", "45"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: minor over columns (1, 2, 3) is not invertible mod x^45+1"
+        ]
+
 
 class TestGldpc:
     def test_dimension_and_rate(self, capsys):
