@@ -233,10 +233,26 @@ def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
         wide = np.abs(bits, out=_work("span_abs", bits.shape)).sum(axis=0) > _PROB_SPAN
         if wide.any():
             rows[wide] = _trellis_extrinsics(comp, arr[wide])
-            rows[~wide] = kernel(comp, bits[:, ~wide].T)
+            rows[~wide] = _in_pairs(kernel, comp, bits[:, ~wide].T)
         else:
-            kernel(comp, arr, rows)
+            _in_pairs(kernel, comp, arr, rows)
     return ext
+
+
+def _in_pairs(kernel, comp, arr, out=None):
+    """``kernel(comp, arr, out)``, with a lone row run as two equal rows.
+
+    A one-row batch rounds differently from the same row in a larger one:
+    numpy hands a one-column product to BLAS gemv, and a one-column state
+    sum takes another order. Two rows round as any larger batch does.
+    """
+    if len(arr) != 1:
+        return kernel(comp, arr, out)
+    pair = kernel(comp, np.repeat(arr, 2, axis=0))
+    if out is None:
+        return pair[:1]
+    out[...] = pair[:1]
+    return out
 
 
 # Every codeword or trellis path of a row weighs at least exp(-sum |prior|)

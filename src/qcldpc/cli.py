@@ -15,7 +15,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .analysis import (
@@ -160,12 +159,9 @@ def _cmd_distance(args) -> int:
             upper=d, lower=d, exact=d, ncols=Gb.ncols, method="exhaustive enumeration"
         )
     elif args.threads > 1:
-        # One seed and chunk per requested thread, so the result does not
-        # depend on how many workers the machine can run.
         chunk = max(1, args.iterations // args.threads)
         seeds = range(args.seed, args.seed + args.threads)
-        with ThreadPoolExecutor(min(args.threads, os.cpu_count() or 1)) as pool:
-            reports = list(pool.map(lambda s: low_weight_search(Gb, chunk, s), seeds))
+        reports = [low_weight_search(Gb, chunk, s) for s in seeds]
         report = replace(
             min(reports, key=lambda r: r.upper),
             method=(
@@ -400,7 +396,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--short-distance", type=int, help="known distance of the short code")
-    p.add_argument("--threads", type=int, default=1, help="search worker count")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="number of search seeds, run in turn from --seed; each takes --iterations / T",
+    )
 
     p = add("encode", _cmd_encode, "encode a message with a constructed generator")
     p.add_argument("--matrix", help=".pmx parity-check matrix")

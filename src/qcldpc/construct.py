@@ -95,15 +95,10 @@ def codeword_lemma1(H, S):
     Position i in S carries t(minor of H with column i removed from S);
     all minors are computed in plain GF(2)[x] and then projected.
     """
-    m = _require_modulus(H)
     S = index_set(S, H.ncols)
     if len(S) != H.nrows + 1:
         raise ValueError("S must have n_c + 1 columns")
-    row = [BinaryPoly(0)] * H.ncols
-    for i in S:
-        delta = minor_det(H, None, tuple(j for j in S if j != i))
-        row[i - 1] = transpose_poly(m.reduce(delta), m)
-    return row
+    return codeword_lemma2(H, range(1, H.nrows + 1), S, BinaryPoly(1))
 
 
 def codeword_lemma1_reduced(H, S):
@@ -174,23 +169,12 @@ def generator_case1(H, S=None):
         raise NotInvertible(
             f"minor over columns {S} is not invertible mod x^{m.N}+1"
         )
-    rows, provenance = [], []
-    for c in range(1, H.ncols + 1):
-        if c in S:
-            continue
-        Sc = tuple(sorted(S + (c,)))
-        rows.append(codeword_lemma1(H, Sc))
-        provenance.append(RowOrigin("lemma1", S=Sc))
-    G = PolyMatrix(rows, m)
-    result = GeneratorResult(
-        matrix=G,
-        row_provenance=provenance,
-        rank=expansion_rank(G),
-        target_dimension=rank_qc(H, m).dimension,
-    )
+    # With an invertible minor every lemma-1 row adds N to the rank, so
+    # the greedy build admits each of them and stops after the last.
+    result = _greedy_build(H, m, rank_qc(H, m).dimension, S, False)
     scale = inverse_mod(transpose_poly(m.reduce(delta_S), m), m)
     standard = PolyMatrix(
-        [[m.mul(scale, p) for p in row] for row in G.rows], m
+        [[m.mul(scale, p) for p in row] for row in result.matrix.rows], m
     )
     return result, standard
 
@@ -207,11 +191,7 @@ def generator_general(H, modulus=None):
     m = modulus or _require_modulus(H)
     if H.modulus is None:
         H = PolyMatrix(H.rows, m)
-    report = rank_qc(H, m)
-    target = report.dimension
-    if target == 0:
-        raise ValueError("code has dimension 0; no generator exists")
-
+    target = rank_qc(H, m).dimension
     S_best = _best_column_selection(H, m)
     for reduce_rows in (False, True):
         result = _greedy_build(H, m, target, S_best, reduce_rows)
@@ -242,6 +222,8 @@ def _best_column_selection(H, m):
 
 
 def _greedy_build(H, m, target, S_best, reduce_rows):
+    if target == 0:
+        raise ValueError("code has dimension 0; no generator exists")
     N = m.N
     tracker = RowEchelon()
     rows, provenance = [], []
@@ -320,8 +302,8 @@ def _minimal_f(H, m, T, S):
 def verify_generator(H, G, dimension=None):
     """Check zero syndrome and full expansion rank against H.
 
-    dimension overrides the rank_qc computation (useful when H is too
-    large for the minor-based formula).
+    dimension is the known code dimension, such as the one a test
+    states; without it the dimension comes from rank_qc.
     """
     m = _require_modulus(H)
     product = matmul_mod(G, transpose_entrywise(H))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 # The scalar rank stays bound here: perfbench's tracer test rebinds it.
 from .binmat import rank as rank_scalar  # noqa: F401
@@ -29,7 +28,7 @@ from .polymat import (
     minor_det,
     transpose_entrywise,
 )
-from .construct import GeneratorResult, generator_general
+from .construct import GeneratorResult, codeword_lemma1, codeword_lemma2, generator_general
 
 
 class ComponentCode:
@@ -289,24 +288,16 @@ def gshort_forms(H_short, pivot=None):
     for j in range(1, m_count + 1):
         if j == pivot:
             continue
-        row = [BinaryPoly(0)] * m_count
-        row[j - 1] = transpose_poly(mod.reduce(f_piv), mod)
-        row[pivot - 1] = transpose_poly(mod.reduce(fs[j - 1]), mod)
-        plain_rows.append(row)
+        plain_rows.append(codeword_lemma1(H_short, sorted((j, pivot))))
         red = [BinaryPoly(0)] * m_count
         red[j - 1] = transpose_poly(mod.reduce(f_piv // g), mod)
         red[pivot - 1] = transpose_poly(mod.reduce(fs[j - 1] // g), mod)
         reduced_rows.append(red)
     if g.bits != 1:
         f = mod.poly // g
-        ft = transpose_poly(mod.reduce(f), mod)
-        for i in range(m_count):
-            row = [BinaryPoly(0)] * m_count
-            row[i] = ft
-            plain_rows.append(row)
-        red = [BinaryPoly(0)] * m_count
-        red[pivot - 1] = ft
-        reduced_rows.append(red)
+        f_rows = [codeword_lemma2(H_short, (), (i,), f) for i in range(1, m_count + 1)]
+        plain_rows.extend(f_rows)
+        reduced_rows.append(f_rows[pivot - 1])
     if not plain_rows or not reduced_rows:
         raise ValueError("kernel is trivial; no generator rows exist")
     return PolyMatrix(plain_rows, mod), PolyMatrix(reduced_rows, mod)
@@ -444,28 +435,21 @@ class SchurMeta:
     det: BinaryPoly
 
 
-def schur_reduce(H, pivot_rows, pivot_cols=None):
+def schur_reduce(H, pivot_rows, pivot_cols):
     """Eliminate an invertible block of H against the remaining rows.
 
     pivot_rows (1-based) select the equations solved for the pivot
-    columns; with pivot_cols=None every column block of matching size
-    is tried in order and NotInvertible is raised when none works.
-    Returns (H_rest, T, meta) where H_rest is the reduced matrix on the
-    remaining columns and T recomposes generator rows: a row v of a
-    generator for ker(H_rest) extends to the pivot columns as v * T.
+    columns pivot_cols; NotInvertible is raised when that block is not
+    invertible. Returns (H_rest, T, meta) where H_rest is the reduced
+    matrix on the remaining columns and T recomposes generator rows: a
+    row v of a generator for ker(H_rest) extends to the pivot columns as
+    v * T.
     With no pivot rows nothing is eliminated: H_rest is H and T is None.
     """
     mod = H.modulus
     if mod is None:
         raise ValueError("a ring modulus is required")
     pivot_rows = tuple(sorted(set(pivot_rows)))
-    if pivot_cols is None:
-        for cols in combinations(range(1, H.ncols + 1), len(pivot_rows)):
-            try:
-                return schur_reduce(H, pivot_rows, cols)
-            except NotInvertible:
-                continue
-        raise NotInvertible("no invertible pivot column block")
     pivot_cols = tuple(sorted(set(pivot_cols)))
     if len(pivot_cols) != len(pivot_rows):
         raise ValueError("pivot row and column counts must match")

@@ -123,6 +123,12 @@ class TestCase1Generator:
         assert result.matrix.rows == [[P("x^4"), P("1")]]
         assert standard.rows == [[P("x^4"), P("1")]]
 
+    def test_square_matrix_has_no_generator(self):
+        H = PolyMatrix([[P("1")]], RingModulus(3))
+        for build in (generator_case1, generator_general):
+            with pytest.raises(ValueError, match="dimension 0"):
+                build(H)
+
 
 # The 1 x 4 worked example: h = (1+x, 1+x^2, (1+x)(1+x^3), 1+x^3).
 EXAMPLE_ROW = [P("1+x"), P("1+x^2"), P("1+x+x^3+x^4"), P("1+x^3")]
