@@ -13,14 +13,14 @@ from an exactly analysed shortened code.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binmat import BinMatrix
+from .binmat import rank as rank_scalar
 from .gf2poly import BinaryPoly
-from .polymat import PolyMatrix, circulant_expand
+from .polymat import PolyMatrix
 
 __all__ = [
     "BudgetExceeded",
@@ -89,43 +89,64 @@ class DistanceReport:
         return out
 
 
-def _adjacency(Hb: BinMatrix) -> list[list[int]]:
-    """Bipartite adjacency lists: checks 0..m-1, variables m..m+n-1."""
-    m = Hb.nrows
-    adj: list[list[int]] = [[] for _ in range(m + Hb.ncols)]
-    for i, bits in enumerate(Hb.rows):
-        b = bits
-        while b:
-            j = (b & -b).bit_length() - 1
-            adj[i].append(m + j)
-            adj[m + j].append(i)
-            b &= b - 1
-    return adj
+def _tanner_tables(H: PolyMatrix | BinMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour tables of the Tanner graph: (variables, checks).
+
+    Checks are nodes 0..m-1 and variables m..m+n-1; row v of the first
+    table lists the checks of variable v, row c of the second the nodes of
+    the variables on check c, each padded with the absent node m + n.
+    For a polynomial matrix, entry (i, j) with term x^e joins check
+    iN + r to variable jN + (r - e) mod N for every r, as its circulant
+    does. A binary matrix's edges come from the nonzero bytes of its rows.
+    """
+    if isinstance(H, BinMatrix):
+        m, width = H.nrows, (H.ncols + 7) // 8
+        packed = np.frombuffer(
+            b"".join(bits.to_bytes(width, "little") for bits in H.rows), dtype=np.uint8
+        ).reshape(m, width)
+        rows, byte = np.nonzero(packed)
+        hit = np.unpackbits(packed[rows, byte][:, None], axis=1, bitorder="little")
+        at, bit = np.nonzero(hit)
+        checks, variables = rows[at], byte[at] * 8 + bit
+        pad = m + H.ncols
+        return (
+            _padded(variables, checks, H.ncols, pad),
+            _padded(checks, m + variables, m, pad),
+        )
+    N = H.modulus.N
+    m, pad = H.nrows * N, (H.nrows + H.ncols) * N
+    r = np.arange(N, dtype=np.intp)[:, None]
+    terms = [
+        [(i, j, e) for j, p in enumerate(row) for e in p.exponents()]
+        for i, row in enumerate(H.rows)
+    ]
+    by_col = [[t for row in terms for t in row if t[1] == j] for j in range(H.ncols)]
+
+    def table(groups, block):
+        out = np.full((len(groups) * N, max(map(len, groups), default=0) or 1), pad, np.intp)
+        for k, group in enumerate(groups):
+            if group:
+                out[k * N : (k + 1) * N, : len(group)] = block(*np.array(group, np.intp).T)
+        return out
+
+    return (
+        table(by_col, lambda i, j, e: i * N + (r + e) % N),
+        table(terms, lambda i, j, e: m + j * N + (r - e) % N),
+    )
 
 
-def _shortest_cycle_through(adj: list[list[int]], root: int, cap: float) -> float:
-    """Shortest cycle length through root, pruned once it cannot beat cap."""
-    best = cap
-    dist = {root: 0}
-    parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        # Any candidate discovered from depth du has length >= 2*du.
-        if 2 * du >= best:
-            break
-        for w in adj[u]:
-            dw = dist.get(w)
-            if dw is None:
-                dist[w] = du + 1
-                parent[w] = u
-                queue.append(w)
-            elif parent[u] != w:
-                cand = du + dw + 1
-                if cand < best:
-                    best = cand
-    return best
+def _padded(ends: np.ndarray, others: np.ndarray, count: int, pad: int) -> np.ndarray:
+    """Row t lists the ``others`` of every edge whose end is t, padded with ``pad``."""
+    order = np.argsort(ends, kind="stable")
+    ends, others = ends[order], others[order]
+    degree = np.bincount(ends, minlength=count)
+    first = np.cumsum(degree) - degree
+    out = np.full((count, max(1, int(degree.max(initial=0)))), pad, dtype=np.intp)
+    out[ends, np.arange(len(ends)) - first[ends]] = others
+    return out
+
+
+_GIRTH_SEEN_BYTES = 1 << 16  # cap on the seen-flags of one batch of BFS roots
 
 
 def girth(H: PolyMatrix | BinMatrix) -> float:
@@ -135,20 +156,48 @@ def girth(H: PolyMatrix | BinMatrix) -> float:
     means every cycle can be shifted onto a representative variable node
     in each column block, so one BFS root per block suffices. A plain
     binary matrix is searched from every variable node.
+
+    Roots are searched in batches, one BFS layer at a time, each root with
+    its own seen-flags. Expanding the layer at depth d reaches the unseen
+    neighbours of its nodes; the graph is bipartite, so a node reached
+    twice closes a cycle of length 2(d + 1) through its root, and the
+    first layer where that happens gives the shortest cycle through the
+    batch. The first root is searched alone, so that its cycle length
+    stops every later batch one layer short of the widest one.
     """
-    if isinstance(H, PolyMatrix):
-        if H.modulus is None:
-            raise ValueError("girth of a polynomial matrix needs a modulus")
-        N = H.modulus.N
-        Hb = circulant_expand(H)
-        roots = [Hb.nrows + j * N for j in range(H.ncols)]
-    else:
-        Hb = H
-        roots = [Hb.nrows + j for j in range(Hb.ncols)]
-    adj = _adjacency(Hb)
+    if isinstance(H, PolyMatrix) and H.modulus is None:
+        raise ValueError("girth of a polynomial matrix needs a modulus")
+    var_table, check_table = _tanner_tables(H)
+    m, nodes = len(check_table), len(check_table) + len(var_table)
+    step = H.modulus.N if isinstance(H, PolyMatrix) else 1
+    roots = np.arange(m, nodes, step, dtype=np.intp)
+    # Layers alternate: roots and even depths are variables, odd depths checks.
+    tables = ((var_table, m), (check_table, 0))
+    stride = nodes + 1  # one row of seen-flags per root; node ``nodes`` pads
+    batch = max(1, _GIRTH_SEEN_BYTES // stride)
     best = math.inf
-    for root in roots:
-        best = _shortest_cycle_through(adj, root, best)
+    starts = [0, *range(1, len(roots), batch)]
+    for start, stop in zip(starts, [*starts[1:], len(roots)]):
+        chunk = roots[start:stop]
+        seen = np.zeros((len(chunk), stride), dtype=bool)
+        seen[:, nodes] = True
+        seen = seen.ravel()
+        # Frontier entries are keys root_slot * stride + node.
+        front = np.arange(len(chunk), dtype=np.intp) * stride + chunk
+        seen[front] = True
+        depth = 0
+        while len(front) and 2 * (depth + 1) < best:
+            table, offset = tables[depth % 2]
+            node = front % stride
+            reached = ((front - node)[:, None] + table[node - offset]).ravel()
+            reached = reached[~seen[reached]]
+            known = np.count_nonzero(seen)
+            seen[reached] = True
+            if np.count_nonzero(seen) - known < len(reached):
+                best = 2 * (depth + 1)  # some node was reached twice
+                break
+            front = reached
+            depth += 1
         if best == 4:
             break
     return best
@@ -172,10 +221,8 @@ def min_distance_exact(Gb: BinMatrix, budget: int = 1 << 24) -> int:
     k = Gb.nrows
     if (1 << k) - 1 > budget:
         raise BudgetExceeded(f"2^{k} - 1 messages exceed budget {budget}")
-    nw = max(1, -(-Gb.ncols // 64))
-    words = np.frombuffer(
-        b"".join(r.to_bytes(8 * nw, "little") for r in Gb.rows), dtype="<u8"
-    ).reshape(k, nw)
+    words = _packed_rows(Gb)
+    nw = words.shape[1]
     a = min(k, max(0, (_TABLE_BYTES // (8 * nw)).bit_length() - 1))
     table = np.zeros((1 << a, nw), dtype=np.uint64)
     for i in range(a):
@@ -198,6 +245,14 @@ def _min_nonzero_weight(counts: np.ndarray) -> int:
     return int(w.min()) + 1
 
 
+def _packed_rows(Gb: BinMatrix) -> np.ndarray:
+    """The rows as a (k, words) array of little-endian 64-bit words."""
+    nw = max(1, -(-Gb.ncols // 64))
+    return np.frombuffer(
+        b"".join(r.to_bytes(8 * nw, "little") for r in Gb.rows), dtype="<u8"
+    ).reshape(Gb.nrows, nw)
+
+
 def low_weight_search(
     Gb: BinMatrix, iterations: int = 100_000, seed: int = 0
 ) -> DistanceReport:
@@ -208,20 +263,28 @@ def low_weight_search(
     an information-set re-encoding round every 500 evaluations. More
     iterations with the same seed never worsen the bound. A round that
     finds rank 0 (rows spanning only the zero word) ends the search.
+
+    A round rates the rows of the reduced echelon form under a random
+    column order. That form is unique for a given order, and it has
+    rank(G) rows whatever the order, so a round uses up rank(G)
+    evaluations (fewer where the budget ends) and the draw stream never
+    depends on what a round finds. The random words are rated as they are
+    drawn; the rounds are drawn in the same order, then reduced together
+    in batches, and the lightest word overall, the first evaluated on
+    ties, is the witness.
     """
     rows = Gb.rows
     k = Gb.nrows
-    best_w = 0
-    best_word = 0
+    best_w = best_at = best_word = 0
     evals = 0
 
     def consider(word: int) -> None:
-        nonlocal best_w, best_word
+        nonlocal best_w, best_at, best_word
         if not word:
             return
         w = word.bit_count()
         if best_w == 0 or w < best_w:
-            best_w, best_word = w, word
+            best_w, best_at, best_word = w, evals, word
 
     # Single rows are always swept so the report is well formed even on a
     # tiny budget; pairs and the random phase respect the budget strictly.
@@ -240,32 +303,28 @@ def low_weight_search(
                 break
 
     rng = np.random.default_rng(seed)
+    rank = words = None
+    rounds = []  # (column order, first evaluation index, rows rated)
+
+    def reduce_rounds() -> None:
+        nonlocal best_w, best_at, best_word
+        w, at, word = _lightest_round_row(words, rounds, rank)
+        if best_w == 0 or (w, at) < (best_w, best_at):
+            best_w, best_at, best_word = w, at, word
+        rounds.clear()
+
     while evals < iterations:
         if evals % 500 == 0:
-            # Information-set round: eliminate on a random column order and
-            # rate every surviving row (each one is a codeword).
-            perm = rng.permutation(Gb.ncols)
-            work = list(rows)
-            r_idx = 0
-            for col in perm:
-                mask = 1 << int(col)
-                sel = next((t for t in range(r_idx, k) if work[t] & mask), None)
-                if sel is None:
-                    continue
-                work[r_idx], work[sel] = work[sel], work[r_idx]
-                for t in range(k):
-                    if t != r_idx and work[t] & mask:
-                        work[t] ^= work[r_idx]
-                r_idx += 1
-                if r_idx == k:
-                    break
-            if r_idx == 0:
+            if rank is None:
+                rank, words = rank_scalar(Gb), _packed_rows(Gb)
+                per_batch = max(1, _ROUND_BYTES // max(1, words.nbytes))
+            if rank == 0:
                 break  # the rows span only the zero word
-            for t in range(r_idx):
-                consider(work[t])
-                evals += 1
-                if evals >= iterations:
-                    break
+            take = min(rank, iterations - evals)
+            rounds.append((rng.permutation(Gb.ncols), evals, take))
+            evals += take
+            if len(rounds) == per_batch:
+                reduce_rounds()
         else:
             size = min(int(rng.integers(2, 5)), k)
             word = 0
@@ -273,6 +332,8 @@ def low_weight_search(
                 word ^= rows[int(t)]
             consider(word)
             evals += 1
+    if rounds:
+        reduce_rounds()
 
     return DistanceReport(
         upper=best_w,
@@ -281,6 +342,58 @@ def low_weight_search(
         ncols=Gb.ncols,
         method=f"row sweep + {iterations} randomized evaluations, seed {seed}",
     )
+
+
+_ROUND_BYTES = 1 << 18  # cap on the packed rows of one batch of rounds
+
+
+def _lightest_round_row(
+    words: np.ndarray, rounds: list, rank: int
+) -> tuple[int, int, int]:
+    """(weight, evaluation index, word) of the lightest row the rounds rate.
+
+    All rounds run one Gauss-Jordan elimination in lockstep on a copy of
+    the rows held as (rounds, words, k), each row a column: step c takes
+    each round's c-th column, picks its first unused row with that bit as
+    the pivot, and clears the bit from every other row. A round's t-th
+    pivot row is the one it rates t-th, at evaluation index first + t.
+    """
+    n_rounds = len(rounds)
+    work = np.repeat(words.T[None], n_rounds, axis=0)
+    flip = np.empty_like(work)
+    columns = np.stack([perm for perm, _, _ in rounds], axis=1)
+    bits = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
+    ones = np.uint64(2**64 - 1)
+    slot = np.arange(n_rounds)
+    unused = np.ones((n_rounds, words.shape[0]), dtype=bool)
+    order = np.zeros((n_rounds, rank), dtype=np.intp)
+    found = np.zeros(n_rounds, dtype=np.intp)
+    missing = n_rounds * rank
+    for col in columns:
+        word = col >> 6
+        hit = (work[slot, word] & bits[col - (word << 6), None]).astype(bool)
+        free = hit & unused
+        pivots = free.any(axis=1)
+        sel = free.argmax(axis=1)
+        hit &= pivots[:, None]
+        hit[slot, sel] = False
+        mask = np.where(hit, ones, np.uint64(0))
+        np.bitwise_and(work[slot, :, sel][:, :, None], mask[:, None], out=flip)
+        work ^= flip
+        hit_slot, sel = slot[pivots], sel[pivots]
+        unused[hit_slot, sel] = False
+        order[hit_slot, found[hit_slot]] = sel
+        found[hit_slot] += 1
+        missing -= len(sel)
+        if not missing:
+            break
+    weight = np.bitwise_count(work).sum(axis=1, dtype=np.intp)[slot[:, None], order]
+    # Only the last round can end the budget before its last row.
+    weight[-1, rounds[-1][2] :] = np.iinfo(np.intp).max
+    at = int(weight.argmin())  # row-major: the first evaluated of the lightest
+    r, t = divmod(at, rank)
+    word = int.from_bytes(work[r, :, order[r, t]].tobytes(), "little")
+    return int(weight[r, t]), rounds[r][1] + t, word
 
 
 def bounds_combine(

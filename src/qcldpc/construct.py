@@ -112,9 +112,11 @@ def codeword_lemma1_reduced(H, S):
     S = index_set(S, H.ncols)
     if len(S) != H.nrows + 1:
         raise ValueError("S must have n_c + 1 columns")
-    minors = {
-        i: minor_det(H, None, tuple(j for j in S if j != i)) for i in S
-    }
+    return _lemma1_reduced_row(H, m, S, _Minors(H))
+
+
+def _lemma1_reduced_row(H, m, S, minor):
+    minors = {i: minor(None, tuple(j for j in S if j != i)) for i in S}
     a = BinaryPoly(0)
     for d in minors.values():
         a = gcd(a, d)
@@ -138,15 +140,19 @@ def codeword_lemma2(H, T, S, f):
     S = index_set(S, H.ncols)
     if len(S) != len(T) + 1:
         raise ValueError("S must be one column larger than T")
+    return _lemma2_row(H, m, T, S, f, _Minors(H))
+
+
+def _lemma2_row(H, m, T, S, f, minor):
     for j in range(1, H.nrows + 1):
         if j in T:
             continue
-        delta = minor_det(H, tuple(sorted(T + (j,))), S)
+        delta = minor(tuple(sorted(T + (j,))), S)
         if not m.reduce(f * delta).is_zero():
             return None
     row = [BinaryPoly(0)] * H.ncols
     for i in S:
-        delta = minor_det(H, T, tuple(j for j in S if j != i))
+        delta = minor(T, tuple(j for j in S if j != i))
         row[i - 1] = transpose_poly(m.reduce(f * delta), m)
     return row
 
@@ -164,14 +170,15 @@ def generator_case1(H, S=None):
     S = index_set(S, H.ncols)
     if len(S) != H.nrows:
         raise ValueError("S must select n_c columns")
-    delta_S = minor_det(H, None, S)
+    minor = _Minors(H)
+    delta_S = minor(None, S)
     if gcd(delta_S, m.poly).bits != 1:
         raise NotInvertible(
             f"minor over columns {S} is not invertible mod x^{m.N}+1"
         )
     # With an invertible minor every lemma-1 row adds N to the rank, so
     # the greedy build admits each of them and stops after the last.
-    result = _greedy_build(H, m, rank_qc(H, m).dimension, S, False)
+    result = _greedy_build(H, m, rank_qc(H, m).dimension, S, False, minor)
     scale = inverse_mod(transpose_poly(m.reduce(delta_S), m), m)
     standard = PolyMatrix(
         [[m.mul(scale, p) for p in row] for row in result.matrix.rows], m
@@ -192,9 +199,10 @@ def generator_general(H, modulus=None):
     if H.modulus is None:
         H = PolyMatrix(H.rows, m)
     target = rank_qc(H, m).dimension
-    S_best = _best_column_selection(H, m)
+    minor = _Minors(H)
+    S_best = _best_column_selection(H, m, minor)
     for reduce_rows in (False, True):
-        result = _greedy_build(H, m, target, S_best, reduce_rows)
+        result = _greedy_build(H, m, target, S_best, reduce_rows, minor)
         if result.complete:
             return result
         if not reduce_rows:
@@ -206,11 +214,33 @@ def generator_general(H, modulus=None):
     )
 
 
-def _best_column_selection(H, m):
+class _Minors:
+    """minor(T, S): minor_det(H, T, S), each (T, S) computed once.
+
+    One generator build shares one memo: the column search, the minimal f
+    and the lemma-2 validity check take the same minors again and again.
+    """
+
+    __slots__ = ("H", "every_row", "memo")
+
+    def __init__(self, H):
+        self.H = H
+        self.every_row = tuple(range(1, H.nrows + 1))
+        self.memo = {}
+
+    def __call__(self, T, S):
+        key = (self.every_row if T is None else T, S)
+        got = self.memo.get(key)
+        if got is None:
+            got = self.memo[key] = minor_det(self.H, *key)
+        return got
+
+
+def _best_column_selection(H, m, minor):
     """n_c-subset of columns whose minor has the smallest-degree ring gcd."""
     best, best_deg = None, None
     for S in combinations(range(1, H.ncols + 1), H.nrows):
-        delta = minor_det(H, None, S)
+        delta = minor(None, S)
         if delta.is_zero():
             continue
         deg = gcd(delta, m.poly).degree
@@ -221,7 +251,18 @@ def _best_column_selection(H, m):
     return best
 
 
-def _greedy_build(H, m, target, S_best, reduce_rows):
+def _greedy_build(H, m, target, S_best, reduce_rows, minor):
+    """Admit lemma-1 rows over S_best, then lemma-2 rows level by level.
+
+    Within a lemma-2 level the candidate whose N circulant rows grow the
+    span the most is committed, the first such on ties, until none grows
+    it. A candidate's gain never grows as the span does, because matroid
+    rank is submodular, so a gain measured before a later commit is an
+    upper bound on the gain now. Each round probes candidates from the
+    largest bound down and stops at the first whose bound can neither
+    beat the best fresh gain nor tie it at a lower index; the pick is the
+    one a probe of every candidate would make.
+    """
     if target == 0:
         raise ValueError("code has dimension 0; no generator exists")
     N = m.N
@@ -245,12 +286,13 @@ def _greedy_build(H, m, target, S_best, reduce_rows):
             Sc = tuple(sorted(S_best + (c,)))
             if reduce_rows:
                 try:
-                    row, a = codeword_lemma1_reduced(H, Sc)
+                    row, a = _lemma1_reduced_row(H, m, Sc, minor)
                 except ValueError:
                     continue
                 done = admit(row, RowOrigin("lemma1_reduced", S=Sc, a=a))
             else:
-                done = admit(codeword_lemma1(H, Sc), RowOrigin("lemma1", S=Sc))
+                row = _lemma2_row(H, m, minor.every_row, Sc, BinaryPoly(1), minor)
+                done = admit(row, RowOrigin("lemma1", S=Sc))
 
     for s in range(H.nrows - 1, -1, -1):
         if done:
@@ -258,23 +300,28 @@ def _greedy_build(H, m, target, S_best, reduce_rows):
         candidates = []
         for T in combinations(range(1, H.nrows + 1), s):
             for S in combinations(range(1, H.ncols + 1), s + 1):
-                f = _minimal_f(H, m, T, S)
-                row = codeword_lemma2(H, T, S, f)
+                f = _minimal_f(H, m, T, S, minor)
+                row = _lemma2_row(H, m, T, S, f, minor)
                 if row is None or all(p.is_zero() for p in row):
                     continue
                 candidates.append((row, RowOrigin("lemma2", S=S, T=T, f=f)))
-        # Within a level, commit whichever candidate grows the span the
-        # most; re-evaluate after each commit since gains shrink.
+        bound = [N] * len(candidates)  # N rows add at most N to the rank
         while candidates and not done:
-            gains = []
-            for row, origin in candidates:
+            # Keys (gain, -index) order candidates as the pick does; a
+            # gain of 0 is never committed.
+            best, best_key = None, (0, 1)
+            for i in sorted(range(len(candidates)), key=lambda i: (-bound[i], i)):
+                if (bound[i], -i) <= best_key:
+                    break
                 probe = tracker.copy()
-                for bits in circulant_rows([p.bits for p in row], N):
+                for bits in circulant_rows([p.bits for p in candidates[i][0]], N):
                     probe.add(bits)
-                gains.append(probe.rank - tracker.rank)
-            best = max(range(len(candidates)), key=lambda i: gains[i])
-            if gains[best] == 0:
+                bound[i] = probe.rank - tracker.rank
+                if (bound[i], -i) > best_key:
+                    best, best_key = i, (bound[i], -i)
+            if best is None:
                 break
+            del bound[best]
             row, origin = candidates.pop(best)
             done = admit(row, origin)
 
@@ -289,12 +336,12 @@ def _greedy_build(H, m, target, S_best, reduce_rows):
     )
 
 
-def _minimal_f(H, m, T, S):
+def _minimal_f(H, m, T, S, minor):
     """Smallest f making the lemma-2 row over (T, S) a codeword."""
     g = BinaryPoly(0)
     for j in range(1, H.nrows + 1):
         if j not in T:
-            g = gcd(g, minor_det(H, tuple(sorted(T + (j,))), S))
+            g = gcd(g, minor(tuple(sorted(T + (j,))), S))
     g_ring = gcd(g, m.poly)
     return m.poly // g_ring if not g_ring.is_zero() else BinaryPoly(1)
 

@@ -194,16 +194,20 @@ def circulant_rows(blocks, N):
     """The N packed rows of a row of length-N bit blocks, shifted cyclically.
 
     Row r holds every block rotated left by r, i.e. block j of row r is
-    x^r * b_j mod x^N + 1.
+    x^r * b_j mod x^N + 1. All blocks turn at once: with ``top`` holding
+    bit N - 1 of every block and ``low`` the bits below it, the next row
+    is ((row & low) << 1) | ((row & top) >> (N - 1)).
     """
-    mask = (1 << N) - 1
-    for r in range(N):
-        bits = 0
-        for j, b in enumerate(blocks):
-            if b:
-                shifted = ((b << r) & mask) | (b >> (N - r)) if r else b
-                bits |= shifted << (j * N)
-        yield bits
+    row = 0
+    for j, b in enumerate(blocks):
+        row |= b << (j * N)
+    full = (1 << (len(blocks) * N)) - 1
+    top = full // ((1 << N) - 1) << (N - 1)  # the repunit base 2^N, shifted
+    low = full ^ top
+    for _ in range(N - 1):
+        yield row
+        row = ((row & low) << 1) | ((row & top) >> (N - 1))
+    yield row
 
 
 def circulant_expand(H):

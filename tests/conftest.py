@@ -63,11 +63,12 @@ def in_kernel(Hb, bits):
 
 
 def random_poly_matrix(rng, nrows, ncols, N):
-    rows = [
-        [BinaryPoly(rng.getrandbits(N)) for _ in range(ncols)]
-        for _ in range(nrows)
-    ]
-    return PolyMatrix(rows, RingModulus(N))
+    return poly_matrix([[rng.getrandbits(N) for _ in range(ncols)] for _ in range(nrows)], N)
+
+
+def poly_matrix(bit_rows, N):
+    """PolyMatrix over x^N + 1 from rows of coefficient bit masks."""
+    return PolyMatrix([[BinaryPoly(b) for b in row] for row in bit_rows], RingModulus(N))
 
 
 def hamming64():

@@ -4,16 +4,19 @@ The girth oracle here removes one edge at a time and measures the
 shortest path between its endpoints, which is exact on the small random
 graphs used. Two distance oracles enumerate every message on Python ints:
 directly, and by a Gray-code sweep that reaches the larger dimensions.
+The search oracle runs every information-set round on its own, one
+big-int elimination at a time, as the draws come.
 """
 
 import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import P, in_kernel, random_poly_matrix
+from conftest import P, in_kernel, poly_matrix, random_poly_matrix
 from qcldpc import analysis
 from qcldpc.analysis import (
     BudgetExceeded,
@@ -25,7 +28,7 @@ from qcldpc.analysis import (
 )
 from qcldpc.binmat import BinMatrix
 from qcldpc.construct import generator_case1
-from qcldpc.gf2poly import BinaryPoly, RingModulus
+from qcldpc.gf2poly import RingModulus
 from qcldpc.gldpc import base_from_exponents
 from qcldpc.polymat import PolyMatrix, circulant_expand, read_pmx
 from conftest import data_path
@@ -91,6 +94,78 @@ def gray_min_distance(Gb):
     return best
 
 
+def sequential_low_weight_search(Gb, iterations=100_000, seed=0):
+    """low_weight_search with each information-set round reduced as it is drawn."""
+    rows = Gb.rows
+    k = Gb.nrows
+    best_w = 0
+    best_word = 0
+    evals = 0
+
+    def consider(word):
+        nonlocal best_w, best_word
+        if not word:
+            return
+        w = word.bit_count()
+        if best_w == 0 or w < best_w:
+            best_w, best_word = w, word
+
+    for r in rows:
+        consider(r)
+        evals += 1
+    done = evals >= iterations
+    for i in range(k):
+        if done:
+            break
+        for j in range(i + 1, k):
+            consider(rows[i] ^ rows[j])
+            evals += 1
+            if evals >= iterations:
+                done = True
+                break
+
+    rng = np.random.default_rng(seed)
+    while evals < iterations:
+        if evals % 500 == 0:
+            perm = rng.permutation(Gb.ncols)
+            work = list(rows)
+            r_idx = 0
+            for col in perm:
+                mask = 1 << int(col)
+                sel = next((t for t in range(r_idx, k) if work[t] & mask), None)
+                if sel is None:
+                    continue
+                work[r_idx], work[sel] = work[sel], work[r_idx]
+                for t in range(k):
+                    if t != r_idx and work[t] & mask:
+                        work[t] ^= work[r_idx]
+                r_idx += 1
+                if r_idx == k:
+                    break
+            if r_idx == 0:
+                break
+            for t in range(r_idx):
+                consider(work[t])
+                evals += 1
+                if evals >= iterations:
+                    break
+        else:
+            size = min(int(rng.integers(2, 5)), k)
+            word = 0
+            for t in rng.choice(k, size=size, replace=False):
+                word ^= rows[int(t)]
+            consider(word)
+            evals += 1
+
+    return DistanceReport(
+        upper=best_w,
+        lower=1 if best_w else 0,
+        witness=best_word if best_w else 0,
+        ncols=Gb.ncols,
+        method=f"row sweep + {iterations} randomized evaluations, seed {seed}",
+    )
+
+
 @st.composite
 def generators(draw, max_rows=17):
     """Rows across word boundaries: random, sparse, zero, repeated, dependent."""
@@ -110,6 +185,42 @@ def generators(draw, max_rows=17):
         else:
             row = draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows))
         rows.append(row)
+    return BinMatrix(rows, ncols)
+
+
+@st.composite
+def tanner_poly_matrices(draw):
+    """1-3 x 1-4 matrices over N = 1..6 with zero, one-term and many-term entries."""
+    N = draw(st.integers(1, 6))
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    term = st.integers(0, N - 1)
+    entry = st.one_of(
+        st.just(0),
+        term.map(lambda e: 1 << e),
+        st.sets(term, min_size=min(2, N), max_size=3).map(lambda es: sum(1 << e for e in es)),
+    )
+    rows = draw(st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    ))
+    return poly_matrix(rows, N)
+
+
+@st.composite
+def tanner_bin_matrices(draw):
+    """0-6 x 1-12 binary matrices of low row weight, zero rows included."""
+    ncols = draw(st.integers(1, 12))
+    columns = st.sets(st.integers(0, ncols - 1), max_size=4)
+    row = columns.map(lambda cs: sum(1 << c for c in cs))
+    return BinMatrix(draw(st.lists(row, max_size=6)), ncols)
+
+
+@st.composite
+def dense_generators(draw):
+    """Dense random rows, one maybe repeated: the rounds' rows beat the sweep's."""
+    ncols = draw(st.sampled_from([20, 30, 64, 65, 129]))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=2, max_size=24))
+    if draw(st.booleans()):
+        rows.append(rows[0] ^ rows[-1])
     return BinMatrix(rows, ncols)
 
 
@@ -154,6 +265,44 @@ class TestGirth:
         for _ in range(20):
             H = random_poly_matrix(rng, 2, 3, 6)
             assert girth(H) == girth(circulant_expand(H))
+
+    @settings(max_examples=120, deadline=None)
+    @given(tanner_poly_matrices())
+    def test_matches_edge_removal_oracle_polynomial(self, H):
+        want = edge_removal_girth(circulant_expand(H))
+        assert girth(H) == want
+        assert girth(circulant_expand(H)) == want
+
+    @settings(max_examples=120, deadline=None)
+    @given(tanner_bin_matrices(), st.sampled_from([1, 64, 1 << 16]))
+    def test_binary_matches_oracle_in_any_root_batch(self, Hb, seen_bytes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_GIRTH_SEEN_BYTES", seen_bytes)
+            assert girth(Hb) == edge_removal_girth(Hb)
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            BinMatrix([], 3),
+            BinMatrix([0, 0], 4),
+            poly_matrix([[0, 0], [0, 0]], 5),
+            poly_matrix([[0b1, 0b100, 0b10]], 3),
+        ],
+        ids=["no-rows", "zero-rows", "zero-poly", "one-monomial-row"],
+    )
+    def test_empty_and_acyclic(self, H):
+        assert girth(H) == math.inf
+
+    @pytest.mark.parametrize("seen_bytes", [1, 1 << 16])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    def test_cycle_inside_one_block_column(self, column, seen_bytes):
+        # 1 + x over x^2 + 1 is the all-ones 2 x 2 block, a 4-cycle; every
+        # other variable has one check, so only that block's root finds it.
+        bits = [[0b01] * 4]
+        bits[0][column] = 0b11
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_GIRTH_SEEN_BYTES", seen_bytes)
+            assert girth(poly_matrix(bits, 2)) == 4
 
 
 class TestMinDistanceExact:
@@ -248,6 +397,38 @@ class TestLowWeightSearch:
         Gb = circulant_expand(ar4ja_generator())
         report = low_weight_search(Gb, iterations=2000, seed=3)
         assert in_kernel(circulant_expand(H), report.witness)
+
+    @settings(max_examples=80, deadline=None)
+    @given(generators(), st.integers(0, 2600), st.integers(0, 40))
+    def test_matches_sequential_rounds(self, Gb, iterations, seed):
+        # Budgets below k, inside the pair sweep, and ending mid-round.
+        want = sequential_low_weight_search(Gb, iterations, seed)
+        assert low_weight_search(Gb, iterations, seed) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(dense_generators(), st.integers(501, 3000), st.sampled_from([8, 600, 1 << 18]))
+    def test_matches_sequential_rounds_in_any_batch(self, Gb, iterations, round_bytes):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_ROUND_BYTES", round_bytes)
+            got = low_weight_search(Gb, iterations, 7)
+        assert got == sequential_low_weight_search(Gb, iterations, 7)
+
+    @pytest.mark.parametrize("extra", [1, 37, 520, 1200])
+    def test_sweep_ending_on_a_round(self, extra):
+        # 375 rows give 375 + 375 * 374 / 2 = 70,500 sweep evaluations, a
+        # multiple of 500, so the random phase opens with a round.
+        rng = random.Random(extra)
+        rows = [rng.getrandbits(40) for _ in range(375)]
+        Gb = BinMatrix(rows, 40)
+        iterations = 70_500 + extra
+        want = sequential_low_weight_search(Gb, iterations, 2)
+        assert low_weight_search(Gb, iterations, 2) == want
+
+    def test_matches_sequential_rounds_on_a_code(self):
+        Gb = circulant_expand(ar4ja_generator())
+        for seed in range(4):
+            want = sequential_low_weight_search(Gb, 4000, seed)
+            assert low_weight_search(Gb, 4000, seed) == want
 
 
 class TestDistanceReport:

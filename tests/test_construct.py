@@ -4,16 +4,24 @@ Two display senses show up in the anchors here: generator rows are
 compared directly (they live in the transposed sense the verifier
 uses), while single-codeword tuples for the 1 x 4 example are compared
 through plain_display.  conftest.py explains the distinction.
+
+The synthesis oracle below is the greedy build that probes every
+candidate's gain before each lemma-2 commit.
 """
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import P, plain_display, random_poly_matrix
+from conftest import P, plain_display, poly_matrix, random_poly_matrix
+from qcldpc.binmat import RowEchelon
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import (
+    GeneratorResult,
     Incomplete,
+    RowOrigin,
     codeword_lemma1,
     codeword_lemma1_reduced,
     codeword_lemma2,
@@ -26,11 +34,14 @@ from qcldpc.gldpc import schur_recompose, schur_reduce
 from qcldpc.polymat import (
     PolyMatrix,
     circulant_expand,
+    circulant_rows,
     identity_matrix,
     matmul_mod,
+    minor_det,
     transpose_entrywise,
     zero_matrix,
 )
+from qcldpc.rank import rank_qc
 
 
 def ring_poly(N):
@@ -268,6 +279,134 @@ class TestGeneralSynthesis:
         d = result.to_dict()
         assert d["rank"] == 8
         assert d["complete"] is True
+
+
+def probe_every_candidate(H):
+    """generator_general with every lemma-2 candidate probed before each commit."""
+    m = H.modulus
+    target = rank_qc(H, m).dimension
+    every_row = tuple(range(1, H.nrows + 1))
+    S_best, best_deg = None, None
+    for S in combinations(range(1, H.ncols + 1), H.nrows):
+        delta = minor_det(H, every_row, S)
+        if delta.is_zero():
+            continue
+        deg = gcd(delta, m.poly).degree
+        if best_deg is None or deg < best_deg:
+            S_best, best_deg = S, deg
+            if deg == 0:
+                break
+    results = [_build_probing_all(H, m, target, S_best, r) for r in (False, True)]
+    for result in results:
+        if result.complete:
+            return result
+    best = max(results, key=lambda r: r.rank)
+    raise Incomplete(f"reached rank {best.rank} of {target}; minor-based rows exhausted", best)
+
+
+def _build_probing_all(H, m, target, S_best, reduce_rows):
+    if target == 0:
+        raise ValueError("code has dimension 0; no generator exists")
+    tracker = RowEchelon()
+    rows, provenance = [], []
+
+    def admit(row, origin):
+        grew = False
+        for bits in circulant_rows([p.bits for p in row], m.N):
+            grew = tracker.add(bits) or grew
+        if grew:
+            rows.append(row)
+            provenance.append(origin)
+        return tracker.rank >= target
+
+    done = False
+    for c in range(1, H.ncols + 1) if S_best is not None else ():
+        if done or c in S_best:
+            continue
+        Sc = tuple(sorted(S_best + (c,)))
+        if reduce_rows:
+            try:
+                row, a = codeword_lemma1_reduced(H, Sc)
+            except ValueError:
+                continue
+            done = admit(row, RowOrigin("lemma1_reduced", S=Sc, a=a))
+        else:
+            done = admit(codeword_lemma1(H, Sc), RowOrigin("lemma1", S=Sc))
+    for s in range(H.nrows - 1, -1, -1):
+        if done:
+            break
+        candidates = []
+        for T in combinations(range(1, H.nrows + 1), s):
+            for S in combinations(range(1, H.ncols + 1), s + 1):
+                g = BinaryPoly(0)
+                for j in range(1, H.nrows + 1):
+                    if j not in T:
+                        g = gcd(g, minor_det(H, tuple(sorted(T + (j,))), S))
+                g_ring = gcd(g, m.poly)
+                f = m.poly // g_ring if not g_ring.is_zero() else BinaryPoly(1)
+                row = codeword_lemma2(H, T, S, f)
+                if row is not None and not all(p.is_zero() for p in row):
+                    candidates.append((row, RowOrigin("lemma2", S=S, T=T, f=f)))
+        while candidates and not done:
+            gains = []
+            for row, _ in candidates:
+                probe = tracker.copy()
+                for bits in circulant_rows([p.bits for p in row], m.N):
+                    probe.add(bits)
+                gains.append(probe.rank - tracker.rank)
+            best = max(range(len(candidates)), key=lambda i: gains[i])
+            if gains[best] == 0:
+                break
+            done = admit(*candidates.pop(best))
+    if not rows:
+        rows = [[BinaryPoly(0)] * H.ncols]
+        provenance = [RowOrigin("lemma2", f=BinaryPoly(0))]
+    return GeneratorResult(PolyMatrix(rows, m), provenance, tracker.rank, target)
+
+
+@st.composite
+def synthesis_matrices(draw):
+    """1-3 x (rows+1)-(rows+3) matrices over N = 1..9, entries often zero."""
+    N = draw(st.integers(1, 9))
+    nrows = draw(st.integers(1, 3))
+    ncols = draw(st.integers(nrows + 1, nrows + 3))
+    entry = st.one_of(st.just(0), st.integers(0, (1 << N) - 1))
+    rows = draw(st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+    ))
+    return poly_matrix(rows, N)
+
+
+def synthesis_outcome(build, H):
+    """(kind, rows, provenance, rank, target) of a build, or its error."""
+    try:
+        result, kind = build(H), "complete"
+    except Incomplete as exc:
+        result, kind = exc.partial, f"incomplete: {exc}"
+    except ValueError as exc:
+        return (f"error: {exc}",)
+    provenance = [o.to_dict() for o in result.row_provenance]
+    return kind, result.matrix, provenance, result.rank, result.target_dimension
+
+
+class TestSynthesisOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(synthesis_matrices())
+    def test_matches_probing_every_candidate(self, H):
+        want = synthesis_outcome(probe_every_candidate, H)
+        assert synthesis_outcome(generator_general, H) == want
+
+    @pytest.mark.parametrize("N", [44, 45, 46])
+    def test_ex1_matches_probing_every_candidate(self, ex1, N):
+        H = PolyMatrix(ex1.rows, RingModulus(N))
+        want = synthesis_outcome(probe_every_candidate, H)
+        assert synthesis_outcome(generator_general, H) == want
+
+    def test_incomplete_partial_matches(self):
+        H = poly_matrix([[0b11, 0b11], [0b11, 0b11]], 2)
+        want = synthesis_outcome(probe_every_candidate, H)
+        assert want[0].startswith("incomplete")
+        assert synthesis_outcome(generator_general, H) == want
 
 
 def shorten_compose(G, A):

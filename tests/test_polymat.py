@@ -19,6 +19,7 @@ from qcldpc.polymat import (
     PolyMatrix,
     all_minors_gcd,
     circulant_expand,
+    circulant_rows,
     expansion_rank,
     identity_matrix,
     index_set,
@@ -198,6 +199,48 @@ def sparse_poly_matrices(draw):
         for row in rows:
             row[dst] = row[src]
     return PolyMatrix([[BinaryPoly(b) for b in row] for row in rows], RingModulus(N))
+
+
+def per_block_rotation(blocks, N):
+    """Row r of the circulant rows, each block rotated left by r on its own."""
+    mask = (1 << N) - 1
+    return [
+        sum((((b << r) | (b >> (N - r))) & mask) << (j * N) for j, b in enumerate(blocks))
+        for r in range(N)
+    ]
+
+
+@st.composite
+def block_rows(draw):
+    """N = 1..12 and 0-6 blocks of N bits, often zero."""
+    N = draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0), st.integers(0, (1 << N) - 1))
+    return N, draw(st.lists(entry, max_size=6))
+
+
+class TestCirculantRows:
+    """The whole-row rotation against a rotation of each block on its own."""
+
+    @settings(max_examples=200)
+    @given(block_rows())
+    def test_matches_per_block_rotation(self, case):
+        N, blocks = case
+        assert list(circulant_rows(blocks, N)) == per_block_rotation(blocks, N)
+
+    @pytest.mark.parametrize(
+        "N, blocks",
+        [
+            (1, [1, 0, 1]),
+            (1, []),
+            (2, [0b01, 0b10, 0b11, 0]),
+            (2, [0, 0]),
+            (5, [0, 0b10011, 0]),
+        ],
+    )
+    def test_small_and_zero_blocks(self, N, blocks):
+        rows = list(circulant_rows(blocks, N))
+        assert len(rows) == N
+        assert rows == per_block_rotation(blocks, N)
 
 
 class TestExpansionRank:
