@@ -320,7 +320,8 @@ def _build_probing_all(H, m, target, S_best, reduce_rows):
         return tracker.rank >= target
 
     done = False
-    for c in range(1, H.ncols + 1) if S_best is not None else ():
+    lemma1_columns = range(1, H.ncols + 1) if S_best is not None else ()
+    for c in lemma1_columns:
         if done or c in S_best:
             continue
         Sc = tuple(sorted(S_best + (c,)))
