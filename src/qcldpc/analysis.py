@@ -19,8 +19,8 @@ import numpy as np
 
 from .binmat import BinMatrix
 from .binmat import rank as rank_scalar
-from .gf2poly import BinaryPoly
-from .polymat import PolyMatrix
+from .gf2poly import BinaryPoly, bit_positions
+from .polymat import PolyMatrix, row_edges, transpose_entrywise
 
 __all__ = [
     "BudgetExceeded",
@@ -95,54 +95,33 @@ def _tanner_tables(H: PolyMatrix | BinMatrix) -> tuple[np.ndarray, np.ndarray]:
     Checks are nodes 0..m-1 and variables m..m+n-1; row v of the first
     table lists the checks of variable v, row c of the second the nodes of
     the variables on check c, each padded with the absent node m + n.
-    For a polynomial matrix, entry (i, j) with term x^e joins check
-    iN + r to variable jN + (r - e) mod N for every r, as its circulant
-    does. A binary matrix's edges come from the nonzero bytes of its rows.
+    Both come from the one edge map, ``row_edges``: the checks' table is
+    m + row_edges(H), and the variables' table is row_edges of the
+    entrywise transpose, since x^e -> x^(N - e) inverts each circulant's
+    edges. A binary matrix is the same over N = 1, its rows' set bits
+    and its transpose's standing in for the two edge maps.
     """
     if isinstance(H, BinMatrix):
-        m, width = H.nrows, (H.ncols + 7) // 8
-        packed = np.frombuffer(
-            b"".join(bits.to_bytes(width, "little") for bits in H.rows), dtype=np.uint8
-        ).reshape(m, width)
-        rows, byte = np.nonzero(packed)
-        hit = np.unpackbits(packed[rows, byte][:, None], axis=1, bitorder="little")
-        at, bit = np.nonzero(hit)
-        checks, variables = rows[at], byte[at] * 8 + bit
-        pad = m + H.ncols
-        return (
-            _padded(variables, checks, H.ncols, pad),
-            _padded(checks, m + variables, m, pad),
+        m, n = H.nrows, H.ncols
+        checks, variables = (
+            [np.array(bit_positions(bits), np.intp)[None] for bits in M.rows]
+            for M in (H, H.transpose())
         )
-    N = H.modulus.N
-    m, pad = H.nrows * N, (H.nrows + H.ncols) * N
-    r = np.arange(N, dtype=np.intp)[:, None]
-    terms = [
-        [(i, j, e) for j, p in enumerate(row) for e in p.exponents()]
-        for i, row in enumerate(H.rows)
-    ]
-    by_col = [[t for row in terms for t in row if t[1] == j] for j in range(H.ncols)]
-
-    def table(groups, block):
-        out = np.full((len(groups) * N, max(map(len, groups), default=0) or 1), pad, np.intp)
-        for k, group in enumerate(groups):
-            if group:
-                out[k * N : (k + 1) * N, : len(group)] = block(*np.array(group, np.intp).T)
-        return out
-
-    return (
-        table(by_col, lambda i, j, e: i * N + (r + e) % N),
-        table(terms, lambda i, j, e: m + j * N + (r - e) % N),
-    )
+    else:
+        N = H.modulus.N
+        m, n = H.nrows * N, H.ncols * N
+        checks, variables = row_edges(H), row_edges(transpose_entrywise(H))
+    return _stacked(variables, 0, m + n), _stacked(checks, m, m + n)
 
 
-def _padded(ends: np.ndarray, others: np.ndarray, count: int, pad: int) -> np.ndarray:
-    """Row t lists the ``others`` of every edge whose end is t, padded with ``pad``."""
-    order = np.argsort(ends, kind="stable")
-    ends, others = ends[order], others[order]
-    degree = np.bincount(ends, minlength=count)
-    first = np.cumsum(degree) - degree
-    out = np.full((count, max(1, int(degree.max(initial=0)))), pad, dtype=np.intp)
-    out[ends, np.arange(len(ends)) - first[ends]] = others
+def _stacked(edges: list, offset: int, pad: int) -> np.ndarray:
+    """The blocks of ``edges`` plus ``offset`` one under another, padded with ``pad``."""
+    width = max((e.shape[1] for e in edges), default=0) or 1
+    out = np.full((sum(map(len, edges)), width), pad, np.intp)
+    top = 0
+    for e in edges:
+        out[top : top + len(e), : e.shape[1]] = e + offset
+        top += len(e)
     return out
 
 
@@ -152,6 +131,8 @@ _GIRTH_SEEN_BYTES = 1 << 16  # cap on the seen-flags of one batch of BFS roots
 def girth(H: PolyMatrix | BinMatrix) -> float:
     """Length of the shortest Tanner-graph cycle, or math.inf if none exists.
 
+    The neighbour tables come from ``row_edges`` of H and of its entrywise
+    transpose (see ``_tanner_tables``), without expanding the circulants.
     For a polynomial matrix the N-fold cyclic symmetry of the expansion
     means every cycle can be shifted onto a representative variable node
     in each column block, so one BFS root per block suffices. A plain

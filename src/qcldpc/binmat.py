@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .gf2poly import bit_positions
+
 
 class BinMatrix:
     """A binary matrix stored as one int per row."""
@@ -33,10 +35,7 @@ class BinMatrix:
     def to_dense(self):
         out = np.zeros((len(self.rows), self.ncols), dtype=np.uint8)
         for i, bits in enumerate(self.rows):
-            while bits:
-                low = bits & -bits
-                out[i, low.bit_length() - 1] = 1
-                bits ^= low
+            out[i, bit_positions(bits)] = 1
         return out
 
     def get(self, i, j):
@@ -45,10 +44,8 @@ class BinMatrix:
     def transpose(self):
         cols = [0] * self.ncols
         for i, bits in enumerate(self.rows):
-            while bits:
-                low = bits & -bits
-                cols[low.bit_length() - 1] |= 1 << i
-                bits ^= low
+            for c in bit_positions(bits):
+                cols[c] |= 1 << i
         return BinMatrix(cols, len(self.rows))
 
     def matmul(self, other):
@@ -57,10 +54,8 @@ class BinMatrix:
         out = []
         for bits in self.rows:
             acc = 0
-            while bits:
-                low = bits & -bits
-                acc ^= other.rows[low.bit_length() - 1]
-                bits ^= low
+            for c in bit_positions(bits):
+                acc ^= other.rows[c]
             out.append(acc)
         return BinMatrix(out, other.ncols)
 
@@ -102,6 +97,20 @@ class RowEchelon:
         return len(self.pivots)
 
 
+def pack_bits(array):
+    """The int whose bit c is element c of a 0/1 (or bool) array."""
+    return int.from_bytes(np.packbits(array, bitorder="little").tobytes(), "little")
+
+
+def unpack_bits(word, n):
+    """Bits 0..n-1 of a nonnegative int as a uint8 array; ``pack_bits`` inverts it."""
+    return np.unpackbits(
+        np.frombuffer(word.to_bytes((n + 7) // 8, "little"), np.uint8),
+        bitorder="little",
+        count=n,
+    )
+
+
 def rank(matrix):
     """GF(2) rank of a BinMatrix."""
     ech = RowEchelon()
@@ -113,8 +122,8 @@ def rank(matrix):
 def write_alist(matrix, path):
     """Write the matrix in alist format (first line 'n m', 1-based lists)."""
     cols = matrix.transpose()
-    col_lists = [_support(bits) for bits in cols.rows]
-    row_lists = [_support(bits) for bits in matrix.rows]
+    col_lists = [bit_positions(bits) for bits in cols.rows]
+    row_lists = [bit_positions(bits) for bits in matrix.rows]
     max_col = max((len(s) for s in col_lists), default=0)
     max_row = max((len(s) for s in row_lists), default=0)
     lines = [
@@ -156,12 +165,3 @@ def read_alist(path):
                 bits |= 1 << (v - 1)
         rows.append(bits)
     return BinMatrix(rows, n)
-
-
-def _support(bits):
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out

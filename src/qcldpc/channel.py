@@ -20,7 +20,9 @@ three kernels, chosen from the component alone:
 Both probability-domain kernels take only rows whose weights fit a
 double's exponent range; the wider rows run the same trellis in the log
 domain, the reference kernel. The edge indices, components and parity
-checks a spec needs are built at its first decode and reused.
+checks a spec needs are built at its first decode and reused; the edge
+indices are ``polymat.row_edges`` of the spec's effective matrix, the
+same Tanner edge map that ``analysis.girth`` reads.
 
 The decoder stores its gathered priors and its extrinsics bit-major: the
 block of one constraint row holds bit k of all its instances (frames x
@@ -54,12 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binmat import pack_bits, unpack_bits
 from .gf2poly import BinaryPoly, transpose_poly
 # expand_binary defines convergence (see gldpc_decode) but the decoder
 # checks it row by row from its tables; the name stays importable here,
 # where perfbench's tracer test rebinds it.
 from .gldpc import ComponentCode, GldpcSpec, expand_binary  # noqa: F401
-from .polymat import PolyMatrix, matmul_mod
+from .polymat import PolyMatrix, matmul_mod, row_edges
 
 __all__ = [
     "DecoderConfig",
@@ -298,7 +301,7 @@ def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
     for free in (j for j in range(q) if j not in pivots):
         basis = (1 << free) | sum(1 << c for c, r in pivots.items() if r >> free & 1)
         words += [w ^ basis for w in words]
-    ones = np.array([[w >> j & 1 for j in range(q)] for w in words], dtype=np.float64)
+    ones = np.array([unpack_bits(w, q) for w in words], dtype=np.float64)
     half_signs = 0.5 - ones
     masks = np.vstack([1.0 - ones.T, ones.T])
     half_signs.setflags(write=False)
@@ -453,22 +456,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return safe + np.log(np.exp(a - safe[:, None]).sum(axis=1))
 
 
-def _row_edges(H: PolyMatrix):
-    """Per-row (column, exponent) pairs, one per term of each entry."""
-    N = H.modulus.N
-    edges = []
-    for i in range(H.nrows):
-        cols = []
-        exps = []
-        for j, entry in enumerate(H.rows[i]):
-            for e in entry.exponents():
-                cols.append(j)
-                exps.append(e)
-        shifts = (np.arange(N)[:, None] - np.array(exps)[None, :]) % N
-        edges.append(np.array(cols) * N + shifts)
-    return edges
-
-
 # The tables of the spec decoded last: ((spec, base, assignment, prelift),
 # (n, rows)). GldpcSpec is unhashable, so the key is compared by identity.
 _decoder_cache = None
@@ -488,7 +475,7 @@ def _decoder_tables(spec: GldpcSpec):
         return cached[1]
     eff = spec.effective_matrix()
     rows = []
-    for idx, comp in zip(_row_edges(eff), spec.assignment):
+    for idx, comp in zip(row_edges(eff), spec.assignment):
         if comp is None:
             comp = ComponentCode.spc(idx.shape[1])
         checks = tuple(np.flatnonzero(row) for row in comp.parity)
@@ -496,10 +483,6 @@ def _decoder_tables(spec: GldpcSpec):
     tables = (eff.ncols * eff.modulus.N, rows)
     _decoder_cache = (key, tables)
     return tables
-
-
-def _packed(hard: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(hard, bitorder="little").tobytes(), "little")
 
 
 # Constraint rows one kernel call should see: a chunk of frames makes each
@@ -606,7 +589,7 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     if np.isnan(llr).any():
         raise ValueError("LLRs must not be NaN")
     hard, converged, iterations = _decode_frames(spec, llr.reshape(1, n), cfg)
-    return _packed(hard[0]), bool(converged[0]), int(iterations[0])
+    return pack_bits(hard[0]), bool(converged[0]), int(iterations[0])
 
 
 def _draw_trial(G: PolyMatrix, master_seed: int, snr_idx: int, trial: int, snr_db: float):
@@ -619,22 +602,10 @@ def _draw_trial(G: PolyMatrix, master_seed: int, snr_idx: int, trial: int, snr_d
     n = G.ncols * N
     rng = np.random.default_rng([master_seed, snr_idx, trial])
     message = [
-        BinaryPoly(
-            int.from_bytes(
-                np.packbits(
-                    rng.integers(0, 2, size=N, dtype=np.uint8), bitorder="little"
-                ).tobytes(),
-                "little",
-            )
-        )
+        BinaryPoly(pack_bits(rng.integers(0, 2, size=N, dtype=np.uint8)))
         for _ in range(G.nrows)
     ]
-    sent = encode(G, message)
-    sent_bits = np.unpackbits(
-        np.frombuffer(sent.to_bytes((n + 7) // 8, "little"), np.uint8),
-        bitorder="little",
-        count=n,
-    )
+    sent_bits = unpack_bits(encode(G, message), n)
     return sent_bits, awgn_llrs(sent_bits, snr_db, rng)
 
 

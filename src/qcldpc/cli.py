@@ -83,15 +83,21 @@ def _check_inputs(args):
 
 
 def _load_generator(args):
-    """Build a generator from --spec or from --matrix/--N; returns (result, spec, N)."""
+    """Build a generator from --spec or from --matrix/--N; returns (result, N)."""
     if args.spec:
         spec = load_spec(_resolve(args.spec))
-        result = construct_generator(spec)
-        return result, spec, spec.effective_matrix().modulus.N
+        return construct_generator(spec), spec.effective_matrix().modulus.N
     if not args.matrix:
         raise ValueError("give either --spec or --matrix with --N")
-    result = generator_general(_read_matrix(args))
-    return result, None, args.N
+    return generator_general(_read_matrix(args)), args.N
+
+
+def _parse_list(text: str, flag: str, kind, noun: str) -> list:
+    """The comma-separated items of a flag's value, each read by ``kind``."""
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--{flag} must be comma-separated {noun}, got {text!r}") from None
 
 
 def _cmd_rank(args) -> int:
@@ -107,7 +113,7 @@ def _cmd_construct(args) -> int:
         payload = result.to_dict()
         payload["standard_rows"] = standard.to_text_rows()
     else:
-        result, _, _ = _load_generator(args)
+        result, _ = _load_generator(args)
         payload = result.to_dict()
     _emit(payload, args.out)
     return 0
@@ -136,7 +142,7 @@ def _cmd_girth(args) -> int:
     elif args.exponents:
         if args.N is None:
             raise ValueError("--N is required with --exponents")
-        exps = [int(t) for t in args.exponents.split(",")]
+        exps = _parse_list(args.exponents, "exponents", int, "integers")
         H = base_from_exponents(exps, RingModulus(args.N))
     elif args.matrix:
         H = _read_matrix(args)
@@ -151,7 +157,7 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    result, _, N = _load_generator(args)
+    result, N = _load_generator(args)
     Gb = circulant_expand(result.matrix)
     if args.exact:
         d = min_distance_exact(Gb, args.budget)
@@ -180,7 +186,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    result, _, N = _load_generator(args)
+    result, N = _load_generator(args)
     G = result.matrix
     if args.message:
         message = [BinaryPoly.parse(t) for t in args.message.split(";")]
@@ -201,7 +207,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    snrs = [float(t) for t in args.snr.split(",")]
+    snrs = _parse_list(args.snr, "snr", float, "numbers")
     if not all(math.isfinite(s) for s in snrs):
         raise ValueError(f"--snr values must be finite, got {args.snr}")
     cfg = DecoderConfig(max_iterations=args.max_iterations, llr_clip=args.llr_clip)
@@ -231,13 +237,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if args.spec:
-        spec = load_spec(_resolve(args.spec))
-        Hp = assembled_parity(spec)
-        Hb = expand_binary(spec)
-    else:
-        Hp = _read_matrix(args)
-        Hb = circulant_expand(Hp)
+    Hp = assembled_parity(load_spec(_resolve(args.spec))) if args.spec else _read_matrix(args)
+    Hb = circulant_expand(Hp)
     if args.format == "alist":
         write_alist(Hb, args.out)
     else:

@@ -14,6 +14,16 @@ class NotInvertible(ValueError):
     """Raised when an element has no inverse modulo x^N + 1."""
 
 
+def bit_positions(bits):
+    """Ascending positions of the set bits of a nonnegative int."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 _TERM_RE = re.compile(r"^(1|x(\^(-?\d+))?)$")
 
 
@@ -79,13 +89,7 @@ class BinaryPoly:
 
     def exponents(self):
         """Sorted exponents of the nonzero terms."""
-        bits, out, e = self.bits, [], 0
-        while bits:
-            if bits & 1:
-                out.append(e)
-            bits >>= 1
-            e += 1
-        return out
+        return bit_positions(self.bits)
 
     def is_zero(self):
         return self.bits == 0

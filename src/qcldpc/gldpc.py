@@ -311,13 +311,8 @@ def prelift_entry(g, N1, m2):
     """
     N = N1 * m2.N
     parts = [0] * N1
-    bits = g.bits
-    e = 0
-    while bits:
-        if bits & 1:
-            parts[e % N1] |= 1 << ((e % N) // N1)
-        bits >>= 1
-        e += 1
+    for e in g.exponents():
+        parts[e % N1] |= 1 << ((e % N) // N1)
     comps = [m2.reduce(BinaryPoly(b)) for b in parts]
     rows = []
     for r in range(N1):

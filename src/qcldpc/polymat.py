@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .binmat import BinMatrix
 from .binmat import rank as rank_scalar
 from .gf2poly import BinaryPoly, gcd, transpose_poly
@@ -224,6 +226,27 @@ def circulant_expand(H):
     for row in H.rows:
         rows.extend(circulant_rows([transpose_poly(p, m).bits for p in row], m.N))
     return BinMatrix(rows, H.ncols * m.N)
+
+
+def row_edges(H):
+    """The Tanner edges of each row of H, one (N, terms) array per row.
+
+    Row r of row i's array lists the variables of check iN + r: term x^e
+    of entry (i, j) joins it to variable jN + (r - e) mod N, as the
+    circulant of the entry does. Terms go by column, then by exponent.
+    """
+    N = H.modulus.N
+    edges = []
+    for i in range(H.nrows):
+        cols = []
+        exps = []
+        for j, entry in enumerate(H.rows[i]):
+            for e in entry.exponents():
+                cols.append(j)
+                exps.append(e)
+        shifts = (np.arange(N)[:, None] - np.array(exps)[None, :]) % N
+        edges.append(np.array(cols) * N + shifts)
+    return edges
 
 
 def expansion_rank(H):

@@ -260,6 +260,15 @@ class TestGirth:
             Hb = BinMatrix(rows, 8)
             assert girth(Hb) == edge_removal_girth(Hb)
 
+    def test_binary_tables_equal_the_same_bits_over_n_1(self):
+        rng = random.Random(73)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 9)
+            Hb = BinMatrix([rng.getrandbits(ncols) for _ in range(nrows)], ncols)
+            H = poly_matrix([[Hb.get(i, j) for j in range(ncols)] for i in range(nrows)], 1)
+            for got, want in zip(analysis._tanner_tables(Hb), analysis._tanner_tables(H)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_block_symmetry_shortcut_matches_full_search(self):
         rng = random.Random(71)
         for _ in range(20):

@@ -5,7 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from qcldpc.binmat import BinMatrix, RowEchelon, rank, read_alist, write_alist
+from qcldpc.binmat import (
+    BinMatrix,
+    RowEchelon,
+    pack_bits,
+    rank,
+    read_alist,
+    unpack_bits,
+    write_alist,
+)
 
 
 def random_binmat(rng, nrows, ncols, density=0.4):
@@ -98,3 +106,14 @@ class TestAlist:
         path = tmp_path / "z.alist"
         write_alist(m, path)
         assert read_alist(path) == m
+
+
+class TestPackBits:
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+    def test_round_trip(self, n):
+        for word in {0, (1 << n) - 1, random.Random(n).getrandbits(n)}:
+            bits = unpack_bits(word, n)
+            assert bits.dtype == np.uint8 and bits.shape == (n,)
+            assert bits.tolist() == [word >> j & 1 for j in range(n)]
+            assert pack_bits(bits) == word
+            assert pack_bits(bits.astype(bool)) == word

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 import qcldpc
 from conftest import P, data_path, hamming64, hamming74, in_kernel
 from qcldpc import channel
+from qcldpc.binmat import pack_bits
 from qcldpc.channel import (
     DecoderConfig,
     TrialResult,
@@ -498,7 +499,7 @@ class TestDecodeProperties:
         hard, converged, _ = _decode_frames(spec, llrs, cfg)
         assert converged.any() and not converged.all()
         for b in range(len(llrs)):
-            assert bool(converged[b]) == in_kernel(Hb, channel._packed(hard[b]))
+            assert bool(converged[b]) == in_kernel(Hb, pack_bits(hard[b]))
 
 
 class TestMonteCarlo:

@@ -196,6 +196,15 @@ class TestGirth:
         out = run_json(capsys, ["girth", "--exponents", "0,5,5", "--N", "7"])
         assert out["girth"] == 4
 
+    @pytest.mark.parametrize("exponents", ["0,1.5", "0,,3", "x"])
+    def test_unparsable_exponents_name_the_flag(self, capsys, exponents):
+        assert run(["girth", "--exponents", exponents, "--N", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --exponents must be comma-separated integers, got {exponents!r}"
+        ]
+
     def test_spec_input(self, capsys):
         out = run_json(capsys, ["girth", "--spec", "c1.json"])
         assert out["girth"] == 12
@@ -425,6 +434,15 @@ class TestSimulate:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: --snr values must be finite")
+
+    @pytest.mark.parametrize("snr", ["a", "1,,2", "1,a"])
+    def test_unparsable_snr_names_the_flag(self, capsys, snr):
+        assert run(["simulate", "--spec", "c1.json", f"--snr={snr}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: --snr must be comma-separated numbers, got {snr!r}"
+        ]
 
     def test_negative_max_trials_is_domain_error(self, capsys):
         assert run(["simulate", "--spec", "c1.json", "--snr=1", "--max-trials", "-3"]) == 1

@@ -1,12 +1,13 @@
 """Plain GF(2)[x] arithmetic and the x^N + 1 ring helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcldpc.gf2poly import (
     BinaryPoly,
     NotInvertible,
     RingModulus,
+    bit_positions,
     gcd,
     inverse_mod,
     transpose_poly,
@@ -196,3 +197,14 @@ class TestTranspose:
         lhs = transpose_poly(m.mul(a, b), m)
         rhs = m.mul(transpose_poly(a, m), transpose_poly(b, m))
         assert lhs == rhs
+
+
+class TestBitPositions:
+    @given(st.integers(min_value=0, max_value=(1 << 1200) - 1))
+    @example(0)
+    @example(1 << 1000)
+    @example((1 << 1100) - 1)
+    def test_matches_naive_scan(self, bits):
+        want = [k for k in range(bits.bit_length()) if bits >> k & 1]
+        assert bit_positions(bits) == want
+        assert BinaryPoly(bits).exponents() == want

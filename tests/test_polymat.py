@@ -8,12 +8,13 @@ minor_det.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import P, data_path, random_poly_matrix
+from conftest import P, data_path, poly_matrix, random_poly_matrix
 from qcldpc.binmat import rank
-from qcldpc.gf2poly import BinaryPoly, RingModulus, transpose_poly
+from qcldpc.gf2poly import BinaryPoly, RingModulus, bit_positions, transpose_poly
 from qcldpc.gldpc import assembled_parity, construct_generator, load_spec
 from qcldpc.polymat import (
     PolyMatrix,
@@ -26,6 +27,7 @@ from qcldpc.polymat import (
     matmul_mod,
     minor_det,
     read_pmx,
+    row_edges,
     transpose_entrywise,
     write_pmx,
     zero_matrix,
@@ -320,3 +322,40 @@ class TestSerialization:
         path.write_text("# nothing\n")
         with pytest.raises(ValueError):
             read_pmx(path)
+
+
+class TestRowEdges:
+    """The Tanner edge map against the expansion and a pinned formula."""
+
+    def test_rows_list_the_set_bits_of_the_expansion(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            N = rng.randint(1, 9)
+            multi = (1 << N) - 1 if N > 1 else 1  # all N terms
+            entries = [0, 1 << rng.randrange(N), multi]
+            ncols = rng.randint(1, 4)
+            bits = [
+                [rng.choice(entries + [rng.getrandbits(N)]) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            H = poly_matrix(bits, N)
+            Hb = circulant_expand(H)
+            for i, idx in enumerate(row_edges(H)):
+                assert idx.shape == (N, sum(p.weight() for p in H.rows[i]))
+                for r in range(N):
+                    assert sorted(idx[r].tolist()) == bit_positions(Hb.rows[i * N + r])
+
+    @pytest.mark.parametrize(
+        "name", ["c1", "c2", "n79", "hamming15", "prelift68", "prelift90"]
+    )
+    def test_bundled_specs_match_the_term_formula(self, name):
+        # Term x^e of entry (i, j) gives column j*N + (r - e) mod N in row r,
+        # terms in column order, then exponent order.
+        H = load_spec(data_path(f"{name}.json")).effective_matrix()
+        N = H.modulus.N
+        edges = row_edges(H)
+        assert len(edges) == H.nrows
+        for i, idx in enumerate(edges):
+            terms = [(j, e) for j, p in enumerate(H.rows[i]) for e in p.exponents()]
+            want = np.array([[j * N + (r - e) % N for j, e in terms] for r in range(N)])
+            assert idx.dtype.kind == "i" and np.array_equal(idx, want)

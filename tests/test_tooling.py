@@ -2,9 +2,12 @@
 
 README's command examples must parse with the CLI's parser, and the
 benchmark's tracer must find every function it wraps; a flag or function
-removed from the library would otherwise leave them stale unnoticed.
+removed from the library would otherwise leave them stale unnoticed. An
+import that nothing reads is flagged too, since deleting a helper tends to
+leave its import behind.
 """
 
+import ast
 import importlib.util
 import shlex
 import sys
@@ -65,3 +68,55 @@ def test_every_traced_layer_resolves():
     # The tracer's own test checks that these imported bindings are rebound.
     assert callable(channel.expand_binary)
     assert callable(gldpc.rank_scalar)
+
+
+def unused_imports(path):
+    """(line, name) of each import ``path`` binds and never reads.
+
+    A name counts as read wherever it appears as a name in the module, or
+    as a string in ``__all__``. An import whose line (the statement's
+    first, or the name's own) carries ``# noqa: F401`` is kept on purpose.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            marked = {node.lineno, getattr(alias, "lineno", node.lineno)}
+            if name not in read and not any("# noqa: F401" in lines[n - 1] for n in marked):
+                unused.append((node.lineno, name))
+    return unused
+
+
+def test_no_unused_imports():
+    paths = [p for folder in ("src", "tests", "tools") for p in (ROOT / folder).rglob("*.py")]
+    assert ROOT / "src" / "qcldpc" / "analysis.py" in paths
+    found = {p.relative_to(ROOT).as_posix(): unused_imports(p) for p in paths}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_unused_import_guard_flags_and_honours_noqa(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import sys  # noqa: F401\n"
+        "from json import dumps, loads\n"
+        "import numpy as np\n"
+        "__all__ = ['loads']\n"
+        "print(np.zeros)\n",
+        encoding="utf-8",
+    )
+    assert unused_imports(probe) == [(2, "os"), (4, "dumps")]
