@@ -234,6 +234,9 @@ def _packed_rows(Gb: BinMatrix) -> np.ndarray:
     ).reshape(Gb.nrows, nw)
 
 
+_ROUND_EVERY = 500  # evaluations from one information-set round to the next
+
+
 def low_weight_search(
     Gb: BinMatrix, iterations: int = 100_000, seed: int = 0
 ) -> DistanceReport:
@@ -241,9 +244,19 @@ def low_weight_search(
 
     Sweeps single rows and row pairs of the generator first, then spends
     the remaining iteration budget on seeded sparse row combinations with
-    an information-set re-encoding round every 500 evaluations. More
-    iterations with the same seed never worsen the bound. A round that
-    finds rank 0 (rows spanning only the zero word) ends the search.
+    an information-set re-encoding round every ``_ROUND_EVERY`` (500)
+    evaluations. More iterations with the same seed never worsen the
+    bound. A round that finds rank 0 (rows spanning only the zero word)
+    ends the search.
+
+    A sparse combination XORs ``rng.choice(k, size, replace=False)`` rows
+    with ``size = min(rng.integers(2, 5), k)``, on numpy's stream from
+    ``default_rng(seed)``. Those draws are replayed from the generator's
+    raw words (see ``_replay``) rather than made through numpy's calls, so
+    this depends on numpy's algorithm for ``Generator.choice``: Floyd's
+    sampling and a trailing shuffle over Lemire's bounded draws. The
+    tier-1 tests, run by both CI jobs (``numpy-floor``, numpy 2.0,
+    included), check the replay against numpy's own calls.
 
     A round rates the rows of the reduced echelon form under a random
     column order. That form is unique for a given order, and it has
@@ -295,7 +308,7 @@ def low_weight_search(
         rounds.clear()
 
     while evals < iterations:
-        if evals % 500 == 0:
+        if evals % _ROUND_EVERY == 0:
             if rank is None:
                 rank, words = rank_scalar(Gb), _packed_rows(Gb)
                 per_batch = max(1, _ROUND_BYTES // max(1, words.nbytes))
@@ -306,13 +319,25 @@ def low_weight_search(
             evals += take
             if len(rounds) == per_batch:
                 reduce_rounds()
-        else:
-            size = min(int(rng.integers(2, 5)), k)
+            continue
+        # The sparse combinations up to the next round, drawn as numpy's
+        # integers(2, 5) and choice(k, size, replace=False) draw them.
+        below, hand_back = _replay(rng)
+        for _ in range(min(_ROUND_EVERY - evals % _ROUND_EVERY, iterations - evals)):
+            size = min(2 + below(3), k)
             word = 0
-            for t in rng.choice(k, size=size, replace=False):
-                word ^= rows[int(t)]
+            picked = []
+            for j in range(k - size, k):  # Floyd's method
+                t = below(j + 1)
+                if t in picked:
+                    t = j
+                picked.append(t)
+                word ^= rows[t]
+            for i in range(size, 1, -1):
+                below(i)  # numpy's trailing shuffle; a XOR ignores the order
             consider(word)
             evals += 1
+        hand_back()
     if rounds:
         reduce_rounds()
 
@@ -323,6 +348,63 @@ def low_weight_search(
         ncols=Gb.ncols,
         method=f"row sweep + {iterations} randomized evaluations, seed {seed}",
     )
+
+
+_M32 = 0xFFFFFFFF
+_RAW_WORDS = 512  # raw 64-bit words a replay reads from its generator at a time
+
+
+def _replay(rng: np.random.Generator):
+    """numpy's bounded draws on a PCG64 generator, replayed from its raw words.
+
+    Returns ``(below, hand_back)``. ``below(r)`` is the value numpy's
+    ``rng.integers(0, r)`` would give next, for 1 <= r <= 2^32; numpy
+    draws nothing for r = 1. ``hand_back()`` sets the generator to just
+    after the draws made, as numpy's own calls would have left it.
+
+    numpy makes such a draw from 32-bit halves of the 64-bit outputs, the
+    low half first and the high half kept for the next draw, by Lemire's
+    method (Lemire, ACM TOMACS 2019): ``m = u * r`` is redrawn while
+    ``m mod 2^32`` falls below ``2^32 mod r``, then gives ``m >> 32``.
+    Here the outputs are read in blocks through ``random_raw`` and split
+    arithmetically (not by a byte view), and a buffered half the
+    generator holds is used first. Only the public BitGenerator API is
+    used: ``random_raw``, ``state`` and ``advance``.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    halves = [start["uinteger"]] if start["has_uint32"] else []
+    buffered = len(halves)
+    pos = 0
+
+    def below(r: int) -> int:
+        nonlocal pos
+        if r == 1:
+            return 0
+        while True:
+            if pos == len(halves):
+                raw = bitgen.random_raw(_RAW_WORDS)
+                split = np.stack((raw & np.uint64(_M32), raw >> np.uint64(32)), axis=1)
+                halves.extend(split.ravel().tolist())
+            m = halves[pos] * r
+            pos += 1
+            # Lemire's test: accept at once when m mod 2^32 >= r, else
+            # only from 2^32 mod r up (which is below r).
+            if m & _M32 >= r or m & _M32 >= (_M32 - (r - 1)) % r:
+                return m >> 32
+
+    def hand_back() -> None:
+        bitgen.state = start
+        if not pos:
+            return
+        drawn = pos - buffered  # halves of the words read after the start
+        bitgen.advance((drawn + 1) // 2)  # also drops the buffered half
+        if drawn % 2:
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = 1, halves[pos]
+            bitgen.state = state
+
+    return below, hand_back
 
 
 _ROUND_BYTES = 1 << 18  # cap on the packed rows of one batch of rounds

@@ -85,8 +85,8 @@ def _check_inputs(args):
 def _load_generator(args):
     """Build a generator from --spec or from --matrix/--N; returns (result, N)."""
     if args.spec:
-        spec = load_spec(_resolve(args.spec))
-        return construct_generator(spec), spec.effective_matrix().modulus.N
+        result = construct_generator(load_spec(_resolve(args.spec)))
+        return result, result.matrix.modulus.N
     if not args.matrix:
         raise ValueError("give either --spec or --matrix with --N")
     return generator_general(_read_matrix(args)), args.N
@@ -122,11 +122,10 @@ def _cmd_construct(args) -> int:
 def _cmd_gldpc(args) -> int:
     spec = load_spec(_resolve(args.spec))
     result = construct_generator(spec)
-    eff = spec.effective_matrix()
-    N = eff.modulus.N
+    G = result.matrix  # over the effective matrix's columns and ring
     _emit(
         {
-            "n": eff.ncols * N,
+            "n": G.ncols * G.modulus.N,
             "dimension": result.target_dimension,
             "design_rate": str(design_rate(spec)),
             "generator": result.to_dict(),

@@ -222,10 +222,13 @@ def _base_exponents(base):
 
 
 def design_rate(spec):
-    """1 - (sum of parity rows) / n_v, counting 1 per plain SPC row."""
-    eff = spec.effective_matrix()
+    """1 - (sum of parity rows) / n_v, counting 1 per plain SPC row.
+
+    n_v is the column count of the effective matrix: a pre-lift by N1
+    splits each base column into N1.
+    """
     parity = sum(1 if c is None else c.p for c in spec.assignment)
-    return 1 - Fraction(parity, eff.ncols)
+    return 1 - Fraction(parity, spec.base.ncols * (spec.prelift or 1))
 
 
 def _component_rows(row, comp):
@@ -346,9 +349,13 @@ def prelift_matrix(H, N1):
     return PolyMatrix(rows, m2)
 
 
-def assembled_parity(spec):
-    """All constraint rows as one PolyMatrix (SPC rows plus component rows)."""
-    eff = spec.effective_matrix()
+def assembled_parity(spec, eff=None):
+    """All constraint rows as one PolyMatrix (SPC rows plus component rows).
+
+    ``eff`` is ``spec.effective_matrix()`` where the caller has built it.
+    """
+    if eff is None:
+        eff = spec.effective_matrix()
     rows = []
     for i, comp in enumerate(spec.assignment):
         if comp is None:
@@ -374,8 +381,12 @@ def reduce_spec(spec):
     schur_reduce(assembled_parity(spec), pivot rows, pivot columns); with
     no pivots H_short is the assembled matrix itself.
     """
-    H = assembled_parity(spec)
     eff = spec.effective_matrix()
+    return _reduce(spec, eff, assembled_parity(spec, eff))
+
+
+def _reduce(spec, eff, H):
+    """``reduce_spec`` given the effective matrix and its assembly H."""
     rows, cols = (), ()
     reduced = schur_reduce(H, rows, cols)
     next_row = 1
@@ -403,9 +414,10 @@ def construct_generator(spec):
     binary expansion rank; Incomplete propagates from the synthesis on
     the short matrix.
     """
-    H = assembled_parity(spec)
+    eff = spec.effective_matrix()  # built once, passed down
+    H = assembled_parity(spec, eff)
     dim = H.ncols * H.modulus.N - expansion_rank(H)
-    H_short, T, meta = reduce_spec(spec)
+    H_short, T, meta = _reduce(spec, eff, H)
     inner = generator_general(H_short)
     G = schur_recompose(inner.matrix, T, meta, H.ncols)
     product = matmul_mod(G, transpose_entrywise(H))

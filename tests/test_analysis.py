@@ -29,7 +29,7 @@ from qcldpc.analysis import (
 from qcldpc.binmat import BinMatrix
 from qcldpc.construct import generator_case1
 from qcldpc.gf2poly import RingModulus
-from qcldpc.gldpc import base_from_exponents
+from qcldpc.gldpc import base_from_exponents, construct_generator, load_spec
 from qcldpc.polymat import PolyMatrix, circulant_expand, read_pmx
 from conftest import data_path
 
@@ -438,6 +438,67 @@ class TestLowWeightSearch:
         for seed in range(4):
             want = sequential_low_weight_search(Gb, 4000, seed)
             assert low_weight_search(Gb, 4000, seed) == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_sequential_rounds_on_few_rows(self, k):
+        # The size is capped at k, and for k <= 4 Floyd's draw at j = 0
+        # is below 1, which consumes nothing; budgets cross round 500.
+        rng = random.Random(k)
+        for seed in range(3):
+            rows = [rng.getrandbits(12) | 1 << rng.randrange(12) for _ in range(k)]
+            Gb = BinMatrix(rows, 12)
+            for iterations in (499, 500, 501, 1001, 1700):
+                want = sequential_low_weight_search(Gb, iterations, seed)
+                assert low_weight_search(Gb, iterations, seed) == want
+
+    @pytest.mark.parametrize("seed", [0, 77])
+    def test_matches_sequential_rounds_on_a_bundled_spec(self, seed):
+        # prelift68's witness moves with the draw stream (weight 56 at
+        # seed 3, 39 at seed 77), so a replay off numpy's stream shows.
+        spec = load_spec(data_path("prelift68.json"))
+        Gb = circulant_expand(construct_generator(spec).matrix)
+        want = sequential_low_weight_search(Gb, 20_000, seed)
+        assert low_weight_search(Gb, 20_000, seed) == want
+
+
+def _buffered_generator(seed):
+    """A PCG64 generator holding the high half of its last word."""
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 3)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+class TestReplay:
+    # 2^31 + 1 rejects about half its draws, so the redraw loop runs.
+    @pytest.mark.parametrize(
+        "r", [1, 2, 3, 5, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+    )
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
+    def test_bounded_draws_match_integers(self, r, seed):
+        ref, rng = _buffered_generator(seed), _buffered_generator(seed)
+        want = [int(ref.integers(0, r)) for _ in range(3001)]
+        below, hand_back = analysis._replay(rng)
+        assert [below(r) for _ in range(3001)] == want
+        hand_back()
+        assert rng.integers(0, 10**9) == ref.integers(0, 10**9)
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    @pytest.mark.parametrize("draws", [0, 1, 2, 5, 6, 1100])
+    def test_hand_back_leaves_numpy_position(self, buffered, draws):
+        # From a fresh generator an odd count of draws below 3 leaves a
+        # buffered half; from a buffered one an even count does. 1,100
+        # halves span more than one block of raw words.
+        make = _buffered_generator if buffered else np.random.default_rng
+        ref, rng = make(11), make(11)
+        for _ in range(draws):
+            ref.integers(0, 3)
+        below, hand_back = analysis._replay(rng)
+        for _ in range(draws):
+            below(3)
+        hand_back()
+        assert rng.permutation(50).tolist() == ref.permutation(50).tolist()
+        assert rng.integers(0, 10**9) == ref.integers(0, 10**9)
 
 
 class TestDistanceReport:

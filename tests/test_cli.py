@@ -15,7 +15,7 @@ from qcldpc.analysis import low_weight_search
 from qcldpc.binmat import read_alist
 from qcldpc.cli import run
 from qcldpc.gf2poly import RingModulus
-from qcldpc.gldpc import construct_generator, expand_binary, load_spec
+from qcldpc.gldpc import GldpcSpec, construct_generator, expand_binary, load_spec
 from qcldpc.polymat import circulant_expand, read_pmx
 
 from conftest import data_path, in_kernel
@@ -291,6 +291,20 @@ class TestGldpc:
         assert run(["gldpc", "--spec", f"{name}.json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == GLDPC_STDOUT_SHA256[name]
+
+    @pytest.mark.parametrize(
+        "argv", ["gldpc --spec prelift68.json", "distance --spec n79.json --iterations 600"]
+    )
+    def test_builds_the_effective_matrix_at_load_and_construction(
+        self, capsys, monkeypatch, argv
+    ):
+        builds = []
+        build = GldpcSpec.effective_matrix
+        monkeypatch.setattr(
+            GldpcSpec, "effective_matrix", lambda self: builds.append(self) or build(self)
+        )
+        assert run(argv.split()) == 0, capsys.readouterr().err
+        assert len(builds) == 2  # the spec's own check, then the construction
 
     def test_prelifted_spec(self, capsys):
         out = run_json(capsys, ["gldpc", "--spec", "prelift90.json"])

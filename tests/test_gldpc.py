@@ -801,6 +801,17 @@ class TestConstructGenerator:
         for row in result.matrix.rows:
             assert sum(p.weight() for p in row) == 16
 
+    @pytest.mark.parametrize("name", ["n79", "c2", "prelift68"])
+    def test_builds_the_effective_matrix_once(self, monkeypatch, name):
+        spec = load_spec(data_path(f"{name}.json"))
+        builds = []
+        build = GldpcSpec.effective_matrix
+        monkeypatch.setattr(
+            GldpcSpec, "effective_matrix", lambda self: builds.append(self) or build(self)
+        )
+        assert construct_generator(spec).complete
+        assert builds == [spec]
+
     def test_seven_column_pipeline(self, c1):
         result = construct_generator(c1)
         assert result.complete and result.rank == 204

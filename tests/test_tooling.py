@@ -9,7 +9,9 @@ leave its import behind.
 
 import ast
 import importlib.util
+import json
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -120,3 +122,18 @@ def test_unused_import_guard_flags_and_honours_noqa(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(probe) == [(2, "os"), (4, "dumps")]
+
+
+def test_design_jobs_times_every_bundled_spec():
+    # tools/design_jobs.py reads run_pass's job order; a pass that timed
+    # another number of jobs would make it exit with an error.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "design_jobs.py"), "--passes", "1"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    specs = ["n79", "c1", "c2", "prelift90", "prelift68", "hamming15"]
+    assert report["failed_ops"] == 0
+    assert list(report["median_s"]) == [*specs, "other"]
+    for name in specs:
+        assert all(t > 0 for t in report["median_s"][name].values())
