@@ -7,7 +7,10 @@ every message on generator rows packed into 64-bit words: a table of all
 combinations of the leading rows (at most 2^17 bytes) is XORed against each
 combination of the other rows, taken in Gray order. Everything larger gets
 an upper bound from witnesses and searches plus a lower bound inherited
-from an exactly analysed shortened code.
+from an exactly analysed shortened code. The search weighs packed words
+too: its row and pair sweep a bounded block of rows at a time, its random
+combinations a block between two information-set rounds at a time, and
+its rounds a batch of lockstep eliminations at a time.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ def min_distance_exact(Gb: BinMatrix, budget: int = 1 << 24) -> int:
     k = Gb.nrows
     if (1 << k) - 1 > budget:
         raise BudgetExceeded(f"2^{k} - 1 messages exceed budget {budget}")
-    words = _packed_rows(Gb)
+    words = _packed_rows(Gb.rows, Gb.ncols)
     nw = words.shape[1]
     a = min(k, max(0, (_TABLE_BYTES // (8 * nw)).bit_length() - 1))
     table = np.zeros((1 << a, nw), dtype=np.uint64)
@@ -211,30 +214,35 @@ def min_distance_exact(Gb: BinMatrix, budget: int = 1 << 24) -> int:
     buf = np.empty_like(table)
     counts = np.empty(table.shape, dtype=np.uint8)
     running = np.zeros(nw, dtype=np.uint64)
-    best = _min_nonzero_weight(np.bitwise_count(table, out=counts))
+    best, _ = _lightest(np.bitwise_count(table, out=counts))
     for step in range(1, 1 << (k - a)):
         running ^= words[a + (step & -step).bit_length() - 1]
         np.bitwise_xor(table, running, out=buf)
-        best = min(best, _min_nonzero_weight(np.bitwise_count(buf, out=counts)))
+        best = min(best, _lightest(np.bitwise_count(buf, out=counts))[0])
     return best if best <= Gb.ncols else 0
 
 
-def _min_nonzero_weight(counts: np.ndarray) -> int:
-    """Least nonzero row sum of per-word popcounts; above 64·words if none."""
+def _lightest(counts: np.ndarray) -> tuple[int, int]:
+    """(weight, row) of the first lightest nonzero row of per-word popcounts.
+
+    The weight is above 64·words when every row is zero.
+    """
     w = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1, dtype=np.uint32)
     w -= 1  # a zero word wraps to the dtype's maximum
-    return int(w.min()) + 1
+    t = int(w.argmin())
+    return int(w[t]) + 1, t
 
 
-def _packed_rows(Gb: BinMatrix) -> np.ndarray:
-    """The rows as a (k, words) array of little-endian 64-bit words."""
-    nw = max(1, -(-Gb.ncols // 64))
+def _packed_rows(rows: list[int], ncols: int) -> np.ndarray:
+    """The rows as a (len(rows), words) array of little-endian 64-bit words."""
+    nw = max(1, -(-ncols // 64))
     return np.frombuffer(
-        b"".join(r.to_bytes(8 * nw, "little") for r in Gb.rows), dtype="<u8"
-    ).reshape(Gb.nrows, nw)
+        b"".join(r.to_bytes(8 * nw, "little") for r in rows), dtype="<u8"
+    ).reshape(len(rows), nw)
 
 
 _ROUND_EVERY = 500  # evaluations from one information-set round to the next
+_SWEEP_BYTES = 1 << 16  # cap on the packed rows of one block of the pair sweep
 
 
 def low_weight_search(
@@ -247,13 +255,22 @@ def low_weight_search(
     an information-set re-encoding round every ``_ROUND_EVERY`` (500)
     evaluations. More iterations with the same seed never worsen the
     bound. A round that finds rank 0 (rows spanning only the zero word)
-    ends the search.
+    ends the search. Every phase weighs its words on rows packed into
+    64-bit words, and each reports its lightest nonzero word; the lightest
+    word overall, the first evaluated on ties, is the witness.
+
+    Row j is evaluation j, and pair (i, j), i < j, is evaluation
+    k + i·k - i(i+1)/2 + (j - i - 1). The sweep packs at most
+    ``_SWEEP_BYTES`` of rows at a time, never the whole generator, and
+    XORs each block with every row i whose pairs with it lie inside the
+    budget (see ``_lightest_sweep``).
 
     A sparse combination XORs ``rng.choice(k, size, replace=False)`` rows
     with ``size = min(rng.integers(2, 5), k)``, on numpy's stream from
     ``default_rng(seed)``. Those draws are replayed from the generator's
-    raw words (see ``_replay``) rather than made through numpy's calls, so
-    this depends on numpy's algorithm for ``Generator.choice``: Floyd's
+    raw words rather than made through numpy's calls, a block of
+    combinations up to the next round at a time (see ``_lightest_random``),
+    so this depends on numpy's algorithm for ``Generator.choice``: Floyd's
     sampling and a trailing shuffle over Lemire's bounded draws. The
     tier-1 tests, run by both CI jobs (``numpy-floor``, numpy 2.0,
     included), check the replay against numpy's own calls.
@@ -262,55 +279,23 @@ def low_weight_search(
     column order. That form is unique for a given order, and it has
     rank(G) rows whatever the order, so a round uses up rank(G)
     evaluations (fewer where the budget ends) and the draw stream never
-    depends on what a round finds. The random words are rated as they are
-    drawn; the rounds are drawn in the same order, then reduced together
-    in batches, and the lightest word overall, the first evaluated on
-    ties, is the witness.
+    depends on what a round finds. The rounds are drawn in order with the
+    combinations, then reduced together in batches.
     """
-    rows = Gb.rows
     k = Gb.nrows
-    best_w = best_at = best_word = 0
-    evals = 0
-
-    def consider(word: int) -> None:
-        nonlocal best_w, best_at, best_word
-        if not word:
-            return
-        w = word.bit_count()
-        if best_w == 0 or w < best_w:
-            best_w, best_at, best_word = w, evals, word
-
     # Single rows are always swept so the report is well formed even on a
     # tiny budget; pairs and the random phase respect the budget strictly.
-    for r in rows:
-        consider(r)
-        evals += 1
-    done = evals >= iterations
-    for i in range(k):
-        if done:
-            break
-        for j in range(i + 1, k):
-            consider(rows[i] ^ rows[j])
-            evals += 1
-            if evals >= iterations:
-                done = True
-                break
-
+    found = [_lightest_sweep(Gb, iterations)]  # (weight, evaluation, word)
+    evals = max(k, min(iterations, k + k * (k - 1) // 2))
     rng = np.random.default_rng(seed)
     rank = words = None
     rounds = []  # (column order, first evaluation index, rows rated)
-
-    def reduce_rounds() -> None:
-        nonlocal best_w, best_at, best_word
-        w, at, word = _lightest_round_row(words, rounds, rank)
-        if best_w == 0 or (w, at) < (best_w, best_at):
-            best_w, best_at, best_word = w, at, word
-        rounds.clear()
-
     while evals < iterations:
+        if words is None:
+            words = _packed_rows(Gb.rows, Gb.ncols)
         if evals % _ROUND_EVERY == 0:
             if rank is None:
-                rank, words = rank_scalar(Gb), _packed_rows(Gb)
+                rank = rank_scalar(Gb)
                 per_batch = max(1, _ROUND_BYTES // max(1, words.nbytes))
             if rank == 0:
                 break  # the rows span only the zero word
@@ -318,36 +303,157 @@ def low_weight_search(
             rounds.append((rng.permutation(Gb.ncols), evals, take))
             evals += take
             if len(rounds) == per_batch:
-                reduce_rounds()
+                found.append(_lightest_round_row(words, rounds, rank))
+                rounds.clear()
             continue
-        # The sparse combinations up to the next round, drawn as numpy's
-        # integers(2, 5) and choice(k, size, replace=False) draw them.
-        below, hand_back = _replay(rng)
-        for _ in range(min(_ROUND_EVERY - evals % _ROUND_EVERY, iterations - evals)):
-            size = min(2 + below(3), k)
-            word = 0
-            picked = []
-            for j in range(k - size, k):  # Floyd's method
-                t = below(j + 1)
-                if t in picked:
-                    t = j
-                picked.append(t)
-                word ^= rows[t]
-            for i in range(size, 1, -1):
-                below(i)  # numpy's trailing shuffle; a XOR ignores the order
-            consider(word)
-            evals += 1
-        hand_back()
+        count = min(_ROUND_EVERY - evals % _ROUND_EVERY, iterations - evals)
+        found.append(_lightest_random(Gb.rows, words, rng, evals, count))
+        evals += count
     if rounds:
-        reduce_rounds()
+        found.append(_lightest_round_row(words, rounds, rank))
+    best_w, _, best_word = min(found)
+    if best_w > Gb.ncols:  # no phase rated a nonzero word
+        best_w = best_word = 0
 
     return DistanceReport(
         upper=best_w,
         lower=1 if best_w else 0,
-        witness=best_word if best_w else 0,
+        witness=best_word,
         ncols=Gb.ncols,
         method=f"row sweep + {iterations} randomized evaluations, seed {seed}",
     )
+
+
+def _lightest_sweep(Gb: BinMatrix, iterations: int) -> tuple[int, int, int]:
+    """(weight, evaluation index, word) of the lightest row or pair swept.
+
+    Every row is rated, pairs only below ``iterations``. The rows are
+    packed in blocks of at most ``_SWEEP_BYTES``; each block is weighed
+    as it is, then XORed with each row i < j whose pairs (i, j) with the
+    block's rows j lie inside the budget. A pair's evaluation index grows
+    with i for a given j, so the first row i whose pairs fall outside the
+    budget ends the block. The weight is above ncols if no word is nonzero.
+    """
+    rows, k, ncols = Gb.rows, Gb.nrows, Gb.ncols
+    per_block = max(1, _SWEEP_BYTES // (8 * max(1, -(-ncols // 64))))
+    best = (math.inf, 0, 0, 0)  # weight, evaluation, rows i <= j (i == j: one row)
+    for j0 in range(0, k, per_block):
+        j1 = min(j0 + per_block, k)
+        block = _packed_rows(rows[j0:j1], ncols)
+        w, t = _lightest(np.bitwise_count(block))
+        best = min(best, (w, j0 + t, j0 + t, j0 + t))
+        for i in range(j1 - 1):
+            first = k + i * k - i * (i + 1) // 2 - i - 1  # pair (i, j) is first + j
+            lo, hi = max(j0, i + 1), min(j1, iterations - first)
+            if lo >= hi:
+                break
+            row = block[i - j0] if i >= j0 else _packed_rows(rows[i : i + 1], ncols)[0]
+            w, t = _lightest(np.bitwise_count(block[lo - j0 : hi - j0] ^ row))
+            best = min(best, (w, first + lo + t, i, lo + t))
+    w, at, i, j = best
+    return w, at, 0 if w > ncols else rows[i] if i == j else rows[i] ^ rows[j]
+
+
+def _lightest_random(
+    rows: list[int], words: np.ndarray, rng: np.random.Generator, first: int, count: int
+) -> tuple[int, int, int]:
+    """(weight, evaluation index, word) of the lightest of ``count`` combinations.
+
+    The sparse combinations are evaluations first, first + 1, ..., drawn
+    as ``_lightest_random_scalar`` draws them, but for the whole block at
+    once on the packed rows ``words``. The raw PCG64 words are read once
+    and split into 32-bit halves, a buffered half first, as ``_replay``
+    does. A combination of size s takes 2s halves (2s - 1 when s = k, as
+    Floyd's draw below 1 takes none): one for the size, s for Floyd's
+    picks and s - 1 for numpy's trailing shuffle, which a XOR ignores. So
+    walking the chain of sizes places every combination's halves, and
+    each size's picks are computed together. If Lemire's method would
+    redraw any half the block uses, the block is replayed one draw at a
+    time instead. The generator is left where numpy's own calls leave it.
+    The weight is above 64·words if every combination is zero.
+    """
+    k = len(rows)
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    buffered = start["has_uint32"]
+    raw = bitgen.random_raw(4 * count)  # a combination takes at most 8 halves
+    halves = np.empty(buffered + 2 * len(raw), np.uint64)
+    halves[:buffered] = start["uinteger"]
+    halves[buffered::2] = raw & np.uint64(_M32)
+    halves[buffered + 1 :: 2] = raw >> np.uint64(32)
+    drawn = halves * np.uint64(3)
+    drawn >>= np.uint64(32)  # integers(2, 5) - 2 if the half is a size draw
+    steps = [2 * s - (s == k) for s in (min(2 + x, k) for x in range(3))]
+    xs, at, pos = drawn.tolist(), [], 0
+    for _ in range(count):  # the chain of sizes: one step per combination
+        at.append(pos)
+        pos += steps[xs[pos]]
+    at = np.array(at)
+    sizes = np.minimum(drawn[at] + np.uint64(2), k)
+    redrawn = bool((halves[at] == 0).any())  # below(3) redraws only u = 0
+    groups = []  # (evaluations, picks) per size
+    for size in range(min(2, k), min(4, k) + 1):
+        e = np.flatnonzero(sizes == size)
+        if not len(e):
+            continue
+        half = at[e] + 1
+        picks = [np.zeros(len(e), np.uint64)] if size == k else []  # j = 0 takes row 0
+        for j in range(max(k - size, 1), k):  # Floyd's method
+            m = halves[half] * np.uint64(j + 1)
+            redrawn |= bool(((m & np.uint64(_M32)) < (1 << 32) % (j + 1)).any())
+            t = m >> np.uint64(32)
+            clash = np.zeros(len(e), bool)
+            for p in picks:
+                clash |= t == p
+            picks.append(np.where(clash, np.uint64(j), t))
+            half += 1
+        for r in range(size, 1, -1):  # numpy's trailing shuffle
+            if (1 << 32) % r:
+                m = halves[half] * np.uint64(r) & np.uint64(_M32)
+                redrawn |= bool((m < (1 << 32) % r).any())
+            half += 1
+        groups.append((e, picks))
+    if redrawn:
+        bitgen.state = start
+        return _lightest_random_scalar(rows, rng, first, count)
+    lightest = []
+    for e, picks in groups:
+        acc = words[picks[0]]
+        for p in picks[1:]:
+            acc ^= words[p]
+        w, t = _lightest(np.bitwise_count(acc))
+        lightest.append((w, first + int(e[t]), [int(p[t]) for p in picks]))
+    _hand_back(bitgen, start, pos, halves)
+    w, best_at, picked = min(lightest)
+    word = 0
+    for t in picked:
+        word ^= rows[t]
+    return w, best_at, word
+
+
+def _lightest_random_scalar(
+    rows: list[int], rng: np.random.Generator, first: int, count: int
+) -> tuple[int, int, int]:
+    """``_lightest_random`` one draw at a time: the exact path and its oracle."""
+    k = len(rows)
+    best = (math.inf, 0, 0)
+    below, hand_back = _replay(rng)
+    for at in range(first, first + count):
+        size = min(2 + below(3), k)
+        word = 0
+        picked = []
+        for j in range(k - size, k):  # Floyd's method
+            t = below(j + 1)
+            if t in picked:
+                t = j
+            picked.append(t)
+            word ^= rows[t]
+        for i in range(size, 1, -1):
+            below(i)  # numpy's trailing shuffle; a XOR ignores the order
+        if word and word.bit_count() < best[0]:
+            best = (word.bit_count(), at, word)
+    hand_back()
+    return best
 
 
 _M32 = 0xFFFFFFFF
@@ -374,7 +480,6 @@ def _replay(rng: np.random.Generator):
     bitgen = rng.bit_generator
     start = bitgen.state
     halves = [start["uinteger"]] if start["has_uint32"] else []
-    buffered = len(halves)
     pos = 0
 
     def below(r: int) -> int:
@@ -394,17 +499,27 @@ def _replay(rng: np.random.Generator):
                 return m >> 32
 
     def hand_back() -> None:
-        bitgen.state = start
-        if not pos:
-            return
-        drawn = pos - buffered  # halves of the words read after the start
-        bitgen.advance((drawn + 1) // 2)  # also drops the buffered half
-        if drawn % 2:
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = 1, halves[pos]
-            bitgen.state = state
+        _hand_back(bitgen, start, pos, halves)
 
     return below, hand_back
+
+
+def _hand_back(bitgen, start: dict, used: int, halves) -> None:
+    """Set ``bitgen`` to just after ``used`` of the halves drawn from ``start``.
+
+    ``halves`` are the 32-bit halves read from state ``start`` on, its
+    buffered half first; an odd count of the later ones leaves the next
+    half buffered, as numpy does.
+    """
+    bitgen.state = start
+    if not used:
+        return
+    drawn = used - start["has_uint32"]  # halves of the words read after the start
+    bitgen.advance((drawn + 1) // 2)  # also drops the buffered half
+    if drawn % 2:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, int(halves[used])
+        bitgen.state = state
 
 
 _ROUND_BYTES = 1 << 18  # cap on the packed rows of one batch of rounds

@@ -5,16 +5,20 @@ shortest path between its endpoints, which is exact on the small random
 graphs used. Two distance oracles enumerate every message on Python ints:
 directly, and by a Gray-code sweep that reaches the larger dimensions.
 The search oracle runs every information-set round on its own, one
-big-int elimination at a time, as the draws come.
+big-int elimination at a time, as the draws come. The random
+combinations' block path is checked against their scalar replay, on
+numpy's generators and on stub generators whose words force redraws.
 """
 
 import math
 import random
+import tracemalloc
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import P, in_kernel, poly_matrix, random_poly_matrix
 from qcldpc import analysis
@@ -222,6 +226,64 @@ def dense_generators(draw):
     if draw(st.booleans()):
         rows.append(rows[0] ^ rows[-1])
     return BinMatrix(rows, ncols)
+
+
+@st.composite
+def tied_generators(draw):
+    """Up to 60 rows of few kinds, so that equal weights fall in many blocks.
+
+    Each row is zero or one of up to four patterns of one weight, on top
+    of a shared mask that may be dense. Under a dense mask the single rows
+    are heavy and the pairs of distinct patterns light, so ties among
+    pairs decide; under none, ties among single rows do.
+    """
+    ncols = draw(st.sampled_from([7, 64, 65, 129]))
+    weight = draw(st.integers(1, min(ncols, 5)))
+    column_sets = st.sets(st.integers(0, ncols - 1), min_size=weight, max_size=weight)
+    pool = draw(st.lists(column_sets.map(lambda cs: sum(1 << c for c in cs)), min_size=1, max_size=4))
+    mask = draw(st.sampled_from([0, (1 << ncols) - 1, draw(st.integers(0, (1 << ncols) - 1))]))
+    rows = draw(st.lists(st.sampled_from([0, *pool]), max_size=60))
+    return BinMatrix([r and r ^ mask for r in rows], ncols)
+
+
+TIED_PAIRS = BinMatrix([(2**64 - 1) ^ p for p in (0b11, 0b11000, 0b101000, 0b101)], 64)
+
+
+def swept_in_order(Gb, iterations):
+    """(weight, evaluation, word) of the lightest single row or pair, by enumeration."""
+    rows, k = Gb.rows, Gb.nrows
+    words = list(rows)
+    words += [rows[i] ^ rows[j] for i in range(k) for j in range(i + 1, k)]
+    words = words[: max(k, iterations)]
+    rated = [(w.bit_count(), at, w) for at, w in enumerate(words) if w]
+    return min(rated, default=None)
+
+
+class StubBitGenerator:
+    """Fixed 64-bit outputs behind the BitGenerator calls the replay makes."""
+
+    def __init__(self, words, buffered=None):
+        self.words, self.pos = words, 0
+        self.has_uint32, self.uinteger = (0, 0) if buffered is None else (1, buffered)
+
+    @property
+    def state(self):
+        return {"pos": self.pos, "has_uint32": self.has_uint32, "uinteger": self.uinteger}
+
+    @state.setter
+    def state(self, value):
+        self.pos, self.has_uint32, self.uinteger = (
+            value["pos"], value["has_uint32"], value["uinteger"]
+        )
+
+    def random_raw(self, n):
+        assert self.pos + n <= len(self.words), "the stub ran out of words"
+        self.pos += n
+        return np.array(self.words[self.pos - n : self.pos], dtype=np.uint64)
+
+    def advance(self, delta):
+        self.pos += delta
+        self.has_uint32 = self.uinteger = 0
 
 
 def ar4ja_generator():
@@ -460,6 +522,44 @@ class TestLowWeightSearch:
         want = sequential_low_weight_search(Gb, 20_000, seed)
         assert low_weight_search(Gb, 20_000, seed) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tied_generators(),
+        st.integers(0, 2600),
+        st.sampled_from([8, 600, analysis._SWEEP_BYTES]),
+    )
+    # Pairs (0, 3) and (1, 2) weigh 2, the other pairs 4 and the rows 62;
+    # with a row per block, (1, 2) is weighed before (0, 3), which is
+    # evaluated first.
+    @example(TIED_PAIRS, 10, 8)
+    @example(TIED_PAIRS, 10, analysis._SWEEP_BYTES)
+    def test_matches_sequential_rounds_in_any_sweep_block(self, Gb, iterations, sweep_bytes):
+        # 8 bytes make a block of one row; 600 split 60 rows of one to
+        # three words into 1 to 4 blocks. Ties must go to the first
+        # evaluation wherever the blocks fall.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_SWEEP_BYTES", sweep_bytes)
+            swept = analysis._lightest_sweep(Gb, iterations)
+            got = low_weight_search(Gb, iterations, 5)
+        want = swept_in_order(Gb, iterations)
+        assert swept == want if want else swept[0] > Gb.ncols
+        assert got == sequential_low_weight_search(Gb, iterations, 5)
+
+    def test_sweep_packs_rows_a_block_at_a_time(self):
+        # hamming15's generator is 3760 x 5640, 2.7 MB packed whole; at
+        # 20,000 evaluations the search ends inside the pair sweep.
+        spec = load_spec(data_path("hamming15.json"))
+        Gb = circulant_expand(construct_generator(spec).matrix)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = low_weight_search(Gb, 20_000, 1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.upper == report.witness.bit_count() > 0
+        assert peak < 512 * 1024
+
 
 def _buffered_generator(seed):
     """A PCG64 generator holding the high half of its last word."""
@@ -499,6 +599,67 @@ class TestReplay:
         hand_back()
         assert rng.permutation(50).tolist() == ref.permutation(50).tolist()
         assert rng.integers(0, 10**9) == ref.integers(0, 10**9)
+
+
+def redrawn_words(case, k):
+    """2,048 random outputs, one half set so that Lemire's method redraws it.
+
+    The block starts unbuffered, except in "buffered". Its first
+    combination draws its size from half 0, then Floyd's picks and the
+    trailing shuffle from the halves after it.
+    """
+    rng = random.Random(case)
+    words = [rng.getrandbits(64) for _ in range(2048)]
+    halves = {}
+    if case == "size":
+        halves[0] = 0  # below(3) redraws only 0
+    elif case == "floyd":
+        # Size 4 (2 + 2), so the first Floyd draw is below k - 3; this u
+        # gives (u * r) mod 2^32 = 3 < 2^32 mod 7 = 4 for r = 7.
+        assert k == 10
+        halves[0], halves[1] = 2**32 - 1, 2**32 // 7 + 1
+    elif case == "shuffle":
+        # Size 3 (2 + 1): three Floyd draws, then the shuffle below 3.
+        halves[0], halves[4] = 2**31, 0
+    for h, u in halves.items():
+        low, high = words[h // 2] & 0xFFFFFFFF, words[h // 2] >> 32
+        words[h // 2] = (high << 32 | u) if h % 2 == 0 else (u << 32 | low)
+    return words
+
+
+class TestRandomBlock:
+    @pytest.mark.parametrize("case", ["none", "size", "floyd", "shuffle", "buffered"])
+    @pytest.mark.parametrize("count", [1, 40, 499])
+    def test_redraws_fall_back_to_the_scalar_replay(self, case, count):
+        # The block path must give the scalar loop's (weight, evaluation,
+        # word) and leave the generator where that loop leaves it.
+        rng = random.Random(count)
+        Gb = BinMatrix([rng.getrandbits(70) for _ in range(10)], 70)
+        words = redrawn_words(case, Gb.nrows)
+        buffered = 0 if case == "buffered" else None
+        block, scalar = StubBitGenerator(words, buffered), StubBitGenerator(words, buffered)
+        got = analysis._lightest_random(
+            Gb.rows, analysis._packed_rows(Gb.rows, Gb.ncols),
+            SimpleNamespace(bit_generator=block), 1000, count,
+        )
+        want = analysis._lightest_random_scalar(
+            Gb.rows, SimpleNamespace(bit_generator=scalar), 1000, count
+        )
+        assert got == want
+        assert block.state == scalar.state
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 40])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    def test_matches_the_scalar_replay_on_numpy(self, k, buffered):
+        rng = random.Random(k)
+        Gb = BinMatrix([rng.getrandbits(64) for _ in range(k)], 64)
+        make = _buffered_generator if buffered else np.random.default_rng
+        block, scalar = make(k), make(k)
+        words = analysis._packed_rows(Gb.rows, Gb.ncols)
+        for first, count in ((7, 493), (500, 1), (1001, 499)):
+            got = analysis._lightest_random(Gb.rows, words, block, first, count)
+            assert got == analysis._lightest_random_scalar(Gb.rows, scalar, first, count)
+            assert block.bit_generator.state == scalar.bit_generator.state
 
 
 class TestDistanceReport:

@@ -137,3 +137,15 @@ def test_design_jobs_times_every_bundled_spec():
     assert list(report["median_s"]) == [*specs, "other"]
     for name in specs:
         assert all(t > 0 for t in report["median_s"][name].values())
+
+
+def test_pass_faults_counts_the_design_workload():
+    # The design workload's passes read what its set-up check adds.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pass_faults.py"), "--workload", "design",
+         "--passes", "2", "--setups-between", "0"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["workload"] == "design" and report["passes"] == 2
+    assert report["minor_faults_per_pass"]["min"] >= 0

@@ -2,7 +2,8 @@
 
     python3 tools/pass_faults.py --workload ber-highsnr --seed 1 --passes 40
 
-Run from the root of a source checkout. It sets the workload up, runs the
+Run from the root of a source checkout. It sets the workload up and checks
+the set-up (the ``design`` workload expands its specs there), runs the
 warm-up pass 0, then passes 1..P, each followed by as many set-ups as
 ``--setups-between`` asks (perfbench's run.py samples set-up between its
 measured passes). ``resource.getrusage(RUSAGE_SELF).ru_minflt`` is read
@@ -47,6 +48,9 @@ def main(argv=None):
 
     workload = workloads.make(args.workload, args.seed)
     state = workload.setup()
+    ok, _, detail = workload.check_setup(state)
+    if not ok:
+        parser.error(f"set-up check failed: {detail}")
     workload.run_pass(state, 0, clock)
     gc.collect()
     faults, seconds = [], []
