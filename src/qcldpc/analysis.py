@@ -271,9 +271,11 @@ def low_weight_search(
     raw words rather than made through numpy's calls, a block of
     combinations up to the next round at a time (see ``_lightest_random``),
     so this depends on numpy's algorithm for ``Generator.choice``: Floyd's
-    sampling and a trailing shuffle over Lemire's bounded draws. The
-    tier-1 tests, run by both CI jobs (``numpy-floor``, numpy 2.0,
-    included), check the replay against numpy's own calls.
+    sampling and a trailing shuffle over Lemire's bounded draws, the
+    draws Lemire's method redraws included. The tier-1 tests, run by
+    both CI jobs (``numpy-floor``, numpy 2.0, included), check the
+    replay against numpy's own calls, also on generators set to give
+    raw words that force redraws.
 
     A round rates the rows of the reduced echelon form under a random
     column order. That form is unique for a given order, and it has
@@ -360,62 +362,63 @@ def _lightest_random(
     """(weight, evaluation index, word) of the lightest of ``count`` combinations.
 
     The sparse combinations are evaluations first, first + 1, ..., drawn
-    as ``_lightest_random_scalar`` draws them, but for the whole block at
-    once on the packed rows ``words``. The raw PCG64 words are read once
-    and split into 32-bit halves, a buffered half first, as ``_replay``
-    does. A combination of size s takes 2s halves (2s - 1 when s = k, as
-    Floyd's draw below 1 takes none): one for the size, s for Floyd's
-    picks and s - 1 for numpy's trailing shuffle, which a XOR ignores. So
-    walking the chain of sizes places every combination's halves, and
-    each size's picks are computed together. If Lemire's method would
-    redraw any half the block uses, the block is replayed one draw at a
-    time instead. The generator is left where numpy's own calls leave it.
-    The weight is above 64·words if every combination is zero.
+    as numpy's ``integers(2, 5)`` and ``choice`` would draw them, but for
+    the whole block at once on the packed rows ``words``. The raw PCG64
+    words are read once and split into the 32-bit halves numpy draws
+    from, a buffered half first (see ``_below``). A combination of size
+    s takes 2s halves (2s - 1 when s = k, as Floyd's draw below 1 takes
+    none): one for the size, s for Floyd's picks and s - 1 for numpy's
+    trailing shuffle, which a XOR ignores. So walking the chain of sizes
+    places every combination's halves, and each size's picks are computed
+    together. Where Lemire's method would redraw a half, the earliest
+    such half is dropped, the halves of one more raw word are appended,
+    and the chain is walked again, until no draw is redrawn. The
+    generator is left where numpy's own calls leave it; it is read and
+    set only through the public BitGenerator API: ``random_raw``,
+    ``state`` and ``advance``. The weight is above 64·words if every
+    combination is zero.
     """
     k = len(rows)
     bitgen = rng.bit_generator
-    start = bitgen.state
-    buffered = start["has_uint32"]
-    raw = bitgen.random_raw(4 * count)  # a combination takes at most 8 halves
-    halves = np.empty(buffered + 2 * len(raw), np.uint64)
-    halves[:buffered] = start["uinteger"]
-    halves[buffered::2] = raw & np.uint64(_M32)
-    halves[buffered + 1 :: 2] = raw >> np.uint64(32)
-    drawn = halves * np.uint64(3)
-    drawn >>= np.uint64(32)  # integers(2, 5) - 2 if the half is a size draw
+    start, halves = _read_halves(bitgen, 4 * count)  # a combination takes <= 8 halves
     steps = [2 * s - (s == k) for s in (min(2 + x, k) for x in range(3))]
-    xs, at, pos = drawn.tolist(), [], 0
-    for _ in range(count):  # the chain of sizes: one step per combination
-        at.append(pos)
-        pos += steps[xs[pos]]
-    at = np.array(at)
-    sizes = np.minimum(drawn[at] + np.uint64(2), k)
-    redrawn = bool((halves[at] == 0).any())  # below(3) redraws only u = 0
-    groups = []  # (evaluations, picks) per size
-    for size in range(min(2, k), min(4, k) + 1):
-        e = np.flatnonzero(sizes == size)
-        if not len(e):
-            continue
-        half = at[e] + 1
-        picks = [np.zeros(len(e), np.uint64)] if size == k else []  # j = 0 takes row 0
-        for j in range(max(k - size, 1), k):  # Floyd's method
-            m = halves[half] * np.uint64(j + 1)
-            redrawn |= bool(((m & np.uint64(_M32)) < (1 << 32) % (j + 1)).any())
-            t = m >> np.uint64(32)
-            clash = np.zeros(len(e), bool)
-            for p in picks:
-                clash |= t == p
-            picks.append(np.where(clash, np.uint64(j), t))
-            half += 1
-        for r in range(size, 1, -1):  # numpy's trailing shuffle
-            if (1 << 32) % r:
-                m = halves[half] * np.uint64(r) & np.uint64(_M32)
-                redrawn |= bool((m < (1 << 32) % r).any())
-            half += 1
-        groups.append((e, picks))
-    if redrawn:
-        bitgen.state = start
-        return _lightest_random_scalar(rows, rng, first, count)
+    dropped = 0
+    while True:
+        drawn, redrawn = _below(halves, 3)  # integers(2, 5) - 2 at a size draw
+        xs, at, pos = drawn.tolist(), [], 0
+        for _ in range(count):  # the chain of sizes: one step per combination
+            at.append(pos)
+            pos += steps[xs[pos]]
+        at = np.array(at)
+        sizes = np.minimum(drawn[at] + np.uint64(2), k)
+        rejected = [at[redrawn[at]]]  # halves Lemire's method would redraw
+        groups = []  # (evaluations, picks) per size
+        for size in range(min(2, k), min(4, k) + 1):
+            e = np.flatnonzero(sizes == size)
+            if not len(e):
+                continue
+            half = at[e] + 1
+            picks = [np.zeros(len(e), np.uint64)] if size == k else []  # j = 0: row 0
+            for j in range(max(k - size, 1), k):  # Floyd's method
+                t, redrawn = _below(halves[half], j + 1)
+                rejected.append(half[redrawn])
+                clash = np.zeros(len(e), bool)
+                for p in picks:
+                    clash |= t == p
+                picks.append(np.where(clash, np.uint64(j), t))
+                half += 1
+            for r in range(size, 1, -1):  # numpy's trailing shuffle
+                if (1 << 32) % r:  # else no half is redrawn
+                    rejected.append(half[_below(halves[half], r)[1]])
+                half += 1
+            groups.append((e, picks))
+        rejected = np.concatenate(rejected)
+        if not len(rejected):
+            break
+        raw = bitgen.random_raw(1)  # the halves of one more word
+        kept = np.delete(halves, rejected.min())
+        halves = np.concatenate((kept, raw & np.uint64(_M32), raw >> np.uint64(32)))
+        dropped += 1
     lightest = []
     for e, picks in groups:
         acc = words[picks[0]]
@@ -423,7 +426,7 @@ def _lightest_random(
             acc ^= words[p]
         w, t = _lightest(np.bitwise_count(acc))
         lightest.append((w, first + int(e[t]), [int(p[t]) for p in picks]))
-    _hand_back(bitgen, start, pos, halves)
+    _hand_back(bitgen, start, pos + dropped, halves[pos : pos + 1])
     w, best_at, picked = min(lightest)
     word = 0
     for t in picked:
@@ -431,94 +434,52 @@ def _lightest_random(
     return w, best_at, word
 
 
-def _lightest_random_scalar(
-    rows: list[int], rng: np.random.Generator, first: int, count: int
-) -> tuple[int, int, int]:
-    """``_lightest_random`` one draw at a time: the exact path and its oracle."""
-    k = len(rows)
-    best = (math.inf, 0, 0)
-    below, hand_back = _replay(rng)
-    for at in range(first, first + count):
-        size = min(2 + below(3), k)
-        word = 0
-        picked = []
-        for j in range(k - size, k):  # Floyd's method
-            t = below(j + 1)
-            if t in picked:
-                t = j
-            picked.append(t)
-            word ^= rows[t]
-        for i in range(size, 1, -1):
-            below(i)  # numpy's trailing shuffle; a XOR ignores the order
-        if word and word.bit_count() < best[0]:
-            best = (word.bit_count(), at, word)
-    hand_back()
-    return best
-
-
 _M32 = 0xFFFFFFFF
-_RAW_WORDS = 512  # raw 64-bit words a replay reads from its generator at a time
 
 
-def _replay(rng: np.random.Generator):
-    """numpy's bounded draws on a PCG64 generator, replayed from its raw words.
+def _read_halves(bitgen, words: int) -> tuple[dict, np.ndarray]:
+    """The state of ``bitgen`` and the 32-bit halves of its next ``words`` outputs.
 
-    Returns ``(below, hand_back)``. ``below(r)`` is the value numpy's
-    ``rng.integers(0, r)`` would give next, for 1 <= r <= 2^32; numpy
-    draws nothing for r = 1. ``hand_back()`` sets the generator to just
-    after the draws made, as numpy's own calls would have left it.
-
-    numpy makes such a draw from 32-bit halves of the 64-bit outputs, the
-    low half first and the high half kept for the next draw, by Lemire's
-    method (Lemire, ACM TOMACS 2019): ``m = u * r`` is redrawn while
-    ``m mod 2^32`` falls below ``2^32 mod r``, then gives ``m >> 32``.
-    Here the outputs are read in blocks through ``random_raw`` and split
-    arithmetically (not by a byte view), and a buffered half the
-    generator holds is used first. Only the public BitGenerator API is
-    used: ``random_raw``, ``state`` and ``advance``.
+    numpy draws the half the generator holds buffered first, then each
+    output's low half before its high half.
     """
-    bitgen = rng.bit_generator
     start = bitgen.state
-    halves = [start["uinteger"]] if start["has_uint32"] else []
-    pos = 0
-
-    def below(r: int) -> int:
-        nonlocal pos
-        if r == 1:
-            return 0
-        while True:
-            if pos == len(halves):
-                raw = bitgen.random_raw(_RAW_WORDS)
-                split = np.stack((raw & np.uint64(_M32), raw >> np.uint64(32)), axis=1)
-                halves.extend(split.ravel().tolist())
-            m = halves[pos] * r
-            pos += 1
-            # Lemire's test: accept at once when m mod 2^32 >= r, else
-            # only from 2^32 mod r up (which is below r).
-            if m & _M32 >= r or m & _M32 >= (_M32 - (r - 1)) % r:
-                return m >> 32
-
-    def hand_back() -> None:
-        _hand_back(bitgen, start, pos, halves)
-
-    return below, hand_back
+    buffered = start["has_uint32"]
+    raw = bitgen.random_raw(words)
+    halves = np.empty(buffered + 2 * words, np.uint64)
+    halves[:buffered] = start["uinteger"]
+    halves[buffered::2] = raw & np.uint64(_M32)
+    halves[buffered + 1 :: 2] = raw >> np.uint64(32)
+    return start, halves
 
 
-def _hand_back(bitgen, start: dict, used: int, halves) -> None:
+def _below(halves: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's draws below r from each of the 32-bit ``halves``: (values, redrawn).
+
+    numpy's ``rng.integers(0, r)``, for 1 < r <= 2^32, draws from the
+    next half u by Lemire's method (Lemire, ACM TOMACS 2019): m = u·r
+    gives m >> 32, unless m mod 2^32 falls below 2^32 mod r, where the
+    half is redrawn, that is, dropped for the next one.
+    """
+    m = halves * np.uint64(r)
+    return m >> np.uint64(32), (m & np.uint64(_M32)) < (1 << 32) % r
+
+
+def _hand_back(bitgen, start: dict, used: int, after: np.ndarray) -> None:
     """Set ``bitgen`` to just after ``used`` of the halves drawn from ``start``.
 
-    ``halves`` are the 32-bit halves read from state ``start`` on, its
-    buffered half first; an odd count of the later ones leaves the next
-    half buffered, as numpy does.
+    The halves are the 32-bit halves read from state ``start`` on, its
+    buffered half first, and ``after`` is the slice of at most one half
+    that follows the used ones. An odd count of the halves of words read
+    after the start leaves that half buffered, as numpy does; none used
+    from a buffered start counts as -1 and buffers it again.
     """
     bitgen.state = start
-    if not used:
-        return
     drawn = used - start["has_uint32"]  # halves of the words read after the start
     bitgen.advance((drawn + 1) // 2)  # also drops the buffered half
     if drawn % 2:
         state = bitgen.state
-        state["has_uint32"], state["uinteger"] = 1, int(halves[used])
+        state["has_uint32"], state["uinteger"] = 1, int(after[0])
         bitgen.state = state
 
 

@@ -188,7 +188,7 @@ def _cmd_encode(args) -> int:
     result, N = _load_generator(args)
     G = result.matrix
     if args.message:
-        message = [BinaryPoly.parse(t) for t in args.message.split(";")]
+        message = [BinaryPoly.parse(t, G.modulus) for t in args.message.split(";")]
     else:
         rng = random.Random(args.seed)
         message = [BinaryPoly(rng.getrandbits(N)) for _ in range(G.nrows)]

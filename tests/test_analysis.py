@@ -6,15 +6,17 @@ graphs used. Two distance oracles enumerate every message on Python ints:
 directly, and by a Gray-code sweep that reaches the larger dimensions.
 The search oracle runs every information-set round on its own, one
 big-int elimination at a time, as the draws come. The random
-combinations' block path is checked against their scalar replay, on
-numpy's generators and on stub generators whose words force redraws.
+combinations' block path is checked against their scalar replay, which
+is numpy's own ``integers``/``choice`` calls one combination at a time
+(``numpy_combinations``, the loop the sequential search uses too): on
+seeded generators, and on PCG64 generators set to give a chosen raw word
+where Lemire's method then redraws halves.
 """
 
 import math
 import random
 import tracemalloc
 from collections import deque
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +100,23 @@ def gray_min_distance(Gb):
     return best
 
 
+def numpy_combinations(rng, k, count):
+    """The row indices of ``count`` sparse combinations, by numpy's own calls.
+
+    This is the draw loop ``low_weight_search`` replays from raw words.
+    """
+    for _ in range(count):
+        size = min(int(rng.integers(2, 5)), k)
+        yield rng.choice(k, size=size, replace=False).tolist()
+
+
+def combination_word(rows, picked):
+    word = 0
+    for t in picked:
+        word ^= rows[t]
+    return word
+
+
 def sequential_low_weight_search(Gb, iterations=100_000, seed=0):
     """low_weight_search with each information-set round reduced as it is drawn."""
     rows = Gb.rows
@@ -154,11 +173,8 @@ def sequential_low_weight_search(Gb, iterations=100_000, seed=0):
                 if evals >= iterations:
                     break
         else:
-            size = min(int(rng.integers(2, 5)), k)
-            word = 0
-            for t in rng.choice(k, size=size, replace=False):
-                word ^= rows[int(t)]
-            consider(word)
+            for picked in numpy_combinations(rng, k, 1):
+                consider(combination_word(rows, picked))
             evals += 1
 
     return DistanceReport(
@@ -259,31 +275,65 @@ def swept_in_order(Gb, iterations):
     return min(rated, default=None)
 
 
-class StubBitGenerator:
-    """Fixed 64-bit outputs behind the BitGenerator calls the replay makes."""
+def crafted_generator(p, word, buffered=None):
+    """A PCG64 generator whose raw 64-bit output at position ``p`` is ``word``.
 
-    def __init__(self, words, buffered=None):
-        self.words, self.pos = words, 0
-        self.has_uint32, self.uinteger = (0, 0) if buffered is None else (1, buffered)
+    PCG64's output from a state with high half 0 and low half W is W, and
+    stepping 2^128 - (p + 1) times is stepping back p + 1 times, so the
+    generator reaches that state with its (p + 1)-th output. The words
+    before and after are PCG64's own. ``buffered`` is a 32-bit half the
+    generator holds for its next bounded draw.
+    """
+    bitgen = np.random.PCG64(0)
+    state = bitgen.state
+    state["state"]["state"] = word
+    bitgen.state = state
+    bitgen.advance(2**128 - (p + 1))
+    if buffered is not None:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, buffered
+        bitgen.state = state
+    return np.random.Generator(bitgen)
 
-    @property
-    def state(self):
-        return {"pos": self.pos, "has_uint32": self.has_uint32, "uinteger": self.uinteger}
 
-    @state.setter
-    def state(self, value):
-        self.pos, self.has_uint32, self.uinteger = (
-            value["pos"], value["has_uint32"], value["uinteger"]
-        )
+def numpy_lightest(rows, rng, first, count):
+    """(weight, evaluation, word) of the lightest of ``count`` combinations numpy draws."""
+    rated = []
+    for at, picked in enumerate(numpy_combinations(rng, len(rows), count), first):
+        word = combination_word(rows, picked)
+        if word:
+            rated.append((word.bit_count(), at, word))
+    return min(rated)
 
-    def random_raw(self, n):
-        assert self.pos + n <= len(self.words), "the stub ran out of words"
-        self.pos += n
-        return np.array(self.words[self.pos - n : self.pos], dtype=np.uint64)
 
-    def advance(self, delta):
-        self.pos += delta
-        self.has_uint32 = self.uinteger = 0
+def position(rng):
+    """A generator's state, less the stale half numpy keeps once it used it."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"] and state["uinteger"]
+
+
+def redrawn_halves(rng, k, combination):
+    """Halves numpy redraws in combination ``combination`` (0 = first) on ``rng``.
+
+    The combinations before it are drawn first. Without redraws a
+    combination of size s takes 2s halves, 2s - 1 when s = k; the halves
+    it took are counted by stepping a copy of the generator to where
+    numpy's calls left it.
+    """
+    draws = numpy_combinations(rng, k, combination + 1)
+    for _ in range(combination):
+        next(draws)
+    start = rng.bit_generator.state
+    size = len(next(draws))
+    end = rng.bit_generator.state
+    copy = np.random.PCG64(0)
+    copy.state = start
+    words = 0
+    while copy.state["state"] != end["state"]:
+        copy.random_raw()
+        words += 1
+    taken = 2 * words + start["has_uint32"] - end["has_uint32"]
+    return taken - (2 * size - (size == k))
 
 
 def ar4ja_generator():
@@ -570,83 +620,107 @@ def _buffered_generator(seed):
 
 
 class TestReplay:
-    # 2^31 + 1 rejects about half its draws, so the redraw loop runs.
+    # 2^31 + 1 rejects about half its draws, so many halves are redrawn.
     @pytest.mark.parametrize(
         "r", [1, 2, 3, 5, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
     )
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 7])
     def test_bounded_draws_match_integers(self, r, seed):
+        # Drawing below r from every half that Lemire's method keeps must
+        # give numpy's integers(0, r); numpy draws nothing for r = 1.
         ref, rng = _buffered_generator(seed), _buffered_generator(seed)
         want = [int(ref.integers(0, r)) for _ in range(3001)]
-        below, hand_back = analysis._replay(rng)
-        assert [below(r) for _ in range(3001)] == want
-        hand_back()
+        start, halves = analysis._read_halves(rng.bit_generator, 4000)
+        if r == 1:
+            got, used = [0] * 3001, 0
+        else:
+            values, redrawn = analysis._below(halves, r)
+            kept = np.flatnonzero(~redrawn)[:3001]
+            got, used = values[kept].tolist(), int(kept[-1]) + 1
+        assert got == want
+        analysis._hand_back(rng.bit_generator, start, used, halves[used : used + 1])
         assert rng.integers(0, 10**9) == ref.integers(0, 10**9)
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
     @pytest.mark.parametrize("draws", [0, 1, 2, 5, 6, 1100])
     def test_hand_back_leaves_numpy_position(self, buffered, draws):
         # From a fresh generator an odd count of draws below 3 leaves a
-        # buffered half; from a buffered one an even count does. 1,100
-        # halves span more than one block of raw words.
+        # buffered half; from a buffered one an even count does. Each
+        # draw below 3 takes one half, as these seeds give no u = 0.
         make = _buffered_generator if buffered else np.random.default_rng
         ref, rng = make(11), make(11)
         for _ in range(draws):
             ref.integers(0, 3)
-        below, hand_back = analysis._replay(rng)
-        for _ in range(draws):
-            below(3)
-        hand_back()
+        start, halves = analysis._read_halves(rng.bit_generator, draws // 2 + 1)
+        analysis._hand_back(rng.bit_generator, start, draws, halves[draws : draws + 1])
         assert rng.permutation(50).tolist() == ref.permutation(50).tolist()
         assert rng.integers(0, 10**9) == ref.integers(0, 10**9)
 
 
-def redrawn_words(case, k):
-    """2,048 random outputs, one half set so that Lemire's method redraws it.
-
-    The block starts unbuffered, except in "buffered". Its first
-    combination draws its size from half 0, then Floyd's picks and the
-    trailing shuffle from the halves after it.
-    """
-    rng = random.Random(case)
-    words = [rng.getrandbits(64) for _ in range(2048)]
-    halves = {}
-    if case == "size":
-        halves[0] = 0  # below(3) redraws only 0
-    elif case == "floyd":
-        # Size 4 (2 + 2), so the first Floyd draw is below k - 3; this u
-        # gives (u * r) mod 2^32 = 3 < 2^32 mod 7 = 4 for r = 7.
-        assert k == 10
-        halves[0], halves[1] = 2**32 - 1, 2**32 // 7 + 1
-    elif case == "shuffle":
-        # Size 3 (2 + 1): three Floyd draws, then the shuffle below 3.
-        halves[0], halves[4] = 2**31, 0
-    for h, u in halves.items():
-        low, high = words[h // 2] & 0xFFFFFFFF, words[h // 2] >> 32
-        words[h // 2] = (high << 32 | u) if h % 2 == 0 else (u << 32 | low)
-    return words
+# (position, raw word, buffered half) of a crafted generator and the halves
+# numpy redraws in its first combination of 10 rows. Halves are numbered
+# from the buffered one, else from the low half of word 0; half 0 draws
+# the size below 3, which redraws only u = 0, and u = 0 at a draw below r
+# is redrawn when 2^32 mod r != 0.
+REDRAWS = {
+    "none": (0, 0x0123456789ABCDEF, None, 0),
+    "size": (0, 0xDEADBEEF << 32, None, 1),  # u = 0 at half 0
+    # Size 4 from half 0, so half 1 is Floyd's draw below 7 (2^32 mod 7 = 4).
+    "floyd": (0, 0xFFFFFFFF, None, 1),
+    # Size 3 from the buffered half, three Floyd draws, then half 4 (word
+    # 1's high half) is the shuffle's draw below 3.
+    "shuffle": (1, 12345, 2**31, 1),
+    "buffered": (0, 0x0123456789ABCDEF, 0, 1),  # u = 0 at the buffered size draw
+    "adjacent": (0, 0, None, 2),  # halves 0 and 1 both redrawn
+    # u = 0 at the buffered size draw. Size 3 from half 1 then makes half
+    # 2 (u = 0) Floyd's draw below 8, which keeps it; before the redraw is
+    # dropped, half 2 would be a draw below 10, which redraws u = 0.
+    "shifted": (0, 2**31, 0, 1),
+}
 
 
 class TestRandomBlock:
-    @pytest.mark.parametrize("case", ["none", "size", "floyd", "shuffle", "buffered"])
+    """The block path against the scalar replay: numpy's own draws, one at a time."""
+
+    def check_against_numpy(self, Gb, make, first, count):
+        block, scalar = make(), make()
+        words = analysis._packed_rows(Gb.rows, Gb.ncols)
+        got = analysis._lightest_random(Gb.rows, words, block, first, count)
+        assert got == numpy_lightest(Gb.rows, scalar, first, count)
+        assert position(block) == position(scalar)
+        assert block.permutation(50).tolist() == scalar.permutation(50).tolist()
+        assert block.integers(0, 10**9) == scalar.integers(0, 10**9)
+
+    @pytest.mark.parametrize("buffered", [None, 0xABCDEF], ids=["fresh", "buffered"])
+    @pytest.mark.parametrize("p", [0, 1, 1995])
+    def test_crafted_generator_draws_the_word(self, p, buffered):
+        # A change to numpy's PCG64 would leave the redraw cases testing nothing.
+        word = 0x0123456789ABCDEF
+        bitgen = crafted_generator(p, word, buffered).bit_generator
+        assert int(bitgen.random_raw(p + 1)[p]) == word
+        assert bitgen.state["has_uint32"] == (buffered is not None)
+
+    @pytest.mark.parametrize("case", list(REDRAWS))
     @pytest.mark.parametrize("count", [1, 40, 499])
     def test_redraws_fall_back_to_the_scalar_replay(self, case, count):
-        # The block path must give the scalar loop's (weight, evaluation,
-        # word) and leave the generator where that loop leaves it.
+        # Where Lemire's method redraws halves, the block path must give
+        # numpy's (weight, evaluation, word) and leave the generator
+        # where numpy's calls leave it.
+        p, word, buffered, redraws = REDRAWS[case]
         rng = random.Random(count)
         Gb = BinMatrix([rng.getrandbits(70) for _ in range(10)], 70)
-        words = redrawn_words(case, Gb.nrows)
-        buffered = 0 if case == "buffered" else None
-        block, scalar = StubBitGenerator(words, buffered), StubBitGenerator(words, buffered)
-        got = analysis._lightest_random(
-            Gb.rows, analysis._packed_rows(Gb.rows, Gb.ncols),
-            SimpleNamespace(bit_generator=block), 1000, count,
+        assert redrawn_halves(crafted_generator(p, word, buffered), 10, 0) == redraws
+        self.check_against_numpy(
+            Gb, lambda: crafted_generator(p, word, buffered), 1000, count
         )
-        want = analysis._lightest_random_scalar(
-            Gb.rows, SimpleNamespace(bit_generator=scalar), 1000, count
-        )
-        assert got == want
-        assert block.state == scalar.state
+
+    def test_redraw_in_the_last_combination(self):
+        # A zero word at position 1,488 falls in the 499th combination,
+        # where it makes numpy redraw two halves.
+        rng = random.Random(499)
+        Gb = BinMatrix([rng.getrandbits(70) for _ in range(10)], 70)
+        assert redrawn_halves(crafted_generator(1488, 0), 10, 498) == 2
+        self.check_against_numpy(Gb, lambda: crafted_generator(1488, 0), 1000, 499)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 40])
     @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
@@ -658,8 +732,8 @@ class TestRandomBlock:
         words = analysis._packed_rows(Gb.rows, Gb.ncols)
         for first, count in ((7, 493), (500, 1), (1001, 499)):
             got = analysis._lightest_random(Gb.rows, words, block, first, count)
-            assert got == analysis._lightest_random_scalar(Gb.rows, scalar, first, count)
-            assert block.bit_generator.state == scalar.bit_generator.state
+            assert got == numpy_lightest(Gb.rows, scalar, first, count)
+            assert position(block) == position(scalar)
 
 
 class TestDistanceReport:

@@ -410,6 +410,14 @@ class TestEncode:
         assert len(out["codeword"]) == 20
         assert out["weight"] > 0
 
+    def test_message_negative_exponent_reads_in_the_ring(self, capsys):
+        # x^-1 is x^78 over x^79 + 1, as in a .pmx matrix.
+        base = ["encode", "--spec", "n79.json", "--message"]
+        assert run([*base, "x^-1;1"]) == 0
+        negative = capsys.readouterr().out
+        assert run([*base, "x^78;1"]) == 0
+        assert negative == capsys.readouterr().out
+
     def test_wrong_message_count(self, capsys):
         assert run(["encode", "--matrix", "ar4ja.pmx", "--N", "4", "--message", "1"]) == 1
         assert "error:" in capsys.readouterr().err

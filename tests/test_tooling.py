@@ -4,7 +4,8 @@ README's command examples must parse with the CLI's parser, and the
 benchmark's tracer must find every function it wraps; a flag or function
 removed from the library would otherwise leave them stale unnoticed. An
 import that nothing reads is flagged too, since deleting a helper tends to
-leave its import behind.
+leave its import behind. The distance search's replay of numpy's draws
+must reach the bit generator through its public API only.
 """
 
 import ast
@@ -122,6 +123,65 @@ def test_unused_import_guard_flags_and_honours_noqa(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(probe) == [(2, "os"), (4, "dumps")]
+
+
+def bit_generator_reach(path):
+    """(attributes read off a bit generator, private numpy.random imports) in ``path``.
+
+    A bit generator is ``<expr>.bit_generator``, a name assigned one, or
+    a name ``bitgen``. A private import is a ``numpy.random`` module or
+    name that starts with an underscore, imported or read as an attribute.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {"bitgen"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "bit_generator":
+                names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    attrs, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if (isinstance(base, ast.Name) and base.id in names) or (
+                isinstance(base, ast.Attribute) and base.attr == "bit_generator"
+            ):
+                attrs.add(node.attr)
+            if isinstance(base, ast.Attribute) and base.attr == "random":
+                if node.attr.startswith("_"):
+                    private.append(node.attr)
+        modules = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+        private += [m for m in modules if m.startswith("numpy.random.") and "._" in m]
+    return attrs, private
+
+
+def test_analysis_reaches_the_bit_generator_through_its_public_api():
+    # The search's replay reads numpy's raw words; a private module or
+    # call would tie it to one numpy build.
+    attrs, private = bit_generator_reach(ROOT / "src" / "qcldpc" / "analysis.py")
+    assert attrs == {"random_raw", "state", "advance"}
+    assert private == []
+
+
+def test_bit_generator_guard_flags_private_reach(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from numpy.random import _pcg64, default_rng\n"
+        "import numpy.random._common\n"
+        "bits = np.random.default_rng().bit_generator\n"
+        "bits.random_raw(bits.ctypes)\n"
+        "bitgen.advance(1)\n"
+        "rng.bit_generator.jumped()\n"
+        "np.random._generator\n",
+        encoding="utf-8",
+    )
+    attrs, private = bit_generator_reach(probe)
+    assert attrs == {"random_raw", "ctypes", "advance", "jumped"}
+    assert sorted(private) == ["_generator", "numpy.random._common", "numpy.random._pcg64"]
 
 
 def test_design_jobs_times_every_bundled_spec():
