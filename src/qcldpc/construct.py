@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .binmat import RowEchelon
-from .gf2poly import BinaryPoly, NotInvertible, gcd, inverse_mod, transpose_poly
+from .gf2poly import BinaryPoly, NotInvertible, gcd, inverse_mod, is_unit, transpose_poly
 from .polymat import (
     PolyMatrix,
     circulant_rows,
@@ -172,13 +172,13 @@ def generator_case1(H, S=None):
         raise ValueError("S must select n_c columns")
     minor = _Minors(H)
     delta_S = minor(None, S)
-    if gcd(delta_S, m.poly).bits != 1:
+    if not is_unit(delta_S, m):
         raise NotInvertible(
             f"minor over columns {S} is not invertible mod x^{m.N}+1"
         )
-    # With an invertible minor every lemma-1 row adds N to the rank, so
-    # the greedy build admits each of them and stops after the last.
-    result = _greedy_build(H, m, rank_qc(H, m).dimension, S, False, minor)
+    # With an invertible minor every lemma-1 row adds N to the rank.
+    target = (H.ncols - H.nrows) * m.N
+    result = _greedy_build(H, m, target, S, False, minor)
     scale = inverse_mod(transpose_poly(m.reduce(delta_S), m), m)
     standard = PolyMatrix(
         [[m.mul(scale, p) for p in row] for row in result.matrix.rows], m
@@ -193,14 +193,19 @@ def generator_general(H, modulus=None):
     then minimal-f lemma-2 rows are appended until the expansion rank
     reaches the code dimension.  If the plain rows cannot complete, the
     gcd-reduced variant is tried; if that also fails, Incomplete is
-    raised with the best partial attached.
+    raised with the best partial attached.  The code dimension is
+    (n - n_c)N when the selection's minor is a unit (case 1), and comes
+    from rank_qc otherwise.
     """
     m = modulus or _require_modulus(H)
     if H.modulus is None:
         H = PolyMatrix(H.rows, m)
-    target = rank_qc(H, m).dimension
     minor = _Minors(H)
     S_best = _best_column_selection(H, m, minor)
+    if S_best is not None and is_unit(minor(None, S_best), m):
+        target = (H.ncols - H.nrows) * m.N  # a unit minor: full row rank
+    else:
+        target = rank_qc(H, m).dimension
     for reduce_rows in (False, True):
         result = _greedy_build(H, m, target, S_best, reduce_rows, minor)
         if result.complete:
@@ -254,6 +259,9 @@ def _best_column_selection(H, m, minor):
 def _greedy_build(H, m, target, S_best, reduce_rows, minor):
     """Admit lemma-1 rows over S_best, then lemma-2 rows level by level.
 
+    Plain rows over a unit minor (case 1) are all laid down with no rank
+    tracking, as each adds N to the rank.
+
     Within a lemma-2 level the candidate whose N circulant rows grow the
     span the most is committed, the first such on ties, until none grows
     it. A candidate's gain never grows as the span does, because matroid
@@ -266,6 +274,16 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
     if target == 0:
         raise ValueError("code has dimension 0; no generator exists")
     N = m.N
+    if not reduce_rows and S_best is not None and is_unit(minor(None, S_best), m):
+        # Lemma-1 row c holds the unit minor over S_best in its own column
+        # c and every other lemma-1 row holds 0 there.
+        built = list(_lemma1_rows(H, m, S_best, False, minor))
+        return GeneratorResult(
+            matrix=PolyMatrix([row for row, _ in built], m),
+            row_provenance=[origin for _, origin in built],
+            rank=len(built) * N,
+            target_dimension=target,
+        )
     tracker = RowEchelon()
     rows, provenance = [], []
 
@@ -280,19 +298,10 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
 
     done = False
     if S_best is not None:
-        for c in range(1, H.ncols + 1):
-            if done or c in S_best:
-                continue
-            Sc = tuple(sorted(S_best + (c,)))
-            if reduce_rows:
-                try:
-                    row, a = _lemma1_reduced_row(H, m, Sc, minor)
-                except ValueError:
-                    continue
-                done = admit(row, RowOrigin("lemma1_reduced", S=Sc, a=a))
-            else:
-                row = _lemma2_row(H, m, minor.every_row, Sc, BinaryPoly(1), minor)
-                done = admit(row, RowOrigin("lemma1", S=Sc))
+        for row, origin in _lemma1_rows(H, m, S_best, reduce_rows, minor):
+            done = admit(row, origin)
+            if done:
+                break
 
     for s in range(H.nrows - 1, -1, -1):
         if done:
@@ -334,6 +343,26 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
         rank=tracker.rank,
         target_dimension=target,
     )
+
+
+def _lemma1_rows(H, m, S_best, reduce_rows, minor):
+    """(row, origin) over S_best plus each column c outside it, in order of c.
+
+    Reduced rows skip a c whose minors all vanish.
+    """
+    for c in range(1, H.ncols + 1):
+        if c in S_best:
+            continue
+        Sc = tuple(sorted(S_best + (c,)))
+        if not reduce_rows:
+            row = _lemma2_row(H, m, minor.every_row, Sc, BinaryPoly(1), minor)
+            yield row, RowOrigin("lemma1", S=Sc)
+            continue
+        try:
+            row, a = _lemma1_reduced_row(H, m, Sc, minor)
+        except ValueError:
+            continue
+        yield row, RowOrigin("lemma1_reduced", S=Sc, a=a)
 
 
 def _minimal_f(H, m, T, S, minor):

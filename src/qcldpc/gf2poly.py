@@ -231,6 +231,18 @@ class RingModulus:
         return f"RingModulus({self.N})"
 
 
+def is_unit(a, modulus):
+    """True when a is invertible modulo x^N + 1.
+
+    x + 1 divides x^N + 1 and every even-weight polynomial, so a unit has
+    odd weight; a monomial always is one, and any other odd-weight a is
+    one when gcd(a, x^N + 1) = 1. Folding x^N to 1 keeps both the parity
+    of the weight and the gcd, so a need not be reduced.
+    """
+    weight = a.bits.bit_count()
+    return weight % 2 == 1 and (weight == 1 or gcd(a, modulus.poly).bits == 1)
+
+
 def inverse_mod(a, modulus):
     """Inverse of a modulo x^N + 1; raises NotInvertible if none exists."""
     a = modulus.reduce(a)

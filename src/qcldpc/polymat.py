@@ -15,7 +15,7 @@ import numpy as np
 
 from .binmat import BinMatrix
 from .binmat import rank as rank_scalar
-from .gf2poly import BinaryPoly, gcd, transpose_poly
+from .gf2poly import BinaryPoly, gcd, inverse_mod, is_unit, transpose_poly
 
 
 class PolyMatrix:
@@ -250,16 +250,59 @@ def row_edges(H):
 
 
 def expansion_rank(H):
-    """GF(2) rank of circulant_expand(H), with the sparsest block columns leading.
+    """GF(2) rank of circulant_expand(H), eliminating unit blocks first.
 
-    Rank does not depend on column order, so the block columns are first
-    sorted by how many rows have a nonzero entry there, the fewest last:
-    those land on the leading bits, where RowEchelon takes its pivots, and
-    rows that lead in a block of their own reduce in a few steps.
+    Block columns are taken once each, the fewest nonzero entries first.
+    A column with a unit entry u (gf2poly.is_unit) pivots on the first
+    one: every other row k gets (a_kj u^-1) times the pivot row added,
+    which clears the column, and the pivot row and column drop out with N
+    added to the rank. Block row and column operations by invertible
+    circulants keep the rank of the expansion, so only the residual rows
+    and unpivoted columns go to the scalar rank.
+
+    There the block columns are sorted by how many rows have a nonzero
+    entry, the fewest last: those land on the leading bits, where
+    RowEchelon takes its pivots, and rows that lead in a block of their
+    own reduce in a few steps.
     """
-    load = [sum(1 for row in H.rows if row[j].bits) for j in range(H.ncols)]
-    order = sorted(range(H.ncols), key=lambda j: -load[j])
-    return rank_scalar(circulant_expand(H.submatrix(range(H.nrows), order)))
+    if H.modulus is None:
+        raise ValueError("circulant expansion needs a ring modulus")
+    m = H.modulus
+    rows = [list(row) for row in H.rows]
+    units = {}
+
+    def unit(p):
+        got = units.get(p.bits)
+        if got is None:
+            got = units[p.bits] = is_unit(p, m)
+        return got
+
+    rank, rest = 0, []
+    load = [sum(1 for row in rows if row[j].bits) for j in range(H.ncols)]
+    for j in sorted(range(H.ncols), key=lambda j: load[j]):
+        i = next((i for i, row in enumerate(rows) if unit(row[j])), None)
+        if i is None:
+            rest.append(j)
+            continue
+        pivot = rows.pop(i)
+        rank += m.N
+        inverse = None
+        for row in rows:
+            if not row[j].bits:
+                continue
+            if inverse is None:
+                inverse = inverse_mod(pivot[j], m)
+            c = m.mul(row[j], inverse)
+            for k, p in enumerate(pivot):
+                if p.bits:
+                    row[k] = row[k] + m.mul(c, p)
+    rows = [row for row in rows if any(row[j].bits for j in rest)]
+    if not rows:
+        return rank
+    load = {j: sum(1 for row in rows if row[j].bits) for j in rest}
+    rest.sort(key=lambda j: -load[j])
+    residual = PolyMatrix([[row[j] for j in rest] for row in rows], m)
+    return rank + rank_scalar(circulant_expand(residual))
 
 
 def write_pmx(H, path):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import P, plain_display, poly_matrix, random_poly_matrix
+from qcldpc import construct
 from qcldpc.binmat import RowEchelon
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import (
@@ -139,6 +140,53 @@ class TestCase1Generator:
         for build in (generator_case1, generator_general):
             with pytest.raises(ValueError, match="dimension 0"):
                 build(H)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unit_minor_builds_as_the_tracker_would(self, monkeypatch, seed):
+        # With a unit minor both builds take their rank from the shape, and
+        # match an admit loop that tracks the rank of every circulant row.
+        H, S = seeded_unit_minor_matrix(seed)
+        m = H.modulus
+        dimension = rank_qc(H).dimension
+        assert dimension == (H.ncols - H.nrows) * m.N
+        want_case1 = _build_probing_all(H, m, dimension, S, False)
+        want_general = probe_every_candidate(H)
+        with monkeypatch.context() as patch:
+            patch.setattr(construct, "rank_qc", no_rank_qc)
+            case1, _ = generator_case1(H, S)
+            general = generator_general(H)
+        for got, want in ((case1, want_case1), (general, want_general)):
+            assert got == want
+            assert got.complete
+            assert got.rank == rank_scalar(circulant_expand(got.matrix))
+            assert verify_generator(H, got.matrix)
+
+
+def no_rank_qc(*args):
+    raise AssertionError("rank_qc called on a case-1 input")
+
+
+def seeded_unit_minor_matrix(seed):
+    """(H, S): a seeded 1-3 row matrix whose column set S has a unit minor.
+
+    Entries mix zeros, monomials and arbitrary words over N in 3..12,
+    with 1-3 columns beyond the rows; S is the first such column set.
+    """
+    rng = random.Random(seed)
+    while True:
+        N = rng.randint(3, 12)
+        nrows = rng.randint(1, 3)
+        ncols = nrows + rng.randint(1, 3)
+        H = poly_matrix(
+            [
+                [rng.choice([0, 1 << rng.randrange(N), rng.getrandbits(N)]) for _ in range(ncols)]
+                for _ in range(nrows)
+            ],
+            N,
+        )
+        for S in combinations(range(1, ncols + 1), nrows):
+            if gcd(minor_det(H, None, S), H.modulus.poly).bits == 1:
+                return H, S
 
 
 # The 1 x 4 worked example: h = (1+x, 1+x^2, (1+x)(1+x^3), 1+x^3).

@@ -10,6 +10,7 @@ from qcldpc.gf2poly import (
     bit_positions,
     gcd,
     inverse_mod,
+    is_unit,
     transpose_poly,
     xgcd,
 )
@@ -165,6 +166,18 @@ class TestInverse:
             assert gcd(m.reduce(a), m.poly).bits != 1
         else:
             assert m.mul(a, inv).bits == 1
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    def test_is_unit_on_every_residue(self, N):
+        # x^2+x+1 divides x^N+1 when 3 | N, so odd weight alone is not enough.
+        m = RingModulus(N)
+        for bits in range(1 << N):
+            a = BinaryPoly(bits)
+            assert is_unit(a, m) == (gcd(a, m.poly).bits == 1)
+
+    @given(polys, moduli)
+    def test_is_unit_needs_no_reduction(self, a, m):
+        assert is_unit(a, m) == is_unit(m.reduce(a), m) == (gcd(a, m.poly).bits == 1)
 
 
 class TestTranspose:

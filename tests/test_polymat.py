@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import P, data_path, poly_matrix, random_poly_matrix
+from qcldpc import polymat
 from qcldpc.binmat import rank
 from qcldpc.gf2poly import BinaryPoly, RingModulus, bit_positions, transpose_poly
 from qcldpc.gldpc import assembled_parity, construct_generator, load_spec
@@ -203,6 +204,40 @@ def sparse_poly_matrices(draw):
     return PolyMatrix([[BinaryPoly(b) for b in row] for row in rows], RingModulus(N))
 
 
+@st.composite
+def unit_block_matrices(draw):
+    """1-5 x 1-6 matrices over N = 1..21 for the unit-block elimination.
+
+    Entries are zero, monomials (units), even-weight polynomials, odd-weight
+    multiples of 1 + x + x^2 (non-units when 3 | N) or arbitrary. A later
+    row may be a monomial times an earlier row plus one monomial, so the
+    Schur update cancels its units or creates one; a zero row and a zero
+    column may be set.
+    """
+    N = draw(st.integers(1, 21))
+    m = RingModulus(N)
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    monomial = st.integers(0, N - 1).map(lambda e: 1 << e)
+    word = st.integers(0, (1 << N) - 1)
+    even = word.map(lambda b: b ^ (b.bit_count() & 1))
+    odd_multiple = word.map(lambda b: m.reduce(BinaryPoly(b | 1) * BinaryPoly(0b111)).bits)
+    entry = st.one_of(st.just(0), monomial, even, odd_multiple, word)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for k in range(1, nrows):
+        if draw(st.booleans()):
+            i, shift = draw(st.integers(0, k - 1)), draw(monomial)
+            rows[k] = [m.mul(BinaryPoly(shift), BinaryPoly(b)).bits for b in rows[i]]
+            if draw(st.booleans()):
+                rows[k][draw(st.integers(0, ncols - 1))] ^= draw(monomial)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    return PolyMatrix([[BinaryPoly(b) for b in row] for row in rows], m)
+
+
 def per_block_rotation(blocks, N):
     """Row r of the circulant rows, each block rotated left by r on its own."""
     mask = (1 << N) - 1
@@ -252,6 +287,22 @@ class TestExpansionRank:
     @given(sparse_poly_matrices())
     def test_matches_rank_of_expansion(self, H):
         assert expansion_rank(H) == rank(circulant_expand(H))
+
+    @settings(max_examples=400)
+    @given(unit_block_matrices())
+    def test_unit_block_elimination_matches_rank_of_expansion(self, H):
+        assert expansion_rank(H) == rank(circulant_expand(H))
+
+    def test_hamming15_needs_no_scalar_rank(self, monkeypatch):
+        # Every block row of hamming15's H and G pivots on a unit, so
+        # nothing is left for the bit-level rank.
+        spec = load_spec(data_path("hamming15.json"))
+        H = assembled_parity(spec)
+        G = construct_generator(spec).matrix
+        calls = []
+        monkeypatch.setattr(polymat, "rank_scalar", lambda M: calls.append(M) or rank(M))
+        assert (expansion_rank(H), expansion_rank(G)) == (1880, 3760)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "name, parity_rank, dimension",
