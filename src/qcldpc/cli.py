@@ -187,7 +187,7 @@ def _cmd_distance(args) -> int:
 def _cmd_encode(args) -> int:
     result, N = _load_generator(args)
     G = result.matrix
-    if args.message:
+    if args.message is not None:
         message = [BinaryPoly.parse(t, G.modulus) for t in args.message.split(";")]
     else:
         rng = random.Random(args.seed)
@@ -454,7 +454,7 @@ def run(argv=None) -> int:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least {low}")
         _check_inputs(args)
         return args.fn(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,6 @@ from .polymat import (
     minor_det,
     transpose_entrywise,
 )
-from .rank import rank_qc
 
 
 class Incomplete(RuntimeError):
@@ -162,7 +161,9 @@ def generator_case1(H, S=None):
 
     Requires gcd(minor_S, x^N + 1) = 1; raises NotInvertible otherwise.
     Returns (result, standard) where standard is the result scaled into
-    standard form by the inverse of the transposed minor.
+    standard form by the inverse of the transposed minor. The target
+    dimension is nN - expansion_rank(H), so result.complete checks the
+    rank (n - n_c)N that the lemma-1 rows claim against it.
     """
     m = _require_modulus(H)
     if S is None:
@@ -176,8 +177,7 @@ def generator_case1(H, S=None):
         raise NotInvertible(
             f"minor over columns {S} is not invertible mod x^{m.N}+1"
         )
-    # With an invertible minor every lemma-1 row adds N to the rank.
-    target = (H.ncols - H.nrows) * m.N
+    target = H.ncols * m.N - expansion_rank(H)
     result = _greedy_build(H, m, target, S, False, minor)
     scale = inverse_mod(transpose_poly(m.reduce(delta_S), m), m)
     standard = PolyMatrix(
@@ -194,18 +194,14 @@ def generator_general(H, modulus=None):
     reaches the code dimension.  If the plain rows cannot complete, the
     gcd-reduced variant is tried; if that also fails, Incomplete is
     raised with the best partial attached.  The code dimension is
-    (n - n_c)N when the selection's minor is a unit (case 1), and comes
-    from rank_qc otherwise.
+    nN - expansion_rank(H).
     """
     m = modulus or _require_modulus(H)
     if H.modulus is None:
         H = PolyMatrix(H.rows, m)
     minor = _Minors(H)
     S_best = _best_column_selection(H, m, minor)
-    if S_best is not None and is_unit(minor(None, S_best), m):
-        target = (H.ncols - H.nrows) * m.N  # a unit minor: full row rank
-    else:
-        target = rank_qc(H, m).dimension
+    target = H.ncols * m.N - expansion_rank(H)
     for reduce_rows in (False, True):
         result = _greedy_build(H, m, target, S_best, reduce_rows, minor)
         if result.complete:
@@ -379,14 +375,14 @@ def verify_generator(H, G, dimension=None):
     """Check zero syndrome and full expansion rank against H.
 
     dimension is the known code dimension, such as the one a test
-    states; without it the dimension comes from rank_qc.
+    states; without it the dimension is nN - expansion_rank(H).
     """
     m = _require_modulus(H)
     product = matmul_mod(G, transpose_entrywise(H))
     if any(p.bits for row in product.rows for p in row):
         return False
     if dimension is None:
-        dimension = rank_qc(H, m).dimension
+        dimension = H.ncols * m.N - expansion_rank(H)
     return expansion_rank(G) == dimension
 
 

@@ -50,8 +50,9 @@ class BinaryPoly:
     def parse(cls, text, modulus=None):
         """Parse '1+x^27+x^33' or compact hex '0x...'.
 
-        Negative exponents like x^-100 are accepted only when a modulus
-        is given, and are normalized mod N.  Repeated terms cancel.
+        Given a modulus, every exponent is reduced mod N, so x^-100 and
+        x^(N + 1) read as in the ring; without one, negative exponents are
+        rejected.  Repeated terms cancel.
         """
         text = text.strip()
         if text in ("0", ""):
@@ -69,10 +70,10 @@ class BinaryPoly:
                 e = 1
             else:
                 e = int(m.group(3))
-            if e < 0:
-                if modulus is None:
-                    raise ValueError(f"negative exponent {e} needs a modulus")
+            if modulus is not None:
                 e %= modulus.N
+            elif e < 0:
+                raise ValueError(f"negative exponent {e} needs a modulus")
             bits ^= 1 << e
         return cls(bits)
 

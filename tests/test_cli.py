@@ -125,6 +125,47 @@ class TestExitCodes:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith("error: give ")
 
+    # Too large to shift by at all; a value that shifts but allocates a
+    # huge int is never used here.
+    HUGE = "99999999999999999999999"
+
+    def test_oversized_exponent_without_a_ring_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.pmx"
+        path.write_text(f"1;x^{self.HUGE}\n", encoding="utf-8")
+        assert run(["rank", "--matrix", str(path), "--N", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--matrix", "ar4ja.pmx"],
+            ["girth", "--exponents", "0,1,3"],
+            ["rank", "--matrix", "ex1.pmx"],
+        ],
+    )
+    def test_oversized_N_is_domain_error(self, capsys, argv):
+        assert run([*argv, "--N", "100000000000000000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    def test_oversized_exponent_reads_in_the_ring(self, capsys, tmp_path):
+        # HUGE = 0 mod 3 and 3 mod 4, so each reads as a small exponent.
+        huge, small = tmp_path / "huge.pmx", tmp_path / "small.pmx"
+        huge.write_text(f"1;x^{self.HUGE};x\n", encoding="utf-8")
+        small.write_text("1;1;x\n", encoding="utf-8")
+        assert run(["construct", "--matrix", str(huge), "--N", "3"]) == 0
+        got = capsys.readouterr().out
+        assert run(["construct", "--matrix", str(small), "--N", "3"]) == 0
+        assert got == capsys.readouterr().out
+        base = ["encode", "--matrix", "ar4ja.pmx", "--N", "4", "--message"]
+        assert run([*base, f"x^{self.HUGE};1"]) == 0
+        got = capsys.readouterr().out
+        assert run([*base, "x^3;1"]) == 0
+        assert got == capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "name,key,value,message",
         [
@@ -259,6 +300,12 @@ CLI_STDOUT_SHA256 = {
         "4846c0e93d62ad402f78b3d52a756c58d7c0885719d34fa328de0b2f4b6b607a",
     "distance --spec c2.json --iterations 2000 --seed 1 --threads 3":
         "b78df11cab0ed0fe6f0d985c51fd33e756b940a4cee90c9c0ccc68eae6a9cc47",
+    "rank --matrix ex1.pmx --N 44":
+        "c42494dddb5fd93f22906986da638b1b712599c6bcf21ec2fc7bf32e91274081",
+    "rank --matrix ex1.pmx --N 45":
+        "2e9f772cc51f5eaee24c588e15d712c0c9067837a48559901b410159df1a2770",
+    "rank --matrix ex1.pmx --N 46":
+        "74d40a930e3defd3807e83810724251e9773fcac59ea52f9ec418f67e51168f1",
 }
 
 
@@ -417,6 +464,21 @@ class TestEncode:
         negative = capsys.readouterr().out
         assert run([*base, "x^78;1"]) == 0
         assert negative == capsys.readouterr().out
+
+    def test_empty_message_is_the_message(self, capsys, tmp_path):
+        # An empty --message is one zero polynomial, never a random message.
+        path = tmp_path / "one_row.pmx"
+        path.write_text("1;x\n", encoding="utf-8")
+        words = [
+            run_json(capsys, ["encode", "--matrix", str(path), "--N", "5",
+                              "--message", "", "--seed", str(seed)])
+            for seed in (0, 1)
+        ]
+        assert words[0] == words[1] == {"n": 10, "weight": 0, "codeword": "0" * 10}
+        assert run(["encode", "--matrix", "ar4ja.pmx", "--N", "4", "--message", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: message length 1 != 2 generator rows"]
 
     def test_wrong_message_count(self, capsys):
         assert run(["encode", "--matrix", "ar4ja.pmx", "--N", "4", "--message", "1"]) == 1

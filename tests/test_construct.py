@@ -10,13 +10,13 @@ candidate's gain before each lemma-2 commit.
 """
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import P, plain_display, poly_matrix, random_poly_matrix
-from qcldpc import construct
+from conftest import P, data_path, plain_display, poly_matrix, random_poly_matrix
 from qcldpc.binmat import RowEchelon
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import (
@@ -31,7 +31,14 @@ from qcldpc.construct import (
     verify_generator,
 )
 from qcldpc.gf2poly import BinaryPoly, NotInvertible, RingModulus, gcd, transpose_poly
-from qcldpc.gldpc import schur_recompose, schur_reduce
+from qcldpc.gldpc import (
+    assembled_parity,
+    construct_generator,
+    load_spec,
+    reduce_spec,
+    schur_recompose,
+    schur_reduce,
+)
 from qcldpc.polymat import (
     PolyMatrix,
     circulant_expand,
@@ -39,6 +46,7 @@ from qcldpc.polymat import (
     identity_matrix,
     matmul_mod,
     minor_det,
+    read_pmx,
     transpose_entrywise,
     zero_matrix,
 )
@@ -143,8 +151,9 @@ class TestCase1Generator:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_unit_minor_builds_as_the_tracker_would(self, monkeypatch, seed):
-        # With a unit minor both builds take their rank from the shape, and
-        # match an admit loop that tracks the rank of every circulant row.
+        # With a unit minor both builds claim the rank (n - n_c)N without
+        # tracking it, and match an admit loop that tracks the rank of
+        # every circulant row.
         H, S = seeded_unit_minor_matrix(seed)
         m = H.modulus
         dimension = rank_qc(H).dimension
@@ -152,18 +161,60 @@ class TestCase1Generator:
         want_case1 = _build_probing_all(H, m, dimension, S, False)
         want_general = probe_every_candidate(H)
         with monkeypatch.context() as patch:
-            patch.setattr(construct, "rank_qc", no_rank_qc)
+            forbid_minor_ranks(patch)
             case1, _ = generator_case1(H, S)
             general = generator_general(H)
-        for got, want in ((case1, want_case1), (general, want_general)):
-            assert got == want
-            assert got.complete
-            assert got.rank == rank_scalar(circulant_expand(got.matrix))
-            assert verify_generator(H, got.matrix)
+            for got, want in ((case1, want_case1), (general, want_general)):
+                assert got == want
+                assert got.complete
+                assert got.target_dimension == (
+                    H.ncols * m.N - rank_scalar(circulant_expand(H))
+                )
+                assert got.rank == rank_scalar(circulant_expand(got.matrix))
+                assert verify_generator(H, got.matrix)
 
 
-def no_rank_qc(*args):
-    raise AssertionError("rank_qc called on a case-1 input")
+class TestConstructionDimension:
+    def test_constructions_never_enumerate_minors(self, monkeypatch):
+        # Every construction takes its dimension from expansion_rank; the
+        # minor enumeration only serves the rank report.
+        specs = {name: load_spec(data_path(name)) for name in SPEC_FILES}
+        ar4ja_4 = read_pmx(data_path("ar4ja.pmx"), RingModulus(4))
+        with monkeypatch.context() as patch:
+            forbid_minor_ranks(patch)
+            for name, spec in specs.items():
+                result = construct_generator(spec)
+                assert result.complete, name
+                assert verify_generator(assembled_parity(spec), result.matrix), name
+            for name in ("c2.json", "prelift90.json"):
+                H_short, _, _ = reduce_spec(specs[name])
+                result = generator_general(H_short)
+                assert verify_generator(H_short, result.matrix), name
+            result, standard = generator_case1(ar4ja_4)
+            assert result.complete
+            assert verify_generator(ar4ja_4, standard)
+
+
+SPEC_FILES = (
+    "c1.json", "c2.json", "hamming15.json", "n79.json", "prelift68.json", "prelift90.json",
+)
+
+
+def forbid_minor_ranks(patch):
+    """Make every qcldpc binding of rank_qc and all_minors_gcd raise."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name != "qcldpc" and not module_name.startswith("qcldpc."):
+            continue
+        for name in ("rank_qc", "all_minors_gcd"):
+            if hasattr(module, name):
+                patch.setattr(module, name, _forbidden(name))
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called on a construction path")
+
+    return call
 
 
 def seeded_unit_minor_matrix(seed):

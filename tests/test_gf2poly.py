@@ -47,6 +47,10 @@ class TestParse:
         with pytest.raises(ValueError):
             P("x^-1")
 
+    def test_modulus_reduces_every_exponent(self):
+        assert P("1+x^7+x^13", RingModulus(5)) == P("1+x^2+x^3")
+        assert P("x^99999999999999999999999", RingModulus(4)) == P("x^3")
+
     def test_rejects_garbage(self):
         for bad in ("y", "x**2", "2x", "x^", "1-x"):
             with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ spec (the ex1 ranks, ar4ja's case-1 generator and exact distance) are
 reported as ``other``. Each construct job is also split into three
 stages by wrapping, for the run of this tool only, the names that
 ``gldpc.construct_generator`` calls: dimension (``expansion_rank`` of the
-assembled H), synthesis (``generator_general`` on the reduced matrix) and
+assembled H), synthesis (``generator_general`` on the reduced matrix, which
+includes that matrix's own ``expansion_rank`` for its target dimension) and
 verification (``expansion_rank`` of the composed G). What is left of a
 construct job is the reduction, the recomposition and the syndrome check.
 One table line per spec goes to stdout, and the last line is one JSON
