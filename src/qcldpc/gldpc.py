@@ -96,7 +96,9 @@ class ComponentCode:
     @classmethod
     def from_dict(cls, d):
         rows = d.get("parity") if isinstance(d, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+        if not isinstance(rows, list) or not all(
+            isinstance(r, str) and set(r) <= {"0", "1"} for r in rows
+        ):
             raise ValueError("a component needs 'parity', a list of 0/1 strings")
         start = d.get("identity_start")
         start = None if start is None else _int(start, "identity_start")

@@ -2,7 +2,7 @@
 
 Minors are always computed in plain GF(2)[x] (entries are taken as their
 reduced representatives, but products are not folded back), because the
-rank and codeword constructions need unreduced determinantal divisors.
+codeword constructions need unreduced minors.
 Index sets for minors are 1-based and strictly increasing, matching the
 usual determinant notation.
 """
@@ -132,7 +132,9 @@ def _det_over_cols(rows, cols, memo):
 def all_minors_gcd(H, size):
     """gcd of every size x size minor in GF(2)[x]; zero if all vanish.
 
-    Stops early once the running gcd reaches 1.
+    Stops early once the running gcd reaches 1. The library does not call
+    it: rank.rank_qc reads the same gcds off one Smith-form elimination,
+    and the tests check it against this enumeration.
     """
     if size == 0:
         return BinaryPoly(1)

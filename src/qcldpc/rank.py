@@ -1,17 +1,20 @@
 """Rank and dimension of quasi-cyclic codes via determinantal divisors.
 
 The rank of the N-fold binary expansion of a polynomial matrix H over
-GF(2)[x]/(x^N + 1) is n_c*N - sum(deg d_i), where d_i divides x^N + 1
-and is computed from the gcds gamma_i of all i x i minors of H taken in
-plain GF(2)[x].
+GF(2)[x]/(x^N + 1) is min(shape)*N - sum(deg d_i), where
+d_i = gcd(s_i, x^N + 1) and s_1 | s_2 | ... is the Smith diagonal of H
+taken in plain GF(2)[x]. The gcd gamma_i of all i x i minors is
+s_1*...*s_i, so one elimination gives every gamma_i; the minors are
+never enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 from .gf2poly import BinaryPoly, gcd
-from .polymat import PolyMatrix, all_minors_gcd
 
 
 @dataclass
@@ -28,64 +31,64 @@ class RankReport:
     dimension: int = 0
 
     def to_dict(self):
-        return {
-            "N": self.N,
-            "nrows": self.nrows,
-            "ncols": self.ncols,
-            "gammas": [g.to_text() for g in self.gammas],
-            "d_polys": [d.to_text() for d in self.d_polys],
-            "smith_diagonal": [s.to_text() for s in self.smith_diagonal],
-            "rank": self.rank,
-            "dimension": self.dimension,
-        }
+        d = dict(vars(self))
+        for key in ("gammas", "d_polys", "smith_diagonal"):
+            d[key] = [p.to_text() for p in d[key]]
+        return d
 
 
 def rank_qc(H, modulus=None):
-    """Rank report for the binary expansion of H over x^N + 1.
-
-    Works on the transpose when H has more rows than columns (the
-    divisors are symmetric in the two shapes).
-    """
-    if modulus is None:
-        modulus = H.modulus
+    """Rank report for the binary expansion of H over x^N + 1."""
+    modulus = modulus or H.modulus
     if modulus is None:
         raise ValueError("a ring modulus is required")
-    orig_rows, orig_cols = H.nrows, H.ncols
-    if H.nrows > H.ncols:
-        H = PolyMatrix(
-            [[H.rows[i][j] for i in range(H.nrows)] for j in range(H.ncols)],
-            H.modulus,
-        )
-    n_c = H.nrows
-    N = modulus.N
-    ring_poly = modulus.poly
-
-    gammas = []
-    d_polys = []
-    smith = []
-    prev = BinaryPoly(1)
-    dead = False
-    for i in range(1, n_c + 1):
-        gamma = all_minors_gcd(H, i) if not dead else BinaryPoly(0)
-        gammas.append(gamma)
-        if gamma.is_zero():
-            dead = True
-            smith.append(BinaryPoly(0))
-            d_polys.append(ring_poly)
-        else:
-            quotient = gamma // prev
-            smith.append(quotient)
-            d_polys.append(gcd(quotient, ring_poly))
-        prev = gamma
-
+    n_c, N = min(H.shape), modulus.N
+    smith = _smith_diagonal(H.rows)
+    smith += [BinaryPoly(0)] * (n_c - len(smith))
+    d_polys = [gcd(s, modulus.poly) for s in smith]
     rank = n_c * N - sum(d.degree for d in d_polys)
     return RankReport(
-        N=N,
-        nrows=orig_rows,
-        ncols=orig_cols,
-        gammas=gammas,
-        d_polys=d_polys,
-        smith_diagonal=smith,
-        rank=rank,
-        dimension=orig_cols * N - rank,
+        N=N, nrows=H.nrows, ncols=H.ncols, gammas=list(accumulate(smith, mul)),
+        d_polys=d_polys, smith_diagonal=smith, rank=rank, dimension=H.ncols * N - rank,
     )
+
+
+def _smith_diagonal(rows):
+    """The nonzero Smith diagonal s_1 | s_2 | ... of a matrix over GF(2)[x].
+
+    Each round pivots on a nonzero entry p of least degree. Row steps
+    clear p's column; then column steps cut p's row to its remainders
+    mod p, and with the column clear they touch p's row alone. A nonzero
+    remainder has lower degree than p, so the round starts over on a
+    pivot of lower degree, and the elimination ends. When p's row and
+    column are clear, a row holding an entry that p does not divide is
+    added into p's row and cut, which leaves such a remainder; if there
+    is none, p is the next diagonal entry and its row and column drop
+    out.
+    """
+    a = [list(row) for row in rows]
+    diagonal = []
+    while True:
+        nonzero = [
+            (x.bits.bit_length(), i, j)
+            for i, row in enumerate(a) for j, x in enumerate(row) if x.bits
+        ]
+        if not nonzero:
+            return diagonal
+        _, i, j = min(nonzero)
+        top, p = a[i], a[i][j]
+        for row in a:
+            if row is not top and row[j].bits:
+                q = row[j] // p
+                row[:] = [x + q * y for x, y in zip(row, top)]
+        if any(row[j].bits for row in a if row is not top):
+            continue
+        top[:] = [x % p for x in top]
+        if not any(x.bits for x in top):
+            bad = next((row for row in a if any((x % p).bits for x in row)), None)
+            if bad is None:
+                diagonal.append(p)
+                a = [row[:j] + row[j + 1 :] for row in a if row is not top]
+                continue
+            top[:] = [x % p for x in bad]  # top held p alone, so this adds bad and cuts
+        top[j] = p

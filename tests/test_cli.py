@@ -174,6 +174,10 @@ class TestExitCodes:
             ("c1.json", "exponents", [0, 1.5, 3], "an exponent must be an integer, got 1.5"),
             ("c1.json", "assignment", None, "assignment must be a list of components or nulls"),
             ("c1.json", "assignment", [{}, None], "a component needs 'parity', a list of 0/1"),
+            (
+                "c1.json", "assignment", [{"parity": ["11a0"]}, None],
+                "a component needs 'parity', a list of 0/1",
+            ),
             ("prelift68.json", "N1", 0, "N1 must be a positive divisor of N"),
             ("prelift68.json", "N1", -4, "N1 must be a positive divisor of N"),
             ("prelift68.json", "N1", 3, "N1 must be a positive divisor of N"),
@@ -181,7 +185,8 @@ class TestExitCodes:
         ],
         ids=[
             "N-string", "exponents-string", "exponents-float", "assignment-null",
-            "component-no-parity", "N1-zero", "N1-negative", "N1-not-divisor", "N1-float",
+            "component-no-parity", "component-bad-digit", "N1-zero", "N1-negative",
+            "N1-not-divisor", "N1-float",
         ],
     )
     def test_malformed_spec_is_domain_error(self, capsys, tmp_path, name, key, value, message):

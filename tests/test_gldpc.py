@@ -939,13 +939,18 @@ class TestReduceSpec:
         assert short_dim == Hb.ncols - rank_scalar(Hb)
 
     @settings(max_examples=40, deadline=None)
-    @given(two_row_cases(max_N2=6, max_width=5, max_split_width=10))
+    @given(two_row_cases())
     def test_rank_formula_matches_expansion(self, case):
-        """The rank from the gcds of the minors equals the scalar rank."""
+        """The rank from the Smith diagonal equals the scalar rank."""
         try:
             spec = GldpcSpec(*case)
         except ValueError:
             return  # design rate outside (0, 1)
+        assert rank_qc(assembled_parity(spec)).rank == rank_scalar(expand_binary(spec))
+
+    @pytest.mark.parametrize("name", ["prelift68", "prelift90"])
+    def test_rank_formula_on_prelifted_specs(self, request, name):
+        spec = request.getfixturevalue(name)
         assert rank_qc(assembled_parity(spec)).rank == rank_scalar(expand_binary(spec))
 
     def test_no_component_keeps_the_base(self):

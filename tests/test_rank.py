@@ -1,19 +1,24 @@
 """Rank and dimension of quasi-cyclic parity matrices.
 
-The oracle throughout is rank_scalar on the circulant expansion, which
-reduces the binary matrix directly and knows nothing about the
-minor-gcd chain.
+There are two oracles. rank_scalar on the circulant expansion reduces
+the binary matrix directly and knows nothing about divisors;
+all_minors_gcd finds each gamma_i by enumerating every i x i minor,
+which rank_qc's Smith-form elimination never does.
 """
 
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import P, random_poly_matrix
+from conftest import P, data_path, random_poly_matrix
+from qcldpc import polymat
 from qcldpc.binmat import rank as rank_scalar
-from qcldpc.gf2poly import RingModulus
-from qcldpc.polymat import PolyMatrix, circulant_expand, zero_matrix
+from qcldpc.gf2poly import BinaryPoly, RingModulus
+from qcldpc.gldpc import assembled_parity, expand_binary, load_spec
+from qcldpc.polymat import PolyMatrix, all_minors_gcd, circulant_expand, zero_matrix
 from qcldpc.rank import rank_qc
 
 
@@ -58,7 +63,7 @@ class TestEdgeCases:
         assert rep.dimension == 3
         assert rank_scalar(circulant_expand(H)) == 1
 
-    def test_tall_matrix_transposes_internally(self):
+    def test_tall_matrix_matches_expansion(self):
         rng = random.Random(201)
         H = random_poly_matrix(rng, 4, 2, 5)
         rep = rank_qc(H)
@@ -113,3 +118,78 @@ class TestAgainstScalarOracle:
                 [[m.mul(r[j], scale[j]) for j in range(3)] for r in H.rows], m
             )
             assert rank_qc(Hs).rank == rank_qc(H).rank
+
+
+@st.composite
+def unreduced_cases(draw):
+    """A 1-4 x 1-6 matrix over plain GF(2)[x] and an N of 1-9.
+
+    Entries reach past degree N, so some are unreduced; some share a
+    factor such as 1 + x, and whole rows or columns may be zero.
+    """
+    nr, nc, N = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    factor = draw(st.sampled_from([0b11, 0b111, 0b1011, 0b101]))
+    rows = []
+    for _ in range(nr):
+        row = []
+        for _ in range(nc):
+            bits = draw(st.integers(0, (1 << (N + 4)) - 1))
+            if bits and draw(st.booleans()):
+                bits = (BinaryPoly(bits >> 2 or 1) * BinaryPoly(factor)).bits
+            row.append(BinaryPoly(bits))
+        rows.append(row)
+    for i in draw(st.sets(st.integers(0, nr - 1), max_size=nr)):
+        rows[i] = [BinaryPoly(0)] * nc
+    for j in draw(st.sets(st.integers(0, nc - 1), max_size=nc)):
+        for row in rows:
+            row[j] = BinaryPoly(0)
+    return PolyMatrix(rows), RingModulus(N)
+
+
+def assert_matches_oracles(H, modulus):
+    rep = rank_qc(H, modulus)
+    gammas = [all_minors_gcd(H, i) for i in range(1, min(H.shape) + 1)]
+    assert rep.gammas == gammas
+    prev = BinaryPoly(1)
+    for s, gamma in zip(rep.smith_diagonal, gammas):
+        assert s == (gamma // prev if gamma.bits else BinaryPoly(0))
+        prev = gamma
+    reduced = PolyMatrix(H.rows, modulus)
+    assert rep.rank == rank_scalar(circulant_expand(reduced))
+
+
+class TestSmithElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(unreduced_cases())
+    def test_matches_minors_and_expansion(self, case):
+        assert_matches_oracles(*case)
+
+    def test_cycling_matrix(self):
+        # Re-picking the least-degree entry after adding a row into the
+        # pivot row, without cutting it mod the pivot, cycles here.
+        m = RingModulus(6)
+        H = PolyMatrix.from_text(
+            [
+                ["x", "x+x^2+x^4"],
+                ["x^2", "1+x^2"],
+                ["x+x^2+x^3+x^5", "1+x+x^2+x^3+x^4+x^5"],
+            ],
+            m,
+        )
+        assert_matches_oracles(H, m)
+
+    def test_enumerates_no_minor(self, ex1, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank_qc enumerated minors")
+
+        for name in ("all_minors_gcd", "minor_det"):
+            original = getattr(polymat, name)
+            for module_name, module in list(sys.modules.items()):
+                if module_name.partition(".")[0] == "qcldpc":
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, refuse)
+        reports = [rank_qc(ex1, RingModulus(N)) for N in (44, 45, 46)]
+        assert [(r.rank, r.dimension) for r in reports] == [(126, 94), (132, 93), (132, 98)]
+        spec = load_spec(data_path("prelift68.json"))
+        assert rank_qc(assembled_parity(spec)).rank == rank_scalar(expand_binary(spec))
