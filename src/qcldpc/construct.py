@@ -100,21 +100,13 @@ def codeword_lemma1(H, S):
     return codeword_lemma2(H, range(1, H.nrows + 1), S, BinaryPoly(1))
 
 
-def codeword_lemma1_reduced(H, S):
-    """Same as codeword_lemma1 but divided by the gcd of the minors.
+def _lemma1_reduced_row(H, m, S, minor):
+    """The lemma-1 row over S divided by the gcd of its minors.
 
     The division happens in GF(2)[x] before projection.  Returns
     (row, a) where a is the common divisor; raises ValueError when
     every minor vanishes.
     """
-    m = _require_modulus(H)
-    S = index_set(S, H.ncols)
-    if len(S) != H.nrows + 1:
-        raise ValueError("S must have n_c + 1 columns")
-    return _lemma1_reduced_row(H, m, S, _Minors(H))
-
-
-def _lemma1_reduced_row(H, m, S, minor):
     minors = {i: minor(None, tuple(j for j in S if j != i)) for i in S}
     a = BinaryPoly(0)
     for d in minors.values():
@@ -123,7 +115,7 @@ def _lemma1_reduced_row(H, m, S, minor):
         raise ValueError("all minors vanish; nothing to divide")
     row = [BinaryPoly(0)] * H.ncols
     for i, d in minors.items():
-        row[i - 1] = transpose_poly(m.reduce(d // a), m)
+        row[i - 1] = transpose_poly(d // a, m)
     return row, a
 
 
@@ -152,7 +144,7 @@ def _lemma2_row(H, m, T, S, f, minor):
     row = [BinaryPoly(0)] * H.ncols
     for i in S:
         delta = minor(T, tuple(j for j in S if j != i))
-        row[i - 1] = transpose_poly(m.reduce(f * delta), m)
+        row[i - 1] = transpose_poly(f * delta, m)
     return row
 
 
@@ -179,10 +171,8 @@ def generator_case1(H, S=None):
         )
     target = H.ncols * m.N - expansion_rank(H)
     result = _greedy_build(H, m, target, S, False, minor)
-    scale = inverse_mod(transpose_poly(m.reduce(delta_S), m), m)
-    standard = PolyMatrix(
-        [[m.mul(scale, p) for p in row] for row in result.matrix.rows], m
-    )
+    scale = inverse_mod(transpose_poly(delta_S, m), m)
+    standard = PolyMatrix([[scale * p for p in row] for row in result.matrix.rows], m)
     return result, standard
 
 

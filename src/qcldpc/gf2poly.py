@@ -207,8 +207,14 @@ class RingModulus:
         self.poly = BinaryPoly((1 << N) | 1)
 
     def reduce(self, a):
-        """Reduce a plain polynomial modulo x^N + 1 (folds x^N -> 1)."""
+        """Reduce a plain polynomial modulo x^N + 1 (folds x^N -> 1).
+
+        An a with no bit at or above x^N is already reduced and comes back
+        as is, so reducing again allocates nothing.
+        """
         bits, N = a.bits, self.N
+        if not bits >> N:
+            return a
         mask = (1 << N) - 1
         while bits >> N:
             bits = (bits & mask) ^ (bits >> N)

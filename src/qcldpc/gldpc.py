@@ -19,9 +19,12 @@ from fractions import Fraction
 
 # The scalar rank stays bound here: perfbench's tracer test rebinds it.
 from .binmat import rank as rank_scalar  # noqa: F401
-from .gf2poly import BinaryPoly, NotInvertible, RingModulus, gcd, inverse_mod, transpose_poly
+from .gf2poly import (
+    BinaryPoly, NotInvertible, RingModulus, gcd, inverse_mod, is_unit, transpose_poly,
+)
 from .polymat import (
     PolyMatrix,
+    _check_expansion_size,
     circulant_expand,
     expansion_rank,
     matmul_mod,
@@ -141,6 +144,8 @@ class GldpcSpec:
                 raise ValueError(
                     f"component length {comp.q} != weight {weight} of constraint row {i}"
                 )
+        parity = sum(1 if c is None else c.p for c in self.assignment)
+        _check_expansion_size(parity, eff.ncols, eff.modulus.N)
         rate = design_rate(self)
         if not 0 < rate < 1:
             raise ValueError(f"design rate {rate} outside (0, 1)")
@@ -207,9 +212,7 @@ class GldpcSpec:
 def base_from_exponents(exponents, modulus):
     """The two-row constraint form [all ones; monomials x^e]."""
     ones = [BinaryPoly(1)] * len(exponents)
-    mono = [
-        modulus.reduce(BinaryPoly(1) << (e % modulus.N)) for e in exponents
-    ]
+    mono = [BinaryPoly(1) << (e % modulus.N) for e in exponents]
     return PolyMatrix([ones, mono], modulus)
 
 
@@ -295,8 +298,8 @@ def gshort_forms(H_short, pivot=None):
             continue
         plain_rows.append(codeword_lemma1(H_short, sorted((j, pivot))))
         red = [BinaryPoly(0)] * m_count
-        red[j - 1] = transpose_poly(mod.reduce(f_piv // g), mod)
-        red[pivot - 1] = transpose_poly(mod.reduce(fs[j - 1] // g), mod)
+        red[j - 1] = transpose_poly(f_piv // g, mod)
+        red[pivot - 1] = transpose_poly(fs[j - 1] // g, mod)
         reduced_rows.append(red)
     if g.bits != 1:
         f = mod.poly // g
@@ -318,15 +321,12 @@ def prelift_entry(g, N1, m2):
     parts = [0] * N1
     for e in g.exponents():
         parts[e % N1] |= 1 << ((e % N) // N1)
-    comps = [m2.reduce(BinaryPoly(b)) for b in parts]
     rows = []
     for r in range(N1):
         row = []
         for c in range(N1):
-            part = comps[(r - c) % N1]
-            if r < c:
-                part = m2.mul(part, BinaryPoly(2))
-            row.append(part)
+            part = BinaryPoly(parts[(r - c) % N1])
+            row.append(part << 1 if r < c else part)
         rows.append(row)
     return PolyMatrix(rows, m2)
 
@@ -379,18 +379,23 @@ def reduce_spec(spec):
     identity block offers its parity rows as pivot rows and the columns
     under its block as pivot columns; it is skipped when those columns
     overlap ones already taken, when it would leave no row behind, or
-    when the enlarged pivot block is not invertible.  Returns
-    schur_reduce(assembled_parity(spec), pivot rows, pivot columns); with
-    no pivots H_short is the assembled matrix itself.
+    when the enlarged pivot block is not invertible: its determinant (a
+    minor of the assembled matrix) must be a unit mod x^N + 1.  Returns
+    schur_reduce(assembled_parity(spec), pivot rows, pivot columns), run
+    once on the final pivots; with no pivots H_short is the assembled
+    matrix itself.
     """
     eff = spec.effective_matrix()
     return _reduce(spec, eff, assembled_parity(spec, eff))
 
 
 def _reduce(spec, eff, H):
-    """``reduce_spec`` given the effective matrix and its assembly H."""
+    """``reduce_spec`` given the effective matrix and its assembly H.
+
+    A component's enlarged pivot block is accepted by its determinant
+    alone; the one Schur step runs on the final pivot set.
+    """
     rows, cols = (), ()
-    reduced = schur_reduce(H, rows, cols)
     next_row = 1
     for i, comp in enumerate(spec.assignment):
         first, next_row = next_row, next_row + (1 if comp is None else comp.p)
@@ -401,12 +406,9 @@ def _reduce(spec, eff, H):
         if set(comp_cols) & set(cols):
             continue
         comp_rows = tuple(range(first, next_row))
-        try:
-            reduced = schur_reduce(H, rows + comp_rows, cols + comp_cols)
-        except NotInvertible:
-            continue
-        rows, cols = rows + comp_rows, cols + comp_cols
-    return reduced
+        if is_unit(minor_det(H, rows + comp_rows, tuple(sorted(cols + comp_cols))), H.modulus):
+            rows, cols = rows + comp_rows, cols + comp_cols
+    return schur_reduce(H, rows, cols)
 
 
 def construct_generator(spec):
@@ -479,10 +481,7 @@ def schur_reduce(H, pivot_rows, pivot_cols):
         )
         fold = matmul_mod(R_pivot, BA)
         rows = [
-            [
-                mod.add(R_rest.rows[r][c], fold.rows[r][c])
-                for c in range(len(rest_cols))
-            ]
+            [R_rest.rows[r][c] + fold.rows[r][c] for c in range(len(rest_cols))]
             for r in range(len(rest_rows))
         ]
         H_rest = PolyMatrix(rows, mod)
@@ -512,7 +511,7 @@ def _invert(B, mod):
     """Ring inverse of a square PolyMatrix via the adjugate."""
     n = B.nrows
     det = mod.reduce(minor_det(B))
-    if gcd(det, mod.poly).bits != 1:
+    if not is_unit(det, mod):
         raise NotInvertible("pivot block determinant shares a factor with x^N+1")
     inv_det = inverse_mod(det, mod)
     rows = []
@@ -524,7 +523,7 @@ def _invert(B, mod):
                 tuple(r + 1 for r in range(n) if r != j),
                 tuple(c + 1 for c in range(n) if c != i),
             )
-            row.append(mod.mul(mod.reduce(cof), inv_det))
+            row.append(cof * inv_det)
         rows.append(row)
     return PolyMatrix(rows, mod), det
 

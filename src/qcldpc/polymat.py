@@ -214,6 +214,23 @@ def circulant_rows(blocks, N):
     yield row
 
 
+# The most bits a binary expansion may have, 2^28 (32 MiB packed): about 25
+# times the largest bundled one, hamming15's 1,880 x 5,640.
+_MAX_EXPANSION_BITS = 1 << 28
+
+
+def _check_expansion_size(nrows, ncols, N):
+    """ValueError when an nrows x ncols matrix over x^N + 1 expands past the bound.
+
+    Inputs are checked where they enter, before anything of that size is built.
+    """
+    if nrows * N * ncols * N > _MAX_EXPANSION_BITS:
+        raise ValueError(
+            f"binary expansion {nrows * N} x {ncols * N} exceeds the bound of "
+            f"{_MAX_EXPANSION_BITS} bits"
+        )
+
+
 def circulant_expand(H):
     """Expand each entry to its N x N circulant (first column = coefficients).
 

@@ -28,13 +28,13 @@ from test_construct import (
     PAIR_CODEWORDS,
     annihilators,
     example_matrix,
+    lemma1_reduced,
 )
 from qcldpc.analysis import bounds_combine, girth, low_weight_search, min_distance_exact
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.channel import awgn_llrs, bcjr_component, encode, gldpc_decode, monte_carlo
 from qcldpc.construct import (
     codeword_lemma1,
-    codeword_lemma1_reduced,
     codeword_lemma2,
     generator_case1,
     generator_general,
@@ -150,7 +150,7 @@ def test_criterion_04_single_row_codeword_families():
         got = set()
         for pair in PAIR_CODEWORDS:
             got.add(plain_display(codeword_lemma1(H, pair), mod))
-            row, _ = codeword_lemma1_reduced(H, pair)
+            row, _ = lemma1_reduced(H, pair)
             got.add(plain_display(row, mod))
         want = {
             tuple(mod.reduce(p) for p in tup)

@@ -4,13 +4,18 @@ Everything goes through cli.run(argv) so exit codes and stdout/stderr
 are exercised exactly as a shell user would see them.
 """
 
+import contextlib
+import copy
 import csv
 import hashlib
 import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcldpc import cli, gldpc
 from qcldpc.analysis import low_weight_search
 from qcldpc.binmat import read_alist
 from qcldpc.cli import run
@@ -19,6 +24,10 @@ from qcldpc.gldpc import GldpcSpec, construct_generator, expand_binary, load_spe
 from qcldpc.polymat import circulant_expand, read_pmx
 
 from conftest import data_path, in_kernel
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("an oversized input reached construction or expansion")
 
 
 def run_json(capsys, argv):
@@ -199,6 +208,41 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
+
+    # c1 at N = 10**6 expands to 4,000,000 x 7,000,000 bits; x^N + 1 itself
+    # is only a million bits, so reading the input stays small.
+    OVERSIZED = "error: binary expansion 4000000 x 7000000 exceeds the bound of 268435456 bits"
+
+    @pytest.mark.parametrize(
+        "command",
+        ["gldpc", "distance", pytest.param("simulate --snr 3", id="simulate")],
+    )
+    def test_oversized_spec_is_one_error_line(self, capsys, monkeypatch, tmp_path, command):
+        for module in (cli, gldpc):
+            for name in ("construct_generator", "circulant_expand"):
+                monkeypatch.setattr(module, name, _never)
+        with open(data_path("c1.json"), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec["N"] = 10**6
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert run([*command.split(), "--spec", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [self.OVERSIZED]
+
+    @pytest.mark.parametrize(
+        "command", ["construct", "distance", "export --out unused.alist", "girth"]
+    )
+    def test_oversized_matrix_is_one_error_line(self, capsys, monkeypatch, command):
+        for name in ("generator_general", "circulant_expand", "girth"):
+            monkeypatch.setattr(cli, name, _never)
+        assert run([*command.split(), "--matrix", "ar4ja.pmx", "--N", str(10**6)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: binary expansion 3000000 x 5000000 exceeds the bound of 268435456 bits"
+        ]
 
     @pytest.mark.parametrize("key", ["assignment", "exponents", "N"])
     def test_spec_missing_key_is_domain_error(self, capsys, tmp_path, key):
@@ -632,3 +676,104 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "selftest: 0 failure(s)" in out
         assert "FAIL" not in out
+
+
+# Values of the wrong type or out of range, for any spec field.
+ODD_VALUES = st.sampled_from([None, True, "7", 7.5, -1, 0, [], {}, [1], "x", 10**30])
+
+
+def _bundled_spec(name):
+    with open(data_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+MUTATED_BASES = {name: _bundled_spec(name) for name in ("n79.json", "c1.json", "c2.json")}
+
+
+@st.composite
+def mutated_specs(draw):
+    """A bundled spec with one to three random edits: types, values,
+    dropped keys, parity rows, identity_start, components and N1."""
+    d = copy.deepcopy(MUTATED_BASES[draw(st.sampled_from(sorted(MUTATED_BASES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(
+            ["N", "exponent", "drop", "parity", "identity_start", "component", "N1"]
+        ))
+        comps = [c for c in d.get("assignment") or () if isinstance(c, dict)]
+        if kind == "N":
+            d["N"] = draw(st.sampled_from([1, 2, 3, 7, 68, 79, 10**6]) | ODD_VALUES)
+        elif kind == "exponent" and isinstance(d.get("exponents"), list) and d["exponents"]:
+            exps = d["exponents"]
+            i = draw(st.integers(0, len(exps) - 1))
+            action = draw(st.sampled_from(["set", "delete", "append"]))
+            value = draw(st.integers(-200, 200) | ODD_VALUES)
+            if action == "set":
+                exps[i] = value
+            elif action == "delete":
+                del exps[i]
+            else:
+                exps.append(value)
+        elif kind == "drop" and d:
+            del d[draw(st.sampled_from(sorted(d)))]
+        elif kind == "parity" and comps:
+            comp = draw(st.sampled_from(comps))
+            rows = comp.get("parity")
+            action = draw(st.sampled_from(["flip", "drop", "repeat", "extend", "replace"]))
+            if action == "replace" or not isinstance(rows, list) or not rows:
+                comp["parity"] = draw(ODD_VALUES)
+                continue
+            r = draw(st.integers(0, len(rows) - 1))
+            if action == "flip":
+                k = draw(st.integers(0, len(rows[r]) - 1))
+                rows[r] = rows[r][:k] + "10"[int(rows[r][k])] + rows[r][k + 1 :]
+            elif action == "drop":
+                del rows[r]
+            elif action == "repeat":
+                rows.append(rows[r])
+            else:
+                rows[r] += draw(st.sampled_from(["0", "1", "2"]))
+        elif kind == "identity_start" and comps:
+            comp = draw(st.sampled_from(comps))
+            if draw(st.booleans()):
+                comp.pop("identity_start", None)
+            else:
+                comp["identity_start"] = draw(st.integers(-2, 8) | ODD_VALUES)
+        elif kind == "component" and isinstance(d.get("assignment"), list):
+            i = draw(st.integers(0, len(d["assignment"]) - 1))
+            d["assignment"][i] = draw(
+                st.sampled_from([None, {"parity": ["111111"]}, {"parity": ["11"]}])
+                | ODD_VALUES
+            )
+        elif kind == "N1":
+            d["N1"] = draw(st.sampled_from([1, 2, 4, 0, -2, 3, "2"]))
+    return d
+
+
+class TestMutatedSpecs:
+    COMMANDS = (
+        ["gldpc"],
+        ["construct"],
+        ["girth"],
+        ["distance", "--iterations", "50"],
+        ["encode"],
+        ["export", "--out"],
+        ["simulate", "--snr", "3", "--max-trials", "1"],
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(mutated_specs())
+    def test_every_command_succeeds_or_gives_one_error_line(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/spec.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            for command in self.COMMANDS:
+                argv = [*command, f"{tmp}/out.alist"] if command[-1] == "--out" else command
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = run([*argv, "--spec", path])
+                lines = err.getvalue().splitlines()
+                assert "Traceback" not in err.getvalue(), (argv, spec)
+                assert code == 0 or (
+                    code == 1 and len(lines) == 1 and lines[0].startswith("error:")
+                ), (argv, spec, code, lines)

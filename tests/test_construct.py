@@ -23,8 +23,9 @@ from qcldpc.construct import (
     GeneratorResult,
     Incomplete,
     RowOrigin,
+    _lemma1_reduced_row,
+    _Minors,
     codeword_lemma1,
-    codeword_lemma1_reduced,
     codeword_lemma2,
     generator_case1,
     generator_general,
@@ -57,6 +58,11 @@ def ring_poly(N):
     return BinaryPoly((1 << N) | 1)
 
 
+def lemma1_reduced(H, S):
+    """(row, a): the library's gcd-divided lemma-1 row over S, with its own memo."""
+    return _lemma1_reduced_row(H, H.modulus, S, _Minors(H))
+
+
 class TestLemma1:
     def test_weight_four_row(self, ar4ja):
         row = codeword_lemma1(ar4ja, (1, 2, 4, 5))
@@ -86,14 +92,14 @@ class TestLemma1:
 
     def test_reduced_strips_common_divisor(self):
         H = PolyMatrix([[P("1+x"), P("1+x^2")]], RingModulus(7))
-        row, a = codeword_lemma1_reduced(H, (1, 2))
+        row, a = lemma1_reduced(H, (1, 2))
         assert a == P("1+x")
         assert plain_display(row, H.modulus) == (P("1+x"), P("1"))
 
     def test_reduced_rejects_all_zero(self):
         H = PolyMatrix([[P("0"), P("0")]], RingModulus(4))
         with pytest.raises(ValueError):
-            codeword_lemma1_reduced(H, (1, 2))
+            lemma1_reduced(H, (1, 2))
 
 
 class TestLemma2:
@@ -275,7 +281,7 @@ class TestSingleRowExample:
         got = set()
         for pair in PAIR_CODEWORDS:
             got.add(plain_display(codeword_lemma1(H, pair), H.modulus))
-            row, _ = codeword_lemma1_reduced(H, pair)
+            row, _ = lemma1_reduced(H, pair)
             got.add(plain_display(row, H.modulus))
         want = {
             tuple(H.modulus.reduce(p) for p in tup)
@@ -426,7 +432,7 @@ def _build_probing_all(H, m, target, S_best, reduce_rows):
         Sc = tuple(sorted(S_best + (c,)))
         if reduce_rows:
             try:
-                row, a = codeword_lemma1_reduced(H, Sc)
+                row, a = lemma1_reduced(H, Sc)
             except ValueError:
                 continue
             done = admit(row, RowOrigin("lemma1_reduced", S=Sc, a=a))

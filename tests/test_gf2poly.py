@@ -140,6 +140,22 @@ class TestRingModulus:
     def test_reduce_matches_plain_remainder(self, a, m):
         assert m.reduce(a) == a % m.poly
 
+    @given(st.integers(min_value=1, max_value=70).flatmap(
+        lambda N: st.tuples(st.just(N), st.integers(0, (1 << N) - 1))
+    ))
+    def test_reduced_argument_comes_back_as_is(self, case):
+        N, bits = case
+        a = BinaryPoly(bits)
+        assert RingModulus(N).reduce(a) is a
+
+    @given(st.integers(min_value=1, max_value=70), st.integers(0, (1 << 300) - 1))
+    def test_fold_matches_the_folding_loop(self, N, bits):
+        # The plain folding loop, run on every argument.
+        want = bits
+        while want >> N:
+            want = (want & ((1 << N) - 1)) ^ (want >> N)
+        assert RingModulus(N).reduce(BinaryPoly(bits)).bits == want
+
     @given(small_polys, small_polys, moduli)
     def test_mul_is_reduced_product(self, a, b, m):
         assert m.mul(a, b) == m.reduce(a * b)

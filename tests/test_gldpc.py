@@ -7,12 +7,13 @@ or schur_reduce on a hand-built stack) are checked both against frozen
 rows and against scalar rank on the binary expansions.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     P,
@@ -25,6 +26,7 @@ from conftest import (
     random_poly_matrix,
     row_bits,
 )
+from qcldpc import gldpc, polymat
 from qcldpc.analysis import girth
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import Incomplete, generator_general, verify_generator
@@ -903,25 +905,43 @@ class TestConstructGenerator:
 
 
 @st.composite
-def two_row_cases(draw, max_N2=16, max_width=7, max_split_width=21):
+def two_row_cases(draw, max_N2=16, max_width=7, max_split_width=21, mixed=False):
     """A two-row base of width n split by N1 = 1, 2 or 3 over x^N2 + 1, and a
-    component with its identity block anywhere on some of the split rows."""
+    component with its identity block anywhere on some of the split rows.
+
+    With mixed, each of those rows draws a component of its own.
+    """
     n = draw(st.integers(3, max_width))
     N1 = draw(st.sampled_from([f for f in (1, 2, 3) if f * n <= max_split_width]))
     N2 = draw(st.integers(3, max_N2))
     exponents = draw(st.lists(st.integers(0, N1 * N2 - 1), min_size=n, max_size=n))
-    p = draw(st.integers(1, n - 1))
-    start = draw(st.integers(0, n - p))
-    bits = st.lists(st.integers(0, 1), min_size=n - p, max_size=n - p)
-    rest = draw(st.lists(bits, min_size=p, max_size=p))
-    parity = [
-        row[:start] + [int(k == r) for k in range(p)] + row[start:]
-        for r, row in enumerate(rest)
-    ]
-    comp = ComponentCode(parity, identity_start=start)
+
+    def component():
+        p = draw(st.integers(1, n - 1))
+        start = draw(st.integers(0, n - p))
+        bits = st.lists(st.integers(0, 1), min_size=n - p, max_size=n - p)
+        rest = draw(st.lists(bits, min_size=p, max_size=p))
+        parity = [
+            row[:start] + [int(k == r) for k in range(p)] + row[start:]
+            for r, row in enumerate(rest)
+        ]
+        return ComponentCode(parity, identity_start=start)
+
+    comp = component()
     rows = st.lists(st.booleans(), min_size=2 * N1, max_size=2 * N1).filter(any)
-    assignment = tuple(comp if on else None for on in draw(rows))
+    assignment = tuple(
+        (component() if mixed else comp) if on else None for on in draw(rows)
+    )
     return base_from_exponents(exponents, RingModulus(N1 * N2)), assignment, N1
+
+
+# Split rows 1 and 3 carry different one-row components: the second
+# enlarged pivot block has determinant x^2 + x^4, which is not a unit.
+REJECTED_SECOND_BLOCK = (
+    base_from_exponents([4, 8, 3], RingModulus(10)),
+    (ComponentCode([[1, 1, 0]], 1), None, ComponentCode([[1, 1, 1]], 0), None),
+    2,
+)
 
 
 class TestReduceSpec:
@@ -961,3 +981,93 @@ class TestReduceSpec:
         result = construct_generator(spec)
         assert result.complete
         assert result.matrix == generator_general(base).matrix
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(two_row_cases(), two_row_cases(mixed=True)))
+    @example(REJECTED_SECOND_BLOCK)
+    def test_matches_a_schur_step_per_component(self, case):
+        """Accepting blocks by determinant picks what trying each Schur step did.
+
+        One component per spec never meets a singular enlarged block; two
+        different ones can, as in the example.
+        """
+        try:
+            spec = GldpcSpec(*case)
+        except ValueError:
+            return  # design rate outside (0, 1)
+        H_short, T, meta = reduce_spec(spec)
+        want_short, want_T, want_meta = reduce_by_trial(spec)
+        assert H_short.to_text_rows() == want_short.to_text_rows()
+        assert (T is None) == (want_T is None)
+        if T is not None:
+            assert T.to_text_rows() == want_T.to_text_rows()
+        assert meta == want_meta
+
+
+def reduce_by_trial(spec):
+    """The oracle: reduce_spec as a Schur step tried on every component.
+
+    A component's rows and columns join the pivots when schur_reduce on
+    the enlarged set does not raise NotInvertible; the last step that
+    succeeded is the reduction.
+    """
+    eff = spec.effective_matrix()
+    H = assembled_parity(spec, eff)
+    rows, cols = (), ()
+    reduced = schur_reduce(H, rows, cols)
+    next_row = 1
+    for i, comp in enumerate(spec.assignment):
+        first, next_row = next_row, next_row + (1 if comp is None else comp.p)
+        if comp is None or comp.identity_start is None or len(rows) + comp.p >= H.nrows:
+            continue
+        support = [c for c, p in enumerate(eff.rows[i], 1) if not p.is_zero()]
+        comp_cols = tuple(support[comp.identity_start : comp.identity_start + comp.p])
+        if set(comp_cols) & set(cols):
+            continue
+        comp_rows = tuple(range(first, next_row))
+        try:
+            reduced = schur_reduce(H, rows + comp_rows, cols + comp_cols)
+        except NotInvertible:
+            continue
+        rows, cols = rows + comp_rows, cols + comp_cols
+    return reduced
+
+
+BUNDLED_SPECS = ("c1", "hamming15", "n79", "c2", "prelift68", "prelift90")
+
+
+class TestOneSchurStep:
+    @pytest.mark.parametrize("name", BUNDLED_SPECS)
+    def test_construct_runs_one_schur_step(self, monkeypatch, name):
+        calls = Counter()
+        for fn_name in ("schur_reduce", "_invert"):
+            fn = getattr(gldpc, fn_name)
+
+            def counted(*args, _fn=fn, _name=fn_name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(gldpc, fn_name, counted)
+        construct_generator(load(f"{name}.json"))
+        assert calls == {"schur_reduce": 1, "_invert": 1}
+
+
+class TestExpansionBound:
+    def test_oversized_spec_is_rejected_before_any_expansion(self, monkeypatch):
+        # N = 10**6 keeps x^N + 1 itself small (a million bits).
+        for target in (gldpc, polymat):
+            monkeypatch.setattr(target, "circulant_expand", _never)
+        with open(data_path("c1.json"), encoding="utf-8") as fh:
+            d = json.load(fh)
+        d["N"] = 10**6
+        with pytest.raises(ValueError, match="binary expansion 4000000 x 7000000 exceeds"):
+            GldpcSpec.from_json_dict(d)
+
+    @pytest.mark.parametrize("name", BUNDLED_SPECS)
+    def test_bundled_specs_stay_far_below_the_bound(self, name):
+        Hb = expand_binary(load(f"{name}.json"))
+        assert 20 * Hb.nrows * Hb.ncols <= polymat._MAX_EXPANSION_BITS
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("an oversized input reached the expansion")

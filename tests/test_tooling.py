@@ -199,7 +199,7 @@ def test_design_jobs_times_every_bundled_spec():
         assert all(t > 0 for t in report["median_s"][name].values())
         # One pass: the construct stages are parts of that construct job.
         stages = report["construct_stage_median_s"][name]
-        assert list(stages) == ["dimension", "synthesis", "verification"]
+        assert list(stages) == ["dimension", "reduction", "synthesis", "verification"]
         assert all(t > 0 for t in stages.values())
         assert sum(stages.values()) < report["median_s"][name]["construct"]
 

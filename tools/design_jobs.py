@@ -8,13 +8,15 @@ workload up and checks the set-up, runs the warm-up pass 0, then passes
 spec it serves: construct (the spec's generator), girth and distance
 (its 20,000-evaluation search). The jobs of a pass that serve no single
 spec (the ex1 ranks, ar4ja's case-1 generator and exact distance) are
-reported as ``other``. Each construct job is also split into three
+reported as ``other``. Each construct job is also split into four
 stages by wrapping, for the run of this tool only, the names that
 ``gldpc.construct_generator`` calls: dimension (``expansion_rank`` of the
-assembled H), synthesis (``generator_general`` on the reduced matrix, which
-includes that matrix's own ``expansion_rank`` for its target dimension) and
-verification (``expansion_rank`` of the composed G). What is left of a
-construct job is the reduction, the recomposition and the syndrome check.
+assembled H), reduction (``_reduce``: the pivot blocks' determinants and
+the one Schur step), synthesis (``generator_general`` on the reduced
+matrix, which includes that matrix's own ``expansion_rank`` for its target
+dimension) and verification (``expansion_rank`` of the composed G). What
+is left of a construct job is the assembly, the recomposition and the
+syndrome check.
 One table line per spec goes to stdout, and the last line is one JSON
 object. perfbench's files are read, not changed.
 """
@@ -30,7 +32,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("construct", "girth", "distance")
-STAGES = ("dimension", "synthesis", "verification")
+STAGES = ("dimension", "reduction", "synthesis", "verification")
 
 
 def staged(fn, stage, stage_s):
@@ -71,13 +73,14 @@ def main(argv=None):
     kinds = ["construct"] * 4 + list(KINDS) * len(specs) + ["distance"]
     names = (*specs, "other")
     stage_s = {}  # stage seconds of the job being timed
-    originals = gldpc.expansion_rank, gldpc.generator_general
-    # construct_generator ranks H, synthesizes, then ranks G.
+    originals = gldpc.expansion_rank, gldpc._reduce, gldpc.generator_general
+    # construct_generator ranks H, reduces, synthesizes, then ranks G.
     gldpc.expansion_rank = staged(
         gldpc.expansion_rank,
         lambda: "verification" if "synthesis" in stage_s else "dimension",
         stage_s,
     )
+    gldpc._reduce = staged(gldpc._reduce, lambda: "reduction", stage_s)
     gldpc.generator_general = staged(gldpc.generator_general, lambda: "synthesis", stage_s)
     passes, stage_passes, totals, failed = [], [], [], 0
     try:
@@ -108,7 +111,7 @@ def main(argv=None):
             stage_passes.append(per_stage)
             totals.append(sum(times))
     finally:
-        gldpc.expansion_rank, gldpc.generator_general = originals
+        gldpc.expansion_rank, gldpc._reduce, gldpc.generator_general = originals
     medians = {
         name: {kind: statistics.median(p[name][kind] for p in passes) for kind in KINDS}
         for name in names
