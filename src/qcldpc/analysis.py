@@ -130,6 +130,11 @@ def _stacked(edges: list, offset: int, pad: int) -> np.ndarray:
 
 _GIRTH_SEEN_BYTES = 1 << 16  # cap on the seen-flags of one batch of BFS roots
 
+# Cap on the Tanner edges of a polynomial matrix that girth builds tables
+# for: about 35 bytes each at peak, so N = 10^6 over six terms (6 * 10^6
+# edges) takes about 250 MB.
+_MAX_TANNER_EDGES = 1 << 23
+
 
 def girth(H: PolyMatrix | BinMatrix) -> float:
     """Length of the shortest Tanner-graph cycle, or math.inf if none exists.
@@ -139,7 +144,9 @@ def girth(H: PolyMatrix | BinMatrix) -> float:
     For a polynomial matrix the N-fold cyclic symmetry of the expansion
     means every cycle can be shifted onto a representative variable node
     in each column block, so one BFS root per block suffices. A plain
-    binary matrix is searched from every variable node.
+    binary matrix is searched from every variable node. A polynomial
+    matrix of more than ``_MAX_TANNER_EDGES`` edges (N times its terms) is
+    a ValueError, raised before any table is built.
 
     Roots are searched in batches, one BFS layer at a time, each root with
     its own seen-flags. Expanding the layer at depth d reaches the unseen
@@ -149,8 +156,14 @@ def girth(H: PolyMatrix | BinMatrix) -> float:
     batch. The first root is searched alone, so that its cycle length
     stops every later batch one layer short of the widest one.
     """
-    if isinstance(H, PolyMatrix) and H.modulus is None:
-        raise ValueError("girth of a polynomial matrix needs a modulus")
+    if isinstance(H, PolyMatrix):
+        if H.modulus is None:
+            raise ValueError("girth of a polynomial matrix needs a modulus")
+        edges = H.modulus.N * sum(p.bits.bit_count() for row in H.rows for p in row)
+        if edges > _MAX_TANNER_EDGES:
+            raise ValueError(
+                f"Tanner graph of {edges} edges exceeds the bound of {_MAX_TANNER_EDGES} edges"
+            )
     var_table, check_table = _tanner_tables(H)
     m, nodes = len(check_table), len(check_table) + len(var_table)
     step = H.modulus.N if isinstance(H, PolyMatrix) else 1

@@ -19,9 +19,11 @@ class BinMatrix:
     def __init__(self, rows, ncols):
         self.rows = list(rows)
         self.ncols = ncols
-        mask = (1 << ncols) - 1
+        # r >> ncols is 0 exactly for a row in range, and costs O(1) there;
+        # a row with a bit at ncols or beyond, or a negative one, leaves
+        # something nonzero.
         for r in self.rows:
-            if r & ~mask:
+            if r >> ncols:
                 raise ValueError("row has bits beyond ncols")
 
     @property

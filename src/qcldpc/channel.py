@@ -1,5 +1,10 @@
 """Encoding, BPSK-AWGN channel, and iterative GLDPC decoding.
 
+``encode`` reads a term table of the generator, built at its first
+encode and reused: block j of a codeword is T(sum_i m_i g_ij), with T the
+circulant transpose, and since T is a ring automorphism that is one
+cyclic rotation of T(m_i) per term of g_ij, with no polynomial product.
+
 The decoder updates every constraint of a GLDPC spec in parallel
 (flooding). Circulant structure batches the N shift instances of each
 base row through one vectorized update, and ``bcjr_component`` is the
@@ -18,11 +23,17 @@ three kernels, chosen from the component alone:
   so they are divided by their largest entry only every 256 steps.
 
 Both probability-domain kernels take only rows whose weights fit a
-double's exponent range; the wider rows run the same trellis in the log
-domain, the reference kernel. The edge indices, components and parity
-checks a spec needs are built at its first decode and reused; the edge
-indices are ``polymat.row_edges`` of the spec's effective matrix, the
-same Tanner edge map that ``analysis.girth`` reads.
+double's exponent range: rows whose priors sum to at most ``_PROB_SPAN``
+in magnitude. The wider rows run the same trellis in the log domain, the
+reference kernel. No row can be wide while q times the largest prior
+magnitude stays within half the span, so the scan for wide rows runs only
+past that: with the default ``llr_clip`` of 20, never on a component of
+17 bits or fewer.
+
+The edge indices, components and parity checks a spec needs are built at
+its first decode and reused; the edge indices are ``polymat.row_edges``
+of the spec's effective matrix, the same Tanner edge map that
+``analysis.girth`` reads.
 
 The decoder stores its gathered priors and its extrinsics bit-major: the
 block of one constraint row holds bit k of all its instances (frames x
@@ -32,9 +43,18 @@ N) contiguously, for each k in turn. Every kernel computes on such a
 
 One decoder core, ``_decode_frames``, runs a stack of frames at once, so
 each kernel call covers the rows of every active frame; ``gldpc_decode``
-is its one-frame call. ``monte_carlo`` draws every trial from its own
-generator and decodes the frames in chunks of about ``_CHUNK_ROWS`` rows
-per kernel call, spanning SNR points. No arithmetic mixes frames and
+is its one-frame call. After each scatter it gathers the totals at every
+edge once: their signs are what the convergence check reads, and less
+the extrinsics they are the next iteration's priors. The check,
+``_failed_frames``, takes the lines of every parity check in one call,
+padded to the largest check degree, then XOR-reduces them and ORs the
+syndromes per frame: a few numpy calls per iteration, however many checks
+the spec has. A frame's results are written once, as it leaves the active
+set.
+
+``monte_carlo`` draws every trial from its own generator and decodes the
+frames in chunks of about ``_CHUNK_ROWS`` rows per kernel call, spanning
+SNR points. No arithmetic mixes frames and
 errors are counted in trial order, so results do not depend on the
 chunk size; at most one chunk per SNR point is decoded past its early
 stop, and the frames past the stop are discarded.
@@ -59,10 +79,10 @@ import numpy as np
 from .binmat import pack_bits, unpack_bits
 from .gf2poly import BinaryPoly, transpose_poly
 # expand_binary defines convergence (see gldpc_decode) but the decoder
-# checks it row by row from its tables; the name stays importable here,
+# checks it from its edge tables; the name stays importable here,
 # where perfbench's tracer test rebinds it.
 from .gldpc import ComponentCode, GldpcSpec, expand_binary  # noqa: F401
-from .polymat import PolyMatrix, matmul_mod, row_edges
+from .polymat import PolyMatrix, row_edges
 
 __all__ = [
     "DecoderConfig",
@@ -119,13 +139,52 @@ class TrialResult:
         return self.block_errors / self.trials if self.trials else 0.0
 
 
+# The term table of the generator encoded last: ((G, rows, modulus), table).
+# PolyMatrix is unhashable, so the key is compared by identity.
+_encoder_cache = None
+
+
+def _encoder_table(G: PolyMatrix):
+    """Per column block j of G, one (message row i, e) per term x^e of g_ij.
+
+    Built once per generator; only nonzero terms get an entry. Like the
+    decoder's tables, the cache knows G by identity, so a generator whose
+    entries are changed in place after its first encode needs a new
+    PolyMatrix.
+    """
+    global _encoder_cache
+    key = (G, G.rows, G.modulus)
+    cached = _encoder_cache
+    if cached is not None and all(a is b for a, b in zip(cached[0], key)):
+        return cached[1]
+    # The nonzero entries, column by column, unpacked in one call: a set-bit
+    # walk per entry costs as much as a product-form encode of a dense G.
+    nbytes = (G.modulus.N + 7) // 8
+    entries = [(j, i) for j in range(G.ncols) for i, row in enumerate(G.rows) if row[j].bits]
+    raw = b"".join(G.rows[i][j].bits.to_bytes(nbytes, "little") for j, i in entries)
+    unpacked = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
+    # A flat nonzero and a divmod cost a fraction of a 2-D nonzero.
+    entry, exps = np.divmod(np.flatnonzero(unpacked), 8 * nbytes)
+    # The (j, i) of each term's entry; terms run column by column, so each
+    # column's terms are one slice.
+    owners = np.array(entries, dtype=np.intp).reshape(-1, 2)[entry]
+    terms = list(zip(owners[:, 1].tolist(), exps.tolist()))
+    bounds = np.searchsorted(owners[:, 0], np.arange(G.ncols + 1)).tolist()
+    table = [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    _encoder_cache = (key, table)
+    return table
+
+
 def encode(G: PolyMatrix, message) -> int:
     """Encode a polynomial message vector to bit-packed codeword bits.
 
-    Generator rows satisfy the transposed parity identity, so each entry
-    of the message-times-G product is transposed as it is expanded; the
-    result then has zero syndrome against the plain circulant expansion
-    of the parity-check matrix.
+    Generator rows satisfy the transposed parity identity, so block j of
+    the codeword is T(sum_i m_i g_ij), with T the circulant transpose
+    ``transpose_poly``; the result then has zero syndrome against the
+    plain circulant expansion of the parity-check matrix. T is a ring
+    automorphism and takes x^e to x^-e, so the block is the sum of
+    T(m_i) x^-e over the terms x^e of every g_ij: one cyclic rotation of
+    T(m_i), right by e, per term of G's term table (``_encoder_table``).
     """
     message = list(message)
     if len(message) != G.nrows:
@@ -133,10 +192,19 @@ def encode(G: PolyMatrix, message) -> int:
     if G.modulus is None:
         raise ValueError("generator matrix needs a modulus to encode")
     N = G.modulus.N
-    row = matmul_mod(PolyMatrix([message], G.modulus), G).rows[0]
+    # T(m_i) twice over: shifted right by e, its low N bits are T(m_i)
+    # rotated right by e.
+    doubled = []
+    for m in message:
+        a = transpose_poly(m, G.modulus).bits
+        doubled.append(a | a << N)
+    mask = (1 << N) - 1
     bits = 0
-    for j, entry in enumerate(row):
-        bits |= transpose_poly(entry, G.modulus).bits << (j * N)
+    for j, terms in enumerate(_encoder_table(G)):
+        block = 0
+        for i, e in terms:
+            block ^= doubled[i] >> e
+        bits |= (block & mask) << (j * N)
     return bits
 
 
@@ -197,7 +265,8 @@ def _spc_extrinsics(priors: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(left[k - 1], t[k - 1], out=left[k])
         np.multiply(right[q - k], t[q - k], out=right[q - 1 - k])
     loo = np.multiply(left, right, out=left)
-    np.clip(loo, -1.0 + 1e-15, 1.0 - 1e-15, out=loo)
+    np.maximum(loo, -1.0 + 1e-15, out=loo)
+    np.minimum(loo, 1.0 - 1e-15, out=loo)
     np.multiply(2.0, np.arctanh(loo, out=loo), out=out.T)
     return out
 
@@ -233,8 +302,14 @@ def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
         else:
             kernel = _product_trellis
         bits = arr.T
-        wide = np.abs(bits, out=_work("span_abs", bits.shape)).sum(axis=0) > _PROB_SPAN
-        if wide.any():
+        spans = np.abs(bits, out=_work("span_abs", bits.shape))
+        # A row's span is at most q times its largest prior, so no row can be
+        # wide while that stays within half the bound (the half leaves room
+        # for the sum's rounding). fmax skips NaN, as the row scan does.
+        wide = None
+        if comp.q * np.fmax.reduce(spans, axis=None, initial=0.0) > _PROB_SPAN / 2:
+            wide = np.add.reduce(spans, axis=0) > _PROB_SPAN
+        if wide is not None and np.logical_or.reduce(wide):
             rows[wide] = _trellis_extrinsics(comp, arr[wide])
             rows[~wide] = _in_pairs(kernel, comp, bits[:, ~wide].T)
         else:
@@ -341,7 +416,7 @@ def _enumerated_extrinsics(comp, arr, out=None):
     # so every layout of the priors meets it as a C-ordered (q x batch).
     bits = np.ascontiguousarray(arr.T)
     metric = half_signs @ bits
-    metric -= metric.max(axis=0)
+    metric -= np.maximum.reduce(metric, axis=0)
     np.exp(metric, out=metric)
     sums = masks @ metric
     np.log(sums, out=sums)
@@ -382,12 +457,12 @@ def _product_trellis(comp, arr, out=None):
     largest = _work("trellis_largest", (batch,))
 
     def _step(prob, k, nxt, steps):
-        # ``steps`` counts the steps taken, this one included.
+        # ``flipped`` holds prob's states permuted by perms[k]; ``steps``
+        # counts the steps taken, this one included.
         np.multiply(prob, w0[k], out=nxt)
-        np.take(prob, perms[k], axis=0, out=flipped, mode="clip")
         nxt += np.multiply(flipped, w1[k], out=flipped)
         if steps % _RESCALE_STEPS == 0:
-            nxt /= np.max(nxt, axis=0, out=largest)
+            nxt /= np.maximum.reduce(nxt, axis=0, out=largest)
         return nxt
 
     # The forward probabilities of all q steps share one (q x states x batch)
@@ -397,6 +472,7 @@ def _product_trellis(comp, arr, out=None):
     alphas[0].fill(0.0)
     alphas[0, 0] = 1.0
     for k in range(q - 1):
+        np.take(alphas[k], perms[k], axis=0, out=flipped, mode="clip")
         _step(alphas[k], k, alphas[k + 1], k + 1)
 
     sums = _work("trellis_sums", (2, q, batch))
@@ -406,9 +482,10 @@ def _product_trellis(comp, arr, out=None):
     beta.fill(0.0)
     beta[0] = 1.0
     for k in range(q - 1, -1, -1):
-        np.sum(np.multiply(alphas[k], beta, out=joint), axis=0, out=sums[0, k])
-        np.take(beta, perms[k], axis=0, out=joint, mode="clip")
-        np.sum(np.multiply(alphas[k], joint, out=joint), axis=0, out=sums[1, k])
+        np.add.reduce(np.multiply(alphas[k], beta, out=joint), axis=0, out=sums[0, k])
+        # One take serves both the flipped sum and the step to k - 1.
+        np.take(beta, perms[k], axis=0, out=flipped, mode="clip")
+        np.add.reduce(np.multiply(alphas[k], flipped, out=joint), axis=0, out=sums[1, k])
         if k:
             beta, spare = _step(beta, k, spare, q - k), beta
     np.log(sums, out=sums)
@@ -457,16 +534,23 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 # The tables of the spec decoded last: ((spec, base, assignment, prelift),
-# (n, rows)). GldpcSpec is unhashable, so the key is compared by identity.
+# tables). GldpcSpec is unhashable, so the key is compared by identity.
 _decoder_cache = None
 
 
 def _decoder_tables(spec: GldpcSpec):
-    """Code length and the per-row tables of ``spec``, built once.
+    """Code length and the edge and check tables of ``spec``, built once.
 
-    One entry per constraint row: (edge indices, component with None
-    resolved to its single-parity check, the bit positions each parity
-    row of the component checks).
+    Returns (n, rows, edges, checks):
+
+    - rows: per constraint row, (edge indices N x q, component with None
+      resolved to its single-parity check, the row's span of edges);
+    - edges: the (Q x N) edge indices of all rows, bit-major: row after
+      row, bit k of every shift of the row in one line, so Q is the sum
+      of the rows' q;
+    - checks: (lines, D), the lines of ``edges`` that each parity check
+      of every row reads, flat, D per check: a check of a lower degree is
+      padded with line Q, which ``_failed_frames`` keeps all zero.
     """
     global _decoder_cache
     key = (spec, spec.base, spec.assignment, spec.prelift)
@@ -474,13 +558,20 @@ def _decoder_tables(spec: GldpcSpec):
     if cached is not None and all(a is b for a, b in zip(cached[0], key)):
         return cached[1]
     eff = spec.effective_matrix()
-    rows = []
-    for idx, comp in zip(row_edges(eff), spec.assignment):
+    row_idx = row_edges(eff)
+    edges = np.concatenate([idx.T for idx in row_idx])
+    rows, checks, start = [], [], 0
+    for idx, comp in zip(row_idx, spec.assignment):
         if comp is None:
             comp = ComponentCode.spc(idx.shape[1])
-        checks = tuple(np.flatnonzero(row) for row in comp.parity)
-        rows.append((idx, comp, checks))
-    tables = (eff.ncols * eff.modulus.N, rows)
+        span = slice(start, start + comp.q)
+        # A view of edges, so each edge index is held once.
+        rows.append((edges[span].T, comp, span))
+        checks += [[start + k for k, b in enumerate(parity) if b] for parity in comp.parity]
+        start += comp.q
+    degree = max(map(len, checks))
+    lines = np.array([c + [start] * (degree - len(c)) for c in checks], dtype=np.intp)
+    tables = (eff.ncols * eff.modulus.N, rows, edges, (lines.ravel(), degree))
     _decoder_cache = (key, tables)
     return tables
 
@@ -492,82 +583,120 @@ _CHUNK_ROWS = 1024
 
 def _chunk_frames(spec: GldpcSpec) -> int:
     """Frames monte_carlo decodes per call: enough for ``_CHUNK_ROWS`` rows a call."""
-    _, rows = _decoder_tables(spec)
-    return max(1, _CHUNK_ROWS // rows[0][0].shape[0])
+    _, _, edges, _ = _decoder_tables(spec)
+    return max(1, _CHUNK_ROWS // edges.shape[1])
 
 
-def _batch_layout(rows, frames: int, n: int):
-    """Flat gather indices of ``frames`` frames and each row's place in them.
+def _failed_frames(checks, totals: np.ndarray) -> np.ndarray:
+    """Per frame, whether its hard decisions fail some parity check.
 
-    The indices address a flat (frames x n) array as ``b * n + idx``, row
-    after row. Each row's run is bit-major, ordered (bit, frame, shift),
-    so that bit k of all frames * N instances of the row is one contiguous
-    span. Each row gets its (component, parity checks, slice, (q, frames,
-    N) shape).
+    ``totals`` holds each frame's totals at every edge, bit-major (Q x
+    frames x N, laid out as ``_decoder_tables``'s edges), so each line of
+    it is bit k of a row for every frame and shift. One take gathers the
+    lines of every check, each padded to the largest degree D with an
+    all-zero line Q, one XOR-reduce gives every check's syndromes and one
+    OR per frame ends it: a fixed few numpy calls, however many checks.
     """
-    offsets = np.arange(frames)[:, None] * n
-    gather, segments, start = [], [], 0
-    for idx, comp, checks in rows:
-        gather.append((offsets[None] + idx.T[:, None, :]).ravel())
-        size = frames * idx.size
-        shape = (idx.shape[1], frames, idx.shape[0])
-        segments.append((comp, checks, slice(start, start + size), shape))
-        start += size
-    return np.concatenate(gather), segments
+    cols, degree = checks
+    lines, frames, N = totals.shape
+    hard = np.empty((lines + 1, frames * N), dtype=bool)
+    hard[lines] = False
+    np.less(totals.reshape(lines, -1), 0.0, out=hard[:lines])
+    # take runs faster on a flat index than on a 2-D one.
+    bits = hard.take(cols, axis=0).reshape(-1, degree, frames * N)
+    syndromes = np.bitwise_xor.reduce(bits, axis=1)
+    return np.logical_or.reduce(syndromes.reshape(-1, frames, N), axis=(0, 2))
+
+
+def _gather_indices(edges: np.ndarray, frames: int, n: int) -> np.ndarray:
+    """Flat indices ``b * n + edge`` of every edge into (frames x n) totals.
+
+    They run in (Q x frames x N) order: bit-major, row after row, then
+    frame, then shift. They stay one flat array, since np.add.at takes its
+    fast path only on a 1-D index.
+    """
+    return (edges[:, None, :] + np.arange(0, frames * n, n)[:, None]).ravel()
+
+
+def _row_views(rows, priors: np.ndarray, ext: np.ndarray):
+    """Per row, (component, priors, extrinsics) for bcjr_component.
+
+    The priors and extrinsics are the (rows x q) views of the row's
+    bit-major blocks of ``priors`` and ``ext`` (Q x frames x N, C-ordered).
+    """
+    return [
+        (comp, priors[span].reshape(comp.q, -1).T, ext[span].reshape(comp.q, -1).T)
+        for _, comp, span in rows
+    ]
 
 
 def _decode_frames(spec: GldpcSpec, llrs: np.ndarray, cfg: DecoderConfig):
     """Flooding decode of a stack of frames (B x n channel LLRs).
 
     Returns (hard decisions B x n, converged B, iterations B). Every
-    iteration gathers, clips, updates and scatters all active frames at
-    once; a frame leaves the active set at its own convergence, and no
-    arithmetic mixes frames, so each frame's result equals its decode
-    alone. The scatter adds each row's extrinsics in the same order for
-    every batch, so totals do not depend on which frames share a call.
+    iteration clips, updates and scatters all active frames at once, then
+    gathers the new totals at every edge: their signs feed the parity
+    checks, and less the extrinsics they are the next iteration's priors.
+    A frame leaves the active set at its own convergence, and its results
+    are written as it leaves (or at the last iteration); no arithmetic
+    mixes frames, so each frame's result equals its decode alone. The
+    scatter adds each row's extrinsics in the same order for every batch,
+    so totals do not depend on which frames share a call.
     """
-    n, rows = _decoder_tables(spec)
+    n, rows, edges, checks = _decoder_tables(spec)
     frames = llrs.shape[0]
     hard_out = np.zeros((frames, n), dtype=bool)
     converged = np.zeros(frames, dtype=bool)
     iterations = np.zeros(frames, dtype=int)
+    if not frames:
+        return hard_out, converged, iterations
     active = np.arange(frames)
     llr = np.ascontiguousarray(llrs, dtype=np.float64).ravel()
-    total = llr
-    gather, segments = _batch_layout(rows, frames, n)
-    ext = _work("ext", gather.shape)
+    gather = _gather_indices(edges, frames, n)
+    shape = (len(edges), frames, edges.shape[1])
+    ext = _work("ext", shape)
     ext.fill(0.0)
+    priors = _work("priors", shape)
+    # Indices are in range; "clip" lets take write into out unbuffered. The
+    # decoder calls the take method: np.take's wrapper costs about a
+    # microsecond a call, which adds up over small iterations.
+    llr.take(gather, out=priors.reshape(-1), mode="clip")
+    views = _row_views(rows, priors, ext)
+    clip = cfg.llr_clip
     for iteration in range(1, cfg.max_iterations + 1):
-        priors = _work("priors", gather.shape)
-        # Indices are in range; "clip" lets take write into out unbuffered.
-        np.take(total, gather, out=priors, mode="clip")
         priors -= ext
-        np.clip(priors, -cfg.llr_clip, cfg.llr_clip, out=priors)
-        for comp, _, sl, (q, _, _) in segments:
-            # The (rows x q) views of the row's bit-major blocks.
-            bcjr_component(comp, priors[sl].reshape(q, -1).T, out=ext[sl].reshape(q, -1).T)
+        # np.clip's Python wrapper costs more than the work on small batches.
+        np.maximum(priors, -clip, out=priors)
+        np.minimum(priors, clip, out=priors)
+        for comp, prior, out in views:
+            bcjr_component(comp, prior, out=out)
         total = _work("total", llr.shape)
         np.copyto(total, llr)
-        np.add.at(total, gather, ext)
-        hard = total < 0
-        bits = hard[gather]
-        failed = np.zeros(active.size, dtype=bool)
-        for _, checks, sl, shape in segments:
-            block = bits[sl].reshape(shape)
-            for cols in checks:
-                failed |= np.bitwise_xor.reduce(block[cols], axis=0).any(axis=1)
-        hard_out[active] = hard.reshape(-1, n)
-        converged[active] = ~failed
-        iterations[active] = iteration
-        if not failed.any():
+        np.add.at(total, gather, ext.reshape(-1))
+        total.take(gather, out=priors.reshape(-1), mode="clip")
+        failed = _failed_frames(checks, priors)
+        stay = failed if iteration < cfg.max_iterations else np.zeros_like(failed)
+        staying = np.count_nonzero(stay)
+        if staying == stay.size:
+            continue
+        leave = ~stay
+        done = active[leave]
+        hard_out[done] = total.reshape(-1, n)[leave] < 0
+        converged[done] = ~failed[leave]
+        iterations[done] = iteration
+        if not staying:
             break
-        if not failed.all():
-            # Drop the converged frames from every per-frame array.
-            active = active[failed]
-            ext = ext[failed[gather // n]]
-            llr = llr.reshape(-1, n)[failed].ravel()
-            total = total.reshape(-1, n)[failed].ravel()
-            gather, segments = _batch_layout(rows, active.size, n)
+        # Drop the frames that left from every per-frame array. compress,
+        # unlike ext[:, stay], returns a C-ordered array, whose row blocks
+        # reshape to views. The priors stay in their work array: the staying
+        # frames' totals are gathered into it again.
+        active = active[stay]
+        llr = llr.reshape(-1, n)[stay].ravel()
+        ext = np.compress(stay, ext, axis=1)
+        gather = _gather_indices(edges, active.size, n)
+        priors = _work("priors", ext.shape)
+        total.reshape(-1, n)[stay].take(gather, out=priors.reshape(-1), mode="clip")
+        views = _row_views(rows, priors, ext)
     return hard_out, converged, iterations
 
 
@@ -582,7 +711,7 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     """
     if cfg is None:
         cfg = DecoderConfig()
-    n, _ = _decoder_tables(spec)
+    n = _decoder_tables(spec)[0]
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.size != n:
         raise ValueError(f"got {llr.size} LLRs for a length-{n} code")

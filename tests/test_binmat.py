@@ -39,6 +39,17 @@ class TestBinMatrix:
         with pytest.raises(ValueError):
             BinMatrix([0b100], 2)
 
+    @pytest.mark.parametrize("ncols", [1, 7, 64, 5640])
+    def test_negative_row_and_bit_ncols_rejected(self, ncols):
+        # The former check, r & ~mask, is the oracle of which rows pass.
+        mask = (1 << ncols) - 1
+        for row in (-1, -(1 << ncols), 1 << ncols, (1 << ncols) | 1, mask):
+            if row & ~mask:
+                with pytest.raises(ValueError, match="beyond ncols"):
+                    BinMatrix([0, row], ncols)
+            else:
+                assert BinMatrix([0, row], ncols).rows == [0, row]
+
     def test_transpose_involution(self):
         rng = random.Random(12)
         for _ in range(20):

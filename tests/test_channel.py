@@ -28,6 +28,7 @@ from qcldpc.channel import (
     TrialResult,
     _decode_frames,
     _decoder_tables,
+    _failed_frames,
     _product_trellis,
     _trellis_extrinsics,
     awgn_llrs,
@@ -36,9 +37,9 @@ from qcldpc.channel import (
     gldpc_decode,
     monte_carlo,
 )
-from qcldpc.gf2poly import BinaryPoly, RingModulus
+from qcldpc.gf2poly import BinaryPoly, RingModulus, transpose_poly
 from qcldpc.gldpc import ComponentCode, GldpcSpec, construct_generator, expand_binary, load_spec
-from qcldpc.polymat import PolyMatrix
+from qcldpc.polymat import PolyMatrix, matmul_mod
 
 
 SPEC_NAMES = (
@@ -96,6 +97,15 @@ def map_extrinsics(comp, priors):
                 num += metric
         ext[k] = np.log(num) - np.log(den)
     return ext
+
+
+def product_formula(G, message):
+    """encode's former body: the message times G, each entry transposed as placed."""
+    row = matmul_mod(PolyMatrix([list(message)], G.modulus), G).rows[0]
+    bits = 0
+    for j, entry in enumerate(row):
+        bits |= transpose_poly(entry, G.modulus).bits << (j * G.modulus.N)
+    return bits
 
 
 def random_message(rng, G):
@@ -161,6 +171,22 @@ class TestEncode:
         for _ in range(5):
             word = encode(G, random_message(rng, G))
             assert in_kernel(Hb, word)
+
+    def test_matches_the_product_formula(self):
+        # Alternating generators: each call must read its own G's term table.
+        rng = random.Random(81)
+        generators = [coded(name)[1] for name in SPEC_NAMES]
+        for _ in range(3):
+            for G in generators:
+                N = G.modulus.N
+                messages = [
+                    random_message(rng, G),
+                    [BinaryPoly(rng.getrandbits(3 * N + 5)) for _ in range(G.nrows)],
+                    [BinaryPoly(0)] * G.nrows,
+                    [BinaryPoly(1 << rng.randrange(4 * N)) for _ in range(G.nrows)],
+                ]
+                for message in messages:
+                    assert encode(G, message) == product_formula(G, message)
 
 
 class TestAwgnLlrs:
@@ -354,6 +380,63 @@ class TestBcjrComponent:
             far = np.flatnonzero(spans > channel._PROB_SPAN)
             for pick in ([narrow[0], far[0], far[1]], [far[2], narrow[5], far[3]]):
                 assert np.array_equal(bcjr_component(comp, priors[pick]), want[pick])
+
+    @pytest.mark.parametrize("comp_fn", [hamming74, hamming15_component], ids=["enum74", "trellis15"])
+    def test_rows_around_the_span_route_by_their_sum(self, comp_fn, monkeypatch):
+        # The rule before the q * max|prior| gate: a row is wide, and goes to
+        # the log-domain trellis, exactly when its priors' magnitudes sum
+        # past _PROB_SPAN.
+        comp = comp_fn()
+        q, span = comp.q, channel._PROB_SPAN
+        signs = np.where(np.arange(q) % 3 == 1, -1.0, 1.0)
+        priors = np.stack([
+            signs * (span / q) * (1 - 1e-12),
+            signs * (span / q) * (1 + 1e-12),
+            np.where(np.arange(q) == 2, span - 1e-9, 0.0),
+            np.where(np.arange(q) == 2, span + 1e-9, 0.0),
+            signs * 3.0,
+            np.where(np.arange(q) == 0, np.nan, 1.0),
+            signs * (span / 2 / q),
+        ])
+        wide = np.abs(priors).sum(axis=1) > span
+        assert wide.tolist() == [False, True, False, True, False, False, False]
+        seen = []
+        trellis = channel._trellis_extrinsics
+
+        def recorded(comp, arr):
+            seen.append(arr.copy())
+            return trellis(comp, arr)
+
+        monkeypatch.setattr(channel, "_trellis_extrinsics", recorded)
+        got = bcjr_component(comp, priors)
+        assert len(seen) == 1 and np.array_equal(seen[0], priors[wide])
+        kernel = (
+            channel._enumerated_extrinsics
+            if 2 ** (q - comp.p) <= q * 2**comp.p
+            else channel._product_trellis
+        )
+        want = np.empty_like(priors)
+        want[wide] = trellis(comp, priors[wide])
+        want[~wide] = channel._in_pairs(kernel, comp, priors[~wide])
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_product_trellis_takes_once_per_step(self, monkeypatch):
+        comp = hamming15_component()
+        priors = np.random.default_rng(95).uniform(-8.0, 8.0, size=(6, comp.q))
+        want = _product_trellis(comp, priors)
+        takes = []
+        take = np.take
+
+        def counted(*args, **kwargs):
+            takes.append(1)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted)
+        got = _product_trellis(comp, priors)
+        monkeypatch.undo()
+        # q - 1 forward steps and q backward ones, each permuting its states once.
+        assert len(takes) == 2 * comp.q - 1
+        assert np.array_equal(got, want)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="priors"):
@@ -585,6 +668,49 @@ BATCH_SNRS = {
 }
 
 
+def per_check_failures(spec, hard):
+    """The decoder's former convergence check, five numpy calls per parity check.
+
+    ``hard`` is (frames x n) hard decisions; each row's bits are gathered
+    bit-major, (q x frames x N), and every parity check of its component
+    XOR-reduces its bits and ORs the result into the frame's failure.
+    """
+    _, rows, _, _ = _decoder_tables(spec)
+    failed = np.zeros(len(hard), dtype=bool)
+    for idx, comp, _ in rows:
+        block = hard[:, idx.T].transpose(1, 0, 2)
+        for cols in (np.flatnonzero(row) for row in comp.parity):
+            failed |= np.bitwise_xor.reduce(block[cols], axis=0).any(axis=1)
+    return failed
+
+
+class TestConvergenceCheck:
+    @pytest.mark.parametrize("name", SPEC_NAMES + (UNEQUAL_ROWS,))
+    def test_matches_the_per_check_loop(self, name):
+        spec, G, _ = coded(name)
+        n, _, edges, checks = _decoder_tables(spec)
+        rng = np.random.default_rng(97)
+        draw = random.Random(97)
+        for frames in (1, 2, 3, 5, 8, 13):
+            # Codewords with 0, 1, 2 or many flipped bits: some frames pass.
+            bits = np.stack([
+                bits_to_array(encode(G, random_message(draw, G)), n) for _ in range(frames)
+            ]).astype(bool)
+            for b in range(frames):
+                flips = [0, 0, 1, 2, n // 3][b % 5]
+                bits[b, rng.choice(n, size=flips, replace=False)] ^= True
+            magnitude = rng.exponential(2.0, size=(frames, n))
+            # Zeros, and -0.0 where the bit is 1, read as 0 on both sides.
+            magnitude[4::5][rng.random((len(magnitude[4::5]), n)) < 0.05] = 0.0
+            totals = np.where(bits, -magnitude, magnitude)
+            hard = totals < 0
+            at_edges = np.ascontiguousarray(totals[:, edges].transpose(1, 0, 2))
+            want = per_check_failures(spec, hard)
+            assert np.array_equal(_failed_frames(checks, at_edges), want)
+            if frames >= 5:
+                assert want.any() and not want.all()
+
+
 class TestBatchedDecode:
     @pytest.mark.parametrize("max_iterations", [1, 3, 30])
     @pytest.mark.parametrize("name", SPEC_NAMES)
@@ -604,7 +730,7 @@ class TestBatchedDecode:
         spec = coded(name)[0]
         cfg = DecoderConfig(max_iterations=12, llr_clip=200.0)
         llrs = wide_frames(name, seed=71)
-        _, rows = _decoder_tables(spec)
+        _, rows, _, _ = _decoder_tables(spec)
         spans = np.concatenate([
             np.abs(np.clip(llrs[:, idx], -200.0, 200.0)).sum(axis=2).ravel()
             for idx, _, _ in rows

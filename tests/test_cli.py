@@ -15,7 +15,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcldpc import cli, gldpc
+from qcldpc import analysis, cli, gldpc
 from qcldpc.analysis import low_weight_search
 from qcldpc.binmat import read_alist
 from qcldpc.cli import run
@@ -243,6 +243,33 @@ class TestExitCodes:
         assert err.splitlines() == [
             "error: binary expansion 3000000 x 5000000 exceeds the bound of 268435456 bits"
         ]
+
+    def test_girth_past_the_edge_bound_is_one_error_line(self, capsys, monkeypatch):
+        # 0,1,3 gives six terms, so this N passes the bound by a few edges,
+        # while its x^N + 1 stays about a megabit. row_edges raises if it is
+        # reached, so nothing of the graph's size is allocated.
+        monkeypatch.setattr(analysis, "row_edges", _never)
+        bound = analysis._MAX_TANNER_EDGES
+        N = bound // 6 + 1
+        assert run(["girth", "--exponents", "0,1,3", "--N", str(N)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: Tanner graph of {6 * N} edges exceeds the bound of {bound} edges"
+        ]
+
+    def test_girth_within_the_edge_bound_reaches_the_tables(self, monkeypatch):
+        # N = 10**6 (girth 12, about 0.6 s) stays within the bound: the
+        # search gets as far as building its tables.
+        class Reached(Exception):
+            pass
+
+        def reached(H):
+            raise Reached
+
+        monkeypatch.setattr(analysis, "row_edges", reached)
+        with pytest.raises(Reached):
+            run(["girth", "--exponents", "0,1,3", "--N", str(10**6)])
 
     @pytest.mark.parametrize("key", ["assignment", "exponents", "N"])
     def test_spec_missing_key_is_domain_error(self, capsys, tmp_path, key):

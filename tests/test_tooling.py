@@ -204,6 +204,37 @@ def test_design_jobs_times_every_bundled_spec():
         assert sum(stages.values()) < report["median_s"][name]["construct"]
 
 
+@pytest.mark.parametrize("workload", ["ber-waterfall", "ber-highsnr"])
+def test_ber_stages_splits_every_pass(workload):
+    # The wrapped channel names must exist, every pass must reach each
+    # stage, and the nested stages must fit inside the ones holding them.
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ber_stages.py"), "--workload", workload,
+         "--passes", "2"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["workload"] == workload and report["failed_ops"] == 0
+    stages = report["stages"]
+    assert list(stages) == ["draw", "encode", "decode", "kernel", "check", "decode_own", "rest"]
+    for name in ("draw", "encode", "decode", "kernel", "check"):
+        assert stages[name]["calls"] > 0 and stages[name]["s"] > 0
+    frames = {"ber-waterfall": 12, "ber-highsnr": 8}[workload]
+    assert stages["draw"]["calls"] == stages["encode"]["calls"] == frames
+    assert stages["encode"]["s"] < stages["draw"]["s"]
+    assert stages["kernel"]["s"] + stages["check"]["s"] < stages["decode"]["s"]
+    assert stages["decode_own"]["s"] > 0
+    assert stages["draw"]["s"] + stages["decode"]["s"] < report["pass_s_median"]
+
+
+def test_ber_stages_rejects_the_design_workload():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ber_stages.py"), "--workload", "design"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2 and "must be a BER workload" in done.stderr
+
+
 def test_pass_faults_counts_the_design_workload():
     # The design workload's passes read what its set-up check adds.
     done = subprocess.run(
