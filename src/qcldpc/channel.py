@@ -139,23 +139,25 @@ class TrialResult:
         return self.block_errors / self.trials if self.trials else 0.0
 
 
-# The term table of the generator encoded last: ((G, rows, modulus), table).
-# PolyMatrix is unhashable, so the key is compared by identity.
+# The term table of the generator encoded last: (key, table), the key
+# holding N and every entry's bits, so an entry changed in place is seen.
 _encoder_cache = None
+
+
+def _entry_bits(M: PolyMatrix):
+    """N, the width and the bits of every entry of M, row by row: a key by content."""
+    return M.modulus.N, M.ncols, tuple([p.bits for row in M.rows for p in row])
 
 
 def _encoder_table(G: PolyMatrix):
     """Per column block j of G, one (message row i, e) per term x^e of g_ij.
 
-    Built once per generator; only nonzero terms get an entry. Like the
-    decoder's tables, the cache knows G by identity, so a generator whose
-    entries are changed in place after its first encode needs a new
-    PolyMatrix.
+    Built once per generator content; only nonzero terms get an entry.
     """
     global _encoder_cache
-    key = (G, G.rows, G.modulus)
+    key = _entry_bits(G)
     cached = _encoder_cache
-    if cached is not None and all(a is b for a, b in zip(cached[0], key)):
+    if cached is not None and cached[0] == key:
         return cached[1]
     # The nonzero entries, column by column, unpacked in one call: a set-bit
     # walk per entry costs as much as a product-form encode of a dense G.
@@ -533,8 +535,9 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return safe + np.log(np.exp(a - safe[:, None]).sum(axis=1))
 
 
-# The tables of the spec decoded last: ((spec, base, assignment, prelift),
-# tables). GldpcSpec is unhashable, so the key is compared by identity.
+# The tables of the spec decoded last: (key, tables), the key holding the
+# base's entries, the component parities and the pre-lift, as the
+# encoder's does.
 _decoder_cache = None
 
 
@@ -553,9 +556,10 @@ def _decoder_tables(spec: GldpcSpec):
       padded with line Q, which ``_failed_frames`` keeps all zero.
     """
     global _decoder_cache
-    key = (spec, spec.base, spec.assignment, spec.prelift)
+    parities = tuple(None if c is None else c.parity for c in spec.assignment)
+    key = (_entry_bits(spec.base), parities, spec.prelift)
     cached = _decoder_cache
-    if cached is not None and all(a is b for a, b in zip(cached[0], key)):
+    if cached is not None and cached[0] == key:
         return cached[1]
     eff = spec.effective_matrix()
     row_idx = row_edges(eff)

@@ -16,11 +16,11 @@ from .binmat import RowEchelon
 from .gf2poly import BinaryPoly, NotInvertible, gcd, inverse_mod, is_unit, transpose_poly
 from .polymat import (
     PolyMatrix,
-    circulant_rows,
     expansion_rank,
     index_set,
     matmul_mod,
     minor_det,
+    span_step,
     transpose_entrywise,
 )
 
@@ -248,14 +248,12 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
     Plain rows over a unit minor (case 1) are all laid down with no rank
     tracking, as each adds N to the rank.
 
-    Within a lemma-2 level the candidate whose N circulant rows grow the
-    span the most is committed, the first such on ties, until none grows
-    it. A candidate's gain never grows as the span does, because matroid
-    rank is submodular, so a gain measured before a later commit is an
-    upper bound on the gain now. Each round probes candidates from the
-    largest bound down and stops at the first whose bound can neither
-    beat the best fresh gain nor tie it at a lower index; the pick is the
-    one a probe of every candidate would make.
+    Otherwise every row adds its N circulant rows to one span through
+    polymat.span_step, which stops at the row's first shift that adds
+    nothing: the span holds every shift of the rows in it, so no later
+    shift could add more. Within a lemma-2 level each round probes every
+    candidate on a copy of the span and commits the one that grows it the
+    most, the first such on ties, until none grows it.
     """
     if target == 0:
         raise ValueError("code has dimension 0; no generator exists")
@@ -274,10 +272,7 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
     rows, provenance = [], []
 
     def admit(row, origin):
-        grew = False
-        for bits in circulant_rows([p.bits for p in row], N):
-            grew = tracker.add(bits) or grew
-        if grew:
+        if span_step(tracker, [p.bits for p in row], N):
             rows.append(row)
             provenance.append(origin)
         return tracker.rank >= target
@@ -300,25 +295,14 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
                 if row is None or all(p.is_zero() for p in row):
                     continue
                 candidates.append((row, RowOrigin("lemma2", S=S, T=T, f=f)))
-        bound = [N] * len(candidates)  # N rows add at most N to the rank
         while candidates and not done:
-            # Keys (gain, -index) order candidates as the pick does; a
-            # gain of 0 is never committed.
-            best, best_key = None, (0, 1)
-            for i in sorted(range(len(candidates)), key=lambda i: (-bound[i], i)):
-                if (bound[i], -i) <= best_key:
-                    break
-                probe = tracker.copy()
-                for bits in circulant_rows([p.bits for p in candidates[i][0]], N):
-                    probe.add(bits)
-                bound[i] = probe.rank - tracker.rank
-                if (bound[i], -i) > best_key:
-                    best, best_key = i, (bound[i], -i)
-            if best is None:
+            gains = [
+                span_step(tracker.copy(), [p.bits for p in row], N) for row, _ in candidates
+            ]
+            best = max(range(len(candidates)), key=gains.__getitem__)
+            if not gains[best]:
                 break
-            del bound[best]
-            row, origin = candidates.pop(best)
-            done = admit(row, origin)
+            done = admit(*candidates.pop(best))
 
     if not rows:
         rows = [[BinaryPoly(0)] * H.ncols]

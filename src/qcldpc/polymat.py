@@ -13,8 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .binmat import BinMatrix
-from .binmat import rank as rank_scalar
+from .binmat import BinMatrix, RowEchelon
 from .gf2poly import BinaryPoly, gcd, inverse_mod, is_unit, transpose_poly
 
 
@@ -214,6 +213,24 @@ def circulant_rows(blocks, N):
     yield row
 
 
+def span_step(echelon, blocks, N):
+    """Add the cyclic shifts of a row of blocks to a span; the rank gained.
+
+    The span (a binmat.RowEchelon) must hold every shift of each row in
+    it, as does every span built from empty by this function alone.
+    Shift x^r v is added for r = 0, 1, ... (the rows of circulant_rows)
+    until one adds nothing. That one lies in the span plus v, ...,
+    x^(r-1) v, which is then closed under the block shift x, so every
+    later shift lies in it too: the row's Krylov sequence has stopped.
+    """
+    gained = 0
+    for bits in circulant_rows(blocks, N):
+        if not echelon.add(bits):
+            break
+        gained += 1
+    return gained
+
+
 # The most bits a binary expansion may have, 2^28 (32 MiB packed): about 25
 # times the largest bundled one, hamming15's 1,880 x 5,640.
 _MAX_EXPANSION_BITS = 1 << 28
@@ -277,12 +294,14 @@ def expansion_rank(H):
     which clears the column, and the pivot row and column drop out with N
     added to the rank. Block row and column operations by invertible
     circulants keep the rank of the expansion, so only the residual rows
-    and unpivoted columns go to the scalar rank.
+    and unpivoted columns are left to rank bit by bit.
 
-    There the block columns are sorted by how many rows have a nonzero
-    entry, the fewest last: those land on the leading bits, where
-    RowEchelon takes its pivots, and rows that lead in a block of their
-    own reduce in a few steps.
+    Each residual row adds its expansion rows to one span with span_step,
+    which stops at the row's first shift that adds nothing. Its blocks are
+    the unpivoted columns sorted by how many rows have a nonzero entry,
+    the fewest last: those land on the leading bits, where RowEchelon
+    takes its pivots, and rows that lead in a block of their own reduce
+    in a few steps.
     """
     if H.modulus is None:
         raise ValueError("circulant expansion needs a ring modulus")
@@ -316,12 +335,12 @@ def expansion_rank(H):
                 if p.bits:
                     row[k] = row[k] + m.mul(c, p)
     rows = [row for row in rows if any(row[j].bits for j in rest)]
-    if not rows:
-        return rank
     load = {j: sum(1 for row in rows if row[j].bits) for j in rest}
     rest.sort(key=lambda j: -load[j])
-    residual = PolyMatrix([[row[j] for j in rest] for row in rows], m)
-    return rank + rank_scalar(circulant_expand(residual))
+    span = RowEchelon()
+    for row in rows:
+        rank += span_step(span, [transpose_poly(row[j], m).bits for j in rest], m.N)
+    return rank
 
 
 def write_pmx(H, path):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcldpc
-from conftest import P, data_path, hamming64, hamming74, in_kernel
+from conftest import P, data_path, hamming64, hamming74, in_kernel, permuted74
 from qcldpc import channel
 from qcldpc.binmat import pack_bits
 from qcldpc.channel import (
@@ -39,7 +39,7 @@ from qcldpc.channel import (
 )
 from qcldpc.gf2poly import BinaryPoly, RingModulus, transpose_poly
 from qcldpc.gldpc import ComponentCode, GldpcSpec, construct_generator, expand_binary, load_spec
-from qcldpc.polymat import PolyMatrix, matmul_mod
+from qcldpc.polymat import PolyMatrix, matmul_mod, row_edges
 
 
 SPEC_NAMES = (
@@ -187,6 +187,18 @@ class TestEncode:
                 ]
                 for message in messages:
                     assert encode(G, message) == product_formula(G, message)
+
+    def test_entry_changed_in_place_is_seen(self, monkeypatch):
+        # The term table is cached by content, not by the generator object.
+        G = PolyMatrix(coded("c1.json")[1].rows, RingModulus(68))
+        message = random_message(random.Random(82), G)
+        first = encode(G, message)
+        assert G.rows[0][0].bits
+        G.rows[0][0] = BinaryPoly(0)
+        edited = encode(G, message)
+        assert edited != first and edited == product_formula(G, message)
+        monkeypatch.setattr(channel, "_encoder_cache", None)
+        assert encode(G, message) == edited
 
 
 class TestAwgnLlrs:
@@ -539,6 +551,28 @@ class TestDecoderTables:
                 llr = awgn_llrs(np.zeros(n, np.uint8), -1.0, seed)
                 word, converged, iterations = gldpc_decode(loaded[name], llr, cfg)
                 assert [str(word), converged, iterations] == fresh[name][seed]
+
+    def test_entries_changed_in_place_are_seen(self, monkeypatch):
+        # The tables are cached by content: an edited base entry or a
+        # swapped component gives new tables, equal to an emptied cache's.
+        spec = load("c1.json")
+        llr = awgn_llrs(np.zeros(7 * 68, np.uint8), -1.0, 5)
+        cfg = DecoderConfig(max_iterations=8)
+        gldpc_decode(spec, llr, cfg)
+        edges = _decoder_tables(spec)[2]
+        spec.base.rows[1][1] = P("x^62")
+        edited = gldpc_decode(spec, llr, cfg)
+        new_edges = _decoder_tables(spec)[2]
+        assert not np.array_equal(new_edges, edges)
+        want = np.concatenate([idx.T for idx in row_edges(spec.effective_matrix())])
+        assert np.array_equal(new_edges, want)
+        monkeypatch.setattr(channel, "_decoder_cache", None)
+        assert gldpc_decode(spec, llr, cfg) == edited
+        spec.assignment = (permuted74(), None)
+        swapped = gldpc_decode(spec, llr, cfg)
+        assert _decoder_tables(spec)[1][0][1] == permuted74()
+        monkeypatch.setattr(channel, "_decoder_cache", None)
+        assert gldpc_decode(spec, llr, cfg) == swapped
 
 
 # c1's base with a [7,4] component whose parity rows weigh 5, 3 and 3

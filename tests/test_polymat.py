@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import P, data_path, poly_matrix, random_poly_matrix
 from qcldpc import polymat
-from qcldpc.binmat import rank
+from qcldpc.binmat import RowEchelon, rank
 from qcldpc.gf2poly import BinaryPoly, RingModulus, bit_positions, transpose_poly
 from qcldpc.gldpc import assembled_parity, construct_generator, load_spec
 from qcldpc.polymat import (
@@ -29,6 +29,7 @@ from qcldpc.polymat import (
     minor_det,
     read_pmx,
     row_edges,
+    span_step,
     transpose_entrywise,
     write_pmx,
     zero_matrix,
@@ -280,6 +281,78 @@ class TestCirculantRows:
         assert rows == per_block_rotation(blocks, N)
 
 
+class CountingEchelon(RowEchelon):
+    """A RowEchelon that counts its add calls."""
+
+    __slots__ = ("adds",)
+
+    def __init__(self):
+        super().__init__()
+        self.adds = 0
+
+    def add(self, bits):
+        self.adds += 1
+        return super().add(bits)
+
+
+@st.composite
+def span_rows(draw):
+    """N = 1..12 and 1-6 rows of 1-3 blocks, each row's blocks sharing a factor.
+
+    The factor (1, 1 + x, 1 + x^2 or 1 + x + x^2) often divides x^N + 1,
+    so a row's shifts span less than N; blocks are often zero, and a
+    later row may be an earlier one shifted.
+    """
+    N = draw(st.integers(1, 12))
+    m = RingModulus(N)
+    width = draw(st.integers(1, 3))
+    word = st.one_of(st.just(0), st.integers(0, (1 << N) - 1))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            shift = BinaryPoly(1 << draw(st.integers(0, N - 1)))
+            earlier = draw(st.sampled_from(rows))
+            rows.append([m.mul(shift, BinaryPoly(b)).bits for b in earlier])
+            continue
+        factor = BinaryPoly(draw(st.sampled_from([0b1, 0b11, 0b101, 0b111])))
+        rows.append([m.mul(factor, BinaryPoly(draw(word))).bits for _ in range(width)])
+    return N, rows
+
+
+class TestSpanStep:
+    """span_step against adding all N shifts of each row."""
+
+    @settings(max_examples=400)
+    @given(span_rows())
+    def test_gain_equals_adding_every_shift(self, case):
+        N, rows = case
+        full, stepped = RowEchelon(), CountingEchelon()
+        for blocks in rows:
+            before = full.rank
+            for bits in circulant_rows(blocks, N):
+                full.add(bits)
+            adds = stepped.adds
+            gain = span_step(stepped, blocks, N)
+            assert gain == full.rank - before
+            assert stepped.adds - adds <= gain + 1
+            assert stepped.rank == full.rank
+
+    @pytest.mark.parametrize(
+        "N, blocks, gain",
+        [
+            (4, [0, 0], 0),  # a zero row
+            (1, [1], 1),
+            (4, [0b11], 3),  # gcd(1 + x, x^4 + 1) = 1 + x
+            (6, [0b101, 0], 4),  # gcd(1 + x^2, x^6 + 1) = 1 + x^2
+            (7, [0b1011, 1], 7),
+        ],
+    )
+    def test_stops_after_first_dependent_shift(self, N, blocks, gain):
+        span = CountingEchelon()
+        assert span_step(span, blocks, N) == span.rank == gain
+        assert span.adds == min(gain + 1, N)
+
+
 class TestExpansionRank:
     """expansion_rank against the scalar rank of the expansion in its own order."""
 
@@ -294,15 +367,19 @@ class TestExpansionRank:
         assert expansion_rank(H) == rank(circulant_expand(H))
 
     def test_hamming15_needs_no_scalar_rank(self, monkeypatch):
-        # Every block row of hamming15's H and G pivots on a unit, so
-        # nothing is left for the bit-level rank.
+        # Every block row of hamming15's H and G pivots on a unit, so no
+        # residual row is left to rank bit by bit. c2's H leaves some.
         spec = load_spec(data_path("hamming15.json"))
         H = assembled_parity(spec)
         G = construct_generator(spec).matrix
-        calls = []
-        monkeypatch.setattr(polymat, "rank_scalar", lambda M: calls.append(M) or rank(M))
+        residual = []
+        monkeypatch.setattr(
+            polymat, "span_step", lambda *args: residual.append(args) or span_step(*args)
+        )
         assert (expansion_rank(H), expansion_rank(G)) == (1880, 3760)
-        assert calls == []
+        assert residual == []
+        expansion_rank(assembled_parity(load_spec(data_path("c2.json"))))
+        assert residual
 
     @pytest.mark.parametrize(
         "name, parity_rank, dimension",

@@ -184,15 +184,24 @@ def test_bit_generator_guard_flags_private_reach(tmp_path):
     assert sorted(private) == ["_generator", "numpy.random._common", "numpy.random._pcg64"]
 
 
-def test_design_jobs_times_every_bundled_spec():
-    # tools/design_jobs.py reads run_pass's job order; a pass that timed
-    # another number of jobs would make it exit with an error.
+DESIGN_SPECS = ["n79", "c1", "c2", "prelift90", "prelift68", "hamming15"]
+
+
+@pytest.fixture(scope="module")
+def design_report():
+    """The JSON line of one tools/design_jobs.py pass."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "design_jobs.py"), "--passes", "1"],
         capture_output=True, text=True, check=True, timeout=300,
     )
-    report = json.loads(done.stdout.splitlines()[-1])
-    specs = ["n79", "c1", "c2", "prelift90", "prelift68", "hamming15"]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_design_jobs_times_every_bundled_spec(design_report):
+    # tools/design_jobs.py reads run_pass's job order; a pass that timed
+    # another number of jobs would make it exit with an error.
+    report = design_report
+    specs = DESIGN_SPECS
     assert report["failed_ops"] == 0
     assert list(report["median_s"]) == [*specs, "other"]
     for name in specs:
@@ -202,6 +211,18 @@ def test_design_jobs_times_every_bundled_spec():
         assert list(stages) == ["dimension", "reduction", "synthesis", "verification"]
         assert all(t > 0 for t in stages.values())
         assert sum(stages.values()) < report["median_s"][name]["construct"]
+
+
+def test_design_jobs_counts_echelon_adds_per_construct(design_report):
+    # Only c2 and prelift90 leave rows for the bit-level span: the other
+    # specs' generators take the case-1 path and their ranks pivot on
+    # units. A span step stops each row at its first dependent shift,
+    # where adding all N shifts took 1,428 and 3,060 adds.
+    adds = design_report["construct_echelon_adds"]
+    assert list(adds) == DESIGN_SPECS
+    assert all(isinstance(n, int) for n in adds.values())
+    assert 0 < adds["c2"] <= 400 and 0 < adds["prelift90"] <= 650
+    assert [adds[name] for name in ("n79", "c1", "prelift68", "hamming15")] == [0] * 4
 
 
 @pytest.mark.parametrize("workload", ["ber-waterfall", "ber-highsnr"])

@@ -16,7 +16,10 @@ the one Schur step), synthesis (``generator_general`` on the reduced
 matrix, which includes that matrix's own ``expansion_rank`` for its target
 dimension) and verification (``expansion_rank`` of the composed G). What
 is left of a construct job is the assembly, the recomposition and the
-syndrome check.
+syndrome check. The bit-level ``binmat.RowEchelon.add`` calls of each
+spec's construct job are counted too, by wrapping that method for the
+run of this tool only; the counts repeat exactly from pass to pass, and
+the last pass's are reported.
 One table line per spec goes to stdout, and the last line is one JSON
 object. perfbench's files are read, not changed.
 """
@@ -58,7 +61,7 @@ def main(argv=None):
         parser.error("--seed must be >= 0 and --passes >= 1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
-    from qcldpc import gldpc
+    from qcldpc import binmat, gldpc
 
     workload = workloads.make("design", args.seed)
     specs = workload.specs
@@ -82,17 +85,28 @@ def main(argv=None):
     )
     gldpc._reduce = staged(gldpc._reduce, lambda: "reduction", stage_s)
     gldpc.generator_general = staged(gldpc.generator_general, lambda: "synthesis", stage_s)
+    adds = [0]  # RowEchelon.add calls of the job being timed
+    echelon_add = binmat.RowEchelon.add
+
+    def counted_add(self, bits):
+        adds[0] += 1
+        return echelon_add(self, bits)
+
+    binmat.RowEchelon.add = counted_add
     passes, stage_passes, totals, failed = [], [], [], 0
+    construct_adds = {}
     try:
         for pass_id in range(args.passes + 1):
-            times, stages = [], []
+            times, stages, job_adds = [], [], []
 
             def clock(thunk):
                 stage_s.clear()
+                adds[0] = 0
                 start = perf_counter()
                 value = thunk()
                 times.append(perf_counter() - start)
                 stages.append(dict(stage_s))
+                job_adds.append(adds[0])
                 return value, times[-1]
 
             result = workload.run_pass(state, pass_id, clock)
@@ -103,15 +117,18 @@ def main(argv=None):
                 continue  # warm-up
             per_pass = {name: dict.fromkeys(KINDS, 0.0) for name in names}
             per_stage = {name: dict.fromkeys(STAGES, 0.0) for name in specs}
-            for slot, kind, t, job_stages in zip(slots, kinds, times, stages):
+            for slot, kind, t, job_stages, n_adds in zip(slots, kinds, times, stages, job_adds):
                 per_pass[slot][kind] += t
                 for stage, seconds in job_stages.items():
                     per_stage[slot][stage] += seconds
+                if kind == "construct" and slot != "other":
+                    construct_adds[slot] = n_adds
             passes.append(per_pass)
             stage_passes.append(per_stage)
             totals.append(sum(times))
     finally:
         gldpc.expansion_rank, gldpc._reduce, gldpc.generator_general = originals
+        binmat.RowEchelon.add = echelon_add
     medians = {
         name: {kind: statistics.median(p[name][kind] for p in passes) for kind in KINDS}
         for name in names
@@ -121,14 +138,15 @@ def main(argv=None):
         for name in specs
     }
     columns = [k + "_s" for k in (*KINDS, *STAGES)]
-    print(f"{'spec':<10}" + "".join(f"{c:>16}" for c in columns))
+    print(f"{'spec':<10}" + "".join(f"{c:>16}" for c in columns) + f"{'echelon_adds':>16}")
     for name, by_kind in medians.items():
         values = [*by_kind.values(), *stage_medians.get(name, {}).values()]
-        print(f"{name:<10}" + "".join(f"{v:>16.4f}" for v in values))
+        count = f"{construct_adds[name]:>16}" if name in construct_adds else ""
+        print(f"{name:<10}" + "".join(f"{v:>16.4f}" for v in values) + count)
     print(json.dumps({
         "workload": "design", "seed": args.seed, "passes": args.passes,
         "failed_ops": failed, "median_s": medians, "construct_stage_median_s": stage_medians,
-        "pass_s_median": statistics.median(totals),
+        "construct_echelon_adds": construct_adds, "pass_s_median": statistics.median(totals),
     }))
     return 1 if failed else 0
 
