@@ -219,43 +219,62 @@ def min_distance_exact(Gb: BinMatrix, budget: int = 1 << 24) -> int:
     if (1 << k) - 1 > budget:
         raise BudgetExceeded(f"2^{k} - 1 messages exceed budget {budget}")
     words = _packed_rows(Gb.rows, Gb.ncols)
-    nw = words.shape[1]
+    nw = words.shape[0]
     a = min(k, max(0, (_TABLE_BYTES // (8 * nw)).bit_length() - 1))
-    table = np.zeros((1 << a, nw), dtype=np.uint64)
+    table = np.zeros((nw, 1 << a), dtype=np.uint64)
     for i in range(a):
-        np.bitwise_xor(table[: 1 << i], words[i], out=table[1 << i : 2 << i])
+        np.bitwise_xor(table[:, : 1 << i], words[:, i, None], out=table[:, 1 << i : 2 << i])
     buf = np.empty_like(table)
     counts = np.empty(table.shape, dtype=np.uint8)
-    running = np.zeros(nw, dtype=np.uint64)
+    running = np.zeros((nw, 1), dtype=np.uint64)
     best, _ = _lightest(np.bitwise_count(table, out=counts))
     for step in range(1, 1 << (k - a)):
-        running ^= words[a + (step & -step).bit_length() - 1]
+        running ^= words[:, a + (step & -step).bit_length() - 1, None]
         np.bitwise_xor(table, running, out=buf)
         best = min(best, _lightest(np.bitwise_count(buf, out=counts))[0])
     return best if best <= Gb.ncols else 0
 
 
 def _lightest(counts: np.ndarray) -> tuple[int, int]:
-    """(weight, row) of the first lightest nonzero row of per-word popcounts.
+    """(weight, column) of the first lightest nonzero column of word-major popcounts.
 
-    The weight is above 64·words when every row is zero.
+    ``counts`` holds each column's per-word popcounts down its first axis;
+    the column is a flat C-order index into the other axes. The weight is
+    above 64·words when every column is zero.
     """
-    w = counts[:, 0] if counts.shape[1] == 1 else counts.sum(axis=1, dtype=np.uint32)
-    w -= 1  # a zero word wraps to the dtype's maximum
+    w = _weights(counts)
     t = int(w.argmin())
-    return int(w[t]) + 1, t
+    return int(w.flat[t]) + 1, t
+
+
+def _weights(counts: np.ndarray) -> np.ndarray:
+    """Column weights less one of word-major popcounts; a zero column wraps to the maximum.
+
+    The sum runs over the first, outer axis, a whole row of columns per
+    add, into the narrowest unsigned type that holds 64·words. A single
+    word is its own weight: ``counts`` is then changed in place.
+    """
+    if len(counts) == 1:
+        w = counts[0]
+    else:
+        w = np.add.reduce(counts, axis=0, dtype=np.uint16 if len(counts) < 1024 else np.uint32)
+    w -= 1
+    return w
 
 
 def _packed_rows(rows: list[int], ncols: int) -> np.ndarray:
-    """The rows as a (len(rows), words) array of little-endian 64-bit words."""
+    """The rows as a word-major (words, len(rows)) array of 64-bit words.
+
+    Column r holds row r, its little-endian words down the column.
+    """
     nw = max(1, -(-ncols // 64))
-    return np.frombuffer(
-        b"".join(r.to_bytes(8 * nw, "little") for r in rows), dtype="<u8"
-    ).reshape(len(rows), nw)
+    packed = np.frombuffer(b"".join(r.to_bytes(8 * nw, "little") for r in rows), dtype="<u8")
+    return np.ascontiguousarray(packed.reshape(len(rows), nw).T)
 
 
 _ROUND_EVERY = 500  # evaluations from one information-set round to the next
 _SWEEP_BYTES = 1 << 16  # cap on the packed rows of one block of the pair sweep
+_PAIR_BYTES = 1 << 18  # cap on the XORed words of one chunk of sweep pairs
 
 
 def low_weight_search(
@@ -268,15 +287,17 @@ def low_weight_search(
     an information-set re-encoding round every ``_ROUND_EVERY`` (500)
     evaluations. More iterations with the same seed never worsen the
     bound. A round that finds rank 0 (rows spanning only the zero word)
-    ends the search. Every phase weighs its words on rows packed into
-    64-bit words, and each reports its lightest nonzero word; the lightest
-    word overall, the first evaluated on ties, is the witness.
+    ends the search. Every phase weighs its words on rows packed
+    word-major, into 64-bit words down a column per row, so that a weight
+    sums popcounts over the outer axis; each phase reports its lightest
+    nonzero word, and the lightest word overall, the first evaluated on
+    ties, is the witness.
 
     Row j is evaluation j, and pair (i, j), i < j, is evaluation
     k + i·k - i(i+1)/2 + (j - i - 1). The sweep packs at most
     ``_SWEEP_BYTES`` of rows at a time, never the whole generator, and
-    XORs each block with every row i whose pairs with it lie inside the
-    budget (see ``_lightest_sweep``).
+    weighs each block against the rows i whose pairs with it lie inside
+    the budget, many rows i per numpy call (see ``_lightest_sweep``).
 
     A sparse combination XORs ``rng.choice(k, size, replace=False)`` rows
     with ``size = min(rng.integers(2, 5), k)``, on numpy's stream from
@@ -295,7 +316,8 @@ def low_weight_search(
     rank(G) rows whatever the order, so a round uses up rank(G)
     evaluations (fewer where the budget ends) and the draw stream never
     depends on what a round finds. The rounds are drawn in order with the
-    combinations, then reduced together in batches.
+    combinations, then reduced together in batches, each round leaving
+    its batch's lockstep at its last pivot (see ``_lightest_round_row``).
     """
     k = Gb.nrows
     # Single rows are always swept so the report is well formed even on a
@@ -342,31 +364,100 @@ def low_weight_search(
 def _lightest_sweep(Gb: BinMatrix, iterations: int) -> tuple[int, int, int]:
     """(weight, evaluation index, word) of the lightest row or pair swept.
 
-    Every row is rated, pairs only below ``iterations``. The rows are
-    packed in blocks of at most ``_SWEEP_BYTES``; each block is weighed
-    as it is, then XORed with each row i < j whose pairs (i, j) with the
-    block's rows j lie inside the budget. A pair's evaluation index grows
-    with i for a given j, so the first row i whose pairs fall outside the
-    budget ends the block. The weight is above ncols if no word is nonzero.
+    Every row is rated, pairs only below ``iterations``. Pair (i, j) is
+    evaluation first_i + j, with first_i growing in i, so row i leads
+    pairs inside the budget while its first pair, (i, i + 1), is; a budget
+    of B evaluations over k rows leaves about B / k lead rows. The rows
+    are packed word-major in blocks of at most ``_SWEEP_BYTES``, and the
+    lead rows in the first block once for the whole sweep. Each block is
+    weighed as it is, then against the lead rows with pairs in it, a chunk
+    of lead rows per broadcast XOR (see ``_lightest_pairs``). The weight
+    is above ncols if no word is nonzero.
     """
     rows, k, ncols = Gb.rows, Gb.nrows, Gb.ncols
-    per_block = max(1, _SWEEP_BYTES // (8 * max(1, -(-ncols // 64))))
+    nw = max(1, -(-ncols // 64))
+    per_block = max(1, _SWEEP_BYTES // (8 * nw))
+    first = _first_pairs(k, iterations)
+    leads = len(first)
+    heads = min(leads, per_block)
+    head = _packed_rows(rows[:heads], ncols)
+    # A chunk holds whole lead rows against a block, at most _PAIR_BYTES of
+    # words. The head's rows split evenly into as few chunks as that allows,
+    # so that the buffers hold no more than a chunk needs.
+    width = min(per_block, k)
+    cap = max(1, _PAIR_BYTES // (8 * nw * max(1, width)))
+    per_chunk = -(-heads // -(-heads // cap)) if heads else 1
+    room = nw * per_chunk * width
+    buffers = np.empty(room, np.uint64), np.empty(room, np.uint8)
     best = (math.inf, 0, 0, 0)  # weight, evaluation, rows i <= j (i == j: one row)
     for j0 in range(0, k, per_block):
         j1 = min(j0 + per_block, k)
         block = _packed_rows(rows[j0:j1], ncols)
         w, t = _lightest(np.bitwise_count(block))
         best = min(best, (w, j0 + t, j0 + t, j0 + t))
-        for i in range(j1 - 1):
-            first = k + i * k - i * (i + 1) // 2 - i - 1  # pair (i, j) is first + j
-            lo, hi = max(j0, i + 1), min(j1, iterations - first)
-            if lo >= hi:
-                break
-            row = block[i - j0] if i >= j0 else _packed_rows(rows[i : i + 1], ncols)[0]
-            w, t = _lightest(np.bitwise_count(block[lo - j0 : hi - j0] ^ row))
-            best = min(best, (w, first + lo + t, i, lo + t))
+        # Rows i with a pair here: i < j1 - 1, and (i, max(j0, i + 1)) in the budget.
+        stop = min(leads, j1 - 1, int(np.searchsorted(first, iterations - j0)))
+        for a0 in range(0, stop, per_block):  # the lead rows, a block's worth at a time
+            a1 = min(a0 + per_block, stop)
+            lead = head if a0 == 0 else block if a0 == j0 else _packed_rows(rows[a0:a1], ncols)
+            pairs = _lightest_pairs(lead, a0, a1, block, j0, first, iterations, per_chunk, buffers)
+            best = min(best, pairs)
     w, at, i, j = best
     return w, at, 0 if w > ncols else rows[i] if i == j else rows[i] ^ rows[j]
+
+
+def _first_pairs(k: int, iterations: int) -> np.ndarray:
+    """first[i] of each row i that leads a pair inside the budget.
+
+    Pair (i, j), i < j, of k rows is evaluation first[i] + j, with
+    first[i] = (i + 1)(2k - 2 - i) / 2. Row i leads while its first pair,
+    (i, i + 1), lies below ``iterations``; first + i + 1 grows with i, so
+    the lead rows are the first rows.
+    """
+    i = np.arange(max(k - 1, 0), dtype=np.int64)
+    first = (i + 1) * (2 * k - 2 - i) // 2
+    return first[first + i + 1 < iterations]
+
+
+def _lightest_pairs(
+    lead: np.ndarray, a0: int, a1: int, block: np.ndarray, j0: int,
+    first: np.ndarray, iterations: int, per_chunk: int, buffers: tuple,
+) -> tuple[int, int, int, int]:
+    """(weight, evaluation, i, j) of the lightest pair of lead row i and block row j.
+
+    ``lead`` holds rows a0 <= i < a1 from column 0, and ``block`` rows
+    j0, j0 + 1, ..., both word-major; lead rows lie in the block or in
+    blocks before it, and each has a pair inside the budget here. A
+    chunk of lead rows i, at most ``_PAIR_BYTES`` of words against the
+    block's rows j > i, is weighed by one broadcast XOR into ``buffers``
+    and one sum over the word axis. Its argmin runs in row-major order,
+    which is evaluation order, since every pair of row i comes before
+    those of row i + 1. Pairs with j <= i, or outside the budget, are
+    masked only in a chunk that meets the diagonal or the budget's end.
+    The weight is above 64·words if every pair is zero.
+    """
+    nw = len(block)
+    best = (math.inf, 0, 0, 0)
+    for c0 in range(a0, a1, per_chunk):
+        c1 = min(c0 + per_chunk, a1)
+        lo, hi = max(j0, c0 + 1), min(j0 + block.shape[1], iterations - int(first[c0]))
+        shape = (nw, c1 - c0, hi - lo)
+        size = math.prod(shape)
+        pairs = np.bitwise_xor(
+            block[:, None, lo - j0 : hi - j0], lead[:, c0 - a0 : c1 - a0, None],
+            out=buffers[0][:size].reshape(shape),
+        )
+        w = _weights(np.bitwise_count(pairs, out=buffers[1][:size].reshape(shape)))
+        heaviest = np.iinfo(w.dtype).max  # as a zero word weighs
+        if lo == c0 + 1 and c1 - c0 > 1:  # pair (i, j) with j <= i sits below the diagonal
+            m = min(c1 - c0, hi - lo)
+            w[:, :m][np.tri(c1 - c0, m, -1, dtype=bool)] = heaviest
+        if first[c1 - 1] + hi > iterations:  # row c1 - 1 ends the budget inside the chunk
+            w[np.arange(lo, hi) >= iterations - first[c0:c1, None]] = heaviest
+        t = int(w.argmin())
+        r, s = divmod(t, hi - lo)
+        best = min(best, (int(w.flat[t]) + 1, int(first[c0 + r]) + lo + s, c0 + r, lo + s))
+    return best
 
 
 def _lightest_random(
@@ -376,9 +467,10 @@ def _lightest_random(
 
     The sparse combinations are evaluations first, first + 1, ..., drawn
     as numpy's ``integers(2, 5)`` and ``choice`` would draw them, but for
-    the whole block at once on the packed rows ``words``. The raw PCG64
-    words are read once and split into the 32-bit halves numpy draws
-    from, a buffered half first (see ``_below``). A combination of size
+    the whole block at once on the word-major packed rows ``words``, the
+    combinations of each size gathered, XORed and weighed together. The
+    raw PCG64 words are read once and split into the 32-bit halves numpy
+    draws from, a buffered half first (see ``_below``). A combination of size
     s takes 2s halves (2s - 1 when s = k, as Floyd's draw below 1 takes
     none): one for the size, s for Floyd's picks and s - 1 for numpy's
     trailing shuffle, which a XOR ignores. So walking the chain of sizes
@@ -434,9 +526,9 @@ def _lightest_random(
         dropped += 1
     lightest = []
     for e, picks in groups:
-        acc = words[picks[0]]
+        acc = words.take(picks[0], axis=1)
         for p in picks[1:]:
-            acc ^= words[p]
+            acc ^= words.take(p, axis=1)
         w, t = _lightest(np.bitwise_count(acc))
         lightest.append((w, first + int(e[t]), [int(p[t]) for p in picks]))
     _hand_back(bitgen, start, pos + dropped, halves[pos : pos + 1])
@@ -497,6 +589,7 @@ def _hand_back(bitgen, start: dict, used: int, after: np.ndarray) -> None:
 
 
 _ROUND_BYTES = 1 << 18  # cap on the packed rows of one batch of rounds
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # bit b of a word
 
 
 def _lightest_round_row(
@@ -504,47 +597,66 @@ def _lightest_round_row(
 ) -> tuple[int, int, int]:
     """(weight, evaluation index, word) of the lightest row the rounds rate.
 
-    All rounds run one Gauss-Jordan elimination in lockstep on a copy of
-    the rows held as (rounds, words, k), each row a column: step c takes
-    each round's c-th column, picks its first unused row with that bit as
-    the pivot, and clears the bit from every other row. A round's t-th
-    pivot row is the one it rates t-th, at evaluation index first + t.
+    All rounds run one Gauss-Jordan elimination in lockstep on copies of
+    the word-major rows, held as (rounds, words, k), each row a column:
+    step c takes each round's c-th column, picks its first unused row with
+    that bit as the pivot, and clears the bit from every other row. A
+    round's t-th pivot row is the one it rates t-th, at evaluation index
+    first + t. A round leaves the lockstep at its rank-th pivot, since no
+    later column can change its rows: it swaps places with the last round
+    still eliminating, inside the one work array, and later steps work on
+    the leading rounds only. ``held`` maps each place to its round.
     """
-    n_rounds = len(rounds)
-    work = np.repeat(words.T[None], n_rounds, axis=0)
+    n_rounds, k = len(rounds), words.shape[1]
+    # Word and bit of each step's column, one column of the table per place.
+    lanes = np.stack([perm >> 6 for perm, _, _ in rounds], axis=1).astype(np.int32)
+    shifts = np.stack([perm & 63 for perm, _, _ in rounds], axis=1).astype(np.uint8)
+    work = np.repeat(words[None], n_rounds, axis=0)
     flip = np.empty_like(work)
-    columns = np.stack([perm for perm, _, _ in rounds], axis=1)
-    bits = np.left_shift(1, np.arange(64, dtype=np.uint64), dtype=np.uint64)
-    ones = np.uint64(2**64 - 1)
-    slot = np.arange(n_rounds)
-    unused = np.ones((n_rounds, words.shape[0]), dtype=bool)
+    held = np.arange(n_rounds)
+    places = np.arange(n_rounds)
+    unused = np.ones((n_rounds, k), dtype=bool)
     order = np.zeros((n_rounds, rank), dtype=np.intp)
     found = np.zeros(n_rounds, dtype=np.intp)
-    missing = n_rounds * rank
-    for col in columns:
-        word = col >> 6
-        hit = (work[slot, word] & bits[col - (word << 6), None]).astype(bool)
-        free = hit & unused
-        pivots = free.any(axis=1)
+    live, check = n_rounds, rank - 1  # no round holds rank pivots before step check
+    for c in range(len(lanes)):
+        at = places[:live]
+        hit = work[at, lanes[c, :live]]
+        hit &= _BITS[shifts[c, :live], None]
+        hit = hit.astype(bool)
+        free = hit & unused[:live]
         sel = free.argmax(axis=1)
-        hit &= pivots[:, None]
-        hit[slot, sel] = False
-        mask = np.where(hit, ones, np.uint64(0))
-        np.bitwise_and(work[slot, :, sel][:, :, None], mask[:, None], out=flip)
-        work ^= flip
-        hit_slot, sel = slot[pivots], sel[pivots]
-        unused[hit_slot, sel] = False
-        order[hit_slot, found[hit_slot]] = sel
-        found[hit_slot] += 1
-        missing -= len(sel)
-        if not missing:
+        pivots = free[at, sel]
+        hit[at, sel] = False  # the pivot row keeps its bit
+        mask = hit.astype(np.uint64)
+        np.negative(mask, out=mask)  # 1 -> all ones
+        pivot_rows = work[at, :, sel]
+        pivot_rows *= pivots[:, None]  # a round without a pivot here clears nothing
+        np.bitwise_and(pivot_rows[:, :, None], mask[:, None], out=flip[:live])
+        work[:live] ^= flip[:live]
+        unused[at, sel] ^= pivots
+        order[at, found[:live]] = sel
+        found[:live] += pivots
+        if c < check:
+            continue
+        for s in np.flatnonzero(found[:live] == rank)[::-1]:
+            live -= 1
+            swap = [s, live], [live, s]
+            for a in (work, unused, order, found, held):
+                a[swap[0]] = a[swap[1]]
+            for a in (lanes, shifts):
+                a[:, swap[0]] = a[:, swap[1]]
+        if not live:
             break
-    weight = np.bitwise_count(work).sum(axis=1, dtype=np.intp)[slot[:, None], order]
+        check = c + rank - int(found[:live].max())
+    place = np.argsort(held)  # round r is at place[r]
+    weight = np.bitwise_count(work).sum(axis=1, dtype=np.intp)[places[:, None], order][place]
     # Only the last round can end the budget before its last row.
     weight[-1, rounds[-1][2] :] = np.iinfo(np.intp).max
     at = int(weight.argmin())  # row-major: the first evaluated of the lightest
     r, t = divmod(at, rank)
-    word = int.from_bytes(work[r, :, order[r, t]].tobytes(), "little")
+    s = place[r]
+    word = int.from_bytes(work[s, :, order[s, t]].tobytes(), "little")
     return int(weight[r, t]), rounds[r][1] + t, word
 
 

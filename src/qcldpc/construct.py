@@ -253,7 +253,11 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
     nothing: the span holds every shift of the rows in it, so no later
     shift could add more. Within a lemma-2 level each round probes every
     candidate on a copy of the span and commits the one that grows it the
-    most, the first such on ties, until none grows it.
+    most, the first such on ties, until none grows it. A candidate leaves
+    the level at its first zero gain: what a row adds to a span never
+    grows as the span does. A level keeps one candidate per distinct row,
+    the first: a later equal row ties with it, so loses, and adds nothing
+    once it is committed.
     """
     if target == 0:
         raise ValueError("code has dimension 0; no generator exists")
@@ -287,22 +291,28 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
     for s in range(H.nrows - 1, -1, -1):
         if done:
             break
-        candidates = []
+        candidates, known = [], set()
         for T in combinations(range(1, H.nrows + 1), s):
             for S in combinations(range(1, H.ncols + 1), s + 1):
                 f = _minimal_f(H, m, T, S, minor)
                 row = _lemma2_row(H, m, T, S, f, minor)
                 if row is None or all(p.is_zero() for p in row):
                     continue
-                candidates.append((row, RowOrigin("lemma2", S=S, T=T, f=f)))
+                bits = tuple(p.bits for p in row)
+                if bits not in known:
+                    known.add(bits)
+                    candidates.append((row, RowOrigin("lemma2", S=S, T=T, f=f)))
         while candidates and not done:
             gains = [
                 span_step(tracker.copy(), [p.bits for p in row], N) for row, _ in candidates
             ]
-            best = max(range(len(candidates)), key=gains.__getitem__)
-            if not gains[best]:
-                break
-            done = admit(*candidates.pop(best))
+            # A gain cannot grow as the span grows: a candidate that adds
+            # nothing now never will, so it leaves the level.
+            candidates = [c for c, gain in zip(candidates, gains) if gain]
+            gains = [gain for gain in gains if gain]
+            if candidates:
+                best = max(range(len(candidates)), key=gains.__getitem__)
+                done = admit(*candidates.pop(best))
 
     if not rows:
         rows = [[BinaryPoly(0)] * H.ncols]

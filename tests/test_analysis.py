@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import P, in_kernel, poly_matrix, random_poly_matrix
 from qcldpc import analysis
@@ -33,6 +33,7 @@ from qcldpc.analysis import (
     min_distance_exact,
 )
 from qcldpc.binmat import BinMatrix
+from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import generator_case1
 from qcldpc.gf2poly import RingModulus
 from qcldpc.gldpc import base_from_exponents, construct_generator, load_spec
@@ -117,6 +118,26 @@ def combination_word(rows, picked):
     return word
 
 
+def echelon_rows(rows, perm):
+    """The nonzero rows of the reduced echelon form under column order ``perm``, in pivot order."""
+    work = list(rows)
+    k = len(work)
+    r_idx = 0
+    for col in perm:
+        mask = 1 << int(col)
+        sel = next((t for t in range(r_idx, k) if work[t] & mask), None)
+        if sel is None:
+            continue
+        work[r_idx], work[sel] = work[sel], work[r_idx]
+        for t in range(k):
+            if t != r_idx and work[t] & mask:
+                work[t] ^= work[r_idx]
+        r_idx += 1
+        if r_idx == k:
+            break
+    return work[:r_idx]
+
+
 def sequential_low_weight_search(Gb, iterations=100_000, seed=0):
     """low_weight_search with each information-set round reduced as it is drawn."""
     rows = Gb.rows
@@ -150,24 +171,10 @@ def sequential_low_weight_search(Gb, iterations=100_000, seed=0):
     rng = np.random.default_rng(seed)
     while evals < iterations:
         if evals % 500 == 0:
-            perm = rng.permutation(Gb.ncols)
-            work = list(rows)
-            r_idx = 0
-            for col in perm:
-                mask = 1 << int(col)
-                sel = next((t for t in range(r_idx, k) if work[t] & mask), None)
-                if sel is None:
-                    continue
-                work[r_idx], work[sel] = work[sel], work[r_idx]
-                for t in range(k):
-                    if t != r_idx and work[t] & mask:
-                        work[t] ^= work[r_idx]
-                r_idx += 1
-                if r_idx == k:
-                    break
-            if r_idx == 0:
+            work = echelon_rows(rows, rng.permutation(Gb.ncols))
+            if not work:
                 break
-            for t in range(r_idx):
+            for t in range(len(work)):
                 consider(work[t])
                 evals += 1
                 if evals >= iterations:
@@ -260,6 +267,27 @@ def tied_generators(draw):
     mask = draw(st.sampled_from([0, (1 << ncols) - 1, draw(st.integers(0, (1 << ncols) - 1))]))
     rows = draw(st.lists(st.sampled_from([0, *pool]), max_size=60))
     return BinMatrix([r and r ^ mask for r in rows], ncols)
+
+
+@st.composite
+def repeated_column_generators(draw):
+    """Rows over a few distinct columns, each repeated from once to dozens of times.
+
+    A round's pivots fall on the first copy of each independent column
+    in its order, so how many columns it takes to reach full rank varies
+    widely from one column order to the next.
+    """
+    k = draw(st.integers(2, 16))
+    distinct = draw(st.integers(1, 10))
+    base = draw(st.lists(st.integers(0, (1 << distinct) - 1), min_size=k, max_size=k))
+    copies = draw(st.lists(st.integers(1, 40), min_size=distinct, max_size=distinct))
+    zeros = draw(st.integers(0, 30))
+    layout = [c for c, n in enumerate(copies) for _ in range(n)] + [None] * zeros
+    layout = draw(st.permutations(layout))
+    rows = [
+        sum(1 << j for j, c in enumerate(layout) if c is not None and b >> c & 1) for b in base
+    ]
+    return BinMatrix(rows, len(layout))
 
 
 TIED_PAIRS = BinMatrix([(2**64 - 1) ^ p for p in (0b11, 0b11000, 0b101000, 0b101)], 64)
@@ -534,6 +562,26 @@ class TestLowWeightSearch:
             got = low_weight_search(Gb, iterations, 7)
         assert got == sequential_low_weight_search(Gb, iterations, 7)
 
+    @settings(max_examples=80, deadline=None)
+    @given(repeated_column_generators(), st.integers(0, 2**32 - 1), st.integers(1, 9))
+    def test_round_batch_rates_what_each_round_rates_alone(self, Gb, seed, n_rounds):
+        # Each round of the batch leaves the lockstep at its own step; the
+        # batch's lightest row must be the lightest of the rows that each
+        # round's reduced echelon form rates on its own, the budget
+        # ending inside the last round.
+        rank = rank_scalar(Gb)
+        assume(rank > 0)
+        rng = np.random.default_rng(seed)
+        takes = [rank] * (n_rounds - 1) + [int(rng.integers(1, rank + 1))]
+        rounds = [(rng.permutation(Gb.ncols), 500 * r, take) for r, take in enumerate(takes)]
+        rated = [
+            (word.bit_count(), first + t, word)
+            for perm, first, take in rounds
+            for t, word in enumerate(echelon_rows(Gb.rows, perm)[:take])
+        ]
+        words = analysis._packed_rows(Gb.rows, Gb.ncols)
+        assert analysis._lightest_round_row(words, rounds, rank) == min(rated)
+
     @pytest.mark.parametrize("extra", [1, 37, 520, 1200])
     def test_sweep_ending_on_a_round(self, extra):
         # 375 rows give 375 + 375 * 374 / 2 = 70,500 sweep evaluations, a
@@ -572,28 +620,51 @@ class TestLowWeightSearch:
         want = sequential_low_weight_search(Gb, 20_000, seed)
         assert low_weight_search(Gb, 20_000, seed) == want
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         tied_generators(),
         st.integers(0, 2600),
         st.sampled_from([8, 600, analysis._SWEEP_BYTES]),
+        st.sampled_from([8, 2000, analysis._PAIR_BYTES]),
     )
     # Pairs (0, 3) and (1, 2) weigh 2, the other pairs 4 and the rows 62;
     # with a row per block, (1, 2) is weighed before (0, 3), which is
-    # evaluated first.
-    @example(TIED_PAIRS, 10, 8)
-    @example(TIED_PAIRS, 10, analysis._SWEEP_BYTES)
-    def test_matches_sequential_rounds_in_any_sweep_block(self, Gb, iterations, sweep_bytes):
+    # evaluated first; with a lead row per chunk, (1, 2) is weighed after.
+    @example(TIED_PAIRS, 10, 8, 8)
+    @example(TIED_PAIRS, 10, analysis._SWEEP_BYTES, 8)
+    @example(TIED_PAIRS, 10, analysis._SWEEP_BYTES, analysis._PAIR_BYTES)
+    def test_matches_sequential_rounds_in_any_sweep_block(
+        self, Gb, iterations, sweep_bytes, pair_bytes
+    ):
         # 8 bytes make a block of one row; 600 split 60 rows of one to
-        # three words into 1 to 4 blocks. Ties must go to the first
-        # evaluation wherever the blocks fall.
+        # three words into 1 to 4 blocks. A pair cap of 8 bytes makes a
+        # chunk of one lead row, so one pair per chunk where a block is
+        # one row; 2000 bytes hold 1 to 4 lead rows against a block.
+        # Ties must go to the first evaluation wherever the blocks and
+        # chunks fall.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_SWEEP_BYTES", sweep_bytes)
+            mp.setattr(analysis, "_PAIR_BYTES", pair_bytes)
             swept = analysis._lightest_sweep(Gb, iterations)
             got = low_weight_search(Gb, iterations, 5)
         want = swept_in_order(Gb, iterations)
         assert swept == want if want else swept[0] > Gb.ncols
         assert got == sequential_low_weight_search(Gb, iterations, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        repeated_column_generators(),
+        st.integers(501, 4000),
+        st.sampled_from([8, 1200, 1 << 18]),
+    )
+    def test_matches_sequential_rounds_leaving_at_any_step(self, Gb, iterations, round_bytes):
+        # Columns repeated many times make a round's rank-th pivot come
+        # early under one column order and late under another, so the
+        # rounds of a batch leave the lockstep at very different steps.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_ROUND_BYTES", round_bytes)
+            got = low_weight_search(Gb, iterations, 3)
+        assert got == sequential_low_weight_search(Gb, iterations, 3)
 
     def test_sweep_packs_rows_a_block_at_a_time(self):
         # hamming15's generator is 3760 x 5640, 2.7 MB packed whole; at
@@ -609,6 +680,27 @@ class TestLowWeightSearch:
             tracemalloc.stop()
         assert report.upper == report.witness.bit_count() > 0
         assert peak < 512 * 1024
+
+    @pytest.mark.parametrize("name", ["n79", "prelift68"])
+    def test_search_with_rounds_stays_small(self, name):
+        # At 20,000 evaluations these two searches run information-set
+        # rounds and random combinations after the sweep; a batch of
+        # rounds holds two copies of its rows per round, and the sweep a
+        # chunk of pairs.
+        spec = load_spec(data_path(f"{name}.json"))
+        Gb = circulant_expand(construct_generator(spec).matrix)
+        # numpy.random's first use in a process allocates about 700 KB of
+        # its own; a shorter search that reaches every phase takes it.
+        low_weight_search(Gb, 14_000, 3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = low_weight_search(Gb, 20_000, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.upper == report.witness.bit_count() > 0
+        assert peak <= 800 * 1024
 
 
 def _buffered_generator(seed):

@@ -225,6 +225,22 @@ def test_design_jobs_counts_echelon_adds_per_construct(design_report):
     assert [adds[name] for name in ("n79", "c1", "prelift68", "hamming15")] == [0] * 4
 
 
+def test_design_jobs_splits_each_distance_job(design_report):
+    # At 20,000 evaluations only n79 and prelift68 get past the pair
+    # sweep to rounds and random combinations; the other specs' searches
+    # end inside it. The stages are parts of their one distance job.
+    stages = design_report["distance_stage_median_s"]
+    assert list(stages) == DESIGN_SPECS
+    for name in DESIGN_SPECS:
+        assert list(stages[name]) == ["sweep", "rounds", "random"]
+        assert stages[name]["sweep"] > 0
+        beyond = stages[name]["rounds"] > 0 and stages[name]["random"] > 0
+        assert beyond == (name in ("n79", "prelift68")), name
+        if not beyond:
+            assert stages[name]["rounds"] == stages[name]["random"] == 0
+        assert sum(stages[name].values()) < design_report["median_s"][name]["distance"]
+
+
 @pytest.mark.parametrize("workload", ["ber-waterfall", "ber-highsnr"])
 def test_ber_stages_splits_every_pass(workload):
     # The wrapped channel names must exist, every pass must reach each

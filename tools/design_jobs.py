@@ -16,7 +16,14 @@ the one Schur step), synthesis (``generator_general`` on the reduced
 matrix, which includes that matrix's own ``expansion_rank`` for its target
 dimension) and verification (``expansion_rank`` of the composed G). What
 is left of a construct job is the assembly, the recomposition and the
-syndrome check. The bit-level ``binmat.RowEchelon.add`` calls of each
+syndrome check. Each distance job is split the same way into three
+stages by wrapping the names that ``analysis.low_weight_search`` calls:
+sweep (``_lightest_sweep``: every row and the pairs inside the budget),
+rounds (``_lightest_round_row``: the information-set rounds, a batch at a
+time) and random (``_lightest_random``: the sparse combinations between
+rounds). What is left of a distance job is the expansion of the
+generator, the packing for the random phase and the search's rank.
+The bit-level ``binmat.RowEchelon.add`` calls of each
 spec's construct job are counted too, by wrapping that method for the
 run of this tool only; the counts repeat exactly from pass to pass, and
 the last pass's are reported.
@@ -36,6 +43,8 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("construct", "girth", "distance")
 STAGES = ("dimension", "reduction", "synthesis", "verification")
+SEARCH_STAGES = {"sweep": "_lightest_sweep", "rounds": "_lightest_round_row",
+                 "random": "_lightest_random"}
 
 
 def staged(fn, stage, stage_s):
@@ -61,7 +70,7 @@ def main(argv=None):
         parser.error("--seed must be >= 0 and --passes >= 1")
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
-    from qcldpc import binmat, gldpc
+    from qcldpc import analysis, binmat, gldpc
 
     workload = workloads.make("design", args.seed)
     specs = workload.specs
@@ -85,6 +94,9 @@ def main(argv=None):
     )
     gldpc._reduce = staged(gldpc._reduce, lambda: "reduction", stage_s)
     gldpc.generator_general = staged(gldpc.generator_general, lambda: "synthesis", stage_s)
+    search_originals = {name: getattr(analysis, name) for name in SEARCH_STAGES.values()}
+    for stage, name in SEARCH_STAGES.items():
+        setattr(analysis, name, staged(search_originals[name], lambda s=stage: s, stage_s))
     adds = [0]  # RowEchelon.add calls of the job being timed
     echelon_add = binmat.RowEchelon.add
 
@@ -116,7 +128,7 @@ def main(argv=None):
             if pass_id == 0:
                 continue  # warm-up
             per_pass = {name: dict.fromkeys(KINDS, 0.0) for name in names}
-            per_stage = {name: dict.fromkeys(STAGES, 0.0) for name in specs}
+            per_stage = {name: dict.fromkeys((*STAGES, *SEARCH_STAGES), 0.0) for name in specs}
             for slot, kind, t, job_stages, n_adds in zip(slots, kinds, times, stages, job_adds):
                 per_pass[slot][kind] += t
                 for stage, seconds in job_stages.items():
@@ -128,24 +140,33 @@ def main(argv=None):
             totals.append(sum(times))
     finally:
         gldpc.expansion_rank, gldpc._reduce, gldpc.generator_general = originals
+        for name, fn in search_originals.items():
+            setattr(analysis, name, fn)
         binmat.RowEchelon.add = echelon_add
     medians = {
         name: {kind: statistics.median(p[name][kind] for p in passes) for kind in KINDS}
         for name in names
     }
-    stage_medians = {
-        name: {stage: statistics.median(p[name][stage] for p in stage_passes) for stage in STAGES}
-        for name in specs
-    }
-    columns = [k + "_s" for k in (*KINDS, *STAGES)]
+    stage_medians, search_medians = (
+        {
+            name: {stage: statistics.median(p[name][stage] for p in stage_passes) for stage in group}
+            for name in specs
+        }
+        for group in (STAGES, SEARCH_STAGES)
+    )
+    columns = [k + "_s" for k in (*KINDS, *STAGES, *SEARCH_STAGES)]
     print(f"{'spec':<10}" + "".join(f"{c:>16}" for c in columns) + f"{'echelon_adds':>16}")
     for name, by_kind in medians.items():
-        values = [*by_kind.values(), *stage_medians.get(name, {}).values()]
+        values = [
+            *by_kind.values(), *stage_medians.get(name, {}).values(),
+            *search_medians.get(name, {}).values(),
+        ]
         count = f"{construct_adds[name]:>16}" if name in construct_adds else ""
         print(f"{name:<10}" + "".join(f"{v:>16.4f}" for v in values) + count)
     print(json.dumps({
         "workload": "design", "seed": args.seed, "passes": args.passes,
         "failed_ops": failed, "median_s": medians, "construct_stage_median_s": stage_medians,
+        "distance_stage_median_s": search_medians,
         "construct_echelon_adds": construct_adds, "pass_s_median": statistics.median(totals),
     }))
     return 1 if failed else 0
