@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binmat import BinMatrix
+from .binmat import BinMatrix, bit_string
 from .binmat import rank as rank_scalar
 from .gf2poly import BinaryPoly, bit_positions
 from .polymat import PolyMatrix, row_edges, transpose_entrywise
@@ -68,7 +68,7 @@ class DistanceReport:
         """The witness as a 0/1 string in coordinate order."""
         if self.witness is None:
             return None
-        return "".join("1" if self.witness >> j & 1 else "0" for j in range(self.ncols))
+        return bit_string(self.witness, self.ncols)
 
     def witness_polys(self, N: int) -> list[BinaryPoly] | None:
         """The witness split into length-N blocks, one polynomial per block."""

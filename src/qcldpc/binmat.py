@@ -113,6 +113,11 @@ def unpack_bits(word, n):
     )
 
 
+def bit_string(word, n):
+    """Bits 0..n-1 of a nonnegative int below 2**n as a 0/1 string, bit 0 first."""
+    return (unpack_bits(word, n) + ord("0")).tobytes().decode("ascii")
+
+
 def rank(matrix):
     """GF(2) rank of a BinMatrix."""
     ech = RowEchelon()

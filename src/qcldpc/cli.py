@@ -24,7 +24,7 @@ from .analysis import (
     low_weight_search,
     min_distance_exact,
 )
-from .binmat import read_alist, write_alist
+from .binmat import bit_string, read_alist, write_alist
 from .channel import DecoderConfig, encode, monte_carlo
 from .construct import generator_case1, generator_general
 from .gf2poly import BinaryPoly, RingModulus
@@ -200,7 +200,7 @@ def _cmd_encode(args) -> int:
         {
             "n": n,
             "weight": word.bit_count(),
-            "codeword": "".join("1" if word >> j & 1 else "0" for j in range(n)),
+            "codeword": bit_string(word, n),
         },
         args.out,
     )

@@ -671,6 +671,9 @@ class TestLowWeightSearch:
         # 20,000 evaluations the search ends inside the pair sweep.
         spec = load_spec(data_path("hamming15.json"))
         Gb = circulant_expand(construct_generator(spec).matrix)
+        # numpy.random's first use in a process allocates about 790 KB of
+        # its own; a shorter search takes it.
+        low_weight_search(Gb, 1_000, 1)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -8,6 +8,7 @@ import pytest
 from qcldpc.binmat import (
     BinMatrix,
     RowEchelon,
+    bit_string,
     pack_bits,
     rank,
     read_alist,
@@ -128,3 +129,10 @@ class TestPackBits:
             assert bits.tolist() == [word >> j & 1 for j in range(n)]
             assert pack_bits(bits) == word
             assert pack_bits(bits.astype(bool)) == word
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 5640])
+    def test_bit_string_matches_the_shift_loop(self, n):
+        rng = random.Random(n)
+        for word in {0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(3))}:
+            want = "".join("1" if word >> j & 1 else "0" for j in range(n))
+            assert bit_string(word, n) == want

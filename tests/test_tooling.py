@@ -5,12 +5,16 @@ benchmark's tracer must find every function it wraps; a flag or function
 removed from the library would otherwise leave them stale unnoticed. An
 import that nothing reads is flagged too, since deleting a helper tends to
 leave its import behind. The distance search's replay of numpy's draws
-must reach the bit generator through its public API only.
+must reach the bit generator through its public API only. Every
+``tools/`` script that README or CI names must exist, and
+``tools/passes.py`` must keep splitting each benchmark workload's passes.
 """
 
 import ast
+import functools
 import importlib.util
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -184,52 +188,80 @@ def test_bit_generator_guard_flags_private_reach(tmp_path):
     assert sorted(private) == ["_generator", "numpy.random._common", "numpy.random._pcg64"]
 
 
+def named_tools():
+    """Every ``tools/<name>.py`` that README.md or a CI workflow names."""
+    texts = [ROOT / "README.md", *(ROOT / ".github" / "workflows").glob("*.yml")]
+    return {
+        name for path in texts
+        for name in re.findall(r"\btools/[\w/]+\.py\b", path.read_text(encoding="utf-8"))
+    }
+
+
+def test_every_named_tool_exists():
+    # A deleted script must not live on in the docs or in CI.
+    names = named_tools()
+    assert "tools/passes.py" in names
+    assert sorted(name for name in names if not (ROOT / name).is_file()) == []
+
+
 DESIGN_SPECS = ["n79", "c1", "c2", "prelift90", "prelift68", "hamming15"]
 
 
 @pytest.fixture(scope="module")
-def design_report():
-    """The JSON line of one tools/design_jobs.py pass."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "design_jobs.py"), "--passes", "1"],
-        capture_output=True, text=True, check=True, timeout=300,
-    )
-    return json.loads(done.stdout.splitlines()[-1])
+def passes_report():
+    """The JSON line of one two-pass tools/passes.py run per workload.
+
+    Each workload runs once, on first use. The split comes from the
+    wrapped passes, and the faults and ``pass_s_median`` from the passes
+    with nothing wrapped.
+    """
+
+    @functools.cache
+    def report(workload):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "passes.py"), "--workload", workload,
+             "--passes", "2"],
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        return json.loads(done.stdout.splitlines()[-1])
+
+    return report
 
 
-def test_design_jobs_times_every_bundled_spec(design_report):
-    # tools/design_jobs.py reads run_pass's job order; a pass that timed
+def test_design_jobs_times_every_bundled_spec(passes_report):
+    # tools/passes.py reads run_pass's job order; a pass that timed
     # another number of jobs would make it exit with an error.
-    report = design_report
+    report = passes_report("design")
     specs = DESIGN_SPECS
     assert report["failed_ops"] == 0
     assert list(report["median_s"]) == [*specs, "other"]
     for name in specs:
         assert all(t > 0 for t in report["median_s"][name].values())
-        # One pass: the construct stages are parts of that construct job.
+        # The construct stages are parts of that construct job in each pass.
         stages = report["construct_stage_median_s"][name]
         assert list(stages) == ["dimension", "reduction", "synthesis", "verification"]
         assert all(t > 0 for t in stages.values())
         assert sum(stages.values()) < report["median_s"][name]["construct"]
 
 
-def test_design_jobs_counts_echelon_adds_per_construct(design_report):
+def test_design_jobs_counts_echelon_adds_per_construct(passes_report):
     # Only c2 and prelift90 leave rows for the bit-level span: the other
     # specs' generators take the case-1 path and their ranks pivot on
     # units. A span step stops each row at its first dependent shift,
     # where adding all N shifts took 1,428 and 3,060 adds.
-    adds = design_report["construct_echelon_adds"]
+    adds = passes_report("design")["construct_echelon_adds"]
     assert list(adds) == DESIGN_SPECS
     assert all(isinstance(n, int) for n in adds.values())
     assert 0 < adds["c2"] <= 400 and 0 < adds["prelift90"] <= 650
     assert [adds[name] for name in ("n79", "c1", "prelift68", "hamming15")] == [0] * 4
 
 
-def test_design_jobs_splits_each_distance_job(design_report):
+def test_design_jobs_splits_each_distance_job(passes_report):
     # At 20,000 evaluations only n79 and prelift68 get past the pair
     # sweep to rounds and random combinations; the other specs' searches
     # end inside it. The stages are parts of their one distance job.
-    stages = design_report["distance_stage_median_s"]
+    report = passes_report("design")
+    stages = report["distance_stage_median_s"]
     assert list(stages) == DESIGN_SPECS
     for name in DESIGN_SPECS:
         assert list(stages[name]) == ["sweep", "rounds", "random"]
@@ -238,20 +270,16 @@ def test_design_jobs_splits_each_distance_job(design_report):
         assert beyond == (name in ("n79", "prelift68")), name
         if not beyond:
             assert stages[name]["rounds"] == stages[name]["random"] == 0
-        assert sum(stages[name].values()) < design_report["median_s"][name]["distance"]
+        assert sum(stages[name].values()) < report["median_s"][name]["distance"]
 
 
 @pytest.mark.parametrize("workload", ["ber-waterfall", "ber-highsnr"])
-def test_ber_stages_splits_every_pass(workload):
+def test_ber_stages_splits_every_pass(passes_report, workload):
     # The wrapped channel names must exist, every pass must reach each
     # stage, and the nested stages must fit inside the ones holding them.
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ber_stages.py"), "--workload", workload,
-         "--passes", "2"],
-        capture_output=True, text=True, check=True, timeout=300,
-    )
-    report = json.loads(done.stdout.splitlines()[-1])
+    report = passes_report(workload)
     assert report["workload"] == workload and report["failed_ops"] == 0
+    assert list(report["minor_faults_per_pass"]) == ["median", "q1", "q3", "min", "max"]
     stages = report["stages"]
     assert list(stages) == ["draw", "encode", "decode", "kernel", "check", "decode_own", "rest"]
     for name in ("draw", "encode", "decode", "kernel", "check"):
@@ -261,24 +289,26 @@ def test_ber_stages_splits_every_pass(workload):
     assert stages["encode"]["s"] < stages["draw"]["s"]
     assert stages["kernel"]["s"] + stages["check"]["s"] < stages["decode"]["s"]
     assert stages["decode_own"]["s"] > 0
-    assert stages["draw"]["s"] + stages["decode"]["s"] < report["pass_s_median"]
+    # Over two passes a median is a mean, so this says that draw and
+    # decode fit inside the wrapped passes' time.
+    assert stages["rest"]["s"] > 0
 
 
-def test_ber_stages_rejects_the_design_workload():
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ber_stages.py"), "--workload", "design"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert done.returncode == 2 and "must be a BER workload" in done.stderr
+def test_passes_rejects_an_unknown_workload_and_a_single_pass():
+    tool = [sys.executable, str(ROOT / "tools" / "passes.py")]
+    for argv, words in (
+        (["--workload", "bogus"], ["--workload", "invalid choice", "bogus"]),
+        (["--passes", "1"], ["--passes >= 2"]),
+    ):
+        done = subprocess.run(tool + argv, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2, argv
+        assert all(word in done.stderr for word in words), done.stderr
 
 
-def test_pass_faults_counts_the_design_workload():
+def test_pass_faults_counts_the_design_workload(passes_report):
     # The design workload's passes read what its set-up check adds.
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "pass_faults.py"), "--workload", "design",
-         "--passes", "2", "--setups-between", "0"],
-        capture_output=True, text=True, check=True, timeout=300,
-    )
-    report = json.loads(done.stdout.splitlines()[-1])
+    report = passes_report("design")
     assert report["workload"] == "design" and report["passes"] == 2
+    assert report["setups_between"] == 1
     assert report["minor_faults_per_pass"]["min"] >= 0
+    assert report["pass_s_median"] > 0
