@@ -1,9 +1,10 @@
 """Encoding, BPSK-AWGN channel, and iterative GLDPC decoding.
 
-``encode`` reads a term table of the generator, built at its first
-encode and reused: block j of a codeword is T(sum_i m_i g_ij), with T the
-circulant transpose, and since T is a ring automorphism that is one
-cyclic rotation of T(m_i) per term of g_ij, with no polynomial product.
+``encode`` reads a term table of the generator, built once per generator
+content (an ``lru_cache`` keyed on its entries' bits): block j of a
+codeword is T(sum_i m_i g_ij), with T the circulant transpose, and since
+T is a ring automorphism that is one cyclic rotation of T(m_i) per term
+of g_ij, with no polynomial product.
 
 The decoder updates every constraint of a GLDPC spec in parallel
 (flooding). Circulant structure batches the N shift instances of each
@@ -30,10 +31,10 @@ magnitude stays within half the span, so the scan for wide rows runs only
 past that: with the default ``llr_clip`` of 20, never on a component of
 17 bits or fewer.
 
-The edge indices, components and parity checks a spec needs are built at
-its first decode and reused; the edge indices are ``polymat.row_edges``
-of the spec's effective matrix, the same Tanner edge map that
-``analysis.girth`` reads.
+The edge indices, components and parity checks a spec needs are built
+once per ``gldpc_decode`` or ``monte_carlo`` call and passed to the
+decoder; the edge indices are ``polymat.row_edges`` of the spec's
+effective matrix, the same Tanner edge map that ``analysis.girth`` reads.
 
 The decoder stores its gathered priors and its extrinsics bit-major: the
 block of one constraint row holds bit k of all its instances (frames x
@@ -139,42 +140,29 @@ class TrialResult:
         return self.block_errors / self.trials if self.trials else 0.0
 
 
-# The term table of the generator encoded last: (key, table), the key
-# holding N and every entry's bits, so an entry changed in place is seen.
-_encoder_cache = None
+@functools.lru_cache(maxsize=1)
+def _encoder_table(N: int, width: int, entries: tuple):
+    """Per column block j, one (message row i, e) per term x^e of g_ij.
 
-
-def _entry_bits(M: PolyMatrix):
-    """N, the width and the bits of every entry of M, row by row: a key by content."""
-    return M.modulus.N, M.ncols, tuple([p.bits for row in M.rows for p in row])
-
-
-def _encoder_table(G: PolyMatrix):
-    """Per column block j of G, one (message row i, e) per term x^e of g_ij.
-
-    Built once per generator content; only nonzero terms get an entry.
+    ``entries`` holds the bits of every entry g_ij of a generator with
+    ``width`` column blocks of size N, row by row. The table is built once
+    per generator content, so an entry changed in place gives a new one.
+    Only nonzero terms get an entry.
     """
-    global _encoder_cache
-    key = _entry_bits(G)
-    cached = _encoder_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
     # The nonzero entries, column by column, unpacked in one call: a set-bit
     # walk per entry costs as much as a product-form encode of a dense G.
-    nbytes = (G.modulus.N + 7) // 8
-    entries = [(j, i) for j in range(G.ncols) for i, row in enumerate(G.rows) if row[j].bits]
-    raw = b"".join(G.rows[i][j].bits.to_bytes(nbytes, "little") for j, i in entries)
+    nbytes = (N + 7) // 8
+    nonzero = [k for j in range(width) for k in range(j, len(entries), width) if entries[k]]
+    raw = b"".join(entries[k].to_bytes(nbytes, "little") for k in nonzero)
     unpacked = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
     # A flat nonzero and a divmod cost a fraction of a 2-D nonzero.
     entry, exps = np.divmod(np.flatnonzero(unpacked), 8 * nbytes)
-    # The (j, i) of each term's entry; terms run column by column, so each
-    # column's terms are one slice.
-    owners = np.array(entries, dtype=np.intp).reshape(-1, 2)[entry]
-    terms = list(zip(owners[:, 1].tolist(), exps.tolist()))
-    bounds = np.searchsorted(owners[:, 0], np.arange(G.ncols + 1)).tolist()
-    table = [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
-    _encoder_cache = (key, table)
-    return table
+    # The row i and column j of each term's entry; terms run column by
+    # column, so each column's terms are one slice.
+    owner_rows, owner_cols = np.divmod(np.array(nonzero, dtype=np.intp)[entry], width)
+    terms = list(zip(owner_rows.tolist(), exps.tolist()))
+    bounds = np.searchsorted(owner_cols, np.arange(width + 1)).tolist()
+    return [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def encode(G: PolyMatrix, message) -> int:
@@ -186,7 +174,8 @@ def encode(G: PolyMatrix, message) -> int:
     plain circulant expansion of the parity-check matrix. T is a ring
     automorphism and takes x^e to x^-e, so the block is the sum of
     T(m_i) x^-e over the terms x^e of every g_ij: one cyclic rotation of
-    T(m_i), right by e, per term of G's term table (``_encoder_table``).
+    T(m_i), right by e, per term of G's term table (``_encoder_table``),
+    which is built once per generator content.
     """
     message = list(message)
     if len(message) != G.nrows:
@@ -202,7 +191,8 @@ def encode(G: PolyMatrix, message) -> int:
         doubled.append(a | a << N)
     mask = (1 << N) - 1
     bits = 0
-    for j, terms in enumerate(_encoder_table(G)):
+    entries = tuple([p.bits for row in G.rows for p in row])
+    for j, terms in enumerate(_encoder_table(N, G.ncols, entries)):
         block = 0
         for i, e in terms:
             block ^= doubled[i] >> e
@@ -535,14 +525,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return safe + np.log(np.exp(a - safe[:, None]).sum(axis=1))
 
 
-# The tables of the spec decoded last: (key, tables), the key holding the
-# base's entries, the component parities and the pre-lift, as the
-# encoder's does.
-_decoder_cache = None
-
-
 def _decoder_tables(spec: GldpcSpec):
-    """Code length and the edge and check tables of ``spec``, built once.
+    """Code length and the edge and check tables of ``spec``.
+
+    ``gldpc_decode`` and ``monte_carlo`` build them once per call and pass
+    them to every ``_decode_frames`` call they make.
 
     Returns (n, rows, edges, checks):
 
@@ -555,12 +542,6 @@ def _decoder_tables(spec: GldpcSpec):
       of every row reads, flat, D per check: a check of a lower degree is
       padded with line Q, which ``_failed_frames`` keeps all zero.
     """
-    global _decoder_cache
-    parities = tuple(None if c is None else c.parity for c in spec.assignment)
-    key = (_entry_bits(spec.base), parities, spec.prelift)
-    cached = _decoder_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
     eff = spec.effective_matrix()
     row_idx = row_edges(eff)
     edges = np.concatenate([idx.T for idx in row_idx])
@@ -575,9 +556,7 @@ def _decoder_tables(spec: GldpcSpec):
         start += comp.q
     degree = max(map(len, checks))
     lines = np.array([c + [start] * (degree - len(c)) for c in checks], dtype=np.intp)
-    tables = (eff.ncols * eff.modulus.N, rows, edges, (lines.ravel(), degree))
-    _decoder_cache = (key, tables)
-    return tables
+    return eff.ncols * eff.modulus.N, rows, edges, (lines.ravel(), degree)
 
 
 # Constraint rows one kernel call should see: a chunk of frames makes each
@@ -585,9 +564,9 @@ def _decoder_tables(spec: GldpcSpec):
 _CHUNK_ROWS = 1024
 
 
-def _chunk_frames(spec: GldpcSpec) -> int:
+def _chunk_frames(tables) -> int:
     """Frames monte_carlo decodes per call: enough for ``_CHUNK_ROWS`` rows a call."""
-    _, _, edges, _ = _decoder_tables(spec)
+    _, _, edges, _ = tables
     return max(1, _CHUNK_ROWS // edges.shape[1])
 
 
@@ -634,8 +613,10 @@ def _row_views(rows, priors: np.ndarray, ext: np.ndarray):
     ]
 
 
-def _decode_frames(spec: GldpcSpec, llrs: np.ndarray, cfg: DecoderConfig):
+def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
     """Flooding decode of a stack of frames (B x n channel LLRs).
+
+    ``tables`` are the spec's ``_decoder_tables``.
 
     Returns (hard decisions B x n, converged B, iterations B). Every
     iteration clips, updates and scatters all active frames at once, then
@@ -647,7 +628,7 @@ def _decode_frames(spec: GldpcSpec, llrs: np.ndarray, cfg: DecoderConfig):
     scatter adds each row's extrinsics in the same order for every batch,
     so totals do not depend on which frames share a call.
     """
-    n, rows, edges, checks = _decoder_tables(spec)
+    n, rows, edges, checks = tables
     frames = llrs.shape[0]
     hard_out = np.zeros((frames, n), dtype=bool)
     converged = np.zeros(frames, dtype=bool)
@@ -715,13 +696,14 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     """
     if cfg is None:
         cfg = DecoderConfig()
-    n = _decoder_tables(spec)[0]
+    tables = _decoder_tables(spec)
+    n = tables[0]
     llr = np.asarray(llrs, dtype=np.float64)
     if llr.size != n:
         raise ValueError(f"got {llr.size} LLRs for a length-{n} code")
     if np.isnan(llr).any():
         raise ValueError("LLRs must not be NaN")
-    hard, converged, iterations = _decode_frames(spec, llr.reshape(1, n), cfg)
+    hard, converged, iterations = _decode_frames(tables, llr.reshape(1, n), cfg)
     return pack_bits(hard[0]), bool(converged[0]), int(iterations[0])
 
 
@@ -780,8 +762,9 @@ def monte_carlo(
         trials, _, block_errors = counts[point]
         return trials >= max_trials or block_errors >= min_block_errors
 
+    tables = _decoder_tables(spec)
     n = G.ncols * G.modulus.N
-    llrs = np.empty((_chunk_frames(spec), n))
+    llrs = np.empty((_chunk_frames(tables), n))
     point = trial = 0  # the next trial to draw
     while True:
         drawn = []  # (point, sent bits) of each row of llrs
@@ -797,7 +780,7 @@ def monte_carlo(
                 point, trial = point + 1, 0
         if not drawn:
             break
-        hard, _, _ = _decode_frames(spec, llrs[: len(drawn)], cfg)
+        hard, _, _ = _decode_frames(tables, llrs[: len(drawn)], cfg)
         for (p, sent_bits), word in zip(drawn, hard):
             if stopped(p):
                 continue

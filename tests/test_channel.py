@@ -188,8 +188,9 @@ class TestEncode:
                 for message in messages:
                     assert encode(G, message) == product_formula(G, message)
 
-    def test_entry_changed_in_place_is_seen(self, monkeypatch):
-        # The term table is cached by content, not by the generator object.
+    def test_entry_changed_in_place_is_seen(self):
+        # The term table is keyed on the generator's entries, not on the
+        # generator object.
         G = PolyMatrix(coded("c1.json")[1].rows, RingModulus(68))
         message = random_message(random.Random(82), G)
         first = encode(G, message)
@@ -197,8 +198,25 @@ class TestEncode:
         G.rows[0][0] = BinaryPoly(0)
         edited = encode(G, message)
         assert edited != first and edited == product_formula(G, message)
-        monkeypatch.setattr(channel, "_encoder_cache", None)
+        channel._encoder_table.cache_clear()
         assert encode(G, message) == edited
+
+    def test_term_table_is_built_once_per_generator_content(self):
+        spec, G, _ = coded("hamming15.json")
+        channel._encoder_table.cache_clear()
+        monte_carlo(spec, G, [3.0], {"max_trials": 8}, cfg=DecoderConfig(max_iterations=3))
+        info = channel._encoder_table.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
+        # A copy with the same entries hits; an entry edited in place is a
+        # new key, one more miss, and the word follows the edited generator.
+        G = PolyMatrix(G.rows, G.modulus)
+        message = random_message(random.Random(85), G)
+        encode(G, message)
+        assert channel._encoder_table.cache_info().misses == 1
+        G.rows[0][0] = G.rows[0][0] + BinaryPoly(1)
+        word = encode(G, message)
+        assert channel._encoder_table.cache_info().misses == 2
+        assert word == product_formula(G, message)
 
 
 class TestAwgnLlrs:
@@ -552,9 +570,9 @@ class TestDecoderTables:
                 word, converged, iterations = gldpc_decode(loaded[name], llr, cfg)
                 assert [str(word), converged, iterations] == fresh[name][seed]
 
-    def test_entries_changed_in_place_are_seen(self, monkeypatch):
-        # The tables are cached by content: an edited base entry or a
-        # swapped component gives new tables, equal to an emptied cache's.
+    def test_entries_changed_in_place_are_seen(self):
+        # Each decode builds its own tables: an edited base entry or a
+        # swapped component gives new tables, equal to a fresh build's.
         spec = load("c1.json")
         llr = awgn_llrs(np.zeros(7 * 68, np.uint8), -1.0, 5)
         cfg = DecoderConfig(max_iterations=8)
@@ -566,12 +584,10 @@ class TestDecoderTables:
         assert not np.array_equal(new_edges, edges)
         want = np.concatenate([idx.T for idx in row_edges(spec.effective_matrix())])
         assert np.array_equal(new_edges, want)
-        monkeypatch.setattr(channel, "_decoder_cache", None)
         assert gldpc_decode(spec, llr, cfg) == edited
         spec.assignment = (permuted74(), None)
         swapped = gldpc_decode(spec, llr, cfg)
         assert _decoder_tables(spec)[1][0][1] == permuted74()
-        monkeypatch.setattr(channel, "_decoder_cache", None)
         assert gldpc_decode(spec, llr, cfg) == swapped
 
 
@@ -613,7 +629,7 @@ class TestDecodeProperties:
         snrs = BATCH_SNRS.get(name, BATCH_SNRS["c1.json"])
         llrs = noisy_frames(name, snrs * 2, seed=96)
         cfg = DecoderConfig(max_iterations=max_iterations)
-        hard, converged, _ = _decode_frames(spec, llrs, cfg)
+        hard, converged, _ = _decode_frames(_decoder_tables(spec), llrs, cfg)
         assert converged.any() and not converged.all()
         for b in range(len(llrs)):
             assert bool(converged[b]) == in_kernel(Hb, pack_bits(hard[b]))
@@ -683,7 +699,7 @@ def wide_frames(name, seed):
 
 
 def assert_matches_one_frame_decodes(spec, llrs, cfg):
-    hard, converged, iterations = _decode_frames(spec, llrs, cfg)
+    hard, converged, iterations = _decode_frames(_decoder_tables(spec), llrs, cfg)
     assert hard.shape == llrs.shape
     for b, llr in enumerate(llrs):
         word = int.from_bytes(np.packbits(hard[b], bitorder="little").tobytes(), "little")
@@ -776,29 +792,30 @@ class TestBatchedDecode:
         spec = coded("n79.json")[0]
         llrs = noisy_frames("n79.json", (-1.0,), seed=72)
         assert_matches_one_frame_decodes(spec, llrs, DecoderConfig(max_iterations=5))
-        hard, converged, iterations = _decode_frames(spec, llrs[:0], DecoderConfig())
+        tables = _decoder_tables(spec)
+        hard, converged, iterations = _decode_frames(tables, llrs[:0], DecoderConfig())
         assert hard.shape == (0, 6 * 79) and converged.size == iterations.size == 0
 
     def test_chunk_size_follows_rows_per_call(self):
-        assert channel._chunk_frames(coded("c1.json")[0]) == 1024 // 68
-        assert channel._chunk_frames(coded("hamming15.json")[0]) == 1024 // 376
+        assert channel._chunk_frames(_decoder_tables(coded("c1.json")[0])) == 1024 // 68
+        assert channel._chunk_frames(_decoder_tables(coded("hamming15.json")[0])) == 1024 // 376
 
 
 # Decodes, in a process of its own, one stack of frames saved with np.save.
 FRESH_FRAMES = """
 import json, sys
 import numpy as np
-from qcldpc.channel import DecoderConfig, _decode_frames
+from qcldpc.channel import DecoderConfig, _decode_frames, _decoder_tables
 from qcldpc.gldpc import load_spec
 llrs = np.load(sys.argv[2])
 cfg = DecoderConfig(max_iterations=int(sys.argv[3]), llr_clip=float(sys.argv[4]))
-hard, converged, iterations = _decode_frames(load_spec(sys.argv[1]), llrs, cfg)
+hard, converged, iterations = _decode_frames(_decoder_tables(load_spec(sys.argv[1])), llrs, cfg)
 print(json.dumps([np.packbits(hard).tobytes().hex(), converged.tolist(), iterations.tolist()]))
 """
 
 
 def decoded(spec, llrs, cfg):
-    hard, converged, iterations = _decode_frames(spec, llrs, cfg)
+    hard, converged, iterations = _decode_frames(_decoder_tables(spec), llrs, cfg)
     return [np.packbits(hard).tobytes().hex(), converged.tolist(), iterations.tolist()]
 
 
@@ -810,10 +827,10 @@ class TestDecoderWorkspace:
         spec = coded("hamming15.json")[0]
         llrs = noisy_frames("hamming15.json", (3.0, 3.0), seed=80)
         cfg = DecoderConfig()
-        _decode_frames(spec, llrs, cfg)
+        _decode_frames(_decoder_tables(spec), llrs, cfg)
         tracemalloc.start()
         try:
-            _decode_frames(spec, llrs, cfg)
+            _decode_frames(_decoder_tables(spec), llrs, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -926,7 +943,7 @@ class TestChunkedMonteCarlo:
         monkeypatch.setattr(channel, "_draw_trial", counting_draw)
         assert monte_carlo(spec, G, list(snrs), stop, master_seed=9, cfg=self.CFG) == want
         # Frames drawn past a point's stop fill at most one chunk per point.
-        chunk = channel._chunk_frames(spec)
+        chunk = channel._chunk_frames(_decoder_tables(spec))
         for point, row in enumerate(want):
             assert row.trials <= drawn.count(point) <= row.trials + chunk - 1
         if stop["min_block_errors"] == 0:
@@ -947,5 +964,28 @@ class TestChunkedMonteCarlo:
         stop = {"min_block_errors": 2, "max_trials": 3}
         snrs = [0.0, 3.0]
         want = sequential_monte_carlo(spec, G, snrs, stop, 12, cfg)
-        assert channel._chunk_frames(spec) == 2
+        assert channel._chunk_frames(_decoder_tables(spec)) == 2
         assert monte_carlo(spec, G, snrs, stop, master_seed=12, cfg=cfg) == want
+
+    def test_tables_are_built_once_per_call(self, monkeypatch):
+        # Eight frames of hamming15 decode in four chunks of two.
+        spec, G, _ = coded("hamming15.json")
+        built = []
+        build = channel._decoder_tables
+
+        def counting_build(spec):
+            built.append(spec)
+            return build(spec)
+
+        chunks = []
+        decode = channel._decode_frames
+
+        def counting_decode(tables, llrs, cfg):
+            chunks.append(len(llrs))
+            return decode(tables, llrs, cfg)
+
+        monkeypatch.setattr(channel, "_decoder_tables", counting_build)
+        monkeypatch.setattr(channel, "_decode_frames", counting_decode)
+        (result,) = monte_carlo(spec, G, [3.0], {"max_trials": 8}, cfg=self.CFG)
+        assert result.trials == 8 and chunks == [2, 2, 2, 2]
+        assert built == [spec]

@@ -750,13 +750,18 @@ def mutated_specs(draw):
                 comp["parity"] = draw(ODD_VALUES)
                 continue
             r = draw(st.integers(0, len(rows) - 1))
-            if action == "flip":
-                k = draw(st.integers(0, len(rows[r]) - 1))
-                rows[r] = rows[r][:k] + "10"[int(rows[r][k])] + rows[r][k + 1 :]
-            elif action == "drop":
+            if action == "drop":
                 del rows[r]
             elif action == "repeat":
                 rows.append(rows[r])
+            elif not isinstance(rows[r], str):
+                # An earlier replace may have left a row that is not a
+                # string; only string rows are flipped or extended.
+                rows[r] = draw(ODD_VALUES)
+            elif action == "flip":
+                k = draw(st.integers(0, len(rows[r]) - 1))
+                flipped = {"0": "1", "1": "0"}.get(rows[r][k], "0")
+                rows[r] = rows[r][:k] + flipped + rows[r][k + 1 :]
             else:
                 rows[r] += draw(st.sampled_from(["0", "1", "2"]))
         elif kind == "identity_start" and comps:

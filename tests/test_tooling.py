@@ -4,9 +4,10 @@ README's command examples must parse with the CLI's parser, and the
 benchmark's tracer must find every function it wraps; a flag or function
 removed from the library would otherwise leave them stale unnoticed. An
 import that nothing reads is flagged too, since deleting a helper tends to
-leave its import behind. The distance search's replay of numpy's draws
-must reach the bit generator through its public API only. Every
-``tools/`` script that README or CI names must exist, and
+leave its import behind, and so is a ``global`` statement in the library,
+which would carry state from one call to the next. The distance search's
+replay of numpy's draws must reach the bit generator through its public
+API only. Every ``tools/`` script that README or CI names must exist, and
 ``tools/passes.py`` must keep splitting each benchmark workload's passes.
 """
 
@@ -127,6 +128,45 @@ def test_unused_import_guard_flags_and_honours_noqa(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(probe) == [(2, "os"), (4, "dumps")]
+
+
+def global_statements(path):
+    """(line, names) of each ``global`` statement in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        (node.lineno, node.names) for node in ast.walk(tree) if isinstance(node, ast.Global)
+    )
+
+
+def test_library_has_no_global_statements():
+    # Module state written from a function outlives the call that wrote it;
+    # the library keeps what it reuses in functools caches instead.
+    paths = sorted((ROOT / "src" / "qcldpc").rglob("*.py"))
+    assert ROOT / "src" / "qcldpc" / "channel.py" in paths
+    found = {p.relative_to(ROOT).as_posix(): global_statements(p) for p in paths}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_global_guard_flags_every_global_statement(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "cache = None\n"
+        "counter = 0\n"
+        "def store(x):\n"
+        "    global cache, counter\n"
+        "    cache = x\n"
+        "class Holder:\n"
+        "    def bump(self):\n"
+        "        def inner():\n"
+        "            global counter\n"
+        "            counter += 1\n"
+        "        inner()\n"
+        "def local():\n"
+        "    cache = 1\n"
+        "    return cache\n",
+        encoding="utf-8",
+    )
+    assert global_statements(probe) == [(4, ["cache", "counter"]), (9, ["counter"])]
 
 
 def bit_generator_reach(path):
