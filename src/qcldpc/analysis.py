@@ -325,15 +325,13 @@ def low_weight_search(
     found = [_lightest_sweep(Gb, iterations)]  # (weight, evaluation, word)
     evals = max(k, min(iterations, k + k * (k - 1) // 2))
     rng = np.random.default_rng(seed)
-    rank = words = None
     rounds = []  # (column order, first evaluation index, rows rated)
+    if evals < iterations:
+        words = _packed_rows(Gb.rows, Gb.ncols)
+        rank = rank_scalar(Gb)
+        per_batch = max(1, _ROUND_BYTES // max(1, words.nbytes))
     while evals < iterations:
-        if words is None:
-            words = _packed_rows(Gb.rows, Gb.ncols)
         if evals % _ROUND_EVERY == 0:
-            if rank is None:
-                rank = rank_scalar(Gb)
-                per_batch = max(1, _ROUND_BYTES // max(1, words.nbytes))
             if rank == 0:
                 break  # the rows span only the zero word
             take = min(rank, iterations - evals)
@@ -650,14 +648,15 @@ def _lightest_round_row(
             break
         check = c + rank - int(found[:live].max())
     place = np.argsort(held)  # round r is at place[r]
-    weight = np.bitwise_count(work).sum(axis=1, dtype=np.intp)[places[:, None], order][place]
+    # Weights less one: a pivot row is never zero, so none wraps.
+    weight = _weights(np.bitwise_count(work).swapaxes(0, 1))[places[:, None], order][place]
     # Only the last round can end the budget before its last row.
-    weight[-1, rounds[-1][2] :] = np.iinfo(np.intp).max
+    weight[-1, rounds[-1][2] :] = np.iinfo(weight.dtype).max
     at = int(weight.argmin())  # row-major: the first evaluated of the lightest
     r, t = divmod(at, rank)
     s = place[r]
     word = int.from_bytes(work[s, :, order[s, t]].tobytes(), "little")
-    return int(weight[r, t]), rounds[r][1] + t, word
+    return int(weight[r, t]) + 1, rounds[r][1] + t, word
 
 
 def bounds_combine(

@@ -1,10 +1,13 @@
 """Encoding, BPSK-AWGN channel, and iterative GLDPC decoding.
 
 ``encode`` reads a term table of the generator, built once per generator
-content (an ``lru_cache`` keyed on its entries' bits): block j of a
-codeword is T(sum_i m_i g_ij), with T the circulant transpose, and since
-T is a ring automorphism that is one cyclic rotation of T(m_i) per term
-of g_ij, with no polynomial product.
+content (an ``lru_cache`` keyed on its entries' bits) from each entry's
+``gf2poly.bit_positions``: block j of a codeword is T(sum_i m_i g_ij),
+with T the circulant transpose, and since T is a ring automorphism that
+is one cyclic rotation of T(m_i) per term of g_ij, with no polynomial
+product. Bits go between ints and 0/1 arrays through ``binmat.pack_bits``
+and ``unpack_bits`` only: the trial draws, the hard decisions, and the
+components' codebooks and trellis transitions.
 
 The decoder updates every constraint of a GLDPC spec in parallel
 (flooding). Circulant structure batches the N shift instances of each
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binmat import pack_bits, unpack_bits
-from .gf2poly import BinaryPoly, transpose_poly
+from .gf2poly import BinaryPoly, bit_positions, transpose_poly
 # expand_binary defines convergence (see gldpc_decode) but the decoder
 # checks it from its edge tables; the name stays importable here,
 # where perfbench's tracer test rebinds it.
@@ -147,22 +150,16 @@ def _encoder_table(N: int, width: int, entries: tuple):
     ``entries`` holds the bits of every entry g_ij of a generator with
     ``width`` column blocks of size N, row by row. The table is built once
     per generator content, so an entry changed in place gives a new one.
-    Only nonzero terms get an entry.
+    Each column's terms run by row i, then by exponent e.
     """
-    # The nonzero entries, column by column, unpacked in one call: a set-bit
-    # walk per entry costs as much as a product-form encode of a dense G.
-    nbytes = (N + 7) // 8
-    nonzero = [k for j in range(width) for k in range(j, len(entries), width) if entries[k]]
-    raw = b"".join(entries[k].to_bytes(nbytes, "little") for k in nonzero)
-    unpacked = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
-    # A flat nonzero and a divmod cost a fraction of a 2-D nonzero.
-    entry, exps = np.divmod(np.flatnonzero(unpacked), 8 * nbytes)
-    # The row i and column j of each term's entry; terms run column by
-    # column, so each column's terms are one slice.
-    owner_rows, owner_cols = np.divmod(np.array(nonzero, dtype=np.intp)[entry], width)
-    terms = list(zip(owner_rows.tolist(), exps.tolist()))
-    bounds = np.searchsorted(owner_cols, np.arange(width + 1)).tolist()
-    return [tuple(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [
+        tuple(
+            (i, e)
+            for i in range(len(entries) // width)
+            for e in bit_positions(entries[i * width + j])
+        )
+        for j in range(width)
+    ]
 
 
 def encode(G: PolyMatrix, message) -> int:
@@ -354,7 +351,7 @@ def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
     q = len(parity[0])
     pivots = {}  # reduced row echelon form: pivot column -> row mask
     for row in parity:
-        mask = sum(b << j for j, b in enumerate(row))
+        mask = pack_bits(row)
         for col, r in pivots.items():
             if mask >> col & 1:
                 mask ^= r
@@ -384,10 +381,7 @@ def _state_perms(parity: tuple) -> np.ndarray:
     by a constant is an involution, so one row serves both the gather and
     the scatter direction.
     """
-    cols = [
-        sum((row[k] & 1) << i for i, row in enumerate(parity))
-        for k in range(len(parity[0]))
-    ]
+    cols = [pack_bits(col) for col in zip(*parity)]
     perms = np.arange(1 << len(parity))[None, :] ^ np.array(cols)[:, None]
     perms.setflags(write=False)
     return perms
@@ -533,8 +527,8 @@ def _decoder_tables(spec: GldpcSpec):
 
     Returns (n, rows, edges, checks):
 
-    - rows: per constraint row, (edge indices N x q, component with None
-      resolved to its single-parity check, the row's span of edges);
+    - rows: per constraint row, (component with None resolved to its
+      single-parity check, the row's span of lines of ``edges``);
     - edges: the (Q x N) edge indices of all rows, bit-major: row after
       row, bit k of every shift of the row in one line, so Q is the sum
       of the rows' q;
@@ -549,9 +543,7 @@ def _decoder_tables(spec: GldpcSpec):
     for idx, comp in zip(row_idx, spec.assignment):
         if comp is None:
             comp = ComponentCode.spc(idx.shape[1])
-        span = slice(start, start + comp.q)
-        # A view of edges, so each edge index is held once.
-        rows.append((edges[span].T, comp, span))
+        rows.append((comp, slice(start, start + comp.q)))
         checks += [[start + k for k, b in enumerate(parity) if b] for parity in comp.parity]
         start += comp.q
     degree = max(map(len, checks))
@@ -609,7 +601,7 @@ def _row_views(rows, priors: np.ndarray, ext: np.ndarray):
     """
     return [
         (comp, priors[span].reshape(comp.q, -1).T, ext[span].reshape(comp.q, -1).T)
-        for _, comp, span in rows
+        for comp, span in rows
     ]
 
 

@@ -5,6 +5,12 @@ reduced representatives, but products are not folded back), because the
 codeword constructions need unreduced minors.
 Index sets for minors are 1-based and strictly increasing, matching the
 usual determinant notation.
+
+``circulant_expand`` rotates each entry's circulant transpose, so its
+rows are the circulant rows of the entries. Bit-level spans
+(``span_step``, ``expansion_rank``) rotate the entries' own bits instead:
+the transpose permutes every block's coordinates alike, so it changes no
+rank.
 """
 
 from __future__ import annotations
@@ -296,12 +302,16 @@ def expansion_rank(H):
     circulants keep the rank of the expansion, so only the residual rows
     and unpivoted columns are left to rank bit by bit.
 
-    Each residual row adds its expansion rows to one span with span_step,
-    which stops at the row's first shift that adds nothing. Its blocks are
-    the unpivoted columns sorted by how many rows have a nonzero entry,
-    the fewest last: those land on the leading bits, where RowEchelon
-    takes its pivots, and rows that lead in a block of their own reduce
-    in a few steps.
+    Each residual row adds its shifts to one span with span_step, which
+    stops at the row's first shift that adds nothing. Its blocks are the
+    entries' own bits, as in construct's greedy build, not the transposes
+    that circulant_expand rotates: the map x^e -> x^-e permutes the
+    coordinates of every block in the same way, so it maps the shifts of
+    a row onto the shifts of its transpose, and the span of all shifts
+    and each row's gain stay the same. The blocks are the unpivoted
+    columns sorted by how many rows have a nonzero entry, the fewest last:
+    those land on the leading bits, where RowEchelon takes its pivots,
+    and rows that lead in a block of their own reduce in a few steps.
     """
     if H.modulus is None:
         raise ValueError("circulant expansion needs a ring modulus")
@@ -339,7 +349,7 @@ def expansion_rank(H):
     rest.sort(key=lambda j: -load[j])
     span = RowEchelon()
     for row in rows:
-        rank += span_step(span, [transpose_poly(row[j], m).bits for j in rest], m.N)
+        rank += span_step(span, [row[j].bits for j in rest], m.N)
     return rank
 
 

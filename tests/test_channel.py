@@ -587,7 +587,7 @@ class TestDecoderTables:
         assert gldpc_decode(spec, llr, cfg) == edited
         spec.assignment = (permuted74(), None)
         swapped = gldpc_decode(spec, llr, cfg)
-        assert _decoder_tables(spec)[1][0][1] == permuted74()
+        assert _decoder_tables(spec)[1][0][0] == permuted74()
         assert gldpc_decode(spec, llr, cfg) == swapped
 
 
@@ -725,10 +725,10 @@ def per_check_failures(spec, hard):
     bit-major, (q x frames x N), and every parity check of its component
     XOR-reduces its bits and ORs the result into the frame's failure.
     """
-    _, rows, _, _ = _decoder_tables(spec)
+    _, rows, edges, _ = _decoder_tables(spec)
     failed = np.zeros(len(hard), dtype=bool)
-    for idx, comp, _ in rows:
-        block = hard[:, idx.T].transpose(1, 0, 2)
+    for comp, span in rows:
+        block = hard[:, edges[span]].transpose(1, 0, 2)
         for cols in (np.flatnonzero(row) for row in comp.parity):
             failed |= np.bitwise_xor.reduce(block[cols], axis=0).any(axis=1)
     return failed
@@ -780,10 +780,10 @@ class TestBatchedDecode:
         spec = coded(name)[0]
         cfg = DecoderConfig(max_iterations=12, llr_clip=200.0)
         llrs = wide_frames(name, seed=71)
-        _, rows, _, _ = _decoder_tables(spec)
+        _, rows, edges, _ = _decoder_tables(spec)
         spans = np.concatenate([
-            np.abs(np.clip(llrs[:, idx], -200.0, 200.0)).sum(axis=2).ravel()
-            for idx, _, _ in rows
+            np.abs(np.clip(llrs[:, edges[span].T], -200.0, 200.0)).sum(axis=2).ravel()
+            for _, span in rows
         ])
         assert (spans > channel._PROB_SPAN).any() and (spans <= channel._PROB_SPAN).any()
         assert_matches_one_frame_decodes(spec, llrs, cfg)

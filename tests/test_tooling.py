@@ -5,10 +5,13 @@ benchmark's tracer must find every function it wraps; a flag or function
 removed from the library would otherwise leave them stale unnoticed. An
 import that nothing reads is flagged too, since deleting a helper tends to
 leave its import behind, and so is a ``global`` statement in the library,
-which would carry state from one call to the next. The distance search's
-replay of numpy's draws must reach the bit generator through its public
-API only. Every ``tools/`` script that README or CI names must exist, and
-``tools/passes.py`` must keep splitting each benchmark workload's passes.
+which would carry state from one call to the next, and so is a call to
+numpy's bit packing outside ``binmat``, the one reader of ints as 0/1
+arrays. The distance search's replay of numpy's draws must reach the bit
+generator through its public API only. Every ``tools/`` script that README
+or CI names must exist, ``tools/code_lines.py`` must count a known module
+right, and ``tools/passes.py`` must keep splitting each benchmark
+workload's passes.
 """
 
 import ast
@@ -169,6 +172,44 @@ def test_global_guard_flags_every_global_statement(tmp_path):
     assert global_statements(probe) == [(4, ["cache", "counter"]), (9, ["counter"])]
 
 
+def bit_packing_calls(path):
+    """(line, name) of each call to ``packbits`` or ``unpackbits`` in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("packbits", "unpackbits"):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_bits_are_packed_only_in_binmat():
+    # binmat.pack_bits and unpack_bits are the one int <-> 0/1 array pair;
+    # numpy's bit packing anywhere else would be a second reader of it.
+    paths = sorted((ROOT / "src" / "qcldpc").rglob("*.py"))
+    binmat = ROOT / "src" / "qcldpc" / "binmat.py"
+    assert binmat in paths and bit_packing_calls(binmat) != []
+    found = {p.relative_to(ROOT).as_posix(): bit_packing_calls(p) for p in paths if p != binmat}
+    assert {path: calls for path, calls in found.items() if calls} == {}
+
+
+def test_bit_packing_guard_flags_every_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from numpy import unpackbits\n"
+        "a = np.packbits([1, 0], bitorder='little')\n"
+        "def f(raw):\n"
+        "    return unpackbits(raw)\n"
+        "packbits = 'a name, not a call'\n"
+        "np.unpackbits\n",
+        encoding="utf-8",
+    )
+    assert bit_packing_calls(probe) == [(3, "packbits"), (5, "unpackbits")]
+
+
 def bit_generator_reach(path):
     """(attributes read off a bit generator, private numpy.random imports) in ``path``.
 
@@ -242,6 +283,51 @@ def test_every_named_tool_exists():
     names = named_tools()
     assert "tools/passes.py" in names
     assert sorted(name for name in names if not (ROOT / name).is_file()) == []
+
+
+def load_code_lines():
+    path = ROOT / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+KNOWN_MODULE = '''"""Module docstring,
+two lines."""
+
+# a comment
+import os  # counted
+
+
+class Holder:
+    """Class docstring."""
+
+    def get(self):
+        """Function
+        docstring."""
+        text = """a string
+        over two lines"""
+        return (text,
+                os.sep)
+
+    async def run(self):
+        'Docstring in single quotes.'
+        pass
+'''
+
+
+def test_code_lines_counts_a_known_module(tmp_path, capsys):
+    # import, class, def, the string's two lines, return's two lines,
+    # async def and pass.
+    tool = load_code_lines()
+    assert tool.code_lines(KNOWN_MODULE) == 9
+    probe = tmp_path / "probe.py"
+    probe.write_text(KNOWN_MODULE, encoding="utf-8")
+    tool.main([str(tmp_path), str(probe)])
+    assert capsys.readouterr().out.splitlines() == [
+        f"     9  {probe}", f"     9  {probe}", "    18  total"
+    ]
 
 
 DESIGN_SPECS = ["n79", "c1", "c2", "prelift90", "prelift68", "hamming15"]
