@@ -5,6 +5,10 @@ valid codeword row exactly when matmul_mod([v], transpose_entrywise(H))
 vanishes.  The binary expansion of a stack of such rows is a generator
 matrix for the expanded code once its GF(2) rank reaches the code
 dimension.
+
+Each build takes its minors from one polymat.Minors of H: the column
+search, the minimal f and the rows ask for the same minors again and
+again, and each is expanded once.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from itertools import combinations
 from .binmat import RowEchelon
 from .gf2poly import BinaryPoly, NotInvertible, gcd, inverse_mod, is_unit, transpose_poly
 from .polymat import (
+    Minors,
     PolyMatrix,
     expansion_rank,
     index_set,
     matmul_mod,
-    minor_det,
     span_step,
     transpose_entrywise,
 )
@@ -131,16 +135,20 @@ def codeword_lemma2(H, T, S, f):
     S = index_set(S, H.ncols)
     if len(S) != len(T) + 1:
         raise ValueError("S must be one column larger than T")
-    return _lemma2_row(H, m, T, S, f, _Minors(H))
+    minor = Minors(H)
+    for j in range(1, H.nrows + 1):
+        if j not in T and m.reduce(f * minor(tuple(sorted(T + (j,))), S)).bits:
+            return None
+    return _lemma2_row(H, m, T, S, f, minor)
 
 
 def _lemma2_row(H, m, T, S, f, minor):
-    for j in range(1, H.nrows + 1):
-        if j in T:
-            continue
-        delta = minor(tuple(sorted(T + (j,))), S)
-        if not m.reduce(f * delta).is_zero():
-            return None
+    """The lemma-2 row over (T, S) scaled by f, taken as valid.
+
+    The greedy build calls it with T every row (None), where no row j is
+    left to check, or with f from _minimal_f, which makes every
+    f * minor(T + {j}, S) a multiple of x^N + 1.
+    """
     row = [BinaryPoly(0)] * H.ncols
     for i in S:
         delta = minor(T, tuple(j for j in S if j != i))
@@ -163,7 +171,7 @@ def generator_case1(H, S=None):
     S = index_set(S, H.ncols)
     if len(S) != H.nrows:
         raise ValueError("S must select n_c columns")
-    minor = _Minors(H)
+    minor = Minors(H)
     delta_S = minor(None, S)
     if not is_unit(delta_S, m):
         raise NotInvertible(
@@ -189,7 +197,7 @@ def generator_general(H, modulus=None):
     m = modulus or _require_modulus(H)
     if H.modulus is None:
         H = PolyMatrix(H.rows, m)
-    minor = _Minors(H)
+    minor = Minors(H)
     S_best = _best_column_selection(H, m, minor)
     target = H.ncols * m.N - expansion_rank(H)
     for reduce_rows in (False, True):
@@ -203,28 +211,6 @@ def generator_general(H, modulus=None):
         f"reached rank {best.rank} of {target}; minor-based rows exhausted",
         best,
     )
-
-
-class _Minors:
-    """minor(T, S): minor_det(H, T, S), each (T, S) computed once.
-
-    One generator build shares one memo: the column search, the minimal f
-    and the lemma-2 validity check take the same minors again and again.
-    """
-
-    __slots__ = ("H", "every_row", "memo")
-
-    def __init__(self, H):
-        self.H = H
-        self.every_row = tuple(range(1, H.nrows + 1))
-        self.memo = {}
-
-    def __call__(self, T, S):
-        key = (self.every_row if T is None else T, S)
-        got = self.memo.get(key)
-        if got is None:
-            got = self.memo[key] = minor_det(self.H, *key)
-        return got
 
 
 def _best_column_selection(H, m, minor):
@@ -296,7 +282,7 @@ def _greedy_build(H, m, target, S_best, reduce_rows, minor):
             for S in combinations(range(1, H.ncols + 1), s + 1):
                 f = _minimal_f(H, m, T, S, minor)
                 row = _lemma2_row(H, m, T, S, f, minor)
-                if row is None or all(p.is_zero() for p in row):
+                if all(p.is_zero() for p in row):
                     continue
                 bits = tuple(p.bits for p in row)
                 if bits not in known:
@@ -335,7 +321,7 @@ def _lemma1_rows(H, m, S_best, reduce_rows, minor):
             continue
         Sc = tuple(sorted(S_best + (c,)))
         if not reduce_rows:
-            row = _lemma2_row(H, m, minor.every_row, Sc, BinaryPoly(1), minor)
+            row = _lemma2_row(H, m, None, Sc, BinaryPoly(1), minor)
             yield row, RowOrigin("lemma1", S=Sc)
             continue
         try:
@@ -351,8 +337,7 @@ def _minimal_f(H, m, T, S, minor):
     for j in range(1, H.nrows + 1):
         if j not in T:
             g = gcd(g, minor(tuple(sorted(T + (j,))), S))
-    g_ring = gcd(g, m.poly)
-    return m.poly // g_ring if not g_ring.is_zero() else BinaryPoly(1)
+    return m.poly // gcd(g, m.poly)
 
 
 def verify_generator(H, G, dimension=None):

@@ -23,12 +23,12 @@ from .gf2poly import (
     BinaryPoly, NotInvertible, RingModulus, gcd, inverse_mod, is_unit, transpose_poly,
 )
 from .polymat import (
+    Minors,
     PolyMatrix,
     _check_expansion_size,
     circulant_expand,
     expansion_rank,
     matmul_mod,
-    minor_det,
     transpose_entrywise,
 )
 from .construct import GeneratorResult, codeword_lemma1, codeword_lemma2, generator_general
@@ -395,6 +395,7 @@ def _reduce(spec, eff, H):
     A component's enlarged pivot block is accepted by its determinant
     alone; the one Schur step runs on the final pivot set.
     """
+    minor = Minors(H)
     rows, cols = (), ()
     next_row = 1
     for i, comp in enumerate(spec.assignment):
@@ -406,7 +407,7 @@ def _reduce(spec, eff, H):
         if set(comp_cols) & set(cols):
             continue
         comp_rows = tuple(range(first, next_row))
-        if is_unit(minor_det(H, rows + comp_rows, tuple(sorted(cols + comp_cols))), H.modulus):
+        if is_unit(minor(rows + comp_rows, tuple(sorted(cols + comp_cols))), H.modulus):
             rows, cols = rows + comp_rows, cols + comp_cols
     return schur_reduce(H, rows, cols)
 
@@ -508,23 +509,22 @@ def schur_recompose(G_rest, T, meta, ncols):
 
 
 def _invert(B, mod):
-    """Ring inverse of a square PolyMatrix via the adjugate."""
-    n = B.nrows
-    det = mod.reduce(minor_det(B))
+    """Ring inverse of a square PolyMatrix via the adjugate.
+
+    The determinant and its cofactors come from one Minors(B), which
+    expands each minor they share once.
+    """
+    minor = Minors(B)
+    every = minor.every_row
+    det = mod.reduce(minor(every, every))
     if not is_unit(det, mod):
         raise NotInvertible("pivot block determinant shares a factor with x^N+1")
     inv_det = inverse_mod(det, mod)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            cof = minor_det(
-                B,
-                tuple(r + 1 for r in range(n) if r != j),
-                tuple(c + 1 for c in range(n) if c != i),
-            )
-            row.append(cof * inv_det)
-        rows.append(row)
+    n = len(every)
+    rows = [
+        [minor(every[:j] + every[j + 1 :], every[:i] + every[i + 1 :]) * inv_det for j in range(n)]
+        for i in range(n)
+    ]
     return PolyMatrix(rows, mod), det
 
 

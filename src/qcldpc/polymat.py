@@ -2,7 +2,9 @@
 
 Minors are always computed in plain GF(2)[x] (entries are taken as their
 reduced representatives, but products are not folded back), because the
-codeword constructions need unreduced minors.
+codeword constructions need unreduced minors. ``Minors`` is the one
+expansion: each caller that takes many minors of one matrix shares one,
+and ``minor_det`` is a one-shot of it.
 Index sets for minors are 1-based and strictly increasing, matching the
 usual determinant notation.
 
@@ -97,6 +99,8 @@ def index_set(indices, upper):
 def minor_det(H, row_idx=None, col_idx=None):
     """Unreduced determinant of the selected square submatrix.
 
+    A one-shot Minors(H)(row_idx, col_idx), with the index sets checked.
+
     Parameters
     ----------
     H : PolyMatrix
@@ -111,27 +115,42 @@ def minor_det(H, row_idx=None, col_idx=None):
     col_idx = index_set(col_idx, H.ncols)
     if len(row_idx) != len(col_idx):
         raise ValueError("minor selection must be square")
-    rows = [H.rows[i - 1] for i in row_idx]
-    cols = tuple(j - 1 for j in col_idx)
-    return _det_over_cols(rows, cols, {})
+    return Minors(H)(row_idx, col_idx)
 
 
-def _det_over_cols(rows, cols, memo):
-    """det of rows[-len(cols):] restricted to cols, memoized on cols."""
-    if not cols:
-        return BinaryPoly(1)
-    got = memo.get(cols)
-    if got is not None:
+class Minors:
+    """minor(T, S): the unreduced minor of H over 1-based rows T, columns S.
+
+    T None stands for every row. A minor is expanded along the first row
+    of T, and every minor met, the expansion's own included, is kept for
+    the object's life, keyed on (T, S). So a sub-minor that several
+    queries share (one row set over different columns, a determinant and
+    its cofactors) is expanded once. The sets are taken as given;
+    minor_det checks them.
+    """
+
+    __slots__ = ("rows", "every_row", "memo")
+
+    def __init__(self, H):
+        self.rows = H.rows
+        self.every_row = tuple(range(1, H.nrows + 1))
+        self.memo = {}
+
+    def __call__(self, T, S):
+        if T is None:
+            T = self.every_row
+        if not S:
+            return BinaryPoly(1)
+        got = self.memo.get((T, S))
+        if got is None:
+            row, rest = self.rows[T[0] - 1], T[1:]
+            got = BinaryPoly(0)
+            for k, c in enumerate(S):
+                p = row[c - 1]
+                if p.bits:
+                    got = got + p * self(rest, S[:k] + S[k + 1 :])
+            self.memo[T, S] = got
         return got
-    row = rows[len(rows) - len(cols)]
-    acc = BinaryPoly(0)
-    for k, c in enumerate(cols):
-        p = row[c]
-        if p.bits:
-            rest = cols[:k] + cols[k + 1 :]
-            acc = acc + p * _det_over_cols(rows, rest, memo)
-    memo[cols] = acc
-    return acc
 
 
 def all_minors_gcd(H, size):
@@ -145,12 +164,11 @@ def all_minors_gcd(H, size):
         return BinaryPoly(1)
     if size > min(H.nrows, H.ncols):
         raise ValueError("minor size exceeds matrix dimensions")
+    minor = Minors(H)
     acc = BinaryPoly(0)
-    for row_sel in combinations(range(H.nrows), size):
-        rows = [H.rows[i] for i in row_sel]
-        memo = {}
-        for col_sel in combinations(range(H.ncols), size):
-            d = _det_over_cols(rows, col_sel, memo)
+    for T in combinations(range(1, H.nrows + 1), size):
+        for S in combinations(range(1, H.ncols + 1), size):
+            d = minor(T, S)
             if d.bits:
                 acc = gcd(acc, d)
                 if acc.bits == 1:

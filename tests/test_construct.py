@@ -25,7 +25,6 @@ from qcldpc.construct import (
     Incomplete,
     RowOrigin,
     _lemma1_reduced_row,
-    _Minors,
     codeword_lemma1,
     codeword_lemma2,
     generator_case1,
@@ -42,6 +41,7 @@ from qcldpc.gldpc import (
     schur_reduce,
 )
 from qcldpc.polymat import (
+    Minors,
     PolyMatrix,
     circulant_expand,
     circulant_rows,
@@ -62,7 +62,7 @@ def ring_poly(N):
 
 def lemma1_reduced(H, S):
     """(row, a): the library's gcd-divided lemma-1 row over S, with its own memo."""
-    return _lemma1_reduced_row(H, H.modulus, S, _Minors(H))
+    return _lemma1_reduced_row(H, H.modulus, S, Minors(H))
 
 
 class TestLemma1:
@@ -535,6 +535,61 @@ class TestSynthesisOracle:
         calls.clear()
         generator_general(PolyMatrix(ex1.rows, RingModulus(44)))
         assert len(calls) <= 125
+
+
+def lemma_rows(H):
+    """(row, origin) of generator_general(H), or of its partial result."""
+    try:
+        result = generator_general(H)
+    except Incomplete as exc:
+        result = exc.partial
+    return list(zip(result.matrix.rows, result.row_provenance))
+
+
+class TestBuiltRowsAreCodewords:
+    """The greedy build takes its lemma-2 rows as valid, without a check.
+
+    Every lemma-2 row it builds must equal codeword_lemma2's, which checks
+    that f * minor(T + {j}, S) vanishes mod x^N + 1 for each row j outside
+    T, and every lemma-1 row must equal codeword_lemma1's.
+    """
+
+    @staticmethod
+    def check(H, rows):
+        for row, origin in rows:
+            if origin.kind == "lemma2":
+                assert codeword_lemma2(H, origin.T, origin.S, origin.f) == row, origin
+            elif origin.kind == "lemma1":
+                assert codeword_lemma1(H, origin.S) == row, origin
+        return sum(origin.kind == "lemma2" for _, origin in rows)
+
+    @pytest.mark.parametrize(
+        "name", ["n79", "c1", "c2", "prelift90", "prelift68", "hamming15"]
+    )
+    def test_bundled_specs(self, name):
+        H_short, _, _ = reduce_spec(load_spec(data_path(f"{name}.json")))
+        lemma2 = self.check(H_short, lemma_rows(H_short))
+        # The case-1 specs lay down lemma-1 rows only.
+        assert (lemma2 > 0) == (name in ("c2", "prelift90"))
+
+    @pytest.mark.parametrize("N", [44, 45, 46])
+    def test_ex1(self, ex1, N):
+        H = PolyMatrix(ex1.rows, RingModulus(N))
+        assert self.check(H, lemma_rows(H)) >= 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(synthesis_matrices(), st.data())
+    def test_minimal_f_always_gives_a_codeword(self, H, data):
+        T = tuple(sorted(data.draw(st.sets(st.integers(1, H.nrows), max_size=H.nrows - 1))))
+        size = len(T) + 1
+        S = tuple(sorted(data.draw(st.sets(st.integers(1, H.ncols), min_size=size, max_size=size))))
+        m, minor = H.modulus, Minors(H)
+        f = construct._minimal_f(H, m, T, S, minor)
+        row = codeword_lemma2(H, T, S, f)
+        assert row is not None
+        assert row == construct._lemma2_row(H, m, T, S, f, minor)
+        syndrome = matmul_mod(PolyMatrix([row], m), transpose_entrywise(H))
+        assert all(p.is_zero() for p in syndrome.rows[0])
 
 
 def shorten_compose(G, A):

@@ -2,7 +2,7 @@
 
 The determinant oracle below expands over permutations directly (no
 signs in characteristic 2), independent of the cofactor recursion in
-minor_det.
+Minors, which minor_det and all_minors_gcd go through.
 """
 
 import itertools
@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import P, data_path, poly_matrix, random_poly_matrix
 from qcldpc import polymat
 from qcldpc.binmat import RowEchelon, rank
-from qcldpc.gf2poly import BinaryPoly, RingModulus, bit_positions, transpose_poly
+from qcldpc.gf2poly import BinaryPoly, RingModulus, bit_positions, gcd, transpose_poly
 from qcldpc.gldpc import assembled_parity, construct_generator, load_spec
 from qcldpc.polymat import (
+    Minors,
     PolyMatrix,
     all_minors_gcd,
     circulant_expand,
@@ -126,6 +127,35 @@ class TestMinors:
         assert all_minors_gcd(H, 0) == P("1")
         with pytest.raises(ValueError):
             all_minors_gcd(H, 3)
+
+    def test_one_shared_minors_answers_queries_in_any_order(self):
+        # A Minors keeps every minor it expands, sub-minors included, so
+        # its answers must not depend on which queries came first.
+        rng = random.Random(104)
+        for _ in range(40):
+            nrows, ncols, N = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 5)
+            H = poly_matrix(
+                [[rng.choice((0, rng.getrandbits(N))) for _ in range(ncols)] for _ in range(nrows)],
+                N,
+            )
+            minor = Minors(H)
+            sizes = range(1, min(nrows, ncols) + 1)
+            queries = [
+                (T, S)
+                for size in sizes
+                for T in itertools.combinations(range(1, nrows + 1), size)
+                for S in itertools.combinations(range(1, ncols + 1), size)
+            ]
+            rng.shuffle(queries)
+            gammas = {size: P("0") for size in sizes}
+            for T, S in queries:
+                want = permutation_det(H.submatrix([i - 1 for i in T], [j - 1 for j in S]))
+                assert minor(T, S) == want, (T, S)
+                assert minor_det(H, T, S) == want
+                if len(T) == nrows:
+                    assert minor(None, S) == want
+                gammas[len(T)] = gcd(gammas[len(T)], want)
+            assert [all_minors_gcd(H, size) for size in sizes] == list(gammas.values())
 
     def test_ar4ja_minor_values(self, ar4ja):
         m = ar4ja.modulus

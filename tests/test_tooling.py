@@ -7,8 +7,10 @@ import that nothing reads is flagged too, since deleting a helper tends to
 leave its import behind, and so is a ``global`` statement in the library,
 which would carry state from one call to the next, and so is a call to
 numpy's bit packing outside ``binmat``, the one reader of ints as 0/1
-arrays. The distance search's replay of numpy's draws must reach the bit
-generator through its public API only. Every ``tools/`` script that README
+arrays, and so is a call to ``minor_det`` outside ``polymat``: a caller
+that takes many minors shares one ``polymat.Minors``. The distance
+search's replay of numpy's draws must reach the bit generator through its
+public API only. Every ``tools/`` script that README
 or CI names must exist, ``tools/code_lines.py`` must count a known module
 right, and ``tools/passes.py`` must keep splitting each benchmark
 workload's passes.
@@ -210,6 +212,42 @@ def test_bit_packing_guard_flags_every_call(tmp_path):
     assert bit_packing_calls(probe) == [(3, "packbits"), (5, "unpackbits")]
 
 
+def minor_det_calls(path):
+    """Lines of each call to ``minor_det`` in ``path``, as a name or an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "minor_det" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        )
+    )
+
+
+def test_minor_det_is_called_only_in_polymat():
+    # minor_det is a one-shot Minors; a library caller taking minor after
+    # minor through it would expand their shared sub-minors again.
+    paths = sorted((ROOT / "src" / "qcldpc").rglob("*.py"))
+    polymat = ROOT / "src" / "qcldpc" / "polymat.py"
+    assert polymat in paths
+    found = {p.relative_to(ROOT).as_posix(): minor_det_calls(p) for p in paths if p != polymat}
+    assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def test_minor_det_guard_flags_every_call(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from qcldpc import polymat\n"
+        "from qcldpc.polymat import minor_det\n"
+        "d = minor_det(H)\n"
+        "def f(H):\n"
+        "    return polymat.minor_det(H, None, (1, 2))\n"
+        "minor_det\n"
+        "polymat.Minors(H)(None, (1,))\n",
+        encoding="utf-8",
+    )
+    assert minor_det_calls(probe) == [3, 5]
+
+
 def bit_generator_reach(path):
     """(attributes read off a bit generator, private numpy.random imports) in ``path``.
 
@@ -380,6 +418,14 @@ def test_design_jobs_counts_echelon_adds_per_construct(passes_report):
     assert all(isinstance(n, int) for n in adds.values())
     assert 0 < adds["c2"] <= 400 and 0 < adds["prelift90"] <= 650
     assert [adds[name] for name in ("n79", "c1", "prelift68", "hamming15")] == [0] * 4
+
+
+def test_design_jobs_counts_poly_products_per_construct(passes_report):
+    # Every construct job multiplies polynomials: its minors, the Schur
+    # step and the syndrome check all do.
+    products = passes_report("design")["construct_poly_products"]
+    assert list(products) == DESIGN_SPECS
+    assert all(isinstance(n, int) and n > 0 for n in products.values())
 
 
 def test_design_jobs_splits_each_distance_job(passes_report):

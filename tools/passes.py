@@ -47,9 +47,11 @@ row and the pairs inside the budget), rounds (``_lightest_round_row``: the
 information-set rounds, a batch at a time) and random
 (``_lightest_random``: the sparse combinations between rounds); the rest
 is the expansion of the generator, the packing for the random phase and
-the search's rank. The ``binmat.RowEchelon.add`` calls of each spec's
-construct job are counted too; the counts repeat exactly from pass to
-pass, and the last pass's are reported.
+the search's rank. The ``binmat.RowEchelon.add`` calls (bit-level span
+rows) and the ``gf2poly.BinaryPoly.__mul__`` calls (polynomial products)
+of each spec's construct job are counted too, each by wrapping the method
+on its class; the counts repeat exactly from pass to pass, and the last
+pass's are reported.
 
 One table line per stage (BER) or spec (``design``) goes to stdout, and
 the last line is one JSON object.
@@ -77,6 +79,7 @@ BER_STAGES = {
 }
 KINDS = ("construct", "girth", "distance")
 CONSTRUCT_STAGES = ("dimension", "reduction", "synthesis", "verification")
+CONSTRUCT_COUNTS = ("echelon_adds", "poly_products")
 SEARCH_STAGES = {
     "sweep": "_lightest_sweep",
     "rounds": "_lightest_round_row",
@@ -117,7 +120,7 @@ def wrap(owner, name, stage, seconds, calls):
 
 def wrap_stages(workload, seconds, calls):
     """Wrap the stage names of the workload called ``workload``; returns the undos."""
-    from qcldpc import analysis, binmat, channel, gldpc
+    from qcldpc import analysis, binmat, channel, gf2poly, gldpc
 
     if workload != "design":
         return [wrap(channel, name, stage, seconds, calls) for stage, name in BER_STAGES.items()]
@@ -131,7 +134,8 @@ def wrap_stages(workload, seconds, calls):
         wrap(gldpc, "_reduce", "reduction", seconds, calls),
         wrap(gldpc, "generator_general", "synthesis", seconds, calls),
         *(wrap(analysis, name, stage, seconds, calls) for stage, name in SEARCH_STAGES.items()),
-        wrap(binmat.RowEchelon, "add", "echelon_add", seconds, calls),
+        wrap(binmat.RowEchelon, "add", "echelon_adds", seconds, calls),
+        wrap(gf2poly.BinaryPoly, "__mul__", "poly_products", seconds, calls),
     ]
 
 
@@ -152,7 +156,7 @@ def ber_split(passes):
 
 
 def design_split(passes, specs):
-    """Per-spec job and stage medians of design passes, and the echelon adds."""
+    """Per-spec job and stage medians of design passes, and the construct counts."""
     # run_pass times its jobs in a fixed order: three ranks and one case-1
     # generator, then construct, girth and distance per spec, then the
     # exact distance.
@@ -168,14 +172,16 @@ def design_split(passes, specs):
             for stage in (*CONSTRUCT_STAGES, *SEARCH_STAGES):
                 cell[slot, stage] += s[stage]
             if kind == "construct":
-                cell[slot, "echelon_adds"] = c["echelon_add"]
+                for count in CONSTRUCT_COUNTS:
+                    cell[slot, count] = c[count]
         cells.append(cell)
     rows = {}
     for name in (*specs, "other"):
         keys = (*KINDS, *CONSTRUCT_STAGES, *SEARCH_STAGES) if name in specs else KINDS
         rows[name] = {k: median(cell[name, k] for cell in cells) for k in keys}
     for name in specs:
-        rows[name]["echelon_adds"] = cells[-1][name, "echelon_adds"]
+        for count in CONSTRUCT_COUNTS:
+            rows[name][count] = cells[-1][name, count]
 
     def pick(names, keys):
         return {n: {k: rows[n][k] for k in keys} for n in names}
@@ -184,7 +190,7 @@ def design_split(passes, specs):
         "median_s": pick(rows, KINDS),
         "construct_stage_median_s": pick(specs, CONSTRUCT_STAGES),
         "distance_stage_median_s": pick(specs, SEARCH_STAGES),
-        "construct_echelon_adds": {n: rows[n]["echelon_adds"] for n in specs},
+        **{f"construct_{count}": {n: rows[n][count] for n in specs} for count in CONSTRUCT_COUNTS},
     }, rows
 
 
