@@ -703,15 +703,18 @@ def _draw_trial(G: PolyMatrix, master_seed: int, snr_idx: int, trial: int, snr_d
     """Sent bits and channel LLRs of one trial, from its own generator.
 
     The generator is ``default_rng([master_seed, snr_idx, trial])``; it
-    draws the message bits first, then the channel noise.
+    draws the message bits first, then the channel noise. Every message
+    row comes from one uint8 draw of 4 * ceil(N / 4) bits per row, of
+    which the row keeps the first N. numpy fills uint8 draws from 32-bit
+    words and drops a call's unused bytes, so each row reads the words
+    that a call of N bits of its own would, and the noise after them
+    starts where it would.
     """
     N = G.modulus.N
     n = G.ncols * N
     rng = np.random.default_rng([master_seed, snr_idx, trial])
-    message = [
-        BinaryPoly(pack_bits(rng.integers(0, 2, size=N, dtype=np.uint8)))
-        for _ in range(G.nrows)
-    ]
+    bits = rng.integers(0, 2, size=(G.nrows, 4 * -(-N // 4)), dtype=np.uint8)
+    message = [BinaryPoly(pack_bits(row[:N])) for row in bits]
     sent_bits = unpack_bits(encode(G, message), n)
     return sent_bits, awgn_llrs(sent_bits, snr_db, rng)
 

@@ -3,6 +3,9 @@
 Polynomials over GF(2) are bit-packed into Python ints: bit k holds the
 coefficient of x^k.  All plain operations (+, *, divmod, gcd) happen in
 GF(2)[x]; ring operations modulo x^N + 1 go through a RingModulus.
+``clmul`` is the one product, on the ints themselves, so a caller that
+sums many products (polymat's matrix product and minors) makes one
+BinaryPoly per sum rather than one per term.
 """
 
 from __future__ import annotations
@@ -12,6 +15,22 @@ import re
 
 class NotInvertible(ValueError):
     """Raised when an element has no inverse modulo x^N + 1."""
+
+
+def clmul(a, b):
+    """Carry-less product of two bit-packed polynomials: their product in GF(2)[x].
+
+    One shifted copy of the denser operand is XORed in per set bit of the
+    sparser one.
+    """
+    if a.bit_count() > b.bit_count():
+        a, b = b, a
+    r = 0
+    while a:
+        low = a & -a
+        r ^= b << (low.bit_length() - 1)
+        a ^= low
+    return r
 
 
 def bit_positions(bits):
@@ -112,14 +131,7 @@ class BinaryPoly:
     __sub__ = __add__
 
     def __mul__(self, other):
-        a, b, r = self.bits, other.bits, 0
-        if a.bit_count() > b.bit_count():
-            a, b = b, a
-        while a:
-            low = a & -a
-            r ^= b << (low.bit_length() - 1)
-            a ^= low
-        return BinaryPoly(r)
+        return BinaryPoly(clmul(self.bits, other.bits))
 
     def __lshift__(self, k):
         return BinaryPoly(self.bits << k)
@@ -161,24 +173,31 @@ ONE = BinaryPoly(1)
 def _divmod_bits(a, b):
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    db = b.bit_length() - 1
+    length = b.bit_length()
     q = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
+    shift = a.bit_length() - length
+    while shift >= 0:
         q ^= 1 << shift
         a ^= b << shift
+        shift = a.bit_length() - length
     return q, a
 
 
 def gcd(a, b):
-    """Greatest common divisor in GF(2)[x]; gcd(0, 0) = 0."""
+    """Greatest common divisor in GF(2)[x]; gcd(0, 0) = 0.
+
+    Euclid on remainders alone: while y is nonzero, x loses its leading
+    term to a shift of y, or the two swap once x falls below y. ``length``
+    is y's bit length, carried across a swap rather than recounted.
+    """
     x, y = a.bits, b.bits
+    length = y.bit_length()
     while y:
-        if x.bit_length() < y.bit_length():
-            x, y = y, x
-            continue
-        x = _divmod_bits(x, y)[1]
-        x, y = y, x
+        shift = x.bit_length() - length
+        if shift < 0:
+            x, y, length = y, x, length + shift
+        else:
+            x ^= y << shift
     return BinaryPoly(x)
 
 
@@ -259,13 +278,22 @@ def inverse_mod(a, modulus):
     return modulus.reduce(u)
 
 
+# Byte b reversed: bit k of b is bit 7 - k of _REVERSED_BYTES[b].
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def transpose_poly(a, modulus):
     """Map sum x^e to sum x^((N-e) mod N); the circulant-transpose map.
 
     This is a ring automorphism of GF(2)[x]/(x^N + 1) and an involution.
     Reversing the N-bit word sends e to N-1-e, and a one-bit left
-    rotation then gives N-e mod N.
+    rotation then gives N-e mod N. The word is reversed a byte at a time:
+    its B = ceil(N / 8) little-endian bytes, each reversed by table and
+    read big-endian, put bit e at 8B-1-e, and a shift right by 8B-N
+    leaves it at N-1-e.
     """
     N = modulus.N
-    rev = int(format(modulus.reduce(a).bits, f"0{N}b")[::-1], 2)
+    size = (N + 7) // 8
+    word = modulus.reduce(a).bits.to_bytes(size, "little").translate(_REVERSED_BYTES)
+    rev = int.from_bytes(word, "big") >> (8 * size - N)
     return BinaryPoly(((rev << 1) | (rev >> (N - 1))) & ((1 << N) - 1))

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .binmat import BinMatrix, RowEchelon
-from .gf2poly import BinaryPoly, gcd, inverse_mod, is_unit, transpose_poly
+from .gf2poly import BinaryPoly, clmul, gcd, inverse_mod, is_unit, transpose_poly
 
 
 class PolyMatrix:
@@ -144,12 +144,14 @@ class Minors:
         got = self.memo.get((T, S))
         if got is None:
             row, rest = self.rows[T[0] - 1], T[1:]
-            got = BinaryPoly(0)
+            acc = 0
             for k, c in enumerate(S):
-                p = row[c - 1]
-                if p.bits:
-                    got = got + p * self(rest, S[:k] + S[k + 1 :])
-            self.memo[T, S] = got
+                p = row[c - 1].bits
+                if p:
+                    cofactor = self(rest, S[:k] + S[k + 1 :]).bits
+                    if cofactor:
+                        acc ^= clmul(p, cofactor)
+            got = self.memo[T, S] = BinaryPoly(acc)
         return got
 
 
@@ -177,34 +179,39 @@ def all_minors_gcd(H, size):
 
 
 def transpose_entrywise(H):
-    """Transpose the matrix and apply the circulant-transpose map entrywise."""
+    """Transpose the matrix and apply the circulant-transpose map entrywise (zeros stay)."""
     if H.modulus is None:
         raise ValueError("entrywise transpose needs a ring modulus")
     m = H.modulus
     return PolyMatrix(
-        [[transpose_poly(H.rows[i][j], m) for i in range(H.nrows)] for j in range(H.ncols)],
+        [[transpose_poly(p, m) if p.bits else p for p in col] for col in zip(*H.rows)],
         m,
     )
 
 
 def matmul_mod(A, B):
-    """Matrix product; reduced when either factor carries a modulus."""
+    """Matrix product; reduced when either factor carries a modulus.
+
+    Each entry XORs the clmul products of its pairs of nonzero factors
+    on their bits, and only the sum becomes a BinaryPoly.
+    """
     if A.ncols != B.nrows:
         raise ValueError("shape mismatch")
     modulus = A.modulus or B.modulus
     if A.modulus and B.modulus and A.modulus != B.modulus:
         raise ValueError("mismatched moduli")
+    rows = [[p.bits for p in row] for row in A.rows]
+    columns = [[p.bits for p in col] for col in zip(*B.rows)]
     out = []
-    for i in range(A.nrows):
-        row = []
-        for j in range(B.ncols):
-            acc = BinaryPoly(0)
-            for k in range(A.ncols):
-                a = A.rows[i][k]
-                if a.bits:
-                    acc = acc + a * B.rows[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in rows:
+        out_row = []
+        for col in columns:
+            acc = 0
+            for a, b in zip(row, col):
+                if a and b:
+                    acc ^= clmul(a, b)
+            out_row.append(BinaryPoly(acc))
+        out.append(out_row)
     return PolyMatrix(out, modulus)
 
 

@@ -679,6 +679,42 @@ class TestMonteCarlo:
             monte_carlo(spec, G, [1.0, bad], {"max_trials": 3})
 
 
+def per_row_draw_trial(G, master_seed, snr_idx, trial, snr_db):
+    """Reference: _draw_trial with one uint8 draw of N bits per message row."""
+    N = G.modulus.N
+    rng = np.random.default_rng([master_seed, snr_idx, trial])
+    message = [
+        BinaryPoly(pack_bits(rng.integers(0, 2, size=N, dtype=np.uint8)))
+        for _ in range(G.nrows)
+    ]
+    sent_bits = bits_to_array(encode(G, message), G.ncols * N)
+    return sent_bits, awgn_llrs(sent_bits, snr_db, rng)
+
+
+class TestDrawTrial:
+    @pytest.mark.parametrize("N", [*range(1, 8), 34, 45, 68, 79, 376])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 10])
+    def test_one_call_draws_the_per_row_bits(self, N, rows):
+        # A uint8 call reads whole 32-bit words and drops its unused bytes,
+        # so rows padded to 4 * ceil(N / 4) bytes read what one call each
+        # would, and a draw after them starts where it would.
+        for seed in range(20):
+            one, each = np.random.default_rng([seed, N]), np.random.default_rng([seed, N])
+            bits = one.integers(0, 2, size=(rows, 4 * -(-N // 4)), dtype=np.uint8)[:, :N]
+            want = np.stack([each.integers(0, 2, size=N, dtype=np.uint8) for _ in range(rows)])
+            assert np.array_equal(bits, want)
+            assert one.bit_generator.state == each.bit_generator.state
+            assert np.array_equal(one.standard_normal(5), each.standard_normal(5))
+
+    @pytest.mark.parametrize("name", SPEC_NAMES)
+    def test_matches_per_row_draws(self, name):
+        _, G, _ = coded(name)
+        for point, trial, snr in ((0, 0, -1.0), (1, 3, 2.5), (4, 11, 0.0)):
+            sent, llr = channel._draw_trial(G, 21, point, trial, snr)
+            want_sent, want_llr = per_row_draw_trial(G, 21, point, trial, snr)
+            assert np.array_equal(sent, want_sent) and np.array_equal(llr, want_llr)
+
+
 def noisy_frames(name, snrs, seed):
     """Channel LLRs (one row per SNR) of random codewords of a spec ``coded`` knows."""
     spec, G, _ = coded(name)

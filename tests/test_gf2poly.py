@@ -1,13 +1,14 @@
 """Plain GF(2)[x] arithmetic and the x^N + 1 ring helpers."""
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcldpc.gf2poly import (
     BinaryPoly,
     NotInvertible,
     RingModulus,
     bit_positions,
+    clmul,
     gcd,
     inverse_mod,
     is_unit,
@@ -104,7 +105,63 @@ class TestBasics:
             divmod(P("1+x"), BinaryPoly(0))
 
 
+def shift_xor_product(a, b):
+    """The product of two bit-packed polynomials, one bit of a at a time."""
+    r = 0
+    for k in range(a.bit_length()):
+        if a >> k & 1:
+            r ^= b << k
+    return r
+
+
+wide_bits = st.integers(min_value=0, max_value=(1 << 800) - 1)
+
+
+class TestClmul:
+    @given(wide_bits, wide_bits)
+    @example(0, 0)
+    @example(0, (1 << 800) - 1)
+    @example((1 << 799) - 1, 0)
+    @example(1, 0b1011)
+    @example(1 << 799, (1 << 800) - 1)
+    @example((1 << 800) - 1, 1 << 450)
+    def test_matches_shift_and_xor(self, a, b):
+        want = shift_xor_product(a, b)
+        assert clmul(a, b) == clmul(b, a) == want
+        assert (BinaryPoly(a) * BinaryPoly(b)).bits == want
+
+
+def quotient_euclid(a, b):
+    """gcd of bit-packed polynomials by Euclid, building each quotient it drops."""
+    x, y = a, b
+    while y:
+        if x.bit_length() < y.bit_length():
+            x, y = y, x
+            continue
+        q, db = 0, y.bit_length() - 1
+        while x.bit_length() - 1 >= db and x:
+            shift = x.bit_length() - 1 - db
+            q ^= 1 << shift
+            x ^= y << shift
+        x, y = y, x
+    return x
+
+
 class TestGcd:
+    @given(polys, polys)
+    @example(BinaryPoly(0), BinaryPoly(0))
+    @example(BinaryPoly(1), BinaryPoly(0))
+    @example(BinaryPoly(0), BinaryPoly(0b110))
+    @example(P("1+x^3"), P("1+x^45"))
+    def test_matches_quotient_building_euclid(self, a, b):
+        assert gcd(a, b).bits == quotient_euclid(a.bits, b.bits)
+
+    @given(st.integers(min_value=1, max_value=400), polys)
+    def test_matches_quotient_building_euclid_against_the_modulus(self, N, a):
+        # is_unit's call: an operand against x^N + 1.
+        m = RingModulus(N)
+        assert gcd(a, m.poly).bits == quotient_euclid(a.bits, m.poly.bits)
+
     @given(polys, polys)
     def test_gcd_divides_both(self, a, b):
         g = gcd(a, b)
@@ -213,6 +270,19 @@ class TestTranspose:
         a = BinaryPoly(bits)
         want = BinaryPoly.from_exponents((m.N - e) % m.N for e in m.reduce(a).exponents())
         assert transpose_poly(a, m) == want
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 63, 64, 65, 376])
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_matches_string_reversal(self, N, data):
+        # The formula the byte table replaced, on inputs of degree N and
+        # above as well as reduced ones.
+        m = RingModulus(N)
+        bits = data.draw(st.integers(min_value=0, max_value=(1 << (3 * N + 8)) - 1))
+        a = BinaryPoly(bits | data.draw(st.sampled_from([0, 1 << N, 1 << (3 * N)])))
+        rev = int(format(m.reduce(a).bits, f"0{N}b")[::-1], 2)
+        want = ((rev << 1) | (rev >> (N - 1))) & ((1 << N) - 1)
+        assert transpose_poly(a, m).bits == want
 
     def test_edge_cases(self):
         one = RingModulus(1)

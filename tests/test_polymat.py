@@ -457,6 +457,38 @@ class TestMatmul:
         H = PolyMatrix([[P("x"), P("1"), P("x^2")]], m)
         assert matmul_mod(H, I) == H
 
+    @pytest.mark.parametrize("zeros", ["A", "B", "both"])
+    @pytest.mark.parametrize("N", [None, 7, 64])
+    def test_equals_sum_of_entrywise_products(self, zeros, N):
+        # The entrywise sum, as matmul_mod took it one BinaryPoly per term.
+        rng = random.Random(f"{zeros} {N}")
+        modulus = RingModulus(N) if N else None
+        width = N or 40
+
+        def factor(nrows, ncols, blank):
+            rows = [
+                [BinaryPoly(0 if blank and rng.random() < 0.4 else rng.getrandbits(2 * width))
+                 for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+            if blank:
+                rows[0][0] = BinaryPoly(0)
+            return PolyMatrix(rows, modulus)
+
+        for _ in range(5):
+            A = factor(3, 4, zeros in ("A", "both"))
+            B = factor(4, 5, zeros in ("B", "both"))
+            want = []
+            for i in range(A.nrows):
+                row = []
+                for j in range(B.ncols):
+                    acc = BinaryPoly(0)
+                    for k in range(A.ncols):
+                        acc = acc + A.rows[i][k] * B.rows[k][j]
+                    row.append(acc)
+                want.append(row)
+            assert matmul_mod(A, B) == PolyMatrix(want, modulus)
+
 
 class TestSerialization:
     def test_pmx_round_trip(self, tmp_path):

@@ -48,10 +48,12 @@ information-set rounds, a batch at a time) and random
 (``_lightest_random``: the sparse combinations between rounds); the rest
 is the expansion of the generator, the packing for the random phase and
 the search's rank. The ``binmat.RowEchelon.add`` calls (bit-level span
-rows) and the ``gf2poly.BinaryPoly.__mul__`` calls (polynomial products)
-of each spec's construct job are counted too, each by wrapping the method
-on its class; the counts repeat exactly from pass to pass, and the last
-pass's are reported.
+rows, by wrapping the method on its class) and the ``gf2poly.clmul``
+calls (polynomial products: ``BinaryPoly.__mul__`` makes one, and
+``polymat``'s matrix product and minors call it directly) of each spec's
+construct job are counted too. ``clmul`` is wrapped in every ``qcldpc``
+module that binds it, as perfbench's tracer rebinds imports. The counts
+repeat exactly from pass to pass, and the last pass's are reported.
 
 One table line per stage (BER) or spec (``design``) goes to stdout, and
 the last line is one JSON object.
@@ -129,13 +131,17 @@ def wrap_stages(workload, seconds, calls):
         # construct_generator ranks H, reduces, synthesizes, then ranks G.
         return "verification" if calls["synthesis"] else "dimension"
 
+    binders = [
+        module for name, module in sorted(sys.modules.items())
+        if name.startswith("qcldpc.") and vars(module).get("clmul") is gf2poly.clmul
+    ]
     return [
         wrap(gldpc, "expansion_rank", rank_stage, seconds, calls),
         wrap(gldpc, "_reduce", "reduction", seconds, calls),
         wrap(gldpc, "generator_general", "synthesis", seconds, calls),
         *(wrap(analysis, name, stage, seconds, calls) for stage, name in SEARCH_STAGES.items()),
         wrap(binmat.RowEchelon, "add", "echelon_adds", seconds, calls),
-        wrap(gf2poly.BinaryPoly, "__mul__", "poly_products", seconds, calls),
+        *(wrap(module, "clmul", "poly_products", seconds, calls) for module in binders),
     ]
 
 
