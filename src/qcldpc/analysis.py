@@ -157,9 +157,7 @@ def girth(H: PolyMatrix | BinMatrix) -> float:
     stops every later batch one layer short of the widest one.
     """
     if isinstance(H, PolyMatrix):
-        if H.modulus is None:
-            raise ValueError("girth of a polynomial matrix needs a modulus")
-        edges = H.modulus.N * sum(p.bits.bit_count() for row in H.rows for p in row)
+        edges = H.ring.N * sum(p.bits.bit_count() for row in H.rows for p in row)
         if edges > _MAX_TANNER_EDGES:
             raise ValueError(
                 f"Tanner graph of {edges} edges exceeds the bound of {_MAX_TANNER_EDGES} edges"

@@ -177,9 +177,7 @@ def encode(G: PolyMatrix, message) -> int:
     message = list(message)
     if len(message) != G.nrows:
         raise ValueError(f"message length {len(message)} != {G.nrows} generator rows")
-    if G.modulus is None:
-        raise ValueError("generator matrix needs a modulus to encode")
-    N = G.modulus.N
+    N = G.ring.N
     # T(m_i) twice over: shifted right by e, its low N bits are T(m_i)
     # rotated right by e.
     doubled = []

@@ -130,7 +130,7 @@ def codeword_lemma2(H, T, S, f):
     every row j outside T; returns None otherwise.  Position i in S
     carries t(f * minor(T, S \\ i)).
     """
-    m = _require_modulus(H)
+    m = H.ring
     T = index_set(T, H.nrows)
     S = index_set(S, H.ncols)
     if len(S) != len(T) + 1:
@@ -165,7 +165,7 @@ def generator_case1(H, S=None):
     dimension is nN - expansion_rank(H), so result.complete checks the
     rank (n - n_c)N that the lemma-1 rows claim against it.
     """
-    m = _require_modulus(H)
+    m = H.ring
     if S is None:
         S = tuple(range(1, H.nrows + 1))
     S = index_set(S, H.ncols)
@@ -193,10 +193,19 @@ def generator_general(H, modulus=None):
     gcd-reduced variant is tried; if that also fails, Incomplete is
     raised with the best partial attached.  The code dimension is
     nN - expansion_rank(H).
+
+    A given modulus is the ring to work in: a plain H is read over it, an
+    H already over it is taken as is, and an H over another ring is a
+    ValueError naming both. Without one, H's own ring is used.
     """
-    m = modulus or _require_modulus(H)
-    if H.modulus is None:
-        H = PolyMatrix(H.rows, m)
+    if modulus is not None:
+        if H.modulus is None:
+            H = PolyMatrix(H.rows, modulus)
+        elif H.modulus != modulus:
+            raise ValueError(
+                f"H is over x^{H.modulus.N} + 1, not the given x^{modulus.N} + 1"
+            )
+    m = H.ring
     minor = Minors(H)
     S_best = _best_column_selection(H, m, minor)
     target = H.ncols * m.N - expansion_rank(H)
@@ -341,21 +350,17 @@ def _minimal_f(H, m, T, S, minor):
 
 
 def verify_generator(H, G, dimension=None):
-    """Check zero syndrome and full expansion rank against H.
+    """True when G is a generator of the code of H: the self-check of every build.
 
-    dimension is the known code dimension, such as the one a test
-    states; without it the dimension is nN - expansion_rank(H).
+    Every row of G must have zero syndrome (G times the entrywise
+    transpose of H vanishes), and the rank of G's binary expansion must
+    equal the code dimension. dimension is that dimension where the
+    caller knows it (construct_generator has it from the assembled H, a
+    test may state it); without it the dimension is nN - expansion_rank(H).
     """
-    m = _require_modulus(H)
     product = matmul_mod(G, transpose_entrywise(H))
     if any(p.bits for row in product.rows for p in row):
         return False
     if dimension is None:
-        dimension = H.ncols * m.N - expansion_rank(H)
+        dimension = H.ncols * H.ring.N - expansion_rank(H)
     return expansion_rank(G) == dimension
-
-
-def _require_modulus(H):
-    if H.modulus is None:
-        raise ValueError("a ring modulus is required")
-    return H.modulus

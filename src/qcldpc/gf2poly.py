@@ -57,15 +57,6 @@ class BinaryPoly:
         self.bits = bits
 
     @classmethod
-    def from_exponents(cls, exponents):
-        bits = 0
-        for e in exponents:
-            if e < 0:
-                raise ValueError("negative exponent outside ring context")
-            bits ^= 1 << e
-        return cls(bits)
-
-    @classmethod
     def parse(cls, text, modulus=None):
         """Parse '1+x^27+x^33' or compact hex '0x...'.
 
@@ -238,9 +229,6 @@ class RingModulus:
         while bits >> N:
             bits = (bits & mask) ^ (bits >> N)
         return BinaryPoly(bits)
-
-    def add(self, a, b):
-        return self.reduce(a + b)
 
     def mul(self, a, b):
         return self.reduce(a * b)

@@ -31,7 +31,9 @@ from .polymat import (
     matmul_mod,
     transpose_entrywise,
 )
-from .construct import GeneratorResult, codeword_lemma1, codeword_lemma2, generator_general
+from .construct import (
+    GeneratorResult, codeword_lemma1, codeword_lemma2, generator_general, verify_generator,
+)
 
 
 class ComponentCode:
@@ -128,8 +130,7 @@ class GldpcSpec:
     prelift: int | None = None
 
     def __post_init__(self):
-        if self.base.modulus is None:
-            raise ValueError("base must carry a ring modulus")
+        self.base.ring  # a base over plain GF(2)[x] is a ValueError
         self.assignment = tuple(self.assignment)
         eff = self.effective_matrix()
         if len(self.assignment) != eff.nrows:
@@ -265,9 +266,7 @@ def gshort_forms(H_short, pivot=None):
     """
     if H_short.nrows != 1:
         raise ValueError("H_short must be a single polynomial row")
-    mod = H_short.modulus
-    if mod is None:
-        raise ValueError("a ring modulus is required")
+    mod = H_short.ring
     fs = H_short.rows[0]
     m_count = len(fs)
     if all(p.is_zero() for p in fs):
@@ -333,9 +332,7 @@ def prelift_entry(g, N1, m2):
 
 def prelift_matrix(H, N1):
     """Blockwise pre-lift of every entry; modulus drops to N / N1."""
-    mod = H.modulus
-    if mod is None:
-        raise ValueError("a ring modulus is required")
+    mod = H.ring
     if N1 < 1 or mod.N % N1:
         raise ValueError(
             f"N1 must be a positive divisor of N: N={mod.N} is not divisible by N1={N1}"
@@ -415,25 +412,22 @@ def _reduce(spec, eff, H):
 def construct_generator(spec):
     """Reduce, synthesize on the short matrix, and compose back.
 
-    The result is verified against the assembled constraints and the
-    binary expansion rank; Incomplete propagates from the synthesis on
-    the short matrix.
+    The composed G is checked by construct.verify_generator against the
+    assembled H: zero syndrome, and an expansion rank equal to the code
+    dimension nN - expansion_rank(H). A failure is a RuntimeError, so a
+    returned result has rank equal to that dimension. Incomplete
+    propagates from the synthesis on the short matrix.
     """
     eff = spec.effective_matrix()  # built once, passed down
     H = assembled_parity(spec, eff)
-    dim = H.ncols * H.modulus.N - expansion_rank(H)
+    dim = H.ncols * H.ring.N - expansion_rank(H)
     H_short, T, meta = _reduce(spec, eff, H)
     inner = generator_general(H_short)
     G = schur_recompose(inner.matrix, T, meta, H.ncols)
-    product = matmul_mod(G, transpose_entrywise(H))
-    if any(not p.is_zero() for row in product.rows for p in row):
-        raise RuntimeError("composed generator fails the constraint check")
-    achieved = expansion_rank(G)
+    if not verify_generator(H, G, dim):
+        raise RuntimeError("composed generator fails the syndrome or rank check")
     return GeneratorResult(
-        matrix=G,
-        row_provenance=list(inner.row_provenance),
-        rank=achieved,
-        target_dimension=dim,
+        matrix=G, row_provenance=list(inner.row_provenance), rank=dim, target_dimension=dim
     )
 
 
@@ -458,9 +452,7 @@ def schur_reduce(H, pivot_rows, pivot_cols):
     v * T.
     With no pivot rows nothing is eliminated: H_rest is H and T is None.
     """
-    mod = H.modulus
-    if mod is None:
-        raise ValueError("a ring modulus is required")
+    mod = H.ring
     pivot_rows = tuple(sorted(set(pivot_rows)))
     pivot_cols = tuple(sorted(set(pivot_cols)))
     if len(pivot_cols) != len(pivot_rows):

@@ -43,11 +43,15 @@ class PolyMatrix:
         self.rows = rows
         self.modulus = modulus
 
-    @classmethod
-    def from_text(cls, rows_text, modulus=None):
-        """Build from nested lists of polynomial strings."""
-        rows = [[BinaryPoly.parse(t, modulus) for t in r] for r in rows_text]
-        return cls(rows, modulus)
+    @property
+    def ring(self):
+        """The modulus x^N + 1: the one check that a job has a ring to work in.
+
+        ValueError for a matrix over plain GF(2)[x].
+        """
+        if self.modulus is None:
+            raise ValueError("a ring modulus x^N + 1 is required")
+        return self.modulus
 
     @property
     def nrows(self):
@@ -180,9 +184,7 @@ def all_minors_gcd(H, size):
 
 def transpose_entrywise(H):
     """Transpose the matrix and apply the circulant-transpose map entrywise (zeros stay)."""
-    if H.modulus is None:
-        raise ValueError("entrywise transpose needs a ring modulus")
-    m = H.modulus
+    m = H.ring
     return PolyMatrix(
         [[transpose_poly(p, m) if p.bits else p for p in col] for col in zip(*H.rows)],
         m,
@@ -285,9 +287,7 @@ def circulant_expand(H):
     Entry a(x) becomes the circulant A with A[i, j] = a_((i - j) mod N),
     so the identity-shift I_r corresponds to x^r.
     """
-    if H.modulus is None:
-        raise ValueError("circulant expansion needs a ring modulus")
-    m = H.modulus
+    m = H.ring
     # Row r of the circulant of a(x) holds the coefficients of x^r * t(a).
     rows = []
     for row in H.rows:
@@ -302,7 +302,7 @@ def row_edges(H):
     of entry (i, j) joins it to variable jN + (r - e) mod N, as the
     circulant of the entry does. Terms go by column, then by exponent.
     """
-    N = H.modulus.N
+    N = H.ring.N
     edges = []
     for i in range(H.nrows):
         cols = []
@@ -338,9 +338,7 @@ def expansion_rank(H):
     those land on the leading bits, where RowEchelon takes its pivots,
     and rows that lead in a block of their own reduce in a few steps.
     """
-    if H.modulus is None:
-        raise ValueError("circulant expansion needs a ring modulus")
-    m = H.modulus
+    m = H.ring
     rows = [list(row) for row in H.rows]
     units = {}
 

@@ -39,9 +39,7 @@ class RankReport:
 
 def rank_qc(H, modulus=None):
     """Rank report for the binary expansion of H over x^N + 1."""
-    modulus = modulus or H.modulus
-    if modulus is None:
-        raise ValueError("a ring modulus is required")
+    modulus = modulus or H.ring
     n_c, N = min(H.shape), modulus.N
     smith = _smith_diagonal(H.rows)
     smith += [BinaryPoly(0)] * (n_c - len(smith))

@@ -363,6 +363,36 @@ class TestGeneralSynthesis:
         H45 = PolyMatrix(ex1.rows, RingModulus(45))
         assert verify_generator(H45, result.matrix, dimension=93)
 
+    # generator_general(plain ar4ja, RingModulus(10)).to_dict(), pinned.
+    AR4JA_N10 = {
+        "rows": [
+            ["1+x^7+x^8+x^9", "x^7", "0", "1+x^8+x^9", "0"],
+            ["1+x^5+x^8", "1+x^7+x^8+x^9", "1+x^7", "0", "1+x^8+x^9"],
+        ],
+        "N": 10,
+        "row_provenance": [
+            {"kind": "lemma1", "S": [1, 2, 3, 4]},
+            {"kind": "lemma1", "S": [1, 2, 3, 5]},
+        ],
+        "rank": 20,
+        "target_dimension": 20,
+        "complete": True,
+        "min_row_weight": 8,
+    }
+
+    def test_modulus_reads_a_plain_matrix(self):
+        plain = read_pmx(data_path("ar4ja.pmx"))
+        assert generator_general(plain, RingModulus(10)).to_dict() == self.AR4JA_N10
+
+    def test_modulus_of_the_matrix_own_ring_changes_nothing(self):
+        H10 = read_pmx(data_path("ar4ja.pmx"), RingModulus(10))
+        assert generator_general(H10, RingModulus(10)).to_dict() == self.AR4JA_N10
+        assert generator_general(H10).to_dict() == self.AR4JA_N10
+
+    def test_modulus_of_another_ring_is_rejected(self, ar4ja):
+        with pytest.raises(ValueError, match=r"x\^4 \+ 1.*x\^10 \+ 1"):
+            generator_general(ar4ja, RingModulus(10))
+
     def test_incomplete_carries_partial(self):
         m = RingModulus(2)
         H = PolyMatrix([[P("1+x"), P("1+x")], [P("1+x"), P("1+x")]], m)

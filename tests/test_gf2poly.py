@@ -69,10 +69,12 @@ class TestParse:
 
 class TestBasics:
     def test_from_exponents(self):
-        assert BinaryPoly.from_exponents([0, 2]) == P("1+x^2")
-        assert BinaryPoly.from_exponents([1, 1]).is_zero()
+        # A polynomial from its exponents is the XOR of their shifted bits,
+        # so a repeated exponent cancels; outside a ring none is negative.
+        assert P("x^0+x^2") == BinaryPoly((1 << 0) ^ (1 << 2)) == P("1+x^2")
+        assert P("x^1+x^1").is_zero()
         with pytest.raises(ValueError):
-            BinaryPoly.from_exponents([-1])
+            P("x^-1")
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -268,8 +270,10 @@ class TestTranspose:
     def test_matches_definition(self, bits, m):
         # Includes a = 0 and N = 1 (every a reduces to 0 or 1 there).
         a = BinaryPoly(bits)
-        want = BinaryPoly.from_exponents((m.N - e) % m.N for e in m.reduce(a).exponents())
-        assert transpose_poly(a, m) == want
+        want = 0
+        for e in m.reduce(a).exponents():
+            want ^= 1 << (m.N - e) % m.N
+        assert transpose_poly(a, m) == BinaryPoly(want)
 
     @pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 63, 64, 65, 376])
     @settings(max_examples=40)

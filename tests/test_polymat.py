@@ -14,9 +14,20 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import P, data_path, poly_matrix, random_poly_matrix
 from qcldpc import polymat
+from qcldpc.analysis import girth
 from qcldpc.binmat import RowEchelon, rank
+from qcldpc.channel import encode
+from qcldpc.construct import codeword_lemma2, generator_case1, generator_general, verify_generator
 from qcldpc.gf2poly import BinaryPoly, RingModulus, bit_positions, gcd, transpose_poly
-from qcldpc.gldpc import assembled_parity, construct_generator, load_spec
+from qcldpc.gldpc import (
+    GldpcSpec,
+    assembled_parity,
+    construct_generator,
+    gshort_forms,
+    load_spec,
+    prelift_matrix,
+    schur_reduce,
+)
 from qcldpc.polymat import (
     Minors,
     PolyMatrix,
@@ -35,6 +46,7 @@ from qcldpc.polymat import (
     write_pmx,
     zero_matrix,
 )
+from qcldpc.rank import rank_qc
 
 
 def permutation_det(H):
@@ -50,7 +62,7 @@ def permutation_det(H):
 
 class TestConstruction:
     def test_shape_and_access(self):
-        H = PolyMatrix.from_text([["1", "x"], ["0", "1+x"]])
+        H = PolyMatrix([[P("1"), P("x")], [P("0"), P("1+x")]])
         assert H.shape == (2, 2)
         assert H.entry(1, 1) == P("1+x")
         assert H.row(0) == [P("1"), P("x")]
@@ -66,9 +78,42 @@ class TestConstruction:
             PolyMatrix([[P("1")], [P("1"), P("x")]])
 
     def test_submatrix_is_zero_based(self):
-        H = PolyMatrix.from_text([["1", "x", "x^2"], ["x^3", "x^4", "x^5"]])
+        H = PolyMatrix([[P("1"), P("x"), P("x^2")], [P("x^3"), P("x^4"), P("x^5")]])
         sub = H.submatrix([1], [0, 2])
         assert sub.rows == [[P("x^3"), P("x^5")]]
+
+
+# Every job that works in GF(2)[x]/(x^N + 1), run on one matrix over plain GF(2)[x].
+RING_JOBS = {
+    "transpose_entrywise": transpose_entrywise,
+    "circulant_expand": circulant_expand,
+    "expansion_rank": expansion_rank,
+    "row_edges": row_edges,
+    "codeword_lemma2": lambda H: codeword_lemma2(H, (), (1,), P("1")),
+    "generator_case1": generator_case1,
+    "generator_general": generator_general,
+    "verify_generator": lambda H: verify_generator(H, H),
+    "GldpcSpec": lambda H: GldpcSpec(H, (None,)),
+    "gshort_forms": gshort_forms,
+    "prelift_matrix": lambda H: prelift_matrix(H, 1),
+    "schur_reduce": lambda H: schur_reduce(H, (1,), (1,)),
+    "rank_qc": rank_qc,
+    "girth": girth,
+    "encode": lambda G: encode(G, [P("1")]),
+}
+
+
+class TestRing:
+    def test_ring_is_the_modulus(self):
+        m = RingModulus(5)
+        assert PolyMatrix([[P("x^6")]], m).ring is m
+
+    @pytest.mark.parametrize("job", sorted(RING_JOBS))
+    def test_a_plain_matrix_has_no_ring(self, job):
+        # One message for every job: PolyMatrix.ring is the one check.
+        plain = PolyMatrix([[P("1"), P("x"), P("1+x")]])
+        with pytest.raises(ValueError, match=r"^a ring modulus x\^N \+ 1 is required$"):
+            RING_JOBS[job](plain)
 
 
 class TestIndexSet:

@@ -168,11 +168,11 @@ class TestSmithElimination:
         # Re-picking the least-degree entry after adding a row into the
         # pivot row, without cutting it mod the pivot, cycles here.
         m = RingModulus(6)
-        H = PolyMatrix.from_text(
+        H = PolyMatrix(
             [
-                ["x", "x+x^2+x^4"],
-                ["x^2", "1+x^2"],
-                ["x+x^2+x^3+x^5", "1+x+x^2+x^3+x^4+x^5"],
+                [P("x"), P("x+x^2+x^4")],
+                [P("x^2"), P("1+x^2")],
+                [P("x+x^2+x^3+x^5"), P("1+x+x^2+x^3+x^4+x^5")],
             ],
             m,
         )

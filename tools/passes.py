@@ -39,8 +39,9 @@ construct job is split into four stages by wrapping the names that
 assembled H), reduction (``_reduce``: the pivot blocks' determinants and
 the one Schur step), synthesis (``generator_general`` on the reduced
 matrix, which includes that matrix's own ``expansion_rank`` for its target
-dimension) and verification (``expansion_rank`` of the composed G); the
-rest of the job is the assembly, the recomposition and the syndrome check.
+dimension) and verification (``verify_generator``: the syndrome product of
+the composed G with the transposed H, and G's ``expansion_rank``); the
+rest of the job is the assembly and the recomposition.
 Each distance job is split into three stages by wrapping the names that
 ``analysis.low_weight_search`` calls: sweep (``_lightest_sweep``: every
 row and the pairs inside the budget), rounds (``_lightest_round_row``: the
@@ -102,8 +103,7 @@ def minor_faults():
 def wrap(owner, name, stage, seconds, calls):
     """Rebind owner.name to add each call's seconds and count to its stage.
 
-    ``stage`` is the stage's name, or a function that names it as the call
-    ends. Returns a function that puts the original back.
+    Returns a function that puts the original back.
     """
     fn = getattr(owner, name)
 
@@ -112,9 +112,8 @@ def wrap(owner, name, stage, seconds, calls):
         try:
             return fn(*args, **kwargs)
         finally:
-            key = stage() if callable(stage) else stage
-            seconds[key] += perf_counter() - start
-            calls[key] += 1
+            seconds[stage] += perf_counter() - start
+            calls[stage] += 1
 
     setattr(owner, name, timed)
     return lambda: setattr(owner, name, fn)
@@ -127,18 +126,15 @@ def wrap_stages(workload, seconds, calls):
     if workload != "design":
         return [wrap(channel, name, stage, seconds, calls) for stage, name in BER_STAGES.items()]
 
-    def rank_stage():
-        # construct_generator ranks H, reduces, synthesizes, then ranks G.
-        return "verification" if calls["synthesis"] else "dimension"
-
     binders = [
         module for name, module in sorted(sys.modules.items())
         if name.startswith("qcldpc.") and vars(module).get("clmul") is gf2poly.clmul
     ]
     return [
-        wrap(gldpc, "expansion_rank", rank_stage, seconds, calls),
+        wrap(gldpc, "expansion_rank", "dimension", seconds, calls),
         wrap(gldpc, "_reduce", "reduction", seconds, calls),
         wrap(gldpc, "generator_general", "synthesis", seconds, calls),
+        wrap(gldpc, "verify_generator", "verification", seconds, calls),
         *(wrap(analysis, name, stage, seconds, calls) for stage, name in SEARCH_STAGES.items()),
         wrap(binmat.RowEchelon, "add", "echelon_adds", seconds, calls),
         *(wrap(module, "clmul", "poly_products", seconds, calls) for module in binders),
