@@ -30,14 +30,29 @@ Both probability-domain kernels take only rows whose weights fit a
 double's exponent range: rows whose priors sum to at most ``_PROB_SPAN``
 in magnitude. The wider rows run the same trellis in the log domain, the
 reference kernel. No row can be wide while q times the largest prior
-magnitude stays within half the span, so the scan for wide rows runs only
-past that: with the default ``llr_clip`` of 20, never on a component of
-17 bits or fewer.
+magnitude stays within half the span. A call of ``bcjr_component`` scans
+its priors for wide rows only past that; the decoder clips every prior
+to ``llr_clip``, so its rows skip the scan whenever q * ``llr_clip`` is
+within half the span: with the default of 20, on every component of 17
+bits or fewer.
 
-The edge indices, components and parity checks a spec needs are built
-once per ``gldpc_decode`` or ``monte_carlo`` call and passed to the
-decoder; the edge indices are ``polymat.row_edges`` of the spec's
-effective matrix, the same Tanner edge map that ``analysis.girth`` reads.
+Each kernel comes in two steps: ``_prepare_kernel(comp, batch, bound)``
+resolves the kernel, carves its work arrays and takes every view its
+steps index (the prefix and suffix products, the trellis's per-step
+weights, state probabilities and sums, the products' outputs), and the
+``run(priors, out)`` it returns does the arithmetic. A plain call of
+``bcjr_component`` prepares a one-shot run. The decoder keeps what it
+prepares: ``_held_kernel`` holds each thread's runs by (parity rows,
+batch, bound), so a batch shape met again, in a later layout or a later
+call, costs one dict lookup.
+
+The edge indices, components and parity checks a spec needs are looked
+up once per ``gldpc_decode`` or ``monte_carlo`` call and passed to the
+decoder. They are built once per spec content (an ``lru_cache`` keyed on
+the effective matrix's entry bits and the components' parity rows), so
+a spec edited in place gets its own; the edge indices are
+``polymat.row_edges`` of the spec's effective matrix, the same Tanner
+edge map that ``analysis.girth`` reads.
 
 The decoder stores its gathered priors and its extrinsics bit-major: the
 block of one constraint row holds bit k of all its instances (frames x
@@ -47,14 +62,19 @@ N) contiguously, for each k in turn. Every kernel computes on such a
 
 One decoder core, ``_decode_frames``, runs a stack of frames at once, so
 each kernel call covers the rows of every active frame; ``gldpc_decode``
-is its one-frame call. After each scatter it gathers the totals at every
-edge once: their signs are what the convergence check reads, and less
-the extrinsics they are the next iteration's priors. The check,
-``_failed_frames``, takes the lines of every parity check in one call,
-padded to the largest check degree, then XOR-reduces them and ORs the
-syndromes per frame: a few numpy calls per iteration, however many checks
-the spec has. A frame's results are written once, as it leaves the active
-set.
+is its one-frame call. The set of active frames, its layout, changes only
+when frames leave, and ``_layout_plan`` resolves once per layout what
+the iterations reuse: each row's views and prepared run, which the
+decoder hands to ``bcjr_component`` with the row's priors, so every row
+update is still one call of it, and the convergence check's arrays.
+After each scatter the decoder gathers the totals at every edge once:
+their signs are what the check reads, and less the extrinsics they are
+the next iteration's priors. The check, ``_failed_frames``, takes the
+lines of every parity check in one call, padded to the largest check
+degree, then XOR-reduces them and ORs the syndromes per frame, each into
+its held array: a few numpy calls per iteration, however many checks
+the spec has. A frame's results are written once, as it leaves the
+active set.
 
 ``monte_carlo`` draws every trial from its own generator and decodes the
 frames in chunks of about ``_CHUNK_ROWS`` rows per kernel call, spanning
@@ -64,11 +84,16 @@ chunk size; at most one chunk per SNR point is decoded past its early
 stop, and the frames past the stop are discarded.
 
 The decoder's large per-iteration arrays (gathered priors, totals and
-extrinsics, the tanh rule's temporaries, the trellis's weights, state
-probabilities and sums) are work arrays that each thread keeps and reuses
-from call to call, growing them only when a larger batch needs it: a
-decode then writes into pages it has already touched instead of asking
-malloc for fresh ones.
+extrinsics, the gather indices, the kernels' work arrays, the check's
+hard decisions, lines and syndromes) are work arrays that each thread
+keeps and reuses from call to call, growing them only when a larger
+batch needs it: a decode then writes into pages it has already touched
+instead of asking malloc for fresh ones. When frames leave, the staying
+frames' extrinsics are compressed into the priors' array and the two
+swap roles, so a layout change allocates nothing large either. Held runs and a layout's check keep views of them, and
+every holder rewrites all it reads on each run: the rows of a layout,
+and runs held from earlier layouts, share them, each run finishing
+before the next starts. Growing a work array drops the held runs.
 """
 
 from __future__ import annotations
@@ -77,11 +102,12 @@ import functools
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .binmat import pack_bits, unpack_bits
-from .gf2poly import BinaryPoly, bit_positions, transpose_poly
+from .gf2poly import BinaryPoly, RingModulus, bit_positions, transpose_poly
 # expand_binary defines convergence (see gldpc_decode) but the decoder
 # checks it from its edge tables; the name stays importable here,
 # where perfbench's tracer test rebinds it.
@@ -221,44 +247,124 @@ def _work(name: str, shape, dtype=np.float64) -> np.ndarray:
     """The calling thread's work array ``name``, viewed as ``shape``.
 
     It holds whatever its last user left there. It only grows, so a
-    smaller request reuses the pages of a larger one; each name has one
-    user at a time, and nothing returned to a caller is a work array.
+    smaller request reuses the pages of a larger one. Views of it may be
+    held: a prepared kernel holds its views for as long as it is kept
+    (see ``_held_kernel``) and a layout plan its check's, so several
+    holders share a name. Each holder therefore rewrites all it reads on
+    every run, and runs one at a time; nothing returned to a public
+    caller is a work array. Growing a name drops the held kernels, so
+    they let go of the old arrays.
     """
     size = math.prod(shape)
     buf = getattr(_workspace, name, None)
     if buf is None or buf.size < size:
         buf = np.empty(size, dtype)
         setattr(_workspace, name, buf)
+        _workspace.kernels = {}
     return buf[:size].reshape(shape)
 
 
-def _spc_extrinsics(priors: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Leave-one-out tanh-rule check update, batched over rows, into ``out``.
+def _spc_kernel(comp: ComponentCode, batch: int):
+    """The tanh-rule check update of ``batch`` rows, as ``run(arr, out)``.
 
     It runs on the (q x rows) transposes, so each prefix and suffix
     product step spans bit k of every row: contiguous memory when the
-    priors are a bit-major view.
+    priors are a bit-major view. The steps' views of the work arrays are
+    taken here, once.
     """
-    bits = priors.T
-    q = bits.shape[0]
-    t = _work("spc_t", bits.shape)
-    np.divide(bits, 2.0, out=t)
-    np.tanh(t, out=t)
-    left = _work("spc_left", bits.shape)
-    right = _work("spc_right", bits.shape)
-    left[0] = 1.0
-    right[q - 1] = 1.0
+    q = comp.q
+    t = _work("spc_t", (q, batch))
+    left = _work("spc_left", (q, batch))
+    right = _work("spc_right", (q, batch))
+    ts, lefts, rights = list(t), list(left), list(right)
+    steps = []
     for k in range(1, q):
-        np.multiply(left[k - 1], t[k - 1], out=left[k])
-        np.multiply(right[q - k], t[q - k], out=right[q - 1 - k])
-    loo = np.multiply(left, right, out=left)
-    np.maximum(loo, -1.0 + 1e-15, out=loo)
-    np.minimum(loo, 1.0 - 1e-15, out=loo)
-    np.multiply(2.0, np.arctanh(loo, out=loo), out=out.T)
-    return out
+        steps.append((lefts[k - 1], ts[k - 1], lefts[k]))
+        steps.append((rights[q - k], ts[q - k], rights[q - 1 - k]))
+    first, last = lefts[0], rights[q - 1]
+
+    def run(arr, out):
+        np.divide(arr.T, 2.0, out=t)
+        np.tanh(t, out=t)
+        first.fill(1.0)
+        last.fill(1.0)
+        for a, b, product in steps:
+            np.multiply(a, b, out=product)
+        loo = np.multiply(left, right, out=left)
+        np.maximum(loo, -1.0 + 1e-15, out=loo)
+        np.minimum(loo, 1.0 - 1e-15, out=loo)
+        np.multiply(2.0, np.arctanh(loo, out=loo), out=out.T)
+
+    return run
 
 
-def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
+def _prepare_kernel(comp: ComponentCode, batch: int, bound: float = math.inf):
+    """The constraint update of ``batch`` rows of ``comp``, as ``run(arr, out)``.
+
+    ``run`` writes the extrinsics of the (batch x q) priors ``arr`` into
+    ``out``, both of any strides. Its work arrays are carved from the
+    calling thread's and its step views taken here, so a caller that runs
+    one batch shape many times prepares it once. ``bound`` bounds every
+    prior's magnitude: while q times it stays within half ``_PROB_SPAN``,
+    no row can be wide and ``run`` skips the span scan.
+    """
+    if comp.p == 1 and all(comp.parity[0]):
+        return _spc_kernel(comp, batch)
+    if 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
+        kernel = _enumerated_kernel
+    else:
+        kernel = _product_trellis
+    run = _in_pairs(kernel, comp, batch)
+    # A row's span is at most q times its largest prior, so no row can be
+    # wide while that stays within half the bound (the half leaves room
+    # for the sum's rounding).
+    if comp.q * bound <= _PROB_SPAN / 2:
+        return run
+
+    def scanned(arr, out):
+        bits = arr.T
+        spans = np.abs(bits, out=_work("span_abs", bits.shape))
+        # fmax skips NaN, as the row scan does.
+        if comp.q * np.fmax.reduce(spans, axis=None, initial=0.0) > _PROB_SPAN / 2:
+            wide = np.add.reduce(spans, axis=0) > _PROB_SPAN
+            if np.logical_or.reduce(wide):
+                out[wide] = _trellis_extrinsics(comp, arr[wide])
+                narrow = bits[:, ~wide]
+                ext = np.empty_like(narrow)
+                _in_pairs(kernel, comp, narrow.shape[1])(narrow.T, ext.T)
+                out[~wide] = ext.T
+                return
+        run(arr, out)
+
+    return scanned
+
+
+# Prepared kernels a thread keeps at most (see _held_kernel).
+_HELD_KERNELS = 64
+
+
+def _held_kernel(comp: ComponentCode, batch: int, bound: float):
+    """``_prepare_kernel(comp, batch, bound)``, kept by the calling thread.
+
+    A kernel depends on its component's parity rows only, so runs are
+    kept by (parity, batch, bound): a decoder that meets a batch shape
+    again, in a later layout or a later call, reuses its run. They are
+    dropped when any work array grows, and all at once past
+    ``_HELD_KERNELS`` of them.
+    """
+    kept = getattr(_workspace, "kernels", None)
+    if kept is None or len(kept) >= _HELD_KERNELS:
+        kept = _workspace.kernels = {}
+    key = (comp.parity, batch, bound)
+    run = kept.get(key)
+    if run is None:
+        run = _prepare_kernel(comp, batch, bound)
+        # Preparing may grow a work array, which replaces the dict.
+        _workspace.kernels[key] = run
+    return run
+
+
+def bcjr_component(comp: ComponentCode, priors, *, out=None, _kernel=None) -> np.ndarray:
     """Per-bit extrinsic LLRs of a component code: the constraint update.
 
     A single-parity check takes the tanh rule. Any other component takes
@@ -272,8 +378,14 @@ def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
 
     Every kernel computes on the (q x rows) transpose, so it runs fastest
     on a bit-major batch: the ``.T`` view of a C-ordered (q x rows) array,
-    which is how the decoder passes its priors and ``out``.
+    which is how the decoder passes its priors and ``out``. The decoder
+    also passes ``_kernel``, the update it prepared for these views'
+    shape and its prior bound (see ``_layout_plan``); a call without one
+    prepares its own.
     """
+    if _kernel is not None:
+        _kernel(priors, out)
+        return out
     arr = np.asarray(priors, dtype=np.float64)
     ext = np.empty_like(arr) if out is None else out
     rows = ext
@@ -281,43 +393,29 @@ def bcjr_component(comp: ComponentCode, priors, *, out=None) -> np.ndarray:
         arr, rows = arr[None, :], ext[None, :]
     if arr.shape[1] != comp.q:
         raise ValueError(f"got {arr.shape[1]} priors for a length-{comp.q} component")
-    if comp.p == 1 and all(comp.parity[0]):
-        _spc_extrinsics(arr, rows)
-    else:
-        if 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
-            kernel = _enumerated_extrinsics
-        else:
-            kernel = _product_trellis
-        bits = arr.T
-        spans = np.abs(bits, out=_work("span_abs", bits.shape))
-        # A row's span is at most q times its largest prior, so no row can be
-        # wide while that stays within half the bound (the half leaves room
-        # for the sum's rounding). fmax skips NaN, as the row scan does.
-        wide = None
-        if comp.q * np.fmax.reduce(spans, axis=None, initial=0.0) > _PROB_SPAN / 2:
-            wide = np.add.reduce(spans, axis=0) > _PROB_SPAN
-        if wide is not None and np.logical_or.reduce(wide):
-            rows[wide] = _trellis_extrinsics(comp, arr[wide])
-            rows[~wide] = _in_pairs(kernel, comp, bits[:, ~wide].T)
-        else:
-            _in_pairs(kernel, comp, arr, rows)
+    _prepare_kernel(comp, len(arr))(arr, rows)
     return ext
 
 
-def _in_pairs(kernel, comp, arr, out=None):
-    """``kernel(comp, arr, out)``, with a lone row run as two equal rows.
+def _in_pairs(kernel, comp, batch):
+    """``kernel(comp, batch)``, with a lone row run as two equal rows.
 
     A one-row batch rounds differently from the same row in a larger one:
     numpy hands a one-column product to BLAS gemv, and a one-column state
     sum takes another order. Two rows round as any larger batch does.
     """
-    if len(arr) != 1:
-        return kernel(comp, arr, out)
-    pair = kernel(comp, np.repeat(arr, 2, axis=0))
-    if out is None:
-        return pair[:1]
-    out[...] = pair[:1]
-    return out
+    if batch != 1:
+        return kernel(comp, batch)
+    run = kernel(comp, 2)
+    pair = np.empty((2, comp.q))
+    pair_out = np.empty((2, comp.q))
+
+    def lone(arr, out):
+        pair[...] = arr
+        run(pair, pair_out)
+        out[...] = pair_out[:1]
+
+    return lone
 
 
 # Every codeword or trellis path of a row weighs at least exp(-sum |prior|)
@@ -385,96 +483,119 @@ def _state_perms(parity: tuple) -> np.ndarray:
     return perms
 
 
-def _enumerated_extrinsics(comp, arr, out=None):
+def _enumerated_kernel(comp, batch):
     """Exact MAP extrinsics by summing over the enumerated codebook.
 
     On the (q x batch) transpose, one product gives the (K x batch)
-    codeword metrics and a second their sums per bit value. The
-    extrinsics go into ``out`` (batch x q), or a new array.
+    codeword metrics and a second their sums per bit value; both write
+    into work arrays.
     """
-    if out is None:
-        out = np.empty_like(arr)
     half_signs, masks = _codebook(comp.parity)
-    q, batch = comp.q, arr.shape[0]
-    # BLAS rounds the sums of one product differently by operand layout,
-    # so every layout of the priors meets it as a C-ordered (q x batch).
-    bits = np.ascontiguousarray(arr.T)
-    metric = half_signs @ bits
-    metric -= np.maximum.reduce(metric, axis=0)
-    np.exp(metric, out=metric)
-    sums = masks @ metric
-    np.log(sums, out=sums)
-    np.subtract(sums[:q], sums[q:], out=out.T)
-    out -= arr
-    return out
+    q = comp.q
+    metric = _work("enum_metric", (len(half_signs), batch))
+    largest = _work("enum_largest", (batch,))
+    sums = _work("enum_sums", (2 * q, batch))
+    zeros, ones = sums[:q], sums[q:]
+
+    def run(arr, out):
+        # BLAS rounds the sums of one product differently by operand layout,
+        # so every layout of the priors meets it as a C-ordered (q x batch).
+        np.matmul(half_signs, np.ascontiguousarray(arr.T), out=metric)
+        np.subtract(metric, np.maximum.reduce(metric, axis=0, out=largest), out=metric)
+        np.exp(metric, out=metric)
+        np.matmul(masks, metric, out=sums)
+        np.log(sums, out=sums)
+        np.subtract(zeros, ones, out=out.T)
+        np.subtract(out, arr, out=out)
+
+    return run
 
 
-def _product_trellis(comp, arr, out=None):
+def _product_trellis(comp, batch):
     """Syndrome-trellis extrinsics of a batch of prior rows, in probabilities.
 
     Bit k weighs its two values by exp(+-L/2 - |L|/2): 1 for the value its
     prior favours and exp(-|L|) for the other, so one exp gives every
-    weight. It reads the priors and writes ``out`` (batch x q, or a new
-    array) through their (q x batch) transposes, contiguous for a
-    bit-major batch. Forward and backward state probabilities (states x
-    batch) at most double per step and their largest entry never falls,
-    so they are divided by their largest entry only every
-    ``_RESCALE_STEPS`` steps: a row of up to 256 bits never rescales. The
-    log is taken once at the end.
+    weight. It reads the priors and writes the extrinsics through their
+    (q x batch) transposes, contiguous for a bit-major batch. Forward and
+    backward state probabilities (states x batch) at most double per step
+    and their largest entry never falls, so they are divided by their
+    largest entry only every ``_RESCALE_STEPS`` steps: a row of up to 256
+    bits never rescales. The log is taken once at the end. Every step's
+    views of the work arrays are taken here, once.
     """
-    if out is None:
-        out = np.empty_like(arr)
     perms = _state_perms(comp.parity)
     q, nstates = perms.shape
-    batch = arr.shape[0]
-    other = np.abs(arr.T, out=_work("trellis_other", (q, batch)))
-    np.negative(other, out=other)
-    np.exp(other, out=other)
-    favours_zero = np.greater_equal(arr.T, 0, out=_work("trellis_favours", (q, batch), bool))
+    other = _work("trellis_other", (q, batch))
+    favours_zero = _work("trellis_favours", (q, batch), bool)
     w0 = _work("trellis_w0", (q, batch))
     w1 = _work("trellis_w1", (q, batch))
-    np.copyto(w0, other)
-    np.copyto(w0, 1.0, where=favours_zero)
-    w1.fill(1.0)
-    np.copyto(w1, other, where=favours_zero)
     flipped = _work("trellis_flipped", (nstates, batch))
     largest = _work("trellis_largest", (batch,))
-
-    def _step(prob, k, nxt, steps):
-        # ``flipped`` holds prob's states permuted by perms[k]; ``steps``
-        # counts the steps taken, this one included.
-        np.multiply(prob, w0[k], out=nxt)
-        nxt += np.multiply(flipped, w1[k], out=flipped)
-        if steps % _RESCALE_STEPS == 0:
-            nxt /= np.maximum.reduce(nxt, axis=0, out=largest)
-        return nxt
-
     # The forward probabilities of all q steps share one (q x states x batch)
     # work array and the backward steps swap two, so a warm call touches no
     # new pages: malloc mapped a fresh block of this size on every call.
     alphas = _work("trellis_alphas", (q, nstates, batch))
-    alphas[0].fill(0.0)
-    alphas[0, 0] = 1.0
-    for k in range(q - 1):
-        np.take(alphas[k], perms[k], axis=0, out=flipped, mode="clip")
-        _step(alphas[k], k, alphas[k + 1], k + 1)
-
     sums = _work("trellis_sums", (2, q, batch))
     beta = _work("trellis_beta", (nstates, batch))
     spare = _work("trellis_beta_next", (nstates, batch))
     joint = _work("trellis_joint", (nstates, batch))
-    beta.fill(0.0)
-    beta[0] = 1.0
+    zeros, ones = sums
+
+    # Per step k, the views the step reads and writes, taken once.
+    w0s, w1s, zero_sums, one_sums = list(w0), list(w1), list(sums[0]), list(sums[1])
+    probs, moves = list(alphas), list(perms)
+    alpha0, alpha0_start = probs[0], probs[0][0]
+    beta0, beta0_start = beta, beta[0]
+
+    # A step's arguments to advance, once ``flipped`` holds its states
+    # permuted: from state probabilities, weights of bit k, to, and whether
+    # to rescale (the step count, this step included, a multiple of 256).
+    forward = [
+        (probs[k], moves[k],
+         (probs[k], w0s[k], w1s[k], probs[k + 1], (k + 1) % _RESCALE_STEPS == 0))
+        for k in range(q - 1)
+    ]
+    backward = []
     for k in range(q - 1, -1, -1):
-        np.add.reduce(np.multiply(alphas[k], beta, out=joint), axis=0, out=sums[0, k])
         # One take serves both the flipped sum and the step to k - 1.
-        np.take(beta, perms[k], axis=0, out=flipped, mode="clip")
-        np.add.reduce(np.multiply(alphas[k], flipped, out=joint), axis=0, out=sums[1, k])
-        if k:
-            beta, spare = _step(beta, k, spare, q - k), beta
-    np.log(sums, out=sums)
-    np.subtract(sums[0], sums[1], out=out.T)
-    return out
+        move = (beta, w0s[k], w1s[k], spare, (q - k) % _RESCALE_STEPS == 0) if k else None
+        backward.append((probs[k], beta, moves[k], zero_sums[k], one_sums[k], move))
+        beta, spare = spare, beta
+
+    def advance(prob, w0k, w1k, nxt, rescale):
+        np.multiply(prob, w0k, out=nxt)
+        np.add(nxt, np.multiply(flipped, w1k, out=flipped), out=nxt)
+        if rescale:
+            np.divide(nxt, np.maximum.reduce(nxt, axis=0, out=largest), out=nxt)
+
+    def run(arr, out):
+        bits = arr.T
+        np.abs(bits, out=other)
+        np.negative(other, out=other)
+        np.exp(other, out=other)
+        np.greater_equal(bits, 0, out=favours_zero)
+        np.copyto(w0, other)
+        np.copyto(w0, 1.0, where=favours_zero)
+        w1.fill(1.0)
+        np.copyto(w1, other, where=favours_zero)
+        alpha0.fill(0.0)
+        alpha0_start.fill(1.0)
+        for alpha, perm, move in forward:
+            alpha.take(perm, 0, flipped, "clip")
+            advance(*move)
+        beta0.fill(0.0)
+        beta0_start.fill(1.0)
+        for alpha, beta, perm, zero, one, move in backward:
+            np.add.reduce(np.multiply(alpha, beta, out=joint), axis=0, out=zero)
+            beta.take(perm, 0, flipped, "clip")
+            np.add.reduce(np.multiply(alpha, flipped, out=joint), axis=0, out=one)
+            if move:
+                advance(*move)
+        np.log(sums, out=sums)
+        np.subtract(zeros, ones, out=out.T)
+
+    return run
 
 
 def _trellis_extrinsics(comp, arr):
@@ -520,8 +641,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 def _decoder_tables(spec: GldpcSpec):
     """Code length and the edge and check tables of ``spec``.
 
-    ``gldpc_decode`` and ``monte_carlo`` build them once per call and pass
-    them to every ``_decode_frames`` call they make.
+    ``gldpc_decode`` and ``monte_carlo`` ask for them once per call and
+    pass them to every ``_decode_frames`` call they make. They are read
+    from the spec's content on each call, its effective matrix's entries
+    and its components' parity rows, and built once per content
+    (``_tables_of``), so a spec edited in place gets tables of its own.
 
     Returns (n, rows, edges, checks):
 
@@ -530,23 +654,38 @@ def _decoder_tables(spec: GldpcSpec):
     - edges: the (Q x N) edge indices of all rows, bit-major: row after
       row, bit k of every shift of the row in one line, so Q is the sum
       of the rows' q;
-    - checks: (lines, D), the lines of ``edges`` that each parity check
-      of every row reads, flat, D per check: a check of a lower degree is
-      padded with line Q, which ``_failed_frames`` keeps all zero.
+    - checks: (lines, D), the lines of ``edges`` that the parity checks
+      of every row read, flat and degree-major (line d of every check,
+      for d = 0 .. D - 1 in turn, so that the XOR over a check's lines
+      runs over the outer axis): a check of a lower degree is padded with
+      line Q, which ``_failed_frames`` keeps all zero.
+
+    The tables are shared by every call on the same content: read-only.
     """
     eff = spec.effective_matrix()
+    entries = tuple(tuple(p.bits for p in row) for row in eff.rows)
+    parities = tuple(None if comp is None else comp.parity for comp in spec.assignment)
+    return _tables_of(eff.ring.N, entries, parities)
+
+
+@functools.lru_cache(maxsize=16)
+def _tables_of(N: int, entries: tuple, parities: tuple):
+    """``_decoder_tables`` of the entry bits and component parity rows."""
+    eff = PolyMatrix([[BinaryPoly(bits) for bits in row] for row in entries], RingModulus(N))
     row_idx = row_edges(eff)
     edges = np.concatenate([idx.T for idx in row_idx])
     rows, checks, start = [], [], 0
-    for idx, comp in zip(row_idx, spec.assignment):
-        if comp is None:
-            comp = ComponentCode.spc(idx.shape[1])
+    for idx, parity in zip(row_idx, parities):
+        comp = ComponentCode.spc(idx.shape[1]) if parity is None else ComponentCode(parity)
         rows.append((comp, slice(start, start + comp.q)))
-        checks += [[start + k for k, b in enumerate(parity) if b] for parity in comp.parity]
+        checks += [[start + k for k, b in enumerate(row) if b] for row in comp.parity]
         start += comp.q
     degree = max(map(len, checks))
     lines = np.array([c + [start] * (degree - len(c)) for c in checks], dtype=np.intp)
-    return eff.ncols * eff.modulus.N, rows, edges, (lines.ravel(), degree)
+    lines = lines.T.ravel()
+    edges.setflags(write=False)
+    lines.setflags(write=False)
+    return eff.ncols * N, tuple(rows), edges, (lines, degree)
 
 
 # Constraint rows one kernel call should see: a chunk of frames makes each
@@ -560,25 +699,57 @@ def _chunk_frames(tables) -> int:
     return max(1, _CHUNK_ROWS // edges.shape[1])
 
 
-def _failed_frames(checks, totals: np.ndarray) -> np.ndarray:
-    """Per frame, whether its hard decisions fail some parity check.
+class _CheckArrays(NamedTuple):
+    """The convergence check's arrays for totals of one (Q x frames x N) shape."""
 
-    ``totals`` holds each frame's totals at every edge, bit-major (Q x
-    frames x N, laid out as ``_decoder_tables``'s edges), so each line of
-    it is bit k of a row for every frame and shift. One take gathers the
-    lines of every check, each padded to the largest degree D with an
-    all-zero line Q, one XOR-reduce gives every check's syndromes and one
-    OR per frame ends it: a fixed few numpy calls, however many checks.
+    cols: np.ndarray  # the flat, degree-major check lines of _decoder_tables
+    signs: np.ndarray  # hard decisions, (Q x frames x N): lines 0 .. Q - 1 of hard
+    hard: np.ndarray  # (Q + 1 x frames * N); line Q, the padding line, all zero
+    bits: np.ndarray  # the gathered check lines, (D * checks x frames * N)
+    by_degree: np.ndarray  # bits as (D x checks * frames * N)
+    syndromes: np.ndarray  # (checks * frames * N)
+    per_frame: np.ndarray  # syndromes as (checks x frames x N)
+    failed: np.ndarray  # per frame
+
+
+def _check_arrays(checks, shape) -> _CheckArrays:
+    """The convergence check's arrays for totals of ``shape`` (Q x frames x N).
+
+    ``checks`` are ``_decoder_tables``'s. The arrays are work arrays, held
+    for as long as the layout they serve; only ``_failed_frames`` writes
+    them, and it never writes the padding line, which is cleared here.
     """
     cols, degree = checks
-    lines, frames, N = totals.shape
-    hard = np.empty((lines + 1, frames * N), dtype=bool)
+    lines, frames, N = shape
+    hard = _work("check_hard", (lines + 1, frames * N), bool)
     hard[lines] = False
-    np.less(totals.reshape(lines, -1), 0.0, out=hard[:lines])
+    bits = _work("check_bits", (len(cols), frames * N), bool)
+    syndromes = _work("check_syndromes", (len(cols) // degree * frames * N,), bool)
+    return _CheckArrays(
+        cols, hard[:lines].reshape(shape), hard, bits, bits.reshape(degree, -1),
+        syndromes, syndromes.reshape(-1, frames, N), np.empty(frames, bool),
+    )
+
+
+def _failed_frames(check: _CheckArrays, totals: np.ndarray) -> np.ndarray:
+    """Per frame, whether its hard decisions fail some parity check.
+
+    ``check`` is ``_check_arrays`` of the totals' shape. ``totals`` holds
+    each frame's totals at every edge, bit-major (Q x frames x N, laid out
+    as ``_decoder_tables``'s edges), so each line of it is bit k of a row
+    for every frame and shift. One take gathers the lines of every check,
+    each padded to the largest degree D with an all-zero line Q, one
+    XOR-reduce gives every check's syndromes and one OR per frame ends it:
+    a fixed few numpy calls, however many checks, each into its array.
+    """
+    cols, signs, hard, bits, by_degree, syndromes, per_frame, failed = check
+    # Positional arguments: a keyword costs each call about a tenth of a
+    # microsecond, which adds up over hundreds of small iterations.
+    np.less(totals, 0.0, signs)
     # take runs faster on a flat index than on a 2-D one.
-    bits = hard.take(cols, axis=0).reshape(-1, degree, frames * N)
-    syndromes = np.bitwise_xor.reduce(bits, axis=1)
-    return np.logical_or.reduce(syndromes.reshape(-1, frames, N), axis=(0, 2))
+    hard.take(cols, 0, bits, "clip")
+    np.bitwise_xor.reduce(by_degree, 0, None, syndromes)
+    return np.logical_or.reduce(per_frame, (0, 2), None, failed)
 
 
 def _gather_indices(edges: np.ndarray, frames: int, n: int) -> np.ndarray:
@@ -586,21 +757,33 @@ def _gather_indices(edges: np.ndarray, frames: int, n: int) -> np.ndarray:
 
     They run in (Q x frames x N) order: bit-major, row after row, then
     frame, then shift. They stay one flat array, since np.add.at takes its
-    fast path only on a 1-D index.
+    fast path only on a 1-D index, and are written into the work array
+    "gather", held for one layout.
     """
-    return (edges[:, None, :] + np.arange(0, frames * n, n)[:, None]).ravel()
+    shape = (len(edges), frames, edges.shape[1])
+    gather = _work("gather", shape, edges.dtype)
+    np.add(edges[:, None, :], np.arange(0, frames * n, n)[:, None], out=gather)
+    return gather.reshape(-1)
 
 
-def _row_views(rows, priors: np.ndarray, ext: np.ndarray):
-    """Per row, (component, priors, extrinsics) for bcjr_component.
+def _layout_plan(rows, checks, priors: np.ndarray, ext: np.ndarray, bound: float):
+    """What the decoder's iterations over one set of active frames reuse.
 
-    The priors and extrinsics are the (rows x q) views of the row's
-    bit-major blocks of ``priors`` and ``ext`` (Q x frames x N, C-ordered).
+    ``priors`` and ``ext`` are the layout's (Q x frames x N) C-ordered
+    arrays, and ``bound`` bounds every prior's magnitude (the clip).
+    Returns (updates, check): per row, (component, priors, extrinsics,
+    kernel) for bcjr_component, where the priors and extrinsics are the
+    (rows x q) views of the row's bit-major blocks and the kernel is
+    ``_held_kernel`` of their shape and the bound; and the check's
+    ``_check_arrays``.
     """
-    return [
-        (comp, priors[span].reshape(comp.q, -1).T, ext[span].reshape(comp.q, -1).T)
+    batch = priors.shape[1] * priors.shape[2]
+    updates = [
+        (comp, priors[span].reshape(comp.q, -1).T, ext[span].reshape(comp.q, -1).T,
+         _held_kernel(comp, batch, bound))
         for comp, span in rows
     ]
+    return updates, _check_arrays(checks, priors.shape)
 
 
 def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
@@ -616,7 +799,9 @@ def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
     are written as it leaves (or at the last iteration); no arithmetic
     mixes frames, so each frame's result equals its decode alone. The
     scatter adds each row's extrinsics in the same order for every batch,
-    so totals do not depend on which frames share a call.
+    so totals do not depend on which frames share a call. What the
+    iterations reuse is planned once per set of active frames
+    (``_layout_plan``), and again only when frames leave.
     """
     n, rows, edges, checks = tables
     frames = llrs.shape[0]
@@ -632,25 +817,28 @@ def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
     ext = _work("ext", shape)
     ext.fill(0.0)
     priors = _work("priors", shape)
+    total = _work("total", llr.shape)
     # Indices are in range; "clip" lets take write into out unbuffered. The
     # decoder calls the take method: np.take's wrapper costs about a
     # microsecond a call, which adds up over small iterations.
-    llr.take(gather, out=priors.reshape(-1), mode="clip")
-    views = _row_views(rows, priors, ext)
-    clip = cfg.llr_clip
-    for iteration in range(1, cfg.max_iterations + 1):
+    flat_priors, flat_ext = priors.reshape(-1), ext.reshape(-1)
+    llr.take(gather, out=flat_priors, mode="clip")
+    clip, last = cfg.llr_clip, cfg.max_iterations
+    # np.clip's Python wrapper costs more than the work on small batches,
+    # and 0-d bounds spare maximum and minimum a scalar conversion a call.
+    low, high = np.array(-float(clip)), np.array(float(clip))
+    updates, check = _layout_plan(rows, checks, priors, ext, clip)
+    for iteration in range(1, last + 1):
         priors -= ext
-        # np.clip's Python wrapper costs more than the work on small batches.
-        np.maximum(priors, -clip, out=priors)
-        np.minimum(priors, clip, out=priors)
-        for comp, prior, out in views:
-            bcjr_component(comp, prior, out=out)
-        total = _work("total", llr.shape)
+        np.maximum(priors, low, out=priors)
+        np.minimum(priors, high, out=priors)
+        for comp, prior, out, kernel in updates:
+            bcjr_component(comp, prior, out=out, _kernel=kernel)
         np.copyto(total, llr)
-        np.add.at(total, gather, ext.reshape(-1))
-        total.take(gather, out=priors.reshape(-1), mode="clip")
-        failed = _failed_frames(checks, priors)
-        stay = failed if iteration < cfg.max_iterations else np.zeros_like(failed)
+        np.add.at(total, gather, flat_ext)
+        total.take(gather, out=flat_priors, mode="clip")
+        failed = _failed_frames(check, priors)
+        stay = failed if iteration < last else np.zeros_like(failed)
         staying = np.count_nonzero(stay)
         if staying == stay.size:
             continue
@@ -661,17 +849,21 @@ def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
         iterations[done] = iteration
         if not staying:
             break
-        # Drop the frames that left from every per-frame array. compress,
-        # unlike ext[:, stay], returns a C-ordered array, whose row blocks
-        # reshape to views. The priors stay in their work array: the staying
-        # frames' totals are gathered into it again.
+        # Drop the frames that left from every per-frame array. The staying
+        # frames' extrinsics are compressed into the priors' work array and
+        # their totals gathered anew into the old extrinsics' one: the two
+        # arrays swap roles, and no large array is allocated.
         active = active[stay]
         llr = llr.reshape(-1, n)[stay].ravel()
-        ext = np.compress(stay, ext, axis=1)
+        shape = (len(edges), active.size, edges.shape[1])
+        compacted = flat_priors[: math.prod(shape)].reshape(shape)
+        np.compress(stay, ext, axis=1, out=compacted)
+        priors, ext = flat_ext[: compacted.size].reshape(shape), compacted
         gather = _gather_indices(edges, active.size, n)
-        priors = _work("priors", ext.shape)
-        total.reshape(-1, n)[stay].take(gather, out=priors.reshape(-1), mode="clip")
-        views = _row_views(rows, priors, ext)
+        flat_priors, flat_ext = priors.reshape(-1), ext.reshape(-1)
+        total.reshape(-1, n)[stay].take(gather, out=flat_priors, mode="clip")
+        total = _work("total", llr.shape)
+        updates, check = _layout_plan(rows, checks, priors, ext, clip)
     return hard_out, converged, iterations
 
 

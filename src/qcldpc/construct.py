@@ -194,18 +194,12 @@ def generator_general(H, modulus=None):
     raised with the best partial attached.  The code dimension is
     nN - expansion_rank(H).
 
-    A given modulus is the ring to work in: a plain H is read over it, an
-    H already over it is taken as is, and an H over another ring is a
-    ValueError naming both. Without one, H's own ring is used.
+    The ring is ``H.ring_for(modulus)``: a plain H is read over a given
+    modulus, and an H over another ring is a ValueError naming both.
     """
-    if modulus is not None:
-        if H.modulus is None:
-            H = PolyMatrix(H.rows, modulus)
-        elif H.modulus != modulus:
-            raise ValueError(
-                f"H is over x^{H.modulus.N} + 1, not the given x^{modulus.N} + 1"
-            )
-    m = H.ring
+    m = H.ring_for(modulus)
+    if H.modulus is None:
+        H = PolyMatrix(H.rows, m)
     minor = Minors(H)
     S_best = _best_column_selection(H, m, minor)
     target = H.ncols * m.N - expansion_rank(H)

@@ -53,6 +53,21 @@ class PolyMatrix:
             raise ValueError("a ring modulus x^N + 1 is required")
         return self.modulus
 
+    def ring_for(self, modulus=None):
+        """The ring x^N + 1 a job on this matrix works in, given ``modulus``.
+
+        A given modulus is that ring, for a plain matrix or for one
+        already over it; a matrix over another ring is a ValueError naming
+        both. Without one, it is ``ring``.
+        """
+        if modulus is None:
+            return self.ring
+        if self.modulus is not None and self.modulus != modulus:
+            raise ValueError(
+                f"the matrix is over x^{self.modulus.N} + 1, not the given x^{modulus.N} + 1"
+            )
+        return modulus
+
     @property
     def nrows(self):
         return len(self.rows)

@@ -38,8 +38,13 @@ class RankReport:
 
 
 def rank_qc(H, modulus=None):
-    """Rank report for the binary expansion of H over x^N + 1."""
-    modulus = modulus or H.ring
+    """Rank report for the binary expansion of H over x^N + 1.
+
+    The ring is ``H.ring_for(modulus)``: a given modulus for a plain H,
+    whose entries the Smith form takes as written, and a ValueError for
+    an H over another ring.
+    """
+    modulus = H.ring_for(modulus)
     n_c, N = min(H.shape), modulus.N
     smith = _smith_diagonal(H.rows)
     smith += [BinaryPoly(0)] * (n_c - len(smith))

@@ -26,10 +26,10 @@ from qcldpc.binmat import pack_bits
 from qcldpc.channel import (
     DecoderConfig,
     TrialResult,
+    _check_arrays,
     _decode_frames,
     _decoder_tables,
     _failed_frames,
-    _product_trellis,
     _trellis_extrinsics,
     awgn_llrs,
     bcjr_component,
@@ -115,6 +115,17 @@ def random_message(rng, G):
 
 def bits_to_array(bits, n):
     return np.array([bits >> j & 1 for j in range(n)], dtype=np.uint8)
+
+
+def run_kernel(prepare, comp, priors):
+    """The extrinsics of a (rows x q) batch from kernel ``prepare``, run once."""
+    out = np.empty_like(priors)
+    prepare(comp, len(priors))(priors, out)
+    return out
+
+
+def product_trellis(comp, priors):
+    return run_kernel(channel._product_trellis, comp, priors)
 
 
 class TestConfigAndCounts:
@@ -291,7 +302,7 @@ class TestBcjrComponent:
         comp = comp_fn()
         rng = np.random.default_rng(90)
         priors = rng.uniform(-20.0, 20.0, size=(64, comp.q))
-        got = _product_trellis(comp, priors)
+        got = product_trellis(comp, priors)
         assert np.allclose(got, _trellis_extrinsics(comp, priors), rtol=0, atol=1e-12)
         for b in range(3):
             assert np.allclose(got[b], map_extrinsics(comp, priors[b]), rtol=0, atol=1e-9)
@@ -304,7 +315,7 @@ class TestBcjrComponent:
         head = rng.integers(0, 2, size=(2, 1500))
         comp = ComponentCode(np.hstack([head, np.eye(2, dtype=int)]))
         priors = rng.uniform(-0.2, 0.2, size=(4, comp.q))
-        got = _product_trellis(comp, priors)
+        got = product_trellis(comp, priors)
         assert np.allclose(got, _trellis_extrinsics(comp, priors), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("q", [256, 257])
@@ -325,7 +336,7 @@ class TestBcjrComponent:
             assert 690.0 < np.abs(priors).sum(axis=1).min()
             assert np.abs(priors).sum(axis=1).max() <= 700.0
         with np.errstate(all="raise"):
-            got = _product_trellis(comp, priors)
+            got = product_trellis(comp, priors)
         assert np.allclose(got, _trellis_extrinsics(comp, priors), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("comp_fn", [hamming64, hamming74, hamming15_component])
@@ -338,7 +349,7 @@ class TestBcjrComponent:
         priors *= rng.choice([-1.0, 1.0], size=priors.shape)
         assert np.abs(priors).sum(axis=1).max() <= 700.0
         with np.errstate(all="raise"):
-            fast = _product_trellis(comp, priors)
+            fast = product_trellis(comp, priors)
             got = bcjr_component(comp, priors)
         want = _trellis_extrinsics(comp, priors)
         assert np.all(np.isfinite(fast)) and np.all(np.isfinite(got))
@@ -441,29 +452,35 @@ class TestBcjrComponent:
         got = bcjr_component(comp, priors)
         assert len(seen) == 1 and np.array_equal(seen[0], priors[wide])
         kernel = (
-            channel._enumerated_extrinsics
+            channel._enumerated_kernel
             if 2 ** (q - comp.p) <= q * 2**comp.p
             else channel._product_trellis
         )
         want = np.empty_like(priors)
         want[wide] = trellis(comp, priors[wide])
-        want[~wide] = channel._in_pairs(kernel, comp, priors[~wide])
+        want[~wide] = run_kernel(
+            functools.partial(channel._in_pairs, kernel), comp, priors[~wide]
+        )
         assert np.array_equal(got, want, equal_nan=True)
 
-    def test_product_trellis_takes_once_per_step(self, monkeypatch):
+    def test_product_trellis_takes_once_per_step(self):
         comp = hamming15_component()
         priors = np.random.default_rng(95).uniform(-8.0, 8.0, size=(6, comp.q))
-        want = _product_trellis(comp, priors)
+        want = product_trellis(comp, priors)
+        run = channel._product_trellis(comp, len(priors))
+        got = np.empty_like(priors)
         takes = []
-        take = np.take
 
-        def counted(*args, **kwargs):
-            takes.append(1)
-            return take(*args, **kwargs)
+        def count(frame, event, fn):
+            # The kernel takes through the bound method of its held views.
+            if event == "c_call" and getattr(fn, "__name__", None) == "take":
+                takes.append(1)
 
-        monkeypatch.setattr(np, "take", counted)
-        got = _product_trellis(comp, priors)
-        monkeypatch.undo()
+        sys.setprofile(count)
+        try:
+            run(priors, got)
+        finally:
+            sys.setprofile(None)
         # q - 1 forward steps and q backward ones, each permuting its states once.
         assert len(takes) == 2 * comp.q - 1
         assert np.array_equal(got, want)
@@ -570,8 +587,16 @@ class TestDecoderTables:
                 word, converged, iterations = gldpc_decode(loaded[name], llr, cfg)
                 assert [str(word), converged, iterations] == fresh[name][seed]
 
+    def test_specs_of_one_content_share_read_only_tables(self):
+        first, second = load("c1.json"), load("c1.json")
+        assert first is not second
+        tables = _decoder_tables(first)
+        assert _decoder_tables(second) is tables
+        _, _, edges, (lines, _) = tables
+        assert not edges.flags.writeable and not lines.flags.writeable
+
     def test_entries_changed_in_place_are_seen(self):
-        # Each decode builds its own tables: an edited base entry or a
+        # Each decode reads the spec's content: an edited base entry or a
         # swapped component gives new tables, equal to a fresh build's.
         spec = load("c1.json")
         llr = awgn_llrs(np.zeros(7 * 68, np.uint8), -1.0, 5)
@@ -594,6 +619,9 @@ class TestDecoderTables:
 # c1's base with a [7,4] component whose parity rows weigh 5, 3 and 3
 # (every bundled component's rows weigh alike).
 UNEQUAL_ROWS = "c1-unequal-rows"
+# Two single-parity rows over x^13 + 1 of 7 and 6 bits: one kernel at two
+# lengths, whose work arrays the rows share.
+SPC_7_6 = "spc-7-6"
 
 
 @functools.cache
@@ -603,6 +631,10 @@ def coded(name):
             [[1, 1, 1, 1, 1, 0, 0], [1, 1, 0, 0, 0, 1, 0], [1, 0, 1, 0, 0, 0, 1]]
         )
         spec = GldpcSpec(load("c1.json").base, (comp, None))
+    elif name == SPC_7_6:
+        second = [P(t) for t in ("1", "x", "x^3", "x^5", "x^7", "x^9", "0")]
+        base = PolyMatrix([[P("1")] * 7, second], RingModulus(13))
+        spec = GldpcSpec(base, (None, ComponentCode.spc(6)))
     else:
         spec = load(name)
     return spec, construct_generator(spec).matrix, expand_binary(spec)
@@ -751,6 +783,7 @@ BATCH_SNRS = {
     "prelift90.json": (-6.0, -5.0, -4.0, -3.0, -2.0, 0.0),
     "prelift68.json": (-5.0, -4.0, -3.0, -2.0, 0.0, 2.0),
     "hamming15.json": (0.0, 0.5, 1.0, 3.0),
+    SPC_7_6: (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0),
 }
 
 
@@ -792,14 +825,15 @@ class TestConvergenceCheck:
             hard = totals < 0
             at_edges = np.ascontiguousarray(totals[:, edges].transpose(1, 0, 2))
             want = per_check_failures(spec, hard)
-            assert np.array_equal(_failed_frames(checks, at_edges), want)
+            check = _check_arrays(checks, at_edges.shape)
+            assert np.array_equal(_failed_frames(check, at_edges), want)
             if frames >= 5:
                 assert want.any() and not want.all()
 
 
 class TestBatchedDecode:
     @pytest.mark.parametrize("max_iterations", [1, 3, 30])
-    @pytest.mark.parametrize("name", SPEC_NAMES)
+    @pytest.mark.parametrize("name", SPEC_NAMES + (SPC_7_6,))
     def test_each_frame_equals_its_decode_alone(self, name, max_iterations):
         spec = coded(name)[0]
         llrs = noisy_frames(name, BATCH_SNRS[name], seed=70)
@@ -810,6 +844,11 @@ class TestBatchedDecode:
         if max_iterations == 30:
             # Frames leave the active set at different iterations.
             assert converged.any() and len(set(iterations.tolist())) > 1
+        if max_iterations == 30 and name in ("prelift68.json", SPC_7_6):
+            # Rows that share a kernel's work arrays, at different lengths
+            # (spc-7-6) or at one (prelift68's three [7,4] rows), under a
+            # plan rebuilt within the call each time frames leave.
+            assert len(set(iterations[iterations < 30].tolist())) >= 3
 
     @pytest.mark.parametrize("name", ["c1.json", "n79.json", "hamming15.json"])
     def test_wide_and_narrow_rows_in_one_batch(self, name):
@@ -871,6 +910,24 @@ class TestDecoderWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_a_batch_shape_met_again_reuses_its_run(self):
+        comp = hamming15_component()
+        priors = np.random.default_rng(88).uniform(-8.0, 8.0, size=(40, comp.q))
+        run = channel._held_kernel(comp, len(priors), 20.0)
+        # Kept by parity rows, batch and bound, not by component object.
+        assert channel._held_kernel(ComponentCode(comp.parity), len(priors), 20.0) is run
+        assert channel._held_kernel(comp, len(priors) + 1, 20.0) is not run
+        assert channel._held_kernel(comp, len(priors), 200.0) is not run
+        got = np.empty_like(priors)
+        run(priors, got)
+        assert np.array_equal(got, bcjr_component(comp, priors))
+        # A work array that grows drops every held run with its old arrays.
+        channel._work(f"grown_{id(run)}", (1,))
+        again = channel._held_kernel(comp, len(priors), 20.0)
+        assert again is not run
+        again(priors, got)
+        assert np.array_equal(got, bcjr_component(comp, priors))
 
     def test_decodes_in_turn_match_fresh_processes(self, tmp_path):
         cases = [
@@ -1025,3 +1082,64 @@ class TestChunkedMonteCarlo:
         (result,) = monte_carlo(spec, G, [3.0], {"max_trials": 8}, cfg=self.CFG)
         assert result.trials == 8 and chunks == [2, 2, 2, 2]
         assert built == [spec]
+
+
+class TestRowUpdatesStayTraceable:
+    """The decoder prepares each row's update once per set of active frames,
+    and still makes every row update through the module's bcjr_component,
+    the layer a tracer wraps."""
+
+    def test_every_row_update_calls_bcjr_component(self, monkeypatch):
+        # The ber-waterfall settings: c1 at -3/-2/-1 dB, 4 frames a point, no early stop.
+        spec, G, _ = coded("c1.json")
+        snrs, stop = [-3.0, -2.0, -1.0], {"min_block_errors": 10**9, "max_trials": 4}
+        decodes = []
+        decode = channel._decode_frames
+
+        def recorded_decode(tables, llrs, cfg):
+            result = decode(tables, llrs, cfg)
+            decodes.append(result[2].tolist())
+            return result
+
+        monkeypatch.setattr(channel, "_decode_frames", recorded_decode)
+        want = monte_carlo(spec, G, snrs, stop, master_seed=31)
+        want_iterations, decodes[:] = decodes[:], []
+
+        calls, runs, inside = [], [], []
+        update = channel.bcjr_component
+        plan = channel._layout_plan
+
+        def counted_update(comp, priors, **kwargs):
+            calls.append(len(priors))
+            inside.append(comp)
+            try:
+                return update(comp, priors, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted(run):
+            def counted_run(arr, out):
+                assert inside, "a row update ran outside bcjr_component"
+                runs.append(len(arr))
+                run(arr, out)
+
+            return counted_run
+
+        def counted_plan(*args):
+            # Every prepared run the decoder holds, kept from an earlier
+            # call or not, is wrapped as the plan hands it over.
+            updates, check = plan(*args)
+            return [(comp, p, o, counted(run)) for comp, p, o, run in updates], check
+
+        monkeypatch.setattr(channel, "bcjr_component", counted_update)
+        monkeypatch.setattr(channel, "_layout_plan", counted_plan)
+        assert monte_carlo(spec, G, snrs, stop, master_seed=31) == want
+        assert decodes == want_iterations
+        # The 12 frames decode in one chunk. Each iteration updates both rows
+        # of every active frame, N instances each, and a frame is active
+        # for as many iterations as it reports.
+        (iterations,) = decodes
+        N = G.modulus.N
+        assert len(calls) == 2 * max(iterations)
+        assert sum(calls) == 2 * N * sum(iterations)
+        assert runs == calls

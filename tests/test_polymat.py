@@ -108,6 +108,17 @@ class TestRing:
         m = RingModulus(5)
         assert PolyMatrix([[P("x^6")]], m).ring is m
 
+    def test_ring_for_a_given_modulus(self):
+        # rank_qc and generator_general both take their ring from ring_for.
+        m5, m7 = RingModulus(5), RingModulus(7)
+        plain, over5 = PolyMatrix([[P("x^6")]]), PolyMatrix([[P("x^6")]], m5)
+        assert plain.ring_for(m7) is m7
+        assert over5.ring_for(m5) is m5 and over5.ring_for() is m5
+        with pytest.raises(ValueError, match=r"^the matrix is over x\^5 \+ 1, not the given x\^7 \+ 1$"):
+            over5.ring_for(m7)
+        with pytest.raises(ValueError, match=r"^a ring modulus x\^N \+ 1 is required$"):
+            plain.ring_for()
+
     @pytest.mark.parametrize("job", sorted(RING_JOBS))
     def test_a_plain_matrix_has_no_ring(self, job):
         # One message for every job: PolyMatrix.ring is the one check.

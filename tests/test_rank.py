@@ -18,7 +18,7 @@ from qcldpc import polymat
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.gf2poly import BinaryPoly, RingModulus
 from qcldpc.gldpc import assembled_parity, expand_binary, load_spec
-from qcldpc.polymat import PolyMatrix, all_minors_gcd, circulant_expand, zero_matrix
+from qcldpc.polymat import PolyMatrix, all_minors_gcd, circulant_expand, read_pmx, zero_matrix
 from qcldpc.rank import rank_qc
 
 
@@ -74,6 +74,18 @@ class TestEdgeCases:
         bare = PolyMatrix([[P("1")]])
         with pytest.raises(ValueError):
             rank_qc(bare)
+
+    def test_modulus_of_another_ring_is_rejected(self):
+        # ar4ja read over x^2 + 1 once reported gammas 1, 1, x under
+        # RingModulus(6); plain ar4ja gives 1, 1, 1 there.
+        ar4ja_n2 = read_pmx(data_path("ar4ja.pmx"), RingModulus(2))
+        with pytest.raises(ValueError, match=r"x\^2 \+ 1.*x\^6 \+ 1"):
+            rank_qc(ar4ja_n2, RingModulus(6))
+        plain = rank_qc(read_pmx(data_path("ar4ja.pmx")), RingModulus(6))
+        assert plain.gammas == [P("1"), P("1"), P("1")]
+
+    def test_modulus_of_the_matrix_own_ring_changes_nothing(self, ar4ja):
+        assert rank_qc(ar4ja, RingModulus(4)) == rank_qc(ar4ja)
 
     def test_report_serializes(self, ex1):
         rep = rank_qc(ex1, modulus=RingModulus(45))

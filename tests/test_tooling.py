@@ -481,13 +481,21 @@ def test_ber_stages_splits_every_pass(passes_report, workload):
     assert report["workload"] == workload and report["failed_ops"] == 0
     assert list(report["minor_faults_per_pass"]) == ["median", "q1", "q3", "min", "max"]
     stages = report["stages"]
-    assert list(stages) == ["draw", "encode", "decode", "kernel", "check", "decode_own", "rest"]
-    for name in ("draw", "encode", "decode", "kernel", "check"):
+    assert list(stages) == [
+        "draw", "encode", "decode", "plan", "kernel", "check", "decode_own", "rest",
+    ]
+    for name in ("draw", "encode", "decode", "plan", "kernel", "check"):
         assert stages[name]["calls"] > 0 and stages[name]["s"] > 0
     frames = {"ber-waterfall": 12, "ber-highsnr": 8}[workload]
     assert stages["draw"]["calls"] == stages["encode"]["calls"] == frames
     assert stages["encode"]["s"] < stages["draw"]["s"]
-    assert stages["kernel"]["s"] + stages["check"]["s"] < stages["decode"]["s"]
+    # Each decode plans its first set of frames and plans again only when
+    # frames leave, so a pass plans at least once per decode and at most
+    # once per frame, and far less often than it checks.
+    assert stages["decode"]["calls"] <= stages["plan"]["calls"] <= frames
+    assert stages["plan"]["calls"] < stages["check"]["calls"]
+    nested = ("plan", "kernel", "check")
+    assert sum(stages[name]["s"] for name in nested) < stages["decode"]["s"]
     assert stages["decode_own"]["s"] > 0
     # Over two passes a median is a mean, so this says that draw and
     # decode fit inside the wrapped passes' time.

@@ -22,13 +22,16 @@ does not wrap ``_decode_frames``, so it cannot split a pass this way):
 - draw: ``_draw_trial``, one trial's message, codeword and channel LLRs;
 - encode: ``encode``, the codeword part of draw;
 - decode: ``_decode_frames``, one chunk of frames;
+- plan: ``_layout_plan``, inside decode, once per set of active frames: each
+  row's views and held run (prepared only for a batch shape the thread has
+  not met), and the check's arrays;
 - kernel: ``bcjr_component``, the constraint updates inside decode;
 - check: ``_failed_frames``, the convergence check inside decode, once per
   iteration.
 
 Per stage it reports seconds and calls per pass and microseconds per call;
-``decode_own`` is decode less kernel and check, ``rest`` the pass less
-draw and decode.
+``decode_own`` is decode less plan, kernel and check, ``rest`` the pass
+less draw and decode.
 
 The ``design`` split attributes every job that ``run_pass`` times to the
 spec it serves: construct (the spec's generator), girth and distance (its
@@ -77,6 +80,7 @@ BER_STAGES = {
     "draw": "_draw_trial",
     "encode": "encode",
     "decode": "_decode_frames",
+    "plan": "_layout_plan",
     "kernel": "bcjr_component",
     "check": "_failed_frames",
 }
@@ -152,7 +156,9 @@ def ber_split(passes):
             "calls": median(c[stage] for _, _, c in passes),
             "us_per_call": median(per_call) if per_call else 0.0,
         }
-    rows["decode_own"] = {"s": median(s["decode"] - s["kernel"] - s["check"] for _, s, _ in passes)}
+    rows["decode_own"] = {
+        "s": median(s["decode"] - s["plan"] - s["kernel"] - s["check"] for _, s, _ in passes)
+    }
     rows["rest"] = {"s": median(t - s["draw"] - s["decode"] for t, s, _ in passes)}
     return {"stages": rows}, rows
 
