@@ -38,7 +38,7 @@ from .gldpc import (
     reduce_spec,
     schur_reduce,
 )
-from .polymat import PolyMatrix, _check_expansion_size, circulant_expand, read_pmx, write_pmx
+from .polymat import PolyMatrix, circulant_expand, read_pmx, write_pmx
 from .rank import rank_qc
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -60,9 +60,7 @@ def _read_matrix(args) -> PolyMatrix:
         raise ValueError("give --matrix with --N")
     if args.N is None:
         raise ValueError("--N is required with --matrix")
-    H = read_pmx(_resolve(args.matrix), RingModulus(args.N))
-    _check_expansion_size(H.nrows, H.ncols, args.N)
-    return H
+    return read_pmx(_resolve(args.matrix), RingModulus(args.N))
 
 
 def _emit(obj, out: str | None) -> None:

@@ -206,15 +206,26 @@ def xgcd(a, b):
 
 
 class RingModulus:
-    """The ring GF(2)[x]/(x^N + 1) for a given N >= 1."""
+    """The ring GF(2)[x]/(x^N + 1) for a given N >= 1.
 
-    __slots__ = ("N", "poly")
+    ``poly``, x^N + 1 itself, is built on first use: reducing by the ring
+    needs only N, so naming a ring whose size is still to be checked
+    holds no N-bit number.
+    """
+
+    __slots__ = ("N", "_poly")
 
     def __init__(self, N):
         if N < 1:
             raise ValueError("N must be at least 1")
         self.N = N
-        self.poly = BinaryPoly((1 << N) | 1)
+        self._poly = None
+
+    @property
+    def poly(self):
+        if self._poly is None:
+            self._poly = BinaryPoly((1 << self.N) | 1)
+        return self._poly
 
     def reduce(self, a):
         """Reduce a plain polynomial modulo x^N + 1 (folds x^N -> 1).

@@ -47,10 +47,10 @@ class ComponentCode:
     """
 
     def __init__(self, parity, identity_start=None):
-        rows = tuple(tuple(int(b) for b in row) for row in parity)
+        rows = tuple(tuple(map(int, row)) for row in parity)  # a row may be a 0/1 string
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("parity must be a nonempty rectangular matrix")
-        if any(b not in (0, 1) for r in rows for b in r):
+        if not set().union(*rows) <= {0, 1}:
             raise ValueError("parity entries must be 0 or 1")
         self.parity = rows
         if identity_start is None:
@@ -72,12 +72,13 @@ class ComponentCode:
         return cls([(1,) * q])
 
     def _is_identity_at(self, start):
-        if start < 0 or start + self.p > self.q:
+        """Whether columns start.. hold the p x p identity: row r's slice is unit row r."""
+        p = self.p
+        if start < 0 or start + p > self.q:
             return False
         return all(
-            self.parity[r][start + c] == (1 if r == c else 0)
-            for r in range(self.p)
-            for c in range(self.p)
+            row[start : start + p] == (0,) * r + (1,) + (0,) * (p - 1 - r)
+            for r, row in enumerate(self.parity)
         )
 
     def _detect_identity(self):
@@ -107,7 +108,7 @@ class ComponentCode:
             raise ValueError("a component needs 'parity', a list of 0/1 strings")
         start = d.get("identity_start")
         start = None if start is None else _int(start, "identity_start")
-        return cls([[int(ch) for ch in row] for row in rows], start)
+        return cls(rows, start)
 
 
 def _int(value, what):
@@ -130,8 +131,9 @@ class GldpcSpec:
     prelift: int | None = None
 
     def __post_init__(self):
-        self.base.ring  # a base over plain GF(2)[x] is a ValueError
+        N = self.base.ring.N  # a base over plain GF(2)[x] is a ValueError
         self.assignment = tuple(self.assignment)
+        parity = _check_spec_size(N, self.prelift, self.base.ncols, self.assignment)
         eff = self.effective_matrix()
         if len(self.assignment) != eff.nrows:
             raise ValueError(
@@ -140,38 +142,34 @@ class GldpcSpec:
         for i, comp in enumerate(self.assignment):
             if comp is None:
                 continue
-            weight = sum(1 for p in eff.rows[i] if not p.is_zero())
+            weight = sum(1 for p in eff.rows[i] if p.bits)
             if comp.q != weight:
                 raise ValueError(
                     f"component length {comp.q} != weight {weight} of constraint row {i}"
                 )
-        parity = sum(1 if c is None else c.p for c in self.assignment)
-        _check_expansion_size(parity, eff.ncols, eff.modulus.N)
-        rate = design_rate(self)
-        if not 0 < rate < 1:
-            raise ValueError(f"design rate {rate} outside (0, 1)")
+        if not 0 < parity < eff.ncols:  # the design rate 1 - parity / ncols in (0, 1)
+            raise ValueError(f"design rate {design_rate(self)} outside (0, 1)")
 
     def effective_matrix(self):
         """The constraint matrix the assignment addresses.
 
         A pre-lift sorts split column j*N1 + c by (residues(j), c, j),
-        residues(j) being per base row the exponents mod N1 of entry j.
+        residues(j) being per base row the exponents mod N1 of entry j,
+        which are the residues t whose part g_t of that entry is nonzero.
         On the [ones; x^e] base with N1 = 2 this gives the column groups
-        [even res-0 | even res-1 | odd res-0 | odd res-1].
+        [even res-0 | even res-1 | odd res-0 | odd res-1]. Each base entry
+        is split once, and the split rows are written in that order.
         """
         if self.prelift is None:
             return self.base
         N1 = self.prelift
-        P = prelift_matrix(self.base, N1)
+        m2, parts = _split_entries(self.base, N1)
         residues = [
-            tuple(tuple(sorted({e % N1 for e in p.exponents()})) for p in column)
-            for column in zip(*self.base.rows)
+            tuple(tuple(t for t, part in enumerate(entry) if part) for entry in column)
+            for column in zip(*parts)
         ]
-        order = sorted(
-            range(self.base.ncols * N1),
-            key=lambda k: (residues[k // N1], k % N1, k // N1),
-        )
-        return P.submatrix(range(P.nrows), order)
+        order = sorted((residues[j], c, j) for j in range(self.base.ncols) for c in range(N1))
+        return _lifted(parts, N1, [(j, c) for _, c, j in order], m2)
 
     def to_json_dict(self):
         d = {"N": self.base.modulus.N}
@@ -199,15 +197,31 @@ class GldpcSpec:
         exponents = d["exponents"]
         if not isinstance(exponents, list) or not exponents:
             raise ValueError("exponents must be a nonempty list of integers")
-        base = base_from_exponents([_int(e, "an exponent") for e in exponents], m)
+        exponents = [_int(e, "an exponent") for e in exponents]
         if not isinstance(d["assignment"], list):
             raise ValueError("assignment must be a list of components or nulls")
-        assignment = [
+        assignment = tuple(
             None if c is None else ComponentCode.from_dict(c)
             for c in d["assignment"]
-        ]
+        )
         prelift = _int(d["N1"], "N1") if "N1" in d else None
-        return cls(base, tuple(assignment), prelift)
+        # Sizes first: nothing of the spec's size is built past the bound.
+        _check_spec_size(m.N, prelift, len(exponents), assignment)
+        return cls(base_from_exponents(exponents, m), assignment, prelift)
+
+
+def _check_spec_size(N, prelift, ncols, assignment):
+    """A spec's parity row count, checked against the expansion bound.
+
+    Reads sizes only: N, the pre-lift N1, the base's column count and
+    each component's row count. An N1 that does not divide N is the
+    ValueError of a pre-lift.
+    """
+    N1 = 1 if prelift is None else prelift
+    N2 = _lift_ring(N, N1)
+    parity = sum(1 if c is None else c.p for c in assignment)
+    _check_expansion_size(parity, ncols * N1, N2)
+    return parity
 
 
 def base_from_exponents(exponents, modulus):
@@ -310,42 +324,65 @@ def gshort_forms(H_short, pivot=None):
     return PolyMatrix(plain_rows, mod), PolyMatrix(reduced_rows, mod)
 
 
+def _residue_parts(g, N1, N):
+    """The bits of g_0, ..., g_(N1-1) in g(x) = sum_t x^t g_t(x^N1) mod x^N + 1.
+
+    N1 divides N, and each g_t is taken over x^(N/N1) + 1.
+    """
+    parts = [0] * N1
+    for e in g.exponents():
+        parts[e % N1] |= 1 << ((e % N) // N1)
+    return parts
+
+
+def _lift_ring(N, N1):
+    """N / N1, the circulant size of a pre-lift by N1; ValueError unless N1 divides N."""
+    if N1 < 1 or N % N1:
+        raise ValueError(
+            f"N1 must be a positive divisor of N: N={N} is not divisible by N1={N1}"
+        )
+    return N // N1
+
+
+def _split_entries(H, N1):
+    """(the ring x^(N/N1) + 1, the residue parts of every entry of H)."""
+    N = H.ring.N
+    m2 = RingModulus(_lift_ring(N, N1))
+    return m2, [[_residue_parts(p, N1, N) for p in row] for row in H.rows]
+
+
+def _lifted(parts, N1, columns, m2):
+    """The pre-lifted matrix from its entries' residue parts, split columns in order.
+
+    columns lists the split columns (j, c) to write. Split row i*N1 + r
+    holds at (j, c) the entry of prelift_entry's block of base entry
+    (i, j) at (r, c): part (r - c) mod N1, times x when r < c.
+    """
+    rows = []
+    for row_parts in parts:
+        polys = [[BinaryPoly(b) for b in entry] for entry in row_parts]
+        for r in range(N1):
+            rows.append([
+                polys[j][(r - c) % N1] << 1 if r < c else polys[j][(r - c) % N1]
+                for j, c in columns
+            ])
+    return PolyMatrix(rows, m2)
+
+
 def prelift_entry(g, N1, m2):
     """N1 x N1 block over modulus m2 replacing one entry over N1 * m2.N.
 
     Decomposes g(x) = sum_t x^t g_t(x^N1): g_0 sits on the diagonal,
     with x * g_{N1-1} immediately above and g_1 immediately below.
     """
-    N = N1 * m2.N
-    parts = [0] * N1
-    for e in g.exponents():
-        parts[e % N1] |= 1 << ((e % N) // N1)
-    rows = []
-    for r in range(N1):
-        row = []
-        for c in range(N1):
-            part = BinaryPoly(parts[(r - c) % N1])
-            row.append(part << 1 if r < c else part)
-        rows.append(row)
-    return PolyMatrix(rows, m2)
+    parts = [[_residue_parts(g, N1, N1 * m2.N)]]
+    return _lifted(parts, N1, [(0, c) for c in range(N1)], m2)
 
 
 def prelift_matrix(H, N1):
     """Blockwise pre-lift of every entry; modulus drops to N / N1."""
-    mod = H.ring
-    if N1 < 1 or mod.N % N1:
-        raise ValueError(
-            f"N1 must be a positive divisor of N: N={mod.N} is not divisible by N1={N1}"
-        )
-    m2 = RingModulus(mod.N // N1)
-    blocks = [[prelift_entry(p, N1, m2) for p in row] for row in H.rows]
-    rows = []
-    for i in range(H.nrows):
-        for r in range(N1):
-            rows.append(
-                [blocks[i][j].rows[r][c] for j in range(H.ncols) for c in range(N1)]
-            )
-    return PolyMatrix(rows, m2)
+    m2, parts = _split_entries(H, N1)
+    return _lifted(parts, N1, [(j, c) for j in range(H.ncols) for c in range(N1)], m2)
 
 
 def assembled_parity(spec, eff=None):

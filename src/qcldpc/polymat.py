@@ -399,14 +399,17 @@ def write_pmx(H, path):
 
 
 def read_pmx(path, modulus=None):
-    """Read a ';'-separated polynomial matrix; '#' starts a comment."""
-    rows = []
+    """Read a ';'-separated polynomial matrix; '#' starts a comment.
+
+    Over a ring the lines are split into entries first, and their row and
+    (widest) column counts are checked against the expansion bound before
+    any term is parsed.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append([BinaryPoly.parse(t, modulus) for t in line.split(";")])
-    if not rows:
+        lines = [line.split("#", 1)[0].strip() for line in fh]
+    texts = [line.split(";") for line in lines if line]
+    if not texts:
         raise ValueError(f"no matrix rows in {path}")
-    return PolyMatrix(rows, modulus)
+    if modulus is not None:
+        _check_expansion_size(len(texts), max(map(len, texts)), modulus.N)
+    return PolyMatrix([[BinaryPoly.parse(t, modulus) for t in row] for row in texts], modulus)

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,43 @@ class TestExitCodes:
         assert err.splitlines() == [
             "error: binary expansion 3000000 x 5000000 exceeds the bound of 268435456 bits"
         ]
+
+    # N = 2,000,000,000: x^N + 1 alone is 250 MB, and one term x^(N-1) as
+    # much. Sizes are checked first, so reading the input stays small.
+    BIG_N = 2_000_000_000
+
+    def big_inputs(self, tmp_path):
+        """(argv, the error line) of each oversized input at BIG_N."""
+        with open(data_path("c1.json"), encoding="utf-8") as fh:
+            spec = json.load(fh)
+        spec["N"] = self.BIG_N
+        split = dict(spec, N1=2, assignment=[spec["assignment"][0], None, None, None])
+        bound = "exceeds the bound of 268435456 bits"
+        cases = []
+        for name, d, rows, cols in (
+            ("spec.json", spec, 4, 7), ("split.json", split, 3, 7),
+        ):
+            (tmp_path / name).write_text(json.dumps(d), encoding="utf-8")
+            cases.append((["gldpc", "--spec", str(tmp_path / name)],
+                          f"error: binary expansion {rows * self.BIG_N} x {cols * self.BIG_N} {bound}"))
+        pmx = tmp_path / "big.pmx"
+        pmx.write_text(f"x^{self.BIG_N - 1}\n", encoding="utf-8")
+        for command in ("construct", "girth"):
+            cases.append(([command, "--matrix", str(pmx), "--N", str(self.BIG_N)],
+                          f"error: binary expansion {self.BIG_N} x {self.BIG_N} {bound}"))
+        return cases
+
+    def test_oversized_inputs_are_rejected_in_little_memory(self, capsys, tmp_path):
+        for argv, line in self.big_inputs(tmp_path):
+            tracemalloc.start()
+            try:
+                code = run(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out, err = capsys.readouterr()
+            assert (code, out, err.splitlines()) == (1, "", [line]), argv
+            assert peak < 16 << 20, (argv, peak)
 
     def test_girth_past_the_edge_bound_is_one_error_line(self, capsys, monkeypatch):
         # 0,1,3 gives six terms, so this N passes the bound by a few edges,

@@ -149,6 +149,79 @@ class TestComponentCode:
         for c in (hamming64(), hamming74(), permuted74(), ComponentCode.spc(4)):
             assert ComponentCode.from_dict(c.to_dict()) == c
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_identity_detection_matches_a_scan(self, data):
+        """The rightmost identity block, and every explicit start, as an
+        entry-by-entry scan finds them; string rows read as int rows."""
+        p = data.draw(st.integers(1, 4))
+        q = data.draw(st.integers(p, 9))
+        rows = data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=q, max_size=q), min_size=p, max_size=p
+        ))
+        if data.draw(st.booleans()):  # plant a block, so that one is found
+            start = data.draw(st.integers(0, q - p))
+            for r, row in enumerate(rows):
+                row[start : start + p] = [int(r == c) for c in range(p)]
+        comp = ComponentCode(rows)
+        assert comp.identity_start == identity_by_scan(rows)
+        assert ComponentCode(["".join(map(str, row)) for row in rows]) == comp
+        for start in range(-2, q + 2):
+            if identity_at_by_scan(rows, start):
+                assert ComponentCode(rows, start).identity_start == start
+            else:
+                with pytest.raises(ValueError) as exc:
+                    ComponentCode(rows, start)
+                assert str(exc.value) == f"columns {start}.. do not form an identity"
+
+    @pytest.mark.parametrize(
+        "parity,start,message",
+        [
+            ([[1, 0], [1]], None, "parity must be a nonempty rectangular matrix"),
+            (["10", "1"], None, "parity must be a nonempty rectangular matrix"),
+            ([], None, "parity must be a nonempty rectangular matrix"),
+            ([[1, 2, 0]], None, "parity entries must be 0 or 1"),
+            ([[1, 1, 0], [0, 1, -1]], None, "parity entries must be 0 or 1"),
+            ([[1, 1, 0], [1, 0, 1]], 0, "columns 0.. do not form an identity"),
+            ([[1, 1, 0], [1, 0, 1]], 2, "columns 2.. do not form an identity"),
+            ([[1, 1, 0], [1, 0, 1]], -1, "columns -1.. do not form an identity"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, parity, start, message):
+        with pytest.raises(ValueError) as exc:
+            ComponentCode(parity, start)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "d,message",
+        [
+            ({"parity": ["10", "1"]}, "parity must be a nonempty rectangular matrix"),
+            ({"parity": []}, "parity must be a nonempty rectangular matrix"),
+            ({"parity": ["102"]}, "a component needs 'parity', a list of 0/1 strings"),
+            ({"parity": [[1, 0]]}, "a component needs 'parity', a list of 0/1 strings"),
+            ({"parity": ["110", "101"], "identity_start": 0}, "columns 0.. do not form an identity"),
+            ({"parity": ["10"], "identity_start": "0"}, "identity_start must be an integer, got '0'"),
+        ],
+    )
+    def test_dict_rejections_keep_their_messages(self, d, message):
+        with pytest.raises(ValueError) as exc:
+            ComponentCode.from_dict(d)
+        assert str(exc.value) == message
+
+
+def identity_at_by_scan(rows, start):
+    """Columns start.. of rows hold the identity, checked entry by entry."""
+    p, q = len(rows), len(rows[0])
+    if start < 0 or start + p > q:
+        return False
+    return all(rows[r][start + c] == (1 if r == c else 0) for r in range(p) for c in range(p))
+
+
+def identity_by_scan(rows):
+    """The rightmost start of an identity block, or None."""
+    p, q = len(rows), len(rows[0])
+    return next((s for s in range(q - p, -1, -1) if identity_at_by_scan(rows, s)), None)
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-50, 50) | st.floats() | st.text(max_size=6),
@@ -580,6 +653,41 @@ class TestPrelift:
         with pytest.raises(ValueError, match="not divisible"):
             GldpcSpec(base, (None,) * 4, 2)
 
+    @pytest.mark.parametrize("name", ["n79", "c1", "c2", "prelift90", "prelift68", "hamming15"])
+    def test_effective_matrix_matches_the_blocks_sorted_by_residue(self, name):
+        spec = load(f"{name}.json")
+        assert spec.effective_matrix() == effective_by_blocks(spec.base, spec.prelift or 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_effective_matrix_of_any_base_matches_the_blocks(self, data):
+        """Zero, monomial and multi-term entries; N1 = 1, a proper divisor, or N."""
+        N1 = data.draw(st.sampled_from([1, 2, 3, 4]))
+        N2 = data.draw(st.sampled_from([1, 2, 3, 5]))
+        N = N1 * N2
+        nrows = data.draw(st.integers(1, 3))
+        ncols = data.draw(st.integers(nrows + 1, 5))
+        entry = st.one_of(
+            st.just(0),
+            st.integers(0, N - 1).map(lambda e: 1 << e),
+            st.integers(0, (1 << N) - 1),
+        )
+        rows = data.draw(st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows
+        ))
+        base = PolyMatrix([[BinaryPoly(b) for b in row] for row in rows], RingModulus(N))
+        spec = GldpcSpec(base, (None,) * (nrows * N1), N1)
+        assert spec.effective_matrix() == effective_by_blocks(base, N1)
+
+    @pytest.mark.parametrize("N1", [0, -2, 3, 14])
+    def test_bad_split_keeps_its_message(self, N1):
+        base = base_from_exponents([0, 1, 3], RingModulus(7))
+        message = f"N1 must be a positive divisor of N: N=7 is not divisible by N1={N1}"
+        for build in (lambda: GldpcSpec(base, (None,) * 4, N1), lambda: prelift_matrix(base, N1)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
     def test_split_by_four_groups_columns_by_residue(self, prelift68):
         """N1 = 4: sub-column c of every residue class, base order inside."""
         spec = GldpcSpec(prelift68.base, (None,) * 8, 4)
@@ -590,6 +698,27 @@ class TestPrelift:
         order = [4 * j + c for cols in classes for c in range(4) for j in cols]
         assert S.shape == (8, 28) and S.modulus.N == 17
         assert S == P4.submatrix(range(8), order)
+
+
+def effective_by_blocks(base, N1):
+    """A pre-lift's effective matrix by its definition: the prelift_entry
+    blocks put side by side, split column j*N1 + c sorted by
+    (residues of column j, c, j)."""
+    m2 = RingModulus(base.modulus.N // N1)
+    blocks = [[prelift_entry(p, N1, m2) for p in row] for row in base.rows]
+    rows = [
+        [blocks[i][j].rows[r][c] for j in range(base.ncols) for c in range(N1)]
+        for i in range(base.nrows)
+        for r in range(N1)
+    ]
+    residues = [
+        tuple(tuple(sorted({e % N1 for e in p.exponents()})) for p in column)
+        for column in zip(*base.rows)
+    ]
+    order = sorted(
+        range(base.ncols * N1), key=lambda k: (residues[k // N1], k % N1, k // N1)
+    )
+    return PolyMatrix([[row[k] for k in order] for row in rows], m2)
 
 
 N90_SHORT = [
@@ -1062,6 +1191,14 @@ class TestExpansionBound:
         d["N"] = 10**6
         with pytest.raises(ValueError, match="binary expansion 4000000 x 7000000 exceeds"):
             GldpcSpec.from_json_dict(d)
+
+    def test_oversized_split_is_rejected_before_the_split(self, monkeypatch):
+        # Split by 2**10, the base's 2 x 3 entries would become 2**21 split
+        # entries; the sizes alone reject it.
+        monkeypatch.setattr(gldpc, "_lifted", _never)
+        base = base_from_exponents([0, 1, 3], RingModulus(1 << 20))
+        with pytest.raises(ValueError, match="binary expansion 2097152 x 3145728 exceeds"):
+            GldpcSpec(base, (None,) * (1 << 11), 1 << 10)
 
     @pytest.mark.parametrize("name", BUNDLED_SPECS)
     def test_bundled_specs_stay_far_below_the_bound(self, name):

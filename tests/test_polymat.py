@@ -563,6 +563,18 @@ class TestSerialization:
         H = read_pmx(path)
         assert H.to_text_rows() == [["1", "x"], ["0", "1+x"]]
 
+    def test_pmx_over_a_ring_checks_sizes_before_any_term(self, tmp_path):
+        # The widest row counts; the bad term is never reached.
+        path = tmp_path / "wide.pmx"
+        path.write_text("1\n1;x;x^zz\n")
+        with pytest.raises(ValueError) as exc:
+            read_pmx(path, RingModulus(10_000))
+        assert str(exc.value) == (
+            "binary expansion 20000 x 30000 exceeds the bound of 268435456 bits"
+        )
+        with pytest.raises(ValueError, match="bad polynomial term: 'x\\^zz'"):
+            read_pmx(path, RingModulus(100))
+
     def test_pmx_empty_file(self, tmp_path):
         path = tmp_path / "e.pmx"
         path.write_text("# nothing\n")

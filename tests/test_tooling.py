@@ -502,6 +502,29 @@ def test_ber_stages_splits_every_pass(passes_report, workload):
     assert stages["rest"]["s"] > 0
 
 
+@pytest.mark.parametrize("workload", ["design", "ber-waterfall", "ber-highsnr"])
+def test_passes_splits_the_set_up(passes_report, workload):
+    # A design set-up reads three .pmx files and builds six specs, each of
+    # which makes its effective matrix once; a BER set-up loads one spec
+    # and constructs its generator.
+    report = passes_report(workload)
+    stages = report["setup_stages"]
+    calls = (
+        {"pmx": 3, "json": 6, "build": 6, "effective": 6}
+        if workload == "design"
+        else {"load_spec": 1, "construct_generator": 1}
+    )
+    assert list(stages) == [*calls, "rest"]
+    assert {name: stages[name]["calls"] for name in calls} == calls
+    assert all(stages[name]["s"] > 0 for name in calls)
+    assert report["setup_s_median"] > 0
+    # rest is the median over set-ups of the set-up less its outer stages,
+    # so the stages sum to less than the set-up in every one of them.
+    assert stages["rest"]["s"] > 0
+    if workload == "design":
+        assert stages["effective"]["s"] < stages["build"]["s"]
+
+
 def test_passes_rejects_an_unknown_workload_and_a_single_pass():
     tool = [sys.executable, str(ROOT / "tools" / "passes.py")]
     for argv, words in (

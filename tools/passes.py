@@ -59,8 +59,19 @@ construct job are counted too. ``clmul`` is wrapped in every ``qcldpc``
 module that binds it, as perfbench's tracer rebinds imports. The counts
 repeat exactly from pass to pass, and the last pass's are reported.
 
-One table line per stage (BER) or spec (``design``) goes to stdout, and
-the last line is one JSON object.
+After the passes the tool times ``SETUP_SAMPLES`` set-ups with nothing
+wrapped, for ``setup_s_median``, and as many again with the set-up's
+stage names wrapped, for the set-up split: on ``design`` the ``.pmx``
+reads (``polymat.read_pmx``), the spec JSON parse (``json.load``), the
+spec build (``GldpcSpec.from_json_dict``) and, inside the build, the
+effective matrix (``GldpcSpec.effective_matrix``); on a BER workload
+``load_spec`` and ``construct_generator``. Per stage it reports the
+median seconds and calls per set-up; ``rest`` is the median of what
+each wrapped set-up spent outside its outer stages (file opens and
+reads, on ``design``).
+
+One table line per stage (BER) or spec (``design``) goes to stdout, then
+one per set-up stage, and the last line is one JSON object.
 """
 
 from __future__ import annotations
@@ -92,6 +103,7 @@ SEARCH_STAGES = {
     "rounds": "_lightest_round_row",
     "random": "_lightest_random",
 }
+SETUP_SAMPLES = 30
 
 
 def clock(thunk):
@@ -107,9 +119,10 @@ def minor_faults():
 def wrap(owner, name, stage, seconds, calls):
     """Rebind owner.name to add each call's seconds and count to its stage.
 
-    Returns a function that puts the original back.
+    Returns a function that puts the original back (a class keeps its
+    own descriptor, such as a classmethod).
     """
-    fn = getattr(owner, name)
+    fn, original = getattr(owner, name), vars(owner)[name]
 
     def timed(*args, **kwargs):
         start = perf_counter()
@@ -120,7 +133,7 @@ def wrap(owner, name, stage, seconds, calls):
             calls[stage] += 1
 
     setattr(owner, name, timed)
-    return lambda: setattr(owner, name, fn)
+    return lambda: setattr(owner, name, original)
 
 
 def wrap_stages(workload, seconds, calls):
@@ -143,6 +156,46 @@ def wrap_stages(workload, seconds, calls):
         wrap(binmat.RowEchelon, "add", "echelon_adds", seconds, calls),
         *(wrap(module, "clmul", "poly_products", seconds, calls) for module in binders),
     ]
+
+
+def setup_stages(workload):
+    """(stage, owner, name) of each set-up stage of the workload called ``workload``."""
+    from qcldpc import gldpc, polymat
+
+    if workload != "design":
+        return [(name, gldpc, name) for name in ("load_spec", "construct_generator")]
+    return [
+        ("pmx", polymat, "read_pmx"),
+        ("json", json, "load"),
+        ("build", gldpc.GldpcSpec, "from_json_dict"),
+        ("effective", gldpc.GldpcSpec, "effective_matrix"),  # inside build
+    ]
+
+
+def setup_split(name, workload):
+    """The median seconds of the set-up of workload ``name``, unwrapped, and its stage rows."""
+    targets = setup_stages(name)
+    seconds, calls, unwrapped, samples = Counter(), Counter(), [], []
+    for _ in range(SETUP_SAMPLES):  # alternately unwrapped and wrapped
+        unwrapped.append(clock(workload.setup)[1])
+        undos = [wrap(owner, attr, stage, seconds, calls) for stage, owner, attr in targets]
+        try:
+            seconds.clear()
+            calls.clear()
+            samples.append((clock(workload.setup)[1], seconds.copy(), calls.copy()))
+        finally:
+            for undo in undos:
+                undo()
+    rows = {
+        stage: {
+            "s": median(s[stage] for _, s, _ in samples),
+            "calls": median(c[stage] for _, _, c in samples),
+        }
+        for stage, _, _ in targets
+    }
+    outer = [stage for stage in rows if stage != "effective"]
+    rows["rest"] = {"s": median(t - sum(s[stage] for stage in outer) for t, s, _ in samples)}
+    return {"setup_s_median": median(unwrapped), "setup_stages": rows}, rows
 
 
 def ber_split(passes):
@@ -204,10 +257,11 @@ def design_split(passes, specs):
 
 def print_table(first, rows):
     columns = list(dict.fromkeys(c for row in rows.values() for c in row))
-    print(f"{first:<12}" + "".join(f"{c:>14}" for c in columns))
+    width = max(12, *(len(name) + 1 for name in rows))
+    print(f"{first:<{width}}" + "".join(f"{c:>14}" for c in columns))
     for name, row in rows.items():
         cells = (f"{row[c]:>14.6g}" if c in row else " " * 14 for c in columns)
-        print(f"{name:<12}" + "".join(cells))
+        print(f"{name:<{width}}" + "".join(cells))
 
 
 def main(argv=None):
@@ -261,7 +315,9 @@ def main(argv=None):
         report, rows = design_split(split, workload.specs)
     else:
         report, rows = ber_split(split)
+    setup_report, setup_rows = setup_split(args.workload, workload)
     print_table("spec" if args.workload == "design" else "stage", rows)
+    print_table("setup stage", setup_rows)
     q1, _, q3 = quantiles(faults, n=4, method="inclusive")
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "passes": args.passes,
@@ -269,7 +325,7 @@ def main(argv=None):
         "minor_faults_per_pass": {
             "median": median(faults), "q1": q1, "q3": q3, "min": min(faults), "max": max(faults),
         },
-        "pass_s_median": median(pass_s), **report,
+        "pass_s_median": median(pass_s), **report, **setup_report,
     }))
     return 1 if failed else 0
 
