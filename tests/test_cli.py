@@ -414,6 +414,13 @@ CLI_STDOUT_SHA256 = {
         "4846c0e93d62ad402f78b3d52a756c58d7c0885719d34fa328de0b2f4b6b607a",
     "distance --spec c2.json --iterations 2000 --seed 1 --threads 3":
         "b78df11cab0ed0fe6f0d985c51fd33e756b940a4cee90c9c0ccc68eae6a9cc47",
+    # These three run information-set rounds; the two above end in the pair sweep.
+    "distance --spec c1.json --iterations 30000 --seed 1":
+        "7a1553ab4a553220bfc838185defe3299c66eb8ce1d2d399ab8ecc899f385a8a",
+    "distance --spec n79.json --iterations 20000 --seed 3":
+        "9664dcd6ee2c5d1327671299deeb3f72e3bd735aae25ee781959c806554d90ac",
+    "distance --spec prelift68.json --iterations 20000 --seed 2 --threads 2":
+        "fb694d166b15d802ae1343f60d781513f6a35d9b75fcbf5cb929837cae449a94",
     "rank --matrix ex1.pmx --N 44":
         "c42494dddb5fd93f22906986da638b1b712599c6bcf21ec2fc7bf32e91274081",
     "rank --matrix ex1.pmx --N 45":
