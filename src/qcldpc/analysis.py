@@ -136,6 +136,14 @@ _GIRTH_SEEN_BYTES = 1 << 16  # cap on the seen-flags of one batch of BFS roots
 _MAX_TANNER_EDGES = 1 << 23
 
 
+def _check_tanner_edges(edges: int) -> None:
+    """ValueError when a Tanner graph of ``edges`` edges is over ``_MAX_TANNER_EDGES``."""
+    if edges > _MAX_TANNER_EDGES:
+        raise ValueError(
+            f"Tanner graph of {edges} edges exceeds the bound of {_MAX_TANNER_EDGES} edges"
+        )
+
+
 def girth(H: PolyMatrix | BinMatrix) -> float:
     """Length of the shortest Tanner-graph cycle, or math.inf if none exists.
 
@@ -157,11 +165,7 @@ def girth(H: PolyMatrix | BinMatrix) -> float:
     stops every later batch one layer short of the widest one.
     """
     if isinstance(H, PolyMatrix):
-        edges = H.ring.N * sum(p.bits.bit_count() for row in H.rows for p in row)
-        if edges > _MAX_TANNER_EDGES:
-            raise ValueError(
-                f"Tanner graph of {edges} edges exceeds the bound of {_MAX_TANNER_EDGES} edges"
-            )
+        _check_tanner_edges(H.ring.N * sum(p.bits.bit_count() for row in H.rows for p in row))
     var_table, check_table = _tanner_tables(H)
     m, nodes = len(check_table), len(check_table) + len(var_table)
     step = H.modulus.N if isinstance(H, PolyMatrix) else 1
@@ -314,8 +318,9 @@ def low_weight_search(
     rank(G) rows whatever the order, so a round uses up rank(G)
     evaluations (fewer where the budget ends) and the draw stream never
     depends on what a round finds. The rounds are drawn in order with the
-    combinations, then reduced together in batches, each round leaving
-    its batch's lockstep at its last pivot (see ``_lightest_round_row``).
+    combinations, then reduced together in batches, one plain lockstep a
+    batch, which ends once every round in it has its rank pivots (see
+    ``_lightest_round_row``).
     """
     k = Gb.nrows
     # Single rows are always swept so the report is well formed even on a
@@ -598,62 +603,47 @@ def _lightest_round_row(
     step c takes each round's c-th column, picks its first unused row with
     that bit as the pivot, and clears the bit from every other row. A
     round's t-th pivot row is the one it rates t-th, at evaluation index
-    first + t. A round leaves the lockstep at its rank-th pivot, since no
-    later column can change its rows: it swaps places with the last round
-    still eliminating, inside the one work array, and later steps work on
-    the leading rounds only. ``held`` maps each place to its round.
+    first + t. A round with rank pivots has no unused nonzero row left, so
+    later steps find it no pivot and change none of its rows; its pivot
+    writes land in the spare column rank of ``order``. The lockstep ends
+    when every round holds rank pivots.
     """
     n_rounds, k = len(rounds), words.shape[1]
-    # Word and bit of each step's column, one column of the table per place.
+    every = np.arange(n_rounds)
+    # Word and bit of each step's column, one column of the table per round.
     lanes = np.stack([perm >> 6 for perm, _, _ in rounds], axis=1).astype(np.int32)
     shifts = np.stack([perm & 63 for perm, _, _ in rounds], axis=1).astype(np.uint8)
     work = np.repeat(words[None], n_rounds, axis=0)
     flip = np.empty_like(work)
-    held = np.arange(n_rounds)
-    places = np.arange(n_rounds)
     unused = np.ones((n_rounds, k), dtype=bool)
-    order = np.zeros((n_rounds, rank), dtype=np.intp)
+    order = np.zeros((n_rounds, rank + 1), dtype=np.intp)
     found = np.zeros(n_rounds, dtype=np.intp)
-    live, check = n_rounds, rank - 1  # no round holds rank pivots before step check
     for c in range(len(lanes)):
-        at = places[:live]
-        hit = work[at, lanes[c, :live]]
-        hit &= _BITS[shifts[c, :live], None]
+        hit = work[every, lanes[c]]
+        hit &= _BITS[shifts[c], None]
         hit = hit.astype(bool)
-        free = hit & unused[:live]
+        free = hit & unused
         sel = free.argmax(axis=1)
-        pivots = free[at, sel]
-        hit[at, sel] = False  # the pivot row keeps its bit
+        pivots = free[every, sel]
+        hit[every, sel] = False  # the pivot row keeps its bit
         mask = hit.astype(np.uint64)
         np.negative(mask, out=mask)  # 1 -> all ones
-        pivot_rows = work[at, :, sel]
+        pivot_rows = work[every, :, sel]
         pivot_rows *= pivots[:, None]  # a round without a pivot here clears nothing
-        np.bitwise_and(pivot_rows[:, :, None], mask[:, None], out=flip[:live])
-        work[:live] ^= flip[:live]
-        unused[at, sel] ^= pivots
-        order[at, found[:live]] = sel
-        found[:live] += pivots
-        if c < check:
-            continue
-        for s in np.flatnonzero(found[:live] == rank)[::-1]:
-            live -= 1
-            swap = [s, live], [live, s]
-            for a in (work, unused, order, found, held):
-                a[swap[0]] = a[swap[1]]
-            for a in (lanes, shifts):
-                a[:, swap[0]] = a[:, swap[1]]
-        if not live:
+        np.bitwise_and(pivot_rows[:, :, None], mask[:, None], out=flip)
+        work ^= flip
+        unused[every, sel] ^= pivots
+        order[every, found] = sel
+        found += pivots
+        if found.min() == rank:
             break
-        check = c + rank - int(found[:live].max())
-    place = np.argsort(held)  # round r is at place[r]
     # Weights less one: a pivot row is never zero, so none wraps.
-    weight = _weights(np.bitwise_count(work).swapaxes(0, 1))[places[:, None], order][place]
+    weight = _weights(np.bitwise_count(work).swapaxes(0, 1))[every[:, None], order[:, :rank]]
     # Only the last round can end the budget before its last row.
     weight[-1, rounds[-1][2] :] = np.iinfo(weight.dtype).max
     at = int(weight.argmin())  # row-major: the first evaluated of the lightest
     r, t = divmod(at, rank)
-    s = place[r]
-    word = int.from_bytes(work[s, :, order[s, t]].tobytes(), "little")
+    word = int.from_bytes(work[r, :, order[r, t]].tobytes(), "little")
     return int(weight[r, t]) + 1, rounds[r][1] + t, word
 
 

@@ -19,6 +19,7 @@ from dataclasses import replace
 
 from .analysis import (
     DistanceReport,
+    _check_tanner_edges,
     bounds_combine,
     girth,
     low_weight_search,
@@ -142,6 +143,7 @@ def _cmd_girth(args) -> int:
         if args.N is None:
             raise ValueError("--N is required with --exponents")
         exps = _parse_list(args.exponents, "exponents", int, "integers")
+        _check_tanner_edges(2 * len(exps) * args.N)  # [ones; x^e]: one term an entry
         H = base_from_exponents(exps, RingModulus(args.N))
     elif args.matrix:
         H = _read_matrix(args)

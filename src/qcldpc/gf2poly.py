@@ -157,10 +157,6 @@ class BinaryPoly:
         return f"BinaryPoly({self.to_text()!r})"
 
 
-ZERO = BinaryPoly(0)
-ONE = BinaryPoly(1)
-
-
 def _divmod_bits(a, b):
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
@@ -190,19 +186,6 @@ def gcd(a, b):
         else:
             x ^= y << shift
     return BinaryPoly(x)
-
-
-def xgcd(a, b):
-    """Extended gcd: returns (g, u, v) with u*a + v*b = g in GF(2)[x]."""
-    r0, r1 = a, b
-    u0, u1 = ONE, ZERO
-    v0, v1 = ZERO, ONE
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 + q * u1
-        v0, v1 = v1, v0 + q * v1
-    return r0, u0, v0
 
 
 class RingModulus:
@@ -269,12 +252,25 @@ def is_unit(a, modulus):
 
 
 def inverse_mod(a, modulus):
-    """Inverse of a modulo x^N + 1; raises NotInvertible if none exists."""
-    a = modulus.reduce(a)
-    g, u, _ = xgcd(a, modulus.poly)
-    if g.bits != 1:
-        raise NotInvertible(f"gcd with x^{modulus.N}+1 is {g}, not 1")
-    return modulus.reduce(u)
+    """Inverse of a modulo x^N + 1; raises NotInvertible if none exists.
+
+    ``gcd``'s loop on a and x^N + 1, each remainder carrying its cofactor
+    of a: x = u·a and y = w·a modulo x^N + 1, so u is the inverse once
+    the gcd x is 1.
+    """
+    x, y = modulus.reduce(a).bits, modulus.poly.bits
+    u, w = 1, 0
+    length = y.bit_length()
+    while y:
+        shift = x.bit_length() - length
+        if shift < 0:
+            x, y, u, w, length = y, x, w, u, length + shift
+        else:
+            x ^= y << shift
+            u ^= w << shift
+    if x != 1:
+        raise NotInvertible(f"gcd with x^{modulus.N}+1 is {BinaryPoly(x)}, not 1")
+    return modulus.reduce(BinaryPoly(u))
 
 
 # Byte b reversed: bit k of b is bit 7 - k of _REVERSED_BYTES[b].

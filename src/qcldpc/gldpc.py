@@ -142,11 +142,13 @@ class GldpcSpec:
         for i, comp in enumerate(self.assignment):
             if comp is None:
                 continue
-            weight = sum(1 for p in eff.rows[i] if p.bits)
-            if comp.q != weight:
+            entries = [p.bits for p in eff.rows[i] if p.bits]
+            if comp.q != len(entries):
                 raise ValueError(
-                    f"component length {comp.q} != weight {weight} of constraint row {i}"
+                    f"component length {comp.q} != weight {len(entries)} of constraint row {i}"
                 )
+            if any(bits & (bits - 1) for bits in entries):
+                raise ValueError("generalized rows must have monomial entries")
         if not 0 < parity < eff.ncols:  # the design rate 1 - parity / ncols in (0, 1)
             raise ValueError(f"design rate {design_rate(self)} outside (0, 1)")
 
@@ -252,11 +254,8 @@ def design_rate(spec):
 
 
 def _component_rows(row, comp):
-    """Component parity rows placed at the row's support, entrywise scaled."""
+    """Component parity rows placed at the row's support, scaled by its monomial entries."""
     support = [c for c, p in enumerate(row) if not p.is_zero()]
-    for c in support:
-        if len(row[c].exponents()) != 1:
-            raise ValueError("generalized rows must have monomial entries")
     out = []
     for r in range(comp.p):
         new = [BinaryPoly(0)] * len(row)

@@ -565,10 +565,11 @@ class TestLowWeightSearch:
     @settings(max_examples=80, deadline=None)
     @given(repeated_column_generators(), st.integers(0, 2**32 - 1), st.integers(1, 9))
     def test_round_batch_rates_what_each_round_rates_alone(self, Gb, seed, n_rounds):
-        # Each round of the batch leaves the lockstep at its own step; the
-        # batch's lightest row must be the lightest of the rows that each
-        # round's reduced echelon form rates on its own, the budget
-        # ending inside the last round.
+        # Each round of the batch gets its last pivot at its own step and
+        # then stays as it is while the others go on; the batch's lightest
+        # row must be the lightest of the rows that each round's reduced
+        # echelon form rates on its own, the budget ending inside the last
+        # round.
         rank = rank_scalar(Gb)
         assume(rank > 0)
         rng = np.random.default_rng(seed)

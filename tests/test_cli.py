@@ -268,6 +268,10 @@ class TestExitCodes:
         for command in ("construct", "girth"):
             cases.append(([command, "--matrix", str(pmx), "--N", str(self.BIG_N)],
                           f"error: binary expansion {self.BIG_N} x {self.BIG_N} {bound}"))
+        edges = 6 * self.BIG_N  # [ones; x^e] over three exponents
+        cases.append((["girth", "--exponents", f"0,1,{self.BIG_N - 1}", "--N", str(self.BIG_N)],
+                      f"error: Tanner graph of {edges} edges exceeds the bound of "
+                      f"{analysis._MAX_TANNER_EDGES} edges"))
         return cases
 
     def test_oversized_inputs_are_rejected_in_little_memory(self, capsys, tmp_path):

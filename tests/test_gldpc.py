@@ -292,6 +292,17 @@ class TestSpecAndRate:
         with pytest.raises(ValueError, match="component length"):
             GldpcSpec(base, (hamming64(), None))
 
+    def test_generalized_row_with_a_multi_term_entry_rejected(self):
+        # JSON bases are monomial; a base built in Python need not be. A
+        # component would scale its parity rows by x + x^2 here.
+        m = RingModulus(7)
+        rows = base_from_exponents(range(7), m).rows
+        rows[1][1] = P("x+x^2")
+        base = PolyMatrix(rows, m)
+        assert GldpcSpec(base, (hamming74(), None)).assignment[1] is None
+        with pytest.raises(ValueError, match="^generalized rows must have monomial entries$"):
+            GldpcSpec(base, (None, hamming74()))
+
     def test_degenerate_rate_rejected(self):
         base = base_from_exponents([0, 1, 3], RingModulus(7))
         comp = ComponentCode([[1, 1, 0], [0, 1, 1]], identity_start=None)
