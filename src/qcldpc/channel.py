@@ -130,7 +130,7 @@ class DecoderConfig:
     """Iteration and clipping limits for the message-passing decoder.
 
     ``llr_clip`` bounds every prior a constraint update sees; it must be
-    a positive number (NaN is rejected).
+    a positive, finite number (NaN and inf are rejected).
     """
 
     max_iterations: int = 100
@@ -141,6 +141,8 @@ class DecoderConfig:
             raise ValueError("max_iterations must be at least 1")
         if not self.llr_clip > 0:
             raise ValueError(f"llr_clip must be positive, got {self.llr_clip}")
+        if not math.isfinite(self.llr_clip):
+            raise ValueError(f"llr_clip must be finite, got {self.llr_clip}")
 
 
 @dataclass(frozen=True)
@@ -874,7 +876,7 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     expand_binary(spec); the decoder stops at the first such iteration.
     This is the one-frame call of the decoder monte_carlo runs on chunks
     of frames. A NaN LLR is rejected; +-inf are accepted, since the clip
-    bounds every prior.
+    bounds every prior and ``DecoderConfig`` holds the clip finite.
     """
     if cfg is None:
         cfg = DecoderConfig()
@@ -922,8 +924,13 @@ def monte_carlo(
     Each trial draws its own generator from (master seed, SNR index,
     trial index), so results are reproducible and order-independent. A
     SNR point stops at ``min_block_errors`` or ``max_trials``, whichever
-    comes first; ``max_trials`` of 0 yields an empty result list. A
-    non-finite SNR point is rejected.
+    comes first; ``max_trials`` of 0 yields an empty result list.
+
+    Before any trial is drawn, a ValueError rejects: an SNR point that is
+    not finite or whose noise variance 1 / (2 * 10^(snr/10)) is not a
+    positive finite float (above about 3080 dB or below -3086 dB); a
+    ``stop`` key other than ``min_block_errors`` and ``max_trials``; a
+    negative ``max_trials``; and a ``min_block_errors`` below 1.
 
     Trials are drawn in order, point after point, and decoded in chunks
     of frames that may span points. Errors are counted in trial order and
@@ -932,11 +939,20 @@ def monte_carlo(
     its early stop.
     """
     snrs = list(snr_list)
-    if not all(math.isfinite(s) for s in snrs):
-        raise ValueError(f"SNR points must be finite, got {snrs}")
-    stop = stop or {}
-    min_block_errors = stop.get("min_block_errors", 100)
-    max_trials = stop.get("max_trials", 1000)
+    with np.errstate(all="ignore"):  # a NaN, inf or out-of-range point fails below
+        sigma2 = 1.0 / (2.0 * 10.0 ** (np.array(snrs, dtype=np.float64) / 10.0))
+    if not np.all((sigma2 > 0) & (sigma2 < np.inf)):
+        raise ValueError(
+            f"SNR points must be finite and give a positive finite noise variance, got {snrs}"
+        )
+    stop = {"min_block_errors": 100, "max_trials": 1000, **(stop or {})}
+    if len(stop) != 2:
+        raise ValueError(f"stop takes min_block_errors and max_trials, got {sorted(stop)}")
+    min_block_errors, max_trials = stop["min_block_errors"], stop["max_trials"]
+    if max_trials < 0 or min_block_errors < 1:
+        raise ValueError(
+            f"stop needs max_trials >= 0 and min_block_errors >= 1, got {stop}"
+        )
     if max_trials == 0:
         return []
     if cfg is None:

@@ -9,13 +9,16 @@ incomplete generator, bad file), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import random
 import sys
+import tempfile
 from dataclasses import replace
+from functools import partial
 
 from .analysis import (
     DistanceReport,
@@ -64,13 +67,19 @@ def _read_matrix(args) -> PolyMatrix:
     return read_pmx(_resolve(args.matrix), RingModulus(args.N))
 
 
+@contextlib.contextmanager
+def _sink(out: str | None):
+    """The file named by --out, or stdout when there is none."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        yield fh
+
+
 def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _sink(out) as fh:
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _check_inputs(args):
@@ -222,8 +231,7 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
         cfg=cfg,
     )
-    fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _sink(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["snr_db", "trials", "bit_errors", "block_errors", "ber", "bler"])
         for r in rows:
@@ -231,9 +239,6 @@ def _cmd_simulate(args) -> int:
                 [r.snr_es_n0_db, r.trials, r.bit_errors, r.block_errors,
                  f"{r.ber:.8g}", f"{r.bler:.8g}"]
             )
-    finally:
-        if args.out:
-            fh.close()
     return 0
 
 
@@ -248,100 +253,82 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _selftest_checks():
-    """Golden-corpus checks over the bundled data files."""
-    ex1 = os.path.join(_DATA_DIR, "ex1.pmx")
+def _rank_check(N, want_rank, want_dim):
+    rep = rank_qc(read_pmx(os.path.join(_DATA_DIR, "ex1.pmx")), RingModulus(N))
+    ok = (rep.rank, rep.dimension) == (want_rank, want_dim)
+    return ok, f"rank {rep.rank}, dimension {rep.dimension}"
 
-    def rank_check(N, want_rank, want_dim):
-        def check():
-            rep = rank_qc(read_pmx(ex1), RingModulus(N))
-            return (rep.rank, rep.dimension) == (want_rank, want_dim), (
-                f"rank {rep.rank}, dimension {rep.dimension}"
-            )
 
-        return check
+def _case1_check():
+    H = read_pmx(os.path.join(_DATA_DIR, "ar4ja.pmx"), RingModulus(4))
+    result, _ = generator_case1(H)
+    d = min_distance_exact(circulant_expand(result.matrix))
+    ok = result.complete and result.target_dimension == 8 and d == 4
+    return ok, f"dimension {result.target_dimension}, distance {d}"
 
-    yield "rank N=45", rank_check(45, 132, 93)
-    yield "rank N=46", rank_check(46, 132, 98)
-    yield "rank N=44", rank_check(44, 126, 94)
 
-    def case1_check():
-        H = read_pmx(os.path.join(_DATA_DIR, "ar4ja.pmx"), RingModulus(4))
-        result, standard = generator_case1(H)
-        d = min_distance_exact(circulant_expand(result.matrix))
-        ok = result.complete and result.target_dimension == 8 and d == 4
-        return ok, f"dimension {result.target_dimension}, distance {d}"
+def _gldpc_check(name, want_dim, want_weight=None):
+    result = construct_generator(load_spec(os.path.join(_DATA_DIR, name)))
+    ok = result.complete and result.target_dimension == want_dim
+    detail = f"dimension {result.target_dimension}"
+    if want_weight is not None:
+        weights = {sum(p.weight() for p in row) for row in result.matrix.rows}
+        ok = ok and weights == {want_weight}
+        detail += f", row weights {sorted(weights)}"
+    return ok, detail
 
-    yield "case-1 generator", case1_check
 
-    def gldpc_check(name, want_dim, want_weight=None):
-        def check():
-            result = construct_generator(load_spec(os.path.join(_DATA_DIR, name)))
-            ok = result.complete and result.target_dimension == want_dim
-            detail = f"dimension {result.target_dimension}"
-            if want_weight is not None:
-                weights = {
-                    sum(p.weight() for p in row) for row in result.matrix.rows
-                }
-                ok = ok and weights == {want_weight}
-                detail += f", row weights {sorted(weights)}"
-            return ok, detail
+def _prelift68_check():
+    H1s, _, _ = reduce_spec(load_spec(os.path.join(_DATA_DIR, "prelift68.json")))
+    rep = rank_qc(H1s)
+    rest, _, _ = schur_reduce(H1s, (1, 2, 3), (1, 2, 3))
+    want = [
+        "1+x^9+x^14+x^15+x^18+x^24",
+        "1+x+x^2+x^3+x^4+x^5+x^8+x^9+x^15+x^27+x^32+x^33",
+        "x^2+x^4+x^5+x^8+x^15+x^22+x^25+x^27+x^31+x^32+x^33",
+        "x+x^3+x^4+x^5+x^8+x^9+x^21+x^23+x^25+x^27+x^33",
+        "x+x^2+x^3+x^7+x^9+x^15+x^21+x^31+x^32",
+    ]
+    ok = rep.dimension == 136 and rest.to_text_rows()[0] == want
+    return ok, f"kernel dimension {rep.dimension}"
 
-        return check
 
-    yield "generalized N=79", gldpc_check("n79.json", 158, 16)
-    yield "generalized C1", gldpc_check("c1.json", 204, 16)
-    yield "generalized C2", gldpc_check("c2.json", 72)
-    yield "pre-lifted N=90", gldpc_check("prelift90.json", 91)
+def _girth_check(name, want):
+    g = girth(load_spec(os.path.join(_DATA_DIR, name)).effective_matrix())
+    return g == want, f"girth {g}"
 
-    def prelift68_check():
-        H1s, _, _ = reduce_spec(load_spec(os.path.join(_DATA_DIR, "prelift68.json")))
-        rep = rank_qc(H1s)
-        rest, _, _ = schur_reduce(H1s, (1, 2, 3), (1, 2, 3))
-        want = [
-            "1+x^9+x^14+x^15+x^18+x^24",
-            "1+x+x^2+x^3+x^4+x^5+x^8+x^9+x^15+x^27+x^32+x^33",
-            "x^2+x^4+x^5+x^8+x^15+x^22+x^25+x^27+x^31+x^32+x^33",
-            "x+x^3+x^4+x^5+x^8+x^9+x^21+x^23+x^25+x^27+x^33",
-            "x+x^2+x^3+x^7+x^9+x^15+x^21+x^31+x^32",
-        ]
-        ok = rep.dimension == 136 and rest.to_text_rows()[0] == want
-        return ok, f"kernel dimension {rep.dimension}"
 
-    yield "pre-lift reduction N=34", prelift68_check
+def _alist_check():
+    Hb = expand_binary(load_spec(os.path.join(_DATA_DIR, "c1.json")))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c1.alist")
+        write_alist(Hb, path)
+        back = read_alist(path)
+    ok = back.rows == Hb.rows and back.ncols == Hb.ncols
+    return ok, f"{Hb.nrows} x {Hb.ncols}"
 
-    def girth_check(name, want):
-        def check():
-            g = girth(load_spec(os.path.join(_DATA_DIR, name)).effective_matrix())
-            return g == want, f"girth {g}"
 
-        return check
-
-    yield "girth N=79", girth_check("n79.json", 12)
-    yield "girth C1", girth_check("c1.json", 12)
-    yield "girth N=376", girth_check("hamming15.json", 12)
-
-    def alist_check():
-        import tempfile
-
-        spec = load_spec(os.path.join(_DATA_DIR, "c1.json"))
-        Hb = expand_binary(spec)
-        with tempfile.NamedTemporaryFile("w", suffix=".alist", delete=False) as fh:
-            path = fh.name
-        try:
-            write_alist(Hb, path)
-            back = read_alist(path)
-            ok = back.rows == Hb.rows and back.ncols == Hb.ncols
-        finally:
-            os.unlink(path)
-        return ok, f"{Hb.nrows} x {Hb.ncols}"
-
-    yield "alist round trip", alist_check
+# The golden-corpus checks over the bundled data files, in report order.
+_SELFTEST_CHECKS = (
+    ("rank N=45", partial(_rank_check, 45, 132, 93)),
+    ("rank N=46", partial(_rank_check, 46, 132, 98)),
+    ("rank N=44", partial(_rank_check, 44, 126, 94)),
+    ("case-1 generator", _case1_check),
+    ("generalized N=79", partial(_gldpc_check, "n79.json", 158, 16)),
+    ("generalized C1", partial(_gldpc_check, "c1.json", 204, 16)),
+    ("generalized C2", partial(_gldpc_check, "c2.json", 72)),
+    ("pre-lifted N=90", partial(_gldpc_check, "prelift90.json", 91)),
+    ("pre-lift reduction N=34", _prelift68_check),
+    ("girth N=79", partial(_girth_check, "n79.json", 12)),
+    ("girth C1", partial(_girth_check, "c1.json", 12)),
+    ("girth N=376", partial(_girth_check, "hamming15.json", 12)),
+    ("alist round trip", _alist_check),
+)
 
 
 def _cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks():
+    for name, check in _SELFTEST_CHECKS:
         try:
             ok, detail = check()
         except Exception as exc:  # a corpus check must never abort the table
@@ -360,9 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quasi-cyclic and generalized LDPC construction toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The one input of construct, girth, distance, encode and export.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--matrix", help=".pmx parity-check matrix")
+    inputs.add_argument("--N", type=int, help="circulant size")
+    inputs.add_argument("--spec", help="GLDPC spec JSON")
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, fn, help_text, parents=()):
+        p = sub.add_parser(name, help=help_text, parents=parents)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the artifact here instead of stdout")
         return p
@@ -371,10 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help=".pmx file (plain polynomials)")
     p.add_argument("--N", type=int, required=True, help="circulant size")
 
-    p = add("construct", _cmd_construct, "synthesize a polynomial generator matrix")
-    p.add_argument("--matrix", help=".pmx parity-check matrix")
-    p.add_argument("--N", type=int, help="circulant size")
-    p.add_argument("--spec", help="GLDPC spec JSON")
+    p = add("construct", _cmd_construct, "synthesize a polynomial generator matrix", [inputs])
     p.add_argument(
         "--case1", action="store_true",
         help="single-selection construction with standard form (needs --matrix)",
@@ -383,16 +372,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("gldpc", _cmd_gldpc, "assemble and reduce a GLDPC spec end to end")
     p.add_argument("--spec", required=True, help="GLDPC spec JSON")
 
-    p = add("girth", _cmd_girth, "Tanner-graph girth")
-    p.add_argument("--matrix", help=".pmx matrix")
-    p.add_argument("--spec", help="GLDPC spec JSON (uses its base graph)")
+    p = add("girth", _cmd_girth, "Tanner-graph girth", [inputs])
     p.add_argument("--exponents", help="comma-separated circulant exponents")
-    p.add_argument("--N", type=int, help="circulant size")
 
-    p = add("distance", _cmd_distance, "minimum-distance bounds")
-    p.add_argument("--matrix", help=".pmx parity-check matrix")
-    p.add_argument("--N", type=int, help="circulant size")
-    p.add_argument("--spec", help="GLDPC spec JSON")
+    p = add("distance", _cmd_distance, "minimum-distance bounds", [inputs])
     p.add_argument("--exact", action="store_true", help="exhaustive enumeration")
     p.add_argument("--budget", type=int, default=1 << 24, help="message budget for --exact")
     p.add_argument("--iterations", type=int, default=100_000)
@@ -403,10 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of search seeds, run in turn from --seed; each takes --iterations / T",
     )
 
-    p = add("encode", _cmd_encode, "encode a message with a constructed generator")
-    p.add_argument("--matrix", help=".pmx parity-check matrix")
-    p.add_argument("--N", type=int, help="circulant size")
-    p.add_argument("--spec", help="GLDPC spec JSON")
+    p = add("encode", _cmd_encode, "encode a message with a constructed generator", [inputs])
     p.add_argument("--message", help="semicolon-separated message polynomials")
     p.add_argument("--seed", type=int, default=0, help="seed for a random message")
 
@@ -416,16 +396,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-trials", type=int, default=1000)
     p.add_argument("--min-block-errors", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--llr-clip", type=float, default=20.0)
+    p.add_argument("--max-iterations", type=int, default=DecoderConfig.max_iterations)
+    p.add_argument("--llr-clip", type=float, default=DecoderConfig.llr_clip)
 
-    p = add("export", _cmd_export, "write a matrix as alist or .pmx")
-    p.add_argument("--spec", help="GLDPC spec JSON")
-    p.add_argument("--matrix", help=".pmx matrix")
-    p.add_argument("--N", type=int, help="circulant size")
+    p = add("export", _cmd_export, "write a matrix as alist or .pmx", [inputs])
     p.add_argument("--format", choices=["alist", "pmx"], default="alist")
 
-    p = add("selftest", _cmd_selftest, "run the bundled golden-corpus checks")
+    add("selftest", _cmd_selftest, "run the bundled golden-corpus checks")
 
     return parser
 

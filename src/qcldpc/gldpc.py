@@ -174,10 +174,14 @@ class GldpcSpec:
         return _lifted(parts, N1, [(j, c) for _, c, j in order], m2)
 
     def to_json_dict(self):
+        """The spec's JSON keys; a ValueError unless the base is [ones; x^e]."""
+        exponents = [p.bits.bit_length() - 1 for p in self.base.rows[-1]]
+        if base_from_exponents(exponents, self.base.modulus) != self.base:
+            raise ValueError("only a base [1 ... 1; x^e1 ... x^en] can be written as a spec")
         d = {"N": self.base.modulus.N}
         if self.prelift is not None:
             d["N1"] = self.prelift
-        d["exponents"] = _base_exponents(self.base)
+        d["exponents"] = exponents
         d["assignment"] = [
             None if c is None else c.to_dict() for c in self.assignment
         ]
@@ -231,16 +235,6 @@ def base_from_exponents(exponents, modulus):
     ones = [BinaryPoly(1)] * len(exponents)
     mono = [BinaryPoly(1) << (e % modulus.N) for e in exponents]
     return PolyMatrix([ones, mono], modulus)
-
-
-def _base_exponents(base):
-    exps = []
-    for p in base.rows[1]:
-        es = p.exponents()
-        if len(es) != 1:
-            raise ValueError("second base row must be monomial")
-        exps.append(es[0])
-    return exps
 
 
 def design_rate(spec):
@@ -557,9 +551,9 @@ def _invert(B, mod):
 
 
 def save_spec(spec, path):
+    text = json.dumps(spec.to_json_dict(), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_spec(path):

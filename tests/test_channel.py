@@ -136,7 +136,7 @@ class TestConfigAndCounts:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iterations"):
             DecoderConfig(max_iterations=0)
-        for clip in (0.0, -1.0, float("nan")):
+        for clip in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="llr_clip"):
                 DecoderConfig(llr_clip=clip)
 
@@ -704,11 +704,35 @@ class TestMonteCarlo:
         G = construct_generator(spec).matrix
         assert monte_carlo(spec, G, [0.0], {"max_trials": 0}) == []
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_snr_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), -1e308, 1e308, 3080.0, -3086.0]
+    )
+    def test_non_finite_snr_rejected(self, monkeypatch, bad):
+        """Also where 10^(snr/10), or sigma^2 = 1/(2*10^(snr/10)), overflows; before any draw."""
         spec, G, _ = coded("c1.json")
-        with pytest.raises(ValueError, match="SNR"):
+        monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
+        with pytest.raises(ValueError, match="^SNR points must be finite and give a positive"):
             monte_carlo(spec, G, [1.0, bad], {"max_trials": 3})
+
+    @pytest.mark.parametrize(
+        "stop, message",
+        [
+            ({"max_trial": 5}, "stop takes min_block_errors and max_trials"),
+            ({"max_trials": -1}, "stop needs max_trials >= 0"),
+            ({"min_block_errors": 0}, "stop needs max_trials >= 0 and min_block_errors >= 1"),
+            ({"min_block_errors": -3, "max_trials": -4}, "stop needs"),
+        ],
+        ids=["misspelt-key", "negative-max-trials", "zero-min-block-errors", "negative-both"],
+    )
+    def test_bad_stop_rejected(self, monkeypatch, stop, message):
+        spec, G, _ = coded("c1.json")
+        monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            monte_carlo(spec, G, [1.0], stop)
+
+
+def _never_drawn(*args):
+    raise AssertionError("a rejected run drew a trial")
 
 
 def per_row_draw_trial(G, master_seed, snr_idx, trial, snr_db):
@@ -1019,7 +1043,7 @@ class TestChunkedMonteCarlo:
             ((-7.0, -1.0, 3.0), {"min_block_errors": 2, "max_trials": 13}),
             ((-7.0, 3.0, -7.0, 0.0), {"min_block_errors": 3, "max_trials": 5}),
             ((-2.0, 3.0), {"min_block_errors": 10**9, "max_trials": 1}),
-            ((-7.0, 3.0), {"min_block_errors": 0, "max_trials": 4}),
+            ((-7.0, 3.0), {"min_block_errors": 4, "max_trials": 4}),
             ((3.0, -7.0), {"min_block_errors": 1, "max_trials": 25}),
         ],
     )
@@ -1039,8 +1063,6 @@ class TestChunkedMonteCarlo:
         chunk = channel._chunk_frames(_decoder_tables(spec))
         for point, row in enumerate(want):
             assert row.trials <= drawn.count(point) <= row.trials + chunk - 1
-        if stop["min_block_errors"] == 0:
-            assert drawn == [] and all(r.trials == 0 for r in want)
 
     @pytest.mark.parametrize("chunk_rows", [1, 79 * 3, 79 * 7, 10**6])
     def test_counts_do_not_depend_on_chunk_size(self, monkeypatch, chunk_rows):

@@ -4,6 +4,7 @@ Everything goes through cli.run(argv) so exit codes and stdout/stderr
 are exercised exactly as a shell user would see them.
 """
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -80,6 +81,30 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: give --matrix with --N"]
+
+    # Each subcommand's option strings, as the parser has always built them.
+    OPTIONS = {
+        "rank": "--matrix --N",
+        "construct": "--matrix --N --spec --case1",
+        "gldpc": "--spec",
+        "girth": "--matrix --N --spec --exponents",
+        "distance": (
+            "--matrix --N --spec --exact --budget --iterations --seed --short-distance --threads"
+        ),
+        "encode": "--matrix --N --spec --message --seed",
+        "simulate": (
+            "--spec --snr --max-trials --min-block-errors --seed --max-iterations --llr-clip"
+        ),
+        "export": "--matrix --N --spec --format",
+        "selftest": "",
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_each_subcommand_keeps_its_flags(self, command):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert got == {"-h", "--help", "--out", *self.OPTIONS[command].split()}
 
     def test_threads_only_on_distance(self, capsys):
         assert run(["rank", "--matrix", "ex1.pmx", "--N", "45", "--threads", "2"]) == 2
@@ -674,6 +699,24 @@ class TestSimulate:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: llr_clip must be positive, got nan"]
+
+    def test_infinite_llr_clip_is_domain_error(self, capsys):
+        argv = ["simulate", "--spec", "c1.json", "--snr=1", "--max-trials", "2",
+                "--llr-clip", "inf"]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: llr_clip must be finite, got inf"]
+
+    @pytest.mark.parametrize("snr", ["-1e308", "1e308", "1,3080"])
+    def test_snr_without_a_noise_variance_is_domain_error(self, capsys, snr):
+        assert run(["simulate", "--spec", "c1.json", f"--snr={snr}", "--max-trials", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: SNR points must be finite and give a positive finite noise variance, "
+            f"got {[float(s) for s in snr.split(',')]}"
+        ]
 
     def test_hamming15_counts_pinned(self, capsys):
         argv = [

@@ -336,10 +336,29 @@ class TestSpecAndRate:
         except ValueError:
             pass
 
-    def test_save_load_round_trip(self, tmp_path, prelift68):
+    def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
-        save_spec(prelift68, path)
-        assert load_spec(path) == prelift68
+        for name in ("n79", "c1", "c2", "prelift90", "prelift68", "hamming15"):
+            spec = load(f"{name}.json")
+            save_spec(spec, path)
+            assert load_spec(path) == spec, name
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [["x", "1", "1", "1"], ["1", "x", "x^3", "x^5"]],
+            [["1", "1", "1", "1"], ["1", "x", "x^2", "x^3"], ["1", "x^2", "x^4", "x^6"]],
+        ],
+        ids=["first-row-not-ones", "three-rows"],
+    )
+    def test_save_refuses_a_base_the_exponents_cannot_hold(self, tmp_path, rows):
+        """Only [ones; x^e] is written; another base is refused, and no file is left."""
+        m = RingModulus(7)
+        spec = GldpcSpec(PolyMatrix([[P(e) for e in r] for r in rows], m), (None,) * len(rows))
+        path = tmp_path / "spec.json"
+        with pytest.raises(ValueError, match=r"^only a base \[1 \.\.\. 1; x\^e1 \.\.\. x\^en\]"):
+            save_spec(spec, path)
+        assert not path.exists()
 
 
 class TestAssembly:
