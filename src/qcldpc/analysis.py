@@ -1,16 +1,17 @@
 """Tanner-graph girth and minimum-distance estimation.
 
 Girth is the length of the shortest cycle in the bipartite check/variable
-graph of a binary parity-check matrix (always even, at least 4). Minimum
-distance is certified exactly only for small message spaces, by enumerating
-every message on generator rows packed into 64-bit words: a table of all
-combinations of the leading rows (at most 2^17 bytes) is XORed against each
-combination of the other rows, taken in Gray order. Everything larger gets
-an upper bound from witnesses and searches plus a lower bound inherited
-from an exactly analysed shortened code. The search weighs packed words
-too: its row and pair sweep a bounded block of rows at a time, its random
-combinations a block between two information-set rounds at a time, and
-its rounds a batch of lockstep eliminations at a time.
+graph of a polynomial parity-check matrix's binary expansion (always even,
+at least 4). Minimum distance is certified exactly only for small message
+spaces, by enumerating every message on generator rows packed into 64-bit
+words: a table of all combinations of the leading rows (at most 2^17
+bytes) is XORed against each combination of the other rows, taken in Gray
+order. Everything larger gets an upper bound from witnesses and searches
+plus a lower bound inherited from an exactly analysed shortened code. The
+search weighs packed words too: its row and pair sweep a bounded block of
+rows at a time, its random combinations a block between two
+information-set rounds at a time, and its rounds a batch of lockstep
+eliminations at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .binmat import BinMatrix, bit_string
 from .binmat import rank as rank_scalar
-from .gf2poly import BinaryPoly, bit_positions
+from .gf2poly import BinaryPoly
 from .polymat import PolyMatrix, row_edges, transpose_entrywise
 
 __all__ = [
@@ -92,7 +93,7 @@ class DistanceReport:
         return out
 
 
-def _tanner_tables(H: PolyMatrix | BinMatrix) -> tuple[np.ndarray, np.ndarray]:
+def _tanner_tables(H: PolyMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Neighbour tables of the Tanner graph: (variables, checks).
 
     Checks are nodes 0..m-1 and variables m..m+n-1; row v of the first
@@ -101,19 +102,11 @@ def _tanner_tables(H: PolyMatrix | BinMatrix) -> tuple[np.ndarray, np.ndarray]:
     Both come from the one edge map, ``row_edges``: the checks' table is
     m + row_edges(H), and the variables' table is row_edges of the
     entrywise transpose, since x^e -> x^(N - e) inverts each circulant's
-    edges. A binary matrix is the same over N = 1, its rows' set bits
-    and its transpose's standing in for the two edge maps.
+    edges.
     """
-    if isinstance(H, BinMatrix):
-        m, n = H.nrows, H.ncols
-        checks, variables = (
-            [np.array(bit_positions(bits), np.intp)[None] for bits in M.rows]
-            for M in (H, H.transpose())
-        )
-    else:
-        N = H.modulus.N
-        m, n = H.nrows * N, H.ncols * N
-        checks, variables = row_edges(H), row_edges(transpose_entrywise(H))
+    N = H.modulus.N
+    m, n = H.nrows * N, H.ncols * N
+    checks, variables = row_edges(H), row_edges(transpose_entrywise(H))
     return _stacked(variables, 0, m + n), _stacked(checks, m, m + n)
 
 
@@ -144,17 +137,17 @@ def _check_tanner_edges(edges: int) -> None:
         )
 
 
-def girth(H: PolyMatrix | BinMatrix) -> float:
-    """Length of the shortest Tanner-graph cycle, or math.inf if none exists.
+def girth(H: PolyMatrix) -> float:
+    """Length of the shortest Tanner-graph cycle of H's expansion, or math.inf.
 
-    The neighbour tables come from ``row_edges`` of H and of its entrywise
-    transpose (see ``_tanner_tables``), without expanding the circulants.
-    For a polynomial matrix the N-fold cyclic symmetry of the expansion
-    means every cycle can be shifted onto a representative variable node
-    in each column block, so one BFS root per block suffices. A plain
-    binary matrix is searched from every variable node. A polynomial
-    matrix of more than ``_MAX_TANNER_EDGES`` edges (N times its terms) is
-    a ValueError, raised before any table is built.
+    H is a polynomial matrix over x^N + 1; a binary matrix is the same
+    bits over N = 1, where every variable node is a root. The neighbour
+    tables come from ``row_edges`` of H and of its entrywise transpose
+    (see ``_tanner_tables``), without expanding the circulants. The N-fold
+    cyclic symmetry of the expansion means every cycle can be shifted onto
+    a representative variable node in each column block, so one BFS root
+    per block suffices. A matrix of more than ``_MAX_TANNER_EDGES`` edges
+    (N times its terms) is a ValueError, raised before any table is built.
 
     Roots are searched in batches, one BFS layer at a time, each root with
     its own seen-flags. Expanding the layer at depth d reaches the unseen
@@ -164,12 +157,11 @@ def girth(H: PolyMatrix | BinMatrix) -> float:
     batch. The first root is searched alone, so that its cycle length
     stops every later batch one layer short of the widest one.
     """
-    if isinstance(H, PolyMatrix):
-        _check_tanner_edges(H.ring.N * sum(p.bits.bit_count() for row in H.rows for p in row))
+    N = H.ring.N
+    _check_tanner_edges(N * sum(p.bits.bit_count() for row in H.rows for p in row))
     var_table, check_table = _tanner_tables(H)
     m, nodes = len(check_table), len(check_table) + len(var_table)
-    step = H.modulus.N if isinstance(H, PolyMatrix) else 1
-    roots = np.arange(m, nodes, step, dtype=np.intp)
+    roots = np.arange(m, nodes, N, dtype=np.intp)
     # Layers alternate: roots and even depths are variables, odd depths checks.
     tables = ((var_table, m), (check_table, 0))
     stride = nodes + 1  # one row of seen-flags per root; node ``nodes`` pads
@@ -345,7 +337,7 @@ def low_weight_search(
                 rounds.clear()
             continue
         count = min(_ROUND_EVERY - evals % _ROUND_EVERY, iterations - evals)
-        found.append(_lightest_random(Gb.rows, words, rng, evals, count))
+        found.append(_lightest_random(words, rng, evals, count))
         evals += count
     if rounds:
         found.append(_lightest_round_row(words, rounds, rank))
@@ -462,7 +454,7 @@ def _lightest_pairs(
 
 
 def _lightest_random(
-    rows: list[int], words: np.ndarray, rng: np.random.Generator, first: int, count: int
+    words: np.ndarray, rng: np.random.Generator, first: int, count: int
 ) -> tuple[int, int, int]:
     """(weight, evaluation index, word) of the lightest of ``count`` combinations.
 
@@ -484,7 +476,7 @@ def _lightest_random(
     ``state`` and ``advance``. The weight is above 64·words if every
     combination is zero.
     """
-    k = len(rows)
+    k = words.shape[1]
     bitgen = rng.bit_generator
     start, halves = _read_halves(bitgen, 4 * count)  # a combination takes <= 8 halves
     steps = [2 * s - (s == k) for s in (min(2 + x, k) for x in range(3))]
@@ -531,13 +523,9 @@ def _lightest_random(
         for p in picks[1:]:
             acc ^= words.take(p, axis=1)
         w, t = _lightest(np.bitwise_count(acc))
-        lightest.append((w, first + int(e[t]), [int(p[t]) for p in picks]))
+        lightest.append((w, first + int(e[t]), int.from_bytes(acc[:, t].tobytes(), "little")))
     _hand_back(bitgen, start, pos + dropped, halves[pos : pos + 1])
-    w, best_at, picked = min(lightest)
-    word = 0
-    for t in picked:
-        word ^= rows[t]
-    return w, best_at, word
+    return min(lightest)
 
 
 _M32 = 0xFFFFFFFF

@@ -928,9 +928,11 @@ def monte_carlo(
 
     Before any trial is drawn, a ValueError rejects: an SNR point that is
     not finite or whose noise variance 1 / (2 * 10^(snr/10)) is not a
-    positive finite float (above about 3080 dB or below -3086 dB); a
-    ``stop`` key other than ``min_block_errors`` and ``max_trials``; a
-    negative ``max_trials``; and a ``min_block_errors`` below 1.
+    positive finite float (above about 3080 dB or below -3086 dB); one
+    whose LLR scale 2 / variance, which ``awgn_llrs`` multiplies by,
+    overflows (above about 3076.5 dB); a ``stop`` key other than
+    ``min_block_errors`` and ``max_trials``; a negative ``max_trials``;
+    and a ``min_block_errors`` below 1.
 
     Trials are drawn in order, point after point, and decoded in chunks
     of frames that may span points. Errors are counted in trial order and
@@ -941,10 +943,13 @@ def monte_carlo(
     snrs = list(snr_list)
     with np.errstate(all="ignore"):  # a NaN, inf or out-of-range point fails below
         sigma2 = 1.0 / (2.0 * 10.0 ** (np.array(snrs, dtype=np.float64) / 10.0))
+        scale = 2.0 / sigma2
     if not np.all((sigma2 > 0) & (sigma2 < np.inf)):
         raise ValueError(
             f"SNR points must be finite and give a positive finite noise variance, got {snrs}"
         )
+    if not np.all(np.isfinite(scale)):
+        raise ValueError(f"SNR points must give a finite LLR scale 2 / noise variance, got {snrs}")
     stop = {"min_block_errors": 100, "max_trials": 1000, **(stop or {})}
     if len(stop) != 2:
         raise ValueError(f"stop takes min_block_errors and max_trials, got {sorted(stop)}")

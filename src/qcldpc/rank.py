@@ -5,11 +5,13 @@ GF(2)[x]/(x^N + 1) is min(shape)*N - sum(deg d_i), where
 d_i = gcd(s_i, x^N + 1) and s_1 | s_2 | ... is the Smith diagonal of H
 taken in plain GF(2)[x]. The gcd gamma_i of all i x i minors is
 s_1*...*s_i, so one elimination gives every gamma_i; the minors are
-never enumerated.
+never enumerated. Each d_i is gcd(s_i, (x^N mod s_i) + 1), so no
+operand is wider than s_i and the cost grows with log N, not N.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
@@ -42,18 +44,31 @@ def rank_qc(H, modulus=None):
 
     The ring is ``H.ring_for(modulus)``: a given modulus for a plain H,
     whose entries the Smith form takes as written, and a ValueError for
-    an H over another ring.
+    an H over another ring. An N past ``sys.maxsize``, too large for
+    Python to shift by, is a ValueError too, as no int holds x^N + 1.
     """
     modulus = H.ring_for(modulus)
     n_c, N = min(H.shape), modulus.N
+    if N > sys.maxsize:
+        raise ValueError(f"N = {N} is too large for Python to shift by")
     smith = _smith_diagonal(H.rows)
     smith += [BinaryPoly(0)] * (n_c - len(smith))
-    d_polys = [gcd(s, modulus.poly) for s in smith]
+    d_polys = [gcd(s, _x_power_mod(N, s) + BinaryPoly(1)) for s in smith]
     rank = n_c * N - sum(d.degree for d in d_polys)
     return RankReport(
         N=N, nrows=H.nrows, ncols=H.ncols, gammas=list(accumulate(smith, mul)),
         d_polys=d_polys, smith_diagonal=smith, rank=rank, dimension=H.ncols * N - rank,
     )
+
+
+def _x_power_mod(N, s):
+    """x^N mod s by square-and-multiply, or x^N itself for a zero s."""
+    if not s:
+        return BinaryPoly(1 << N)
+    r = BinaryPoly(1)
+    for bit in bin(N)[2:]:
+        r = (r * r << int(bit)) % s
+    return r
 
 
 def _smith_diagonal(rows):

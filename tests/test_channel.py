@@ -714,6 +714,20 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="^SNR points must be finite and give a positive"):
             monte_carlo(spec, G, [1.0, bad], {"max_trials": 3})
 
+    @pytest.mark.parametrize("snr", [3077.0, 3079.0])
+    def test_snr_whose_llrs_overflow_rejected(self, monkeypatch, snr):
+        """sigma^2 is positive and finite there, but 2 / sigma^2 is not; before any draw."""
+        spec, G, _ = coded("c1.json")
+        monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
+        with pytest.raises(ValueError, match="^SNR points must give a finite LLR scale"):
+            monte_carlo(spec, G, [1.0, snr], {"max_trials": 3})
+
+    def test_snr_below_the_llr_bound_runs_without_overflow(self):
+        spec, G, _ = coded("c1.json")
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            (result,) = monte_carlo(spec, G, [3076.0], {"max_trials": 2})
+        assert (result.trials, result.bit_errors) == (2, 0)
+
     @pytest.mark.parametrize(
         "stop, message",
         [

@@ -370,6 +370,11 @@ class TestRank:
         out = json.loads(target.read_text())
         assert (out["rank"], out["dimension"]) == (126, 94)
 
+    def test_n_of_a_billion_needs_no_n_bit_modulus(self, capsys):
+        out = run_json(capsys, ["rank", "--matrix", "ex1.pmx", "--N", "1000000000"])
+        assert (out["rank"], out["dimension"]) == (2_999_999_994, 2_000_000_006)
+        assert out["d_polys"] == ["1+x^2"] * 3
+
 
 class TestGirth:
     def test_exponent_row_pair(self, capsys):
@@ -392,6 +397,13 @@ class TestGirth:
     def test_spec_input(self, capsys):
         out = run_json(capsys, ["girth", "--spec", "c1.json"])
         assert out["girth"] == 12
+
+    @pytest.mark.parametrize(
+        "spec", ["n79.json", "c1.json", "c2.json", "prelift90.json", "prelift68.json",
+                 "hamming15.json"],
+    )
+    def test_every_bundled_spec_has_girth_12(self, capsys, spec):
+        assert run_json(capsys, ["girth", "--spec", spec]) == {"girth": 12, "acyclic": False}
 
     def test_acyclic_matrix(self, capsys, tmp_path):
         path = tmp_path / "tree.pmx"
@@ -715,6 +727,16 @@ class TestSimulate:
         assert out == ""
         assert err.splitlines() == [
             "error: SNR points must be finite and give a positive finite noise variance, "
+            f"got {[float(s) for s in snr.split(',')]}"
+        ]
+
+    @pytest.mark.parametrize("snr", ["3077", "1,3079"])
+    def test_snr_whose_llrs_overflow_is_domain_error(self, capsys, snr):
+        assert run(["simulate", "--spec", "c1.json", f"--snr={snr}", "--max-trials", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: SNR points must give a finite LLR scale 2 / noise variance, "
             f"got {[float(s) for s in snr.split(',')]}"
         ]
 

@@ -650,7 +650,7 @@ class TestPrelift:
             Hb, Hpb = circulant_expand(H), circulant_expand(Hp)
             assert (Hpb.nrows, Hpb.ncols) == (Hb.nrows, Hb.ncols)
             assert rank_scalar(Hpb) == rank_scalar(Hb)
-            assert girth(Hpb) == girth(Hb)
+            assert girth(Hp) == girth(H)
             assert sorted(r.bit_count() for r in Hpb.rows) == sorted(
                 r.bit_count() for r in Hb.rows
             )

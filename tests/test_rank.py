@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import P, data_path, random_poly_matrix
 from qcldpc import polymat
 from qcldpc.binmat import rank as rank_scalar
-from qcldpc.gf2poly import BinaryPoly, RingModulus
+from qcldpc.gf2poly import BinaryPoly, RingModulus, gcd
 from qcldpc.gldpc import assembled_parity, expand_binary, load_spec
 from qcldpc.polymat import PolyMatrix, all_minors_gcd, circulant_expand, read_pmx, zero_matrix
 from qcldpc.rank import rank_qc
@@ -93,6 +93,28 @@ class TestEdgeCases:
         assert d["rank"] == 132
         assert d["dimension"] == 93
         assert d["N"] == 45
+
+
+class TestDivisorsAtAnyN:
+    def test_divisors_equal_the_gcd_with_the_whole_modulus(self):
+        # A 1 x 1 matrix [s] has Smith diagonal [s], so its d_1 is gcd(s, x^N + 1).
+        rng = random.Random(207)
+        for _ in range(300):
+            N, s = rng.randint(1, 300), BinaryPoly(rng.getrandbits(rng.randint(0, 40)))
+            rep = rank_qc(PolyMatrix([[s]]), RingModulus(N))
+            assert rep.d_polys == [gcd(s, RingModulus(N).poly)]
+
+    def test_no_gcd_operand_grows_with_n(self, ex1, monkeypatch):
+        widths = []
+
+        def recording(a, b):
+            widths.extend((a.bits.bit_length(), b.bits.bit_length()))
+            return gcd(a, b)
+
+        monkeypatch.setattr("qcldpc.rank.gcd", recording)
+        rep = rank_qc(ex1, RingModulus(10**5))
+        assert (rep.rank, rep.dimension) == (299_994, 200_006)
+        assert len(widths) == 6 and max(widths) < 300
 
 
 class TestAgainstScalarOracle:
