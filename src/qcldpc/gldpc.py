@@ -8,7 +8,10 @@ A pre-lifted spec first splits the base by any divisor N1 of N and
 assigns components to the split rows.  Generators are built on one
 path: the identity columns of the components are eliminated by a
 single Schur step (reduce_spec), a generator is synthesized for the
-short matrix, and the eliminated columns are recomposed.
+short matrix, and the eliminated columns are recomposed. The reduction
+takes every minor it needs, the pivot blocks' determinants and the
+accepted block's cofactors, from one polymat.Minors of the assembled
+matrix.
 """
 
 from __future__ import annotations
@@ -420,7 +423,8 @@ def _reduce(spec, eff, H):
     """``reduce_spec`` given the effective matrix and its assembly H.
 
     A component's enlarged pivot block is accepted by its determinant
-    alone; the one Schur step runs on the final pivot set.
+    alone; the one Schur step runs on the final pivot set and reads the
+    block's determinant and cofactors from the same Minors(H).
     """
     minor = Minors(H)
     rows, cols = (), ()
@@ -436,7 +440,7 @@ def _reduce(spec, eff, H):
         comp_rows = tuple(range(first, next_row))
         if is_unit(minor(rows + comp_rows, tuple(sorted(cols + comp_cols))), H.modulus):
             rows, cols = rows + comp_rows, cols + comp_cols
-    return schur_reduce(H, rows, cols)
+    return _schur_step(H, minor, rows, cols)
 
 
 def construct_generator(spec):
@@ -453,7 +457,7 @@ def construct_generator(spec):
     dim = H.ncols * H.ring.N - expansion_rank(H)
     H_short, T, meta = _reduce(spec, eff, H)
     inner = generator_general(H_short)
-    G = schur_recompose(inner.matrix, T, meta, H.ncols)
+    G = schur_recompose(inner.matrix, T, meta)
     if not verify_generator(H, G, dim):
         raise RuntimeError("composed generator fails the syndrome or rank check")
     return GeneratorResult(
@@ -481,73 +485,72 @@ def schur_reduce(H, pivot_rows, pivot_cols):
     row v of a generator for ker(H_rest) extends to the pivot columns as
     v * T.
     With no pivot rows nothing is eliminated: H_rest is H and T is None.
+    The pivot block's determinant and the cofactors of its inverse are
+    minors of H, taken from one Minors(H).
+    """
+    return _schur_step(H, Minors(H), pivot_rows, pivot_cols)
+
+
+def _schur_step(H, minor, pivot_rows, pivot_cols):
+    """``schur_reduce`` with the minors of H read from ``minor``, a Minors(H).
+
+    On rows R and columns C the block B has det B = minor(R, C), and
+    entry (i, j) of B^-1 is minor(R - R[j], C - C[i]) / det B, so the
+    engine that accepted the pivots also inverts their block.
     """
     mod = H.ring
-    pivot_rows = tuple(sorted(set(pivot_rows)))
-    pivot_cols = tuple(sorted(set(pivot_cols)))
-    if len(pivot_cols) != len(pivot_rows):
+    R, C = tuple(sorted(set(pivot_rows))), tuple(sorted(set(pivot_cols)))
+    if len(C) != len(R):
         raise ValueError("pivot row and column counts must match")
-    if not pivot_rows:
+    if not R:
         return H, None, SchurMeta((), (), tuple(range(1, H.ncols + 1)), BinaryPoly(1))
-    rest_rows = tuple(i for i in range(1, H.nrows + 1) if i not in pivot_rows)
-    rest_cols = tuple(j for j in range(1, H.ncols + 1) if j not in pivot_cols)
-    B = H.submatrix([i - 1 for i in pivot_rows], [j - 1 for j in pivot_cols])
-    B_inv, det = _invert(B, mod)
-    A = H.submatrix([i - 1 for i in pivot_rows], [j - 1 for j in rest_cols])
-    BA = matmul_mod(B_inv, A)
-    if rest_rows:
-        R_pivot = H.submatrix(
-            [i - 1 for i in rest_rows], [j - 1 for j in pivot_cols]
-        )
-        R_rest = H.submatrix(
-            [i - 1 for i in rest_rows], [j - 1 for j in rest_cols]
-        )
-        fold = matmul_mod(R_pivot, BA)
-        rows = [
-            [R_rest.rows[r][c] + fold.rows[r][c] for c in range(len(rest_cols))]
-            for r in range(len(rest_rows))
-        ]
-        H_rest = PolyMatrix(rows, mod)
-    else:
-        H_rest = None
-    T = transpose_entrywise(BA)
-    return H_rest, T, SchurMeta(pivot_rows, pivot_cols, rest_cols, det)
-
-
-def schur_recompose(G_rest, T, meta, ncols):
-    """Place reduced generator rows back into the original column order."""
-    if not meta.pivot_cols:
-        return G_rest
-    ext = matmul_mod(G_rest, T)
-    rows = []
-    for r in range(G_rest.nrows):
-        row = [BinaryPoly(0)] * ncols
-        for c, j in enumerate(meta.rest_cols):
-            row[j - 1] = G_rest.rows[r][c]
-        for c, j in enumerate(meta.pivot_cols):
-            row[j - 1] = ext.rows[r][c]
-        rows.append(row)
-    return PolyMatrix(rows, G_rest.modulus)
-
-
-def _invert(B, mod):
-    """Ring inverse of a square PolyMatrix via the adjugate.
-
-    The determinant and its cofactors come from one Minors(B), which
-    expands each minor they share once.
-    """
-    minor = Minors(B)
-    every = minor.every_row
-    det = mod.reduce(minor(every, every))
+    rest_rows = tuple(i for i in range(1, H.nrows + 1) if i not in R)
+    rest_cols = tuple(j for j in range(1, H.ncols + 1) if j not in C)
+    det = mod.reduce(minor(R, C))
     if not is_unit(det, mod):
         raise NotInvertible("pivot block determinant shares a factor with x^N+1")
     inv_det = inverse_mod(det, mod)
-    n = len(every)
-    rows = [
-        [minor(every[:j] + every[j + 1 :], every[:i] + every[i + 1 :]) * inv_det for j in range(n)]
-        for i in range(n)
-    ]
-    return PolyMatrix(rows, mod), det
+    B_inv = PolyMatrix(
+        [
+            [minor(R[:j] + R[j + 1 :], C[:i] + C[i + 1 :]) * inv_det for j in range(len(R))]
+            for i in range(len(C))
+        ],
+        mod,
+    )
+    BA = matmul_mod(B_inv, _block(H, R, rest_cols))
+    H_rest = None
+    if rest_rows:
+        fold = matmul_mod(_block(H, rest_rows, C), BA)
+        R_rest = _block(H, rest_rows, rest_cols)
+        H_rest = PolyMatrix(
+            [[a + b for a, b in zip(r, f)] for r, f in zip(R_rest.rows, fold.rows)], mod
+        )
+    return H_rest, transpose_entrywise(BA), SchurMeta(R, C, rest_cols, det)
+
+
+def _block(H, rows, cols):
+    """The block of H on 1-based rows and columns."""
+    return H.submatrix([i - 1 for i in rows], [j - 1 for j in cols])
+
+
+def schur_recompose(G_rest, T, meta):
+    """Place reduced generator rows back into the original column order.
+
+    Row v of G_rest holds the rest columns; v * T holds the pivot
+    columns. Together they are every column of H, so the width is
+    len(meta.rest_cols) + len(meta.pivot_cols).
+    """
+    if not meta.pivot_cols:
+        return G_rest
+    ext = matmul_mod(G_rest, T)
+    order = meta.rest_cols + meta.pivot_cols
+    rows = []
+    for v, w in zip(G_rest.rows, ext.rows):
+        row = [None] * len(order)
+        for j, p in zip(order, v + w):
+            row[j - 1] = p
+        rows.append(row)
+    return PolyMatrix(rows, G_rest.modulus)
 
 
 def save_spec(spec, path):

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import mul
 
-from .gf2poly import BinaryPoly, gcd
+from .gf2poly import BinaryPoly, _divmod_bits, clmul, gcd
+from .polymat import _MAX_EXPANSION_BITS
 
 
 @dataclass
@@ -46,14 +47,21 @@ def rank_qc(H, modulus=None):
     whose entries the Smith form takes as written, and a ValueError for
     an H over another ring. An N past ``sys.maxsize``, too large for
     Python to shift by, is a ValueError too, as no int holds x^N + 1.
+    So is a zero Smith entry, whose d_i is x^N + 1 itself, once N reaches
+    polymat's expansion bound: x^N + 1 would have more bits than it.
     """
     modulus = H.ring_for(modulus)
     n_c, N = min(H.shape), modulus.N
     if N > sys.maxsize:
         raise ValueError(f"N = {N} is too large for Python to shift by")
     smith = _smith_diagonal(H.rows)
+    if len(smith) < n_c and N >= _MAX_EXPANSION_BITS:
+        raise ValueError(
+            f"d = x^{N} + 1 of a zero Smith entry exceeds the bound of "
+            f"{_MAX_EXPANSION_BITS} bits"
+        )
     smith += [BinaryPoly(0)] * (n_c - len(smith))
-    d_polys = [gcd(s, _x_power_mod(N, s) + BinaryPoly(1)) for s in smith]
+    d_polys = [gcd(s, BinaryPoly(_x_power_mod(N, s.bits) ^ 1)) for s in smith]
     rank = n_c * N - sum(d.degree for d in d_polys)
     return RankReport(
         N=N, nrows=H.nrows, ncols=H.ncols, gammas=list(accumulate(smith, mul)),
@@ -62,12 +70,12 @@ def rank_qc(H, modulus=None):
 
 
 def _x_power_mod(N, s):
-    """x^N mod s by square-and-multiply, or x^N itself for a zero s."""
+    """The bits of x^N mod s by square-and-multiply, or of x^N for a zero s."""
     if not s:
-        return BinaryPoly(1 << N)
-    r = BinaryPoly(1)
+        return 1 << N
+    r = 1
     for bit in bin(N)[2:]:
-        r = (r * r << int(bit)) % s
+        r = _divmod_bits(clmul(r, r) << int(bit), s)[1]
     return r
 
 

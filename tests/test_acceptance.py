@@ -240,7 +240,7 @@ def test_criterion_07_fully_generalized_code():
           for cols in ((2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3))]],
         mod,
     )
-    w = schur_recompose(und, T, meta, 7)
+    w = schur_recompose(und, T, meta)
     assert block_weight(w.rows[0]) == 88
     prod = matmul_mod(w, transpose_entrywise(assembled_parity(spec)))
     assert all(p.is_zero() for p in prod.rows[0])
@@ -261,14 +261,14 @@ def test_criterion_08_split_ninety_chain():
     u = P("1+x^12+x^18")
     w3 = PolyMatrix([[mod.mul(u, P(e)) for e in ("1", "x^27", "x^33")]], mod)
     assert matmul_mod(w3, transpose_entrywise(H2s)).entry(0, 0).is_zero()
-    w6 = schur_recompose(w3, T, meta, 6)
+    w6 = schur_recompose(w3, T, meta)
     v = P("x^6+x^10+x^18+x^37+x^38+x^44")
     assert [w6.entry(0, j) for j in (3, 4, 5)] == [v, v, v]
     assert block_weight(w6.rows[0]) == 27
     prod = matmul_mod(w6, transpose_entrywise(H1s))
     assert all(p.is_zero() for p in prod.rows[0])
 
-    w12 = schur_recompose(w6, T1, meta1, 12)
+    w12 = schur_recompose(w6, T1, meta1)
     assert block_weight(w12.rows[0]) == 39
     assert in_kernel(expand_binary(spec), row_bits(w12.rows[0], mod))
 

@@ -293,6 +293,10 @@ class TestExitCodes:
         for command in ("construct", "girth"):
             cases.append(([command, "--matrix", str(pmx), "--N", str(self.BIG_N)],
                           f"error: binary expansion {self.BIG_N} x {self.BIG_N} {bound}"))
+        zero = tmp_path / "zero.pmx"  # its Smith entry is 0, so d = x^N + 1
+        zero.write_text("0;0;0\n", encoding="utf-8")
+        cases.append((["rank", "--matrix", str(zero), "--N", str(self.BIG_N)],
+                      f"error: d = x^{self.BIG_N} + 1 of a zero Smith entry {bound}"))
         edges = 6 * self.BIG_N  # [ones; x^e] over three exponents
         cases.append((["girth", "--exponents", f"0,1,{self.BIG_N - 1}", "--N", str(self.BIG_N)],
                       f"error: Tanner graph of {edges} edges exceeds the bound of "

@@ -628,7 +628,7 @@ def shorten_compose(G, A):
     H = PolyMatrix([a + i for a, i in zip(A.rows, ident.rows)], A.modulus)
     pivot_cols = range(A.ncols + 1, H.ncols + 1)
     _, T, meta = schur_reduce(H, range(1, A.nrows + 1), pivot_cols)
-    return schur_recompose(G, T, meta, H.ncols)
+    return schur_recompose(G, T, meta)
 
 
 class TestCompositionAndVerify:

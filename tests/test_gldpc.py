@@ -26,7 +26,7 @@ from conftest import (
     random_poly_matrix,
     row_bits,
 )
-from qcldpc import gldpc, polymat
+from qcldpc import construct, gldpc, polymat
 from qcldpc.analysis import girth
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import Incomplete, generator_general, verify_generator
@@ -473,7 +473,7 @@ class TestGshortForms:
     def test_composed_rows_match_display(self, n79):
         H_short, T, meta = reduce_spec(n79)
         plain, _ = gshort_forms(H_short)
-        G = schur_recompose(plain, T, meta, 6)
+        G = schur_recompose(plain, T, meta)
         mod = n79.base.modulus
         f1, f2, f3 = H_short.rows[0]
         t1, t2, t3 = (t(f, mod) for f in (f1, f2, f3))
@@ -821,7 +821,7 @@ class TestSchur:
                 inner = generator_general(H_rest)
             except Incomplete as exc:
                 inner = exc.partial
-            G = schur_recompose(inner.matrix, T, meta, H.ncols)
+            G = schur_recompose(inner.matrix, T, meta)
             prod = matmul_mod(G, transpose_entrywise(H))
             assert all(p.is_zero() for row in prod.rows for p in row)
             assert rank_scalar(circulant_expand(G)) == inner.rank
@@ -889,7 +889,7 @@ class TestNinetyChain:
         )
         syn = matmul_mod(w3, transpose_entrywise(H2s))
         assert syn.entry(0, 0).is_zero()
-        w6 = schur_recompose(w3, T, meta, 6)
+        w6 = schur_recompose(w3, T, meta)
         V = P(self.V_TEXT)
         assert [w6.entry(0, j) for j in (3, 4, 5)] == [V, V, V]
         assert sum(p.weight() for p in w6.rows[0]) == 27
@@ -904,8 +904,8 @@ class TestNinetyChain:
         w3 = PolyMatrix(
             [[mod.mul(u, P(e)) for e in ("1", "x^27", "x^33")]], mod
         )
-        w6 = schur_recompose(w3, T, meta, 6)
-        w12 = schur_recompose(w6, T1, meta1, 12)
+        w6 = schur_recompose(w3, T, meta)
+        w12 = schur_recompose(w6, T1, meta1)
         assert w12.ncols == 12
         blocks = list(w12.rows[0])
         assert blocks[6:9] == [
@@ -995,7 +995,7 @@ class TestConstructGenerator:
               for cols in ((2, 3, 4), (1, 3, 4), (1, 2, 4), (1, 2, 3))]],
             mod,
         )
-        w = schur_recompose(und, T, meta, 7)
+        w = schur_recompose(und, T, meta)
         assert sum(p.weight() for p in w.rows[0]) == 88
         assert plain_display(w.rows[0][4:], mod) == (
             P("x^7+x^18+x^20+x^22+x^25+x^36+x^37+x^41+x^53+x^63"),
@@ -1199,7 +1199,7 @@ class TestOneSchurStep:
     @pytest.mark.parametrize("name", BUNDLED_SPECS)
     def test_construct_runs_one_schur_step(self, monkeypatch, name):
         calls = Counter()
-        for fn_name in ("schur_reduce", "_invert"):
+        for fn_name in ("schur_reduce", "_schur_step"):
             fn = getattr(gldpc, fn_name)
 
             def counted(*args, _fn=fn, _name=fn_name, **kwargs):
@@ -1208,7 +1208,70 @@ class TestOneSchurStep:
 
             monkeypatch.setattr(gldpc, fn_name, counted)
         construct_generator(load(f"{name}.json"))
-        assert calls == {"schur_reduce": 1, "_invert": 1}
+        assert calls == {"_schur_step": 1}
+
+    @pytest.mark.parametrize("name", BUNDLED_SPECS)
+    def test_construct_builds_one_minor_engine_per_matrix(self, monkeypatch, name):
+        # One Minors of the assembled H serves the reduction, the pivot
+        # block's inverse included, and one of H_short the synthesis.
+        built = []
+
+        def counted(H, _real=polymat.Minors):
+            built.append(H.shape)
+            return _real(H)
+
+        for module in (gldpc, construct, polymat):
+            monkeypatch.setattr(module, "Minors", counted)
+        spec = load(f"{name}.json")
+        H = assembled_parity(spec)
+        construct_generator(spec)
+        assert len(built) == 2
+        assert built[0] == H.shape
+
+
+class TestSchurOracle:
+    """The Schur step against minors of H alone, on seeded random H.
+
+    With pivot rows R and columns C, B the block on them: Sylvester's
+    identity gives det B * H_rest[r][c] = minor(R + r, C + c), and
+    Cramer's rule det B * (B^-1 A)[i][c] = minor(R, C - C[i] + c), all
+    mod x^N + 1 (over GF(2) no sign depends on the order).
+    """
+
+    @staticmethod
+    def cases(count):
+        rng = random.Random(37)
+        done = 0
+        while done < count:
+            nrows, ncols = rng.randint(1, 4), rng.randint(2, 5)
+            k = rng.randint(1, min(nrows, ncols - 1))
+            H = random_poly_matrix(rng, nrows, ncols, rng.randint(1, 9))
+            rows = tuple(sorted(rng.sample(range(1, nrows + 1), k)))
+            cols = tuple(sorted(rng.sample(range(1, ncols + 1), k)))
+            try:
+                reduced = schur_reduce(H, rows, cols)
+            except NotInvertible:
+                continue
+            done += 1
+            yield H, rows, cols, reduced
+
+    def test_entries_are_minor_ratios(self):
+        for H, R, C, (H_rest, T, meta) in self.cases(400):
+            mod = H.modulus
+
+            def minor(rows, cols):
+                return mod.reduce(minor_det(H, tuple(sorted(rows)), tuple(sorted(cols))))
+
+            assert meta.det == minor(R, C)
+            rest_rows = [i for i in range(1, H.nrows + 1) if i not in R]
+            assert (H_rest is None) == (not rest_rows)
+            for r, row in zip(rest_rows, H_rest.rows if H_rest else ()):
+                for c, entry in zip(meta.rest_cols, row):
+                    assert mod.mul(meta.det, entry) == minor(R + (r,), C + (c,))
+            BA = transpose_entrywise(T)
+            for i, row in enumerate(BA.rows):
+                for c, entry in zip(meta.rest_cols, row):
+                    assert mod.mul(meta.det, entry) == minor(R, C[:i] + C[i + 1 :] + (c,))
 
 
 class TestExpansionBound:
