@@ -63,8 +63,10 @@ N) contiguously, for each k in turn. Every kernel computes on such a
 One decoder core, ``_decode_frames``, runs a stack of frames at once, so
 each kernel call covers the rows of every active frame; ``gldpc_decode``
 is its one-frame call. The set of active frames, its layout, changes only
-when frames leave, and ``_layout_plan`` resolves once per layout what
-the iterations reuse: each row's views and prepared run, which the
+when frames leave, and the decoder enters every layout, the first and
+each one after a leave, through one ``_layout_plan`` call. It writes the
+gather indices, gathers the layout's priors from its totals, and resolves
+what the iterations reuse: each row's views and prepared run, which the
 decoder hands to ``bcjr_component`` with the row's priors, so every row
 update is still one call of it, and the convergence check's arrays.
 After each scatter the decoder gathers the totals at every edge once:
@@ -76,12 +78,12 @@ its held array: a few numpy calls per iteration, however many checks
 the spec has. A frame's results are written once, as it leaves the
 active set.
 
-``monte_carlo`` draws every trial from its own generator and decodes the
-frames in chunks of about ``_CHUNK_ROWS`` rows per kernel call, spanning
-SNR points. No arithmetic mixes frames and
-errors are counted in trial order, so results do not depend on the
-chunk size; at most one chunk per SNR point is decoded past its early
-stop, and the frames past the stop are discarded.
+``monte_carlo`` draws every trial from its own generator, in the order of
+one schedule of (point, trial), and decodes the frames in chunks of about
+``_CHUNK_ROWS`` rows per kernel call, spanning SNR points. No arithmetic
+mixes frames and errors are counted in trial order, so results do not
+depend on the chunk size; at most one chunk per SNR point is decoded past
+its early stop, and the frames past the stop are discarded.
 
 The decoder's large per-iteration arrays (gathered priors, totals and
 extrinsics, the gather indices, the kernels' work arrays, the check's
@@ -90,15 +92,17 @@ keeps and reuses from call to call, growing them only when a larger
 batch needs it: a decode then writes into pages it has already touched
 instead of asking malloc for fresh ones. When frames leave, the staying
 frames' extrinsics are compressed into the priors' array and the two
-swap roles, so a layout change allocates nothing large either. Held runs and a layout's check keep views of them, and
-every holder rewrites all it reads on each run: the rows of a layout,
-and runs held from earlier layouts, share them, each run finishing
-before the next starts. Growing a work array drops the held runs.
+swap roles, so a layout change allocates nothing large either. Held runs
+and a layout's check keep views of them, and every holder rewrites all
+it reads on each run: the rows of a layout, and runs held from earlier
+layouts, share them, each run finishing before the next starts. Growing
+a work array drops the held runs.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -125,19 +129,31 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str):
+    """``value`` when it is an integer, a numpy one included, else ValueError.
+
+    A bool is not taken for one, nor a float of integral value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Iteration and clipping limits for the message-passing decoder.
 
-    ``llr_clip`` bounds every prior a constraint update sees; it must be
-    a positive, finite number (NaN and inf are rejected).
+    ``max_iterations`` must be an integer of at least 1 (a numpy integer
+    passes; a bool, float or string does not). ``llr_clip`` bounds every
+    prior a constraint update sees; it must be a positive, finite number
+    (NaN and inf are rejected).
     """
 
     max_iterations: int = 100
     llr_clip: float = 20.0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        if _integer(self.max_iterations, "max_iterations") < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.llr_clip > 0:
             raise ValueError(f"llr_clip must be positive, got {self.llr_clip}")
@@ -754,38 +770,43 @@ def _failed_frames(check: _CheckArrays, totals: np.ndarray) -> np.ndarray:
     return np.logical_or.reduce(per_frame, (0, 2), None, failed)
 
 
-def _gather_indices(edges: np.ndarray, frames: int, n: int) -> np.ndarray:
-    """Flat indices ``b * n + edge`` of every edge into (frames x n) totals.
+def _layout_plan(tables, totals: np.ndarray, ext: np.ndarray, spare: np.ndarray, bound: float):
+    """The decoder's entry into one set of active frames: what its iterations reuse.
 
-    They run in (Q x frames x N) order: bit-major, row after row, then
-    frame, then shift. They stay one flat array, since np.add.at takes its
-    fast path only on a 1-D index, and are written into the work array
-    "gather", held for one layout.
+    ``tables`` are the spec's ``_decoder_tables`` and ``totals`` the
+    frames' (frames x n) totals, in any shape that flattens to them: their
+    channel LLRs before the first iteration, and the staying frames'
+    totals after a leave. ``ext`` is the frames' (Q x frames x N)
+    C-ordered extrinsics, ``spare`` a work array at least as large, which
+    takes the priors, and ``bound`` bounds every prior's magnitude (the
+    clip).
+
+    The flat indices ``b * n + edge`` of every edge into the totals run in
+    (Q x frames x N) order: bit-major, row after row, then frame, then
+    shift. They stay one flat array, since np.add.at takes its fast path
+    only on a 1-D index, and are written into the work array "gather".
+    One take of them gathers the priors into ``spare``.
+
+    Returns (gather, priors, updates, check): the flat indices; the
+    gathered (Q x frames x N) priors; per row, (component, priors,
+    extrinsics, kernel) for bcjr_component, where the priors and
+    extrinsics are the (rows x q) views of the row's bit-major blocks and
+    the kernel is ``_held_kernel`` of their shape and the bound; and the
+    check's ``_check_arrays``.
     """
-    shape = (len(edges), frames, edges.shape[1])
-    gather = _work("gather", shape, edges.dtype)
-    np.add(edges[:, None, :], np.arange(0, frames * n, n)[:, None], out=gather)
-    return gather.reshape(-1)
-
-
-def _layout_plan(rows, checks, priors: np.ndarray, ext: np.ndarray, bound: float):
-    """What the decoder's iterations over one set of active frames reuse.
-
-    ``priors`` and ``ext`` are the layout's (Q x frames x N) C-ordered
-    arrays, and ``bound`` bounds every prior's magnitude (the clip).
-    Returns (updates, check): per row, (component, priors, extrinsics,
-    kernel) for bcjr_component, where the priors and extrinsics are the
-    (rows x q) views of the row's bit-major blocks and the kernel is
-    ``_held_kernel`` of their shape and the bound; and the check's
-    ``_check_arrays``.
-    """
-    batch = priors.shape[1] * priors.shape[2]
+    n, rows, edges, checks = tables
+    gather = _work("gather", ext.shape, edges.dtype)
+    np.add(edges[:, None, :], np.arange(0, ext.shape[1] * n, n)[:, None], out=gather)
+    gather = gather.reshape(-1)
+    priors = spare.reshape(-1)[: ext.size].reshape(ext.shape)
+    # Indices are in range; "clip" lets take write into out unbuffered.
+    totals.take(gather, out=priors.reshape(-1), mode="clip")
     updates = [
         (comp, priors[span].reshape(comp.q, -1).T, ext[span].reshape(comp.q, -1).T,
-         _held_kernel(comp, batch, bound))
+         _held_kernel(comp, ext[0].size, bound))
         for comp, span in rows
     ]
-    return updates, _check_arrays(checks, priors.shape)
+    return gather, priors, updates, _check_arrays(checks, ext.shape)
 
 
 def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
@@ -801,9 +822,10 @@ def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
     are written as it leaves (or at the last iteration); no arithmetic
     mixes frames, so each frame's result equals its decode alone. The
     scatter adds each row's extrinsics in the same order for every batch,
-    so totals do not depend on which frames share a call. What the
-    iterations reuse is planned once per set of active frames
-    (``_layout_plan``), and again only when frames leave.
+    so totals do not depend on which frames share a call. Each set of
+    active frames, the first and the one left after each leave, is
+    entered through one ``_layout_plan`` call, which gathers its priors
+    and plans what its iterations reuse.
     """
     n, rows, edges, checks = tables
     frames = llrs.shape[0]
@@ -814,59 +836,53 @@ def _decode_frames(tables, llrs: np.ndarray, cfg: DecoderConfig):
         return hard_out, converged, iterations
     active = np.arange(frames)
     llr = np.ascontiguousarray(llrs, dtype=np.float64).ravel()
-    gather = _gather_indices(edges, frames, n)
     shape = (len(edges), frames, edges.shape[1])
     ext = _work("ext", shape)
     ext.fill(0.0)
-    priors = _work("priors", shape)
-    total = _work("total", llr.shape)
-    # Indices are in range; "clip" lets take write into out unbuffered. The
-    # decoder calls the take method: np.take's wrapper costs about a
-    # microsecond a call, which adds up over small iterations.
-    flat_priors, flat_ext = priors.reshape(-1), ext.reshape(-1)
-    llr.take(gather, out=flat_priors, mode="clip")
+    totals, spare = llr, _work("priors", shape)
     clip, last = cfg.llr_clip, cfg.max_iterations
     # np.clip's Python wrapper costs more than the work on small batches,
     # and 0-d bounds spare maximum and minimum a scalar conversion a call.
     low, high = np.array(-float(clip)), np.array(float(clip))
-    updates, check = _layout_plan(rows, checks, priors, ext, clip)
-    for iteration in range(1, last + 1):
-        priors -= ext
-        np.maximum(priors, low, out=priors)
-        np.minimum(priors, high, out=priors)
-        for comp, prior, out, kernel in updates:
-            bcjr_component(comp, prior, out=out, _kernel=kernel)
-        np.copyto(total, llr)
-        np.add.at(total, gather, flat_ext)
-        total.take(gather, out=flat_priors, mode="clip")
-        failed = _failed_frames(check, priors)
-        stay = failed if iteration < last else np.zeros_like(failed)
-        staying = np.count_nonzero(stay)
-        if staying == stay.size:
-            continue
+    iteration = 0
+    while True:
+        total = _work("total", llr.shape)
+        gather, priors, updates, check = _layout_plan(tables, totals, ext, spare, clip)
+        flat_priors, flat_ext = priors.reshape(-1), ext.reshape(-1)
+        # The iterations until some frame leaves. The decoder calls the take
+        # method, with "clip" as the plan does: np.take's wrapper costs about
+        # a microsecond a call, which adds up over small iterations.
+        for iteration in range(iteration + 1, last + 1):
+            priors -= ext
+            np.maximum(priors, low, out=priors)
+            np.minimum(priors, high, out=priors)
+            for comp, prior, out, kernel in updates:
+                bcjr_component(comp, prior, out=out, _kernel=kernel)
+            np.copyto(total, llr)
+            np.add.at(total, gather, flat_ext)
+            total.take(gather, out=flat_priors, mode="clip")
+            failed = _failed_frames(check, priors)
+            stay = failed if iteration < last else np.zeros_like(failed)
+            staying = np.count_nonzero(stay)
+            if staying < stay.size:
+                break
         leave = ~stay
         done = active[leave]
         hard_out[done] = total.reshape(-1, n)[leave] < 0
         converged[done] = ~failed[leave]
         iterations[done] = iteration
         if not staying:
-            break
+            return hard_out, converged, iterations
         # Drop the frames that left from every per-frame array. The staying
-        # frames' extrinsics are compressed into the priors' work array and
-        # their totals gathered anew into the old extrinsics' one: the two
-        # arrays swap roles, and no large array is allocated.
+        # frames' extrinsics are compressed into the priors' work array, and
+        # the next plan gathers their priors into the old extrinsics' one:
+        # the two arrays swap roles, and no large array is allocated.
         active = active[stay]
         llr = llr.reshape(-1, n)[stay].ravel()
         shape = (len(edges), active.size, edges.shape[1])
         compacted = flat_priors[: math.prod(shape)].reshape(shape)
         np.compress(stay, ext, axis=1, out=compacted)
-        priors, ext = flat_ext[: compacted.size].reshape(shape), compacted
-        gather = _gather_indices(edges, active.size, n)
-        flat_priors, flat_ext = priors.reshape(-1), ext.reshape(-1)
-        total.reshape(-1, n)[stay].take(gather, out=flat_priors, mode="clip")
-        total = _work("total", llr.shape)
-        updates, check = _layout_plan(rows, checks, priors, ext, clip)
-    return hard_out, converged, iterations
+        totals, spare, ext = total.reshape(-1, n)[stay], flat_ext, compacted
 
 
 def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
@@ -931,14 +947,19 @@ def monte_carlo(
     positive finite float (above about 3080 dB or below -3086 dB); one
     whose LLR scale 2 / variance, which ``awgn_llrs`` multiplies by,
     overflows (above about 3076.5 dB); a ``stop`` key other than
-    ``min_block_errors`` and ``max_trials``; a negative ``max_trials``;
-    and a ``min_block_errors`` below 1.
+    ``min_block_errors`` and ``max_trials``; a ``stop`` value that is not
+    an integer (a numpy integer passes; a bool, float or string does
+    not); a negative ``max_trials``; a ``min_block_errors`` below 1; and a
+    generator ``G`` whose ring x^N + 1 or code length differs from the
+    spec's effective matrix's.
 
-    Trials are drawn in order, point after point, and decoded in chunks
-    of frames that may span points. Errors are counted in trial order and
-    frames drawn past a point's stop are discarded, so the counts do not
-    depend on the chunk size; at most one chunk per point is decoded past
-    its early stop.
+    One schedule yields every (point, trial) to draw: trials 0 ..
+    ``max_trials`` - 1 of each point in turn, moving to the next point
+    once the point has counted ``min_block_errors`` block errors. Trials
+    are decoded in chunks of frames that may span points. Errors are
+    counted in trial order and frames drawn past a point's stop are
+    discarded, so the counts do not depend on the chunk size; at most one
+    chunk per point is decoded past its early stop.
     """
     snrs = list(snr_list)
     with np.errstate(all="ignore"):  # a NaN, inf or out-of-range point fails below
@@ -953,10 +974,17 @@ def monte_carlo(
     stop = {"min_block_errors": 100, "max_trials": 1000, **(stop or {})}
     if len(stop) != 2:
         raise ValueError(f"stop takes min_block_errors and max_trials, got {sorted(stop)}")
-    min_block_errors, max_trials = stop["min_block_errors"], stop["max_trials"]
+    min_block_errors = _integer(stop["min_block_errors"], "min_block_errors")
+    max_trials = _integer(stop["max_trials"], "max_trials")
     if max_trials < 0 or min_block_errors < 1:
         raise ValueError(
             f"stop needs max_trials >= 0 and min_block_errors >= 1, got {stop}"
+        )
+    tables = _decoder_tables(spec)
+    n, N = tables[0], tables[2].shape[1]
+    if G.modulus.N != N or G.ncols * N != n:
+        raise ValueError(
+            f"G's (N, n) = {G.modulus.N, G.ncols * G.modulus.N} is not the spec's {N, n}"
         )
     if max_trials == 0:
         return []
@@ -965,34 +993,29 @@ def monte_carlo(
     counts = [[0, 0, 0] for _ in snrs]  # trials, bit errors, block errors
 
     def stopped(point):
-        trials, _, block_errors = counts[point]
-        return trials >= max_trials or block_errors >= min_block_errors
+        return counts[point][2] >= min_block_errors
 
-    tables = _decoder_tables(spec)
-    n = G.ncols * G.modulus.N
+    def schedule():
+        for point in range(len(snrs)):
+            for trial in range(max_trials):
+                if stopped(point):
+                    break
+                yield point, trial
+
+    to_draw = schedule()
     llrs = np.empty((_chunk_frames(tables), n))
-    point = trial = 0  # the next trial to draw
-    while True:
-        drawn = []  # (point, sent bits) of each row of llrs
-        while len(drawn) < len(llrs) and point < len(snrs):
-            if stopped(point):
-                point, trial = point + 1, 0
-                continue
-            sent_bits, llr = _draw_trial(G, master_seed, point, trial, snrs[point])
-            llrs[len(drawn)] = llr
-            drawn.append((point, sent_bits))
-            trial += 1
-            if trial == max_trials:
-                point, trial = point + 1, 0
-        if not drawn:
-            break
-        hard, _, _ = _decode_frames(tables, llrs[: len(drawn)], cfg)
-        for (p, sent_bits), word in zip(drawn, hard):
+    sent = np.empty(llrs.shape, np.uint8)
+    # Only a decode changes the counts that stopped reads, so a chunk's
+    # (point, trial) pairs may all be taken before any of them is drawn.
+    while chunk := list(itertools.islice(to_draw, len(llrs))):
+        for row, (point, trial) in enumerate(chunk):
+            sent[row], llrs[row] = _draw_trial(G, master_seed, point, trial, snrs[point])
+        hard, _, _ = _decode_frames(tables, llrs[: len(chunk)], cfg)
+        for (p, _), errs in zip(chunk, np.count_nonzero(hard != sent[: len(chunk)], axis=1)):
             if stopped(p):
                 continue
-            errs = int(np.count_nonzero(word != sent_bits))
             counts[p][0] += 1
-            counts[p][1] += errs
+            counts[p][1] += int(errs)
             counts[p][2] += 1 if errs else 0
     return [
         TrialResult(snr_db, trials, bit_errors, block_errors, master_seed, n)

@@ -10,6 +10,7 @@ import functools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -136,6 +137,11 @@ class TestConfigAndCounts:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iterations"):
             DecoderConfig(max_iterations=0)
+        for count in (2.5, 3.0, "3", True):
+            message = f"^max_iterations must be an integer, got {count!r}$"
+            with pytest.raises(ValueError, match=message):
+                DecoderConfig(max_iterations=count)
+        assert DecoderConfig(max_iterations=np.int64(3)).max_iterations == 3
         for clip in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="llr_clip"):
                 DecoderConfig(llr_clip=clip)
@@ -735,14 +741,51 @@ class TestMonteCarlo:
             ({"max_trials": -1}, "stop needs max_trials >= 0"),
             ({"min_block_errors": 0}, "stop needs max_trials >= 0 and min_block_errors >= 1"),
             ({"min_block_errors": -3, "max_trials": -4}, "stop needs"),
+            ({"max_trials": 2.5}, r"max_trials must be an integer, got 2\.5$"),
+            ({"max_trials": "3"}, "max_trials must be an integer, got '3'$"),
+            ({"max_trials": 3.0}, r"max_trials must be an integer, got 3\.0$"),
+            ({"min_block_errors": True}, "min_block_errors must be an integer, got True$"),
+            ({"min_block_errors": 1.5, "max_trials": 3}, "min_block_errors must be an integer"),
         ],
-        ids=["misspelt-key", "negative-max-trials", "zero-min-block-errors", "negative-both"],
+        ids=[
+            "misspelt-key", "negative-max-trials", "zero-min-block-errors", "negative-both",
+            "float-max-trials", "string-max-trials", "integral-float-max-trials",
+            "bool-min-block-errors", "float-min-block-errors",
+        ],
     )
     def test_bad_stop_rejected(self, monkeypatch, stop, message):
         spec, G, _ = coded("c1.json")
         monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
         with pytest.raises(ValueError, match=f"^{message}"):
             monte_carlo(spec, G, [1.0], stop)
+
+    def test_numpy_integer_stop_accepted(self):
+        spec, G, _ = coded("c1.json")
+        cfg = DecoderConfig(max_iterations=np.int16(4))
+        stop = {"min_block_errors": np.int32(1), "max_trials": np.int64(3)}
+        want = monte_carlo(spec, G, [-1.0, 3.0], {"min_block_errors": 1, "max_trials": 3}, cfg=cfg)
+        assert monte_carlo(spec, G, [-1.0, 3.0], stop, cfg=cfg) == want
+
+    def test_generator_over_another_ring_rejected(self, monkeypatch):
+        # prelift68's G has c1's length, 476 bits, but is over x^34 + 1.
+        spec = coded("c1.json")[0]
+        G = coded("prelift68.json")[1]
+        assert G.ncols * G.modulus.N == 476 and G.modulus.N == 34
+        monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
+        with pytest.raises(ValueError, match=mismatch((34, 476), (68, 476))):
+            monte_carlo(spec, G, [3.0], {"max_trials": 5})
+
+    def test_generator_of_another_length_rejected(self, monkeypatch):
+        monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
+        # n79 is over x^79 + 1 with 474 bits, c1 over x^68 + 1 with 476.
+        with pytest.raises(ValueError, match=mismatch((79, 474), (68, 476))):
+            monte_carlo(coded("c1.json")[0], coded("n79.json")[1], [3.0], {"max_trials": 5})
+        with pytest.raises(ValueError, match=mismatch((68, 476), (79, 474))):
+            monte_carlo(coded("n79.json")[0], coded("c1.json")[1], [3.0], {"max_trials": 5})
+
+
+def mismatch(got, spec):
+    return re.escape(f"G's (N, n) = {got} is not the spec's {spec}") + "$"
 
 
 def _never_drawn(*args):
@@ -1164,8 +1207,9 @@ class TestRowUpdatesStayTraceable:
         def counted_plan(*args):
             # Every prepared run the decoder holds, kept from an earlier
             # call or not, is wrapped as the plan hands it over.
-            updates, check = plan(*args)
-            return [(comp, p, o, counted(run)) for comp, p, o, run in updates], check
+            gather, priors, updates, check = plan(*args)
+            wrapped = [(comp, p, o, counted(run)) for comp, p, o, run in updates]
+            return gather, priors, wrapped, check
 
         monkeypatch.setattr(channel, "bcjr_component", counted_update)
         monkeypatch.setattr(channel, "_layout_plan", counted_plan)
@@ -1179,3 +1223,31 @@ class TestRowUpdatesStayTraceable:
         assert len(calls) == 2 * max(iterations)
         assert sum(calls) == 2 * N * sum(iterations)
         assert runs == calls
+
+    def test_one_plan_per_set_of_active_frames(self, monkeypatch):
+        # c1 frames at mixed SNRs leave at several iterations. The first set
+        # of active frames is planned, and again each set left after an
+        # iteration in which some frames leave and some stay.
+        spec, G, _ = coded("c1.json")
+        snrs = (-3.0, -1.0, 1.0, 3.0)
+        llrs = np.array([
+            channel._draw_trial(G, 5, point, trial, snr)[1]
+            for point, snr in enumerate(snrs) for trial in range(4)
+        ])
+        plans = []
+        plan = channel._layout_plan
+
+        def counted_plan(tables, totals, ext, spare, bound):
+            plans.append(ext.shape[1])
+            return plan(tables, totals, ext, spare, bound)
+
+        monkeypatch.setattr(channel, "_layout_plan", counted_plan)
+        cfg = DecoderConfig(max_iterations=30)
+        _, _, iterations = _decode_frames(_decoder_tables(spec), llrs, cfg)
+        # The iterations at which frames leave; at the last, none stay.
+        leaves = sorted(set(iterations.tolist()))
+        assert len(leaves) >= 4
+        assert len(plans) == 1 + len(leaves[:-1])
+        # Each plan covers the frames still active: all of them, then those
+        # that outlast each leave.
+        assert plans == [np.count_nonzero(iterations > it) for it in [0, *leaves[:-1]]]

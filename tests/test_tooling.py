@@ -1,6 +1,7 @@
 """The project's own tooling keeps resolving what it names in the library.
 
-README's command examples must parse with the CLI's parser, and the
+README's command examples must parse with the CLI's parser and run to
+exit code 0 with a RuntimeWarning raised as an error, and the
 benchmark's tracer must find every function it wraps; a flag or function
 removed from the library would otherwise leave them stale unnoticed. An
 import that nothing reads is flagged too, since deleting a helper tends to
@@ -54,6 +55,15 @@ def test_readme_command_parses_and_passes_input_checks(line):
     argv = shlex.split(line)[1:]
     args = cli._build_parser().parse_args(argv)
     cli._check_inputs(args)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_runs(line, tmp_path, monkeypatch, capsys):
+    # Each example runs as written, in a fresh directory (export writes its
+    # --out file there), and a numpy RuntimeWarning fails it.
+    monkeypatch.chdir(tmp_path)
+    assert cli.run(shlex.split(line)[1:]) == 0, capsys.readouterr().err
 
 
 def load_tracer():

@@ -22,16 +22,18 @@ does not wrap ``_decode_frames``, so it cannot split a pass this way):
 - draw: ``_draw_trial``, one trial's message, codeword and channel LLRs;
 - encode: ``encode``, the codeword part of draw;
 - decode: ``_decode_frames``, one chunk of frames;
-- plan: ``_layout_plan``, inside decode, once per set of active frames: each
-  row's views and held run (prepared only for a batch shape the thread has
-  not met), and the check's arrays;
+- plan: ``_layout_plan``, inside decode, once per set of active frames: the
+  gather indices and the priors' gather, each row's views and held run
+  (prepared only for a batch shape the thread has not met), and the
+  check's arrays;
 - kernel: ``bcjr_component``, the constraint updates inside decode;
 - check: ``_failed_frames``, the convergence check inside decode, once per
   iteration.
 
 Per stage it reports seconds and calls per pass and microseconds per call;
 ``decode_own`` is decode less plan, kernel and check, ``rest`` the pass
-less draw and decode.
+less draw and decode. Since plan holds the gather indices and the priors'
+gather, ``decode_own`` leaves them out.
 
 The ``design`` split attributes every job that ``run_pass`` times to the
 spec it serves: construct (the spec's generator), girth and distance (its
