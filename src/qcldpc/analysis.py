@@ -8,10 +8,13 @@ words: a table of all combinations of the leading rows (at most 2^17
 bytes) is XORed against each combination of the other rows, taken in Gray
 order. Everything larger gets an upper bound from witnesses and searches
 plus a lower bound inherited from an exactly analysed shortened code. The
-search weighs packed words too: its row and pair sweep a bounded block of
-rows at a time, its random combinations a block between two
-information-set rounds at a time, and its rounds a batch of lockstep
-eliminations at a time.
+search weighs packed words too. Its row and pair sweep reads a generator
+of N x N circulant blocks (``BinMatrix.block_size``) by shift difference:
+it weighs one base row per block row, and XORs each lead block row's N
+rotations against the base rows into a table of the weights of that
+block row's first row paired with every later row. Its random
+combinations weigh a block between two information-set rounds at a
+time, and its rounds a batch of lockstep eliminations at a time.
 """
 
 from __future__ import annotations
@@ -267,8 +270,7 @@ def _packed_rows(rows: list[int], ncols: int) -> np.ndarray:
 
 
 _ROUND_EVERY = 500  # evaluations from one information-set round to the next
-_SWEEP_BYTES = 1 << 16  # cap on the packed rows of one block of the pair sweep
-_PAIR_BYTES = 1 << 18  # cap on the XORed words of one chunk of sweep pairs
+_SWEEP_BYTES = 1 << 16  # cap on the XORed words of one broadcast of a sweep table
 
 
 def low_weight_search(
@@ -288,10 +290,15 @@ def low_weight_search(
     ties, is the witness.
 
     Row j is evaluation j, and pair (i, j), i < j, is evaluation
-    k + i·k - i(i+1)/2 + (j - i - 1). The sweep packs at most
-    ``_SWEEP_BYTES`` of rows at a time, never the whole generator, and
-    weighs each block against the rows i whose pairs with it lie inside
-    the budget, many rows i per numpy call (see ``_lightest_sweep``).
+    k + i·k - i(i+1)/2 + (j - i - 1). The sweep reads Gb's block size N:
+    the rows of a block row are one base row turned, so it weighs the k / N
+    base rows for the singles. The pairs of a block row's first row are
+    read from a table of the block row's N rotations XORed against the
+    base rows, by shift difference, and the block row's later lead rows
+    meet no weight that its first row did not meet first (see
+    ``_lightest_sweep``). It packs those rows and at most ``_SWEEP_BYTES``
+    of XORed words at a time, never the whole generator of a circulant
+    expansion.
 
     A sparse combination XORs ``rng.choice(k, size, replace=False)`` rows
     with ``size = min(rng.integers(2, 5), k)``, on numpy's stream from
@@ -357,46 +364,75 @@ def low_weight_search(
 def _lightest_sweep(Gb: BinMatrix, iterations: int) -> tuple[int, int, int]:
     """(weight, evaluation index, word) of the lightest row or pair swept.
 
-    Every row is rated, pairs only below ``iterations``. Pair (i, j) is
-    evaluation first_i + j, with first_i growing in i, so row i leads
-    pairs inside the budget while its first pair, (i, i + 1), is; a budget
-    of B evaluations over k rows leaves about B / k lead rows. The rows
-    are packed word-major in blocks of at most ``_SWEEP_BYTES``, and the
-    lead rows in the first block once for the whole sweep. Each block is
-    weighed as it is, then against the lead rows with pairs in it, a chunk
-    of lead rows per broadcast XOR (see ``_lightest_pairs``). The weight
-    is above ncols if no word is nonzero.
+    Every row is rated, pairs only below ``iterations``. Pair (p, q) is
+    evaluation first_p + q, with first_p growing in p, so row p leads
+    pairs inside the budget while its first pair, (p, p + 1), is; a budget
+    of E evaluations over k rows leaves about E / k lead rows.
+
+    The sweep reads Gb's block size N (1 for a plain matrix). Row s of
+    block row i, (i, s), is the base row (i, 0) with every block turned by
+    s, so it weighs as (i, 0), and rows (i, s) and (j, t) XOR to a word of
+    the weight of rows (i, 0) and (j, (t - s) mod N). The B = k / N base
+    rows are packed word-major once and weighed for the singles. Row
+    (i, 0) leads pairs with every later row, so it meets each weight that
+    a later row (i, s) of its block row leads, at an earlier evaluation;
+    and only the last lead row can end the budget before row k, since row
+    p + 1 leads only if pair (p + 1, p + 2), evaluation first_p + k, is
+    inside it. So the first lightest pair is led by a row (i, 0), and those
+    are the only lead rows read. The pairs of (i, 0) weigh as rows
+    (i, -t mod N) and (j, 0): the N rows of block row i, in that order, are
+    XORed against the base rows j >= i into a (B - i) x N table that holds
+    them in evaluation order (see ``_shift_table``). Over N = 1 the table
+    is the pair weights of lead row i. The weight is above ncols if no
+    word is nonzero.
     """
-    rows, k, ncols = Gb.rows, Gb.nrows, Gb.ncols
-    nw = max(1, -(-ncols // 64))
-    per_block = max(1, _SWEEP_BYTES // (8 * nw))
+    rows, k, ncols, N = Gb.rows, Gb.nrows, Gb.ncols, Gb.block_size
+    if not k:
+        return math.inf, 0, 0
+    base = _packed_rows(rows[::N], ncols)
+    singles = _weights(np.bitwise_count(base))
+    j = int(singles.argmin())
+    best = (int(singles[j]) + 1, j * N, j * N, j * N)  # weight, evaluation, rows p <= q
     first = _first_pairs(k, iterations)
-    leads = len(first)
-    heads = min(leads, per_block)
-    head = _packed_rows(rows[:heads], ncols)
-    # A chunk holds whole lead rows against a block, at most _PAIR_BYTES of
-    # words. The head's rows split evenly into as few chunks as that allows,
-    # so that the buffers hold no more than a chunk needs.
-    width = min(per_block, k)
-    cap = max(1, _PAIR_BYTES // (8 * nw * max(1, width)))
-    per_chunk = -(-heads // -(-heads // cap)) if heads else 1
-    room = nw * per_chunk * width
+    for p in range(0, len(first), N):  # the lead rows (i, 0), p = iN
+        turns = [rows[p], *rows[p + N - 1 : p : -1]]  # rows (i, -t mod N), t < N
+        w = _shift_table(turns, ncols, base[:, p // N :], singles.dtype).ravel()
+        w = w[1 : min(k, iterations - int(first[p])) - p]  # pairs (p, q), q > p, in the budget
+        c = int(w.argmin())
+        best = min(best, (int(w[c]) + 1, int(first[p]) + p + 1 + c, p, p + 1 + c))
+    w, at, p, q = best
+    return w, at, 0 if w > ncols else rows[p] if p == q else rows[p] ^ rows[q]
+
+
+def _shift_table(turns: list[int], ncols: int, base: np.ndarray, dtype) -> np.ndarray:
+    """Weights less one of base row j XOR row ``turns[t]``, as a (j, t) table.
+
+    ``base`` holds the base rows word-major. A run of the rows ``turns``
+    is packed and XORed against a run of base rows in one broadcast, at
+    most ``_SWEEP_BYTES`` of words, into buffers that live for this call
+    only. A zero word's weight wraps to the maximum of ``dtype``, as in
+    ``_weights``.
+    """
+    nw, width = base.shape
+    cap = max(1, _SWEEP_BYTES // (8 * nw))  # words of a run of pairs, as rows
+    per_base = min(width, cap)
+    per_turn = min(len(turns), max(1, cap // per_base))
+    room = nw * per_turn * per_base
     buffers = np.empty(room, np.uint64), np.empty(room, np.uint8)
-    best = (math.inf, 0, 0, 0)  # weight, evaluation, rows i <= j (i == j: one row)
-    for j0 in range(0, k, per_block):
-        j1 = min(j0 + per_block, k)
-        block = _packed_rows(rows[j0:j1], ncols)
-        w, t = _lightest(np.bitwise_count(block))
-        best = min(best, (w, j0 + t, j0 + t, j0 + t))
-        # Rows i with a pair here: i < j1 - 1, and (i, max(j0, i + 1)) in the budget.
-        stop = min(leads, j1 - 1, int(np.searchsorted(first, iterations - j0)))
-        for a0 in range(0, stop, per_block):  # the lead rows, a block's worth at a time
-            a1 = min(a0 + per_block, stop)
-            lead = head if a0 == 0 else block if a0 == j0 else _packed_rows(rows[a0:a1], ncols)
-            pairs = _lightest_pairs(lead, a0, a1, block, j0, first, iterations, per_chunk, buffers)
-            best = min(best, pairs)
-    w, at, i, j = best
-    return w, at, 0 if w > ncols else rows[i] if i == j else rows[i] ^ rows[j]
+    table = np.empty((width, len(turns)), dtype)
+    for t0 in range(0, len(turns), per_turn):
+        t1 = min(t0 + per_turn, len(turns))
+        packed = _packed_rows(turns[t0:t1], ncols)
+        for j0 in range(0, width, per_base):
+            j1 = min(j0 + per_base, width)
+            shape = (nw, j1 - j0, t1 - t0)
+            size = math.prod(shape)
+            pairs = np.bitwise_xor(
+                base[:, j0:j1, None], packed[:, None], out=buffers[0][:size].reshape(shape)
+            )
+            counts = np.bitwise_count(pairs, out=buffers[1][:size].reshape(shape))
+            table[j0:j1, t0:t1] = _weights(counts)
+    return table
 
 
 def _first_pairs(k: int, iterations: int) -> np.ndarray:
@@ -410,47 +446,6 @@ def _first_pairs(k: int, iterations: int) -> np.ndarray:
     i = np.arange(max(k - 1, 0), dtype=np.int64)
     first = (i + 1) * (2 * k - 2 - i) // 2
     return first[first + i + 1 < iterations]
-
-
-def _lightest_pairs(
-    lead: np.ndarray, a0: int, a1: int, block: np.ndarray, j0: int,
-    first: np.ndarray, iterations: int, per_chunk: int, buffers: tuple,
-) -> tuple[int, int, int, int]:
-    """(weight, evaluation, i, j) of the lightest pair of lead row i and block row j.
-
-    ``lead`` holds rows a0 <= i < a1 from column 0, and ``block`` rows
-    j0, j0 + 1, ..., both word-major; lead rows lie in the block or in
-    blocks before it, and each has a pair inside the budget here. A
-    chunk of lead rows i, at most ``_PAIR_BYTES`` of words against the
-    block's rows j > i, is weighed by one broadcast XOR into ``buffers``
-    and one sum over the word axis. Its argmin runs in row-major order,
-    which is evaluation order, since every pair of row i comes before
-    those of row i + 1. Pairs with j <= i, or outside the budget, are
-    masked only in a chunk that meets the diagonal or the budget's end.
-    The weight is above 64·words if every pair is zero.
-    """
-    nw = len(block)
-    best = (math.inf, 0, 0, 0)
-    for c0 in range(a0, a1, per_chunk):
-        c1 = min(c0 + per_chunk, a1)
-        lo, hi = max(j0, c0 + 1), min(j0 + block.shape[1], iterations - int(first[c0]))
-        shape = (nw, c1 - c0, hi - lo)
-        size = math.prod(shape)
-        pairs = np.bitwise_xor(
-            block[:, None, lo - j0 : hi - j0], lead[:, c0 - a0 : c1 - a0, None],
-            out=buffers[0][:size].reshape(shape),
-        )
-        w = _weights(np.bitwise_count(pairs, out=buffers[1][:size].reshape(shape)))
-        heaviest = np.iinfo(w.dtype).max  # as a zero word weighs
-        if lo == c0 + 1 and c1 - c0 > 1:  # pair (i, j) with j <= i sits below the diagonal
-            m = min(c1 - c0, hi - lo)
-            w[:, :m][np.tri(c1 - c0, m, -1, dtype=bool)] = heaviest
-        if first[c1 - 1] + hi > iterations:  # row c1 - 1 ends the budget inside the chunk
-            w[np.arange(lo, hi) >= iterations - first[c0:c1, None]] = heaviest
-        t = int(w.argmin())
-        r, s = divmod(t, hi - lo)
-        best = min(best, (int(w.flat[t]) + 1, int(first[c0 + r]) + lo + s, c0 + r, lo + s))
-    return best
 
 
 def _lightest_random(

@@ -1,7 +1,12 @@
 """Dense binary matrices with bit-packed rows.
 
 Rows are Python ints (bit c = column c), which keeps GF(2) row reduction
-and XOR-heavy searches fast without any compiled code.
+and XOR-heavy searches fast without any compiled code. A matrix may carry
+the size N of the circulant blocks it is made of (``block_size``): only
+``polymat.circulant_expand`` sets it, and the distance search's sweep
+reads a row pair's weight from the pair's shift difference there. Every
+other matrix, a transpose, product or alist read included, has block
+size 1.
 """
 
 from __future__ import annotations
@@ -12,13 +17,28 @@ from .gf2poly import bit_positions
 
 
 class BinMatrix:
-    """A binary matrix stored as one int per row."""
+    """A binary matrix stored as one int per row.
 
-    __slots__ = ("rows", "ncols")
+    ``block_size`` N says that the rows form N x N circulant blocks, each
+    block row the N cyclic shifts of its first row, as
+    ``polymat.circulant_expand`` writes them; N must divide both
+    dimensions. It is layout, not content: equality ignores it.
+    """
 
-    def __init__(self, rows, ncols):
+    __slots__ = ("rows", "ncols", "block_size")
+
+    def __init__(self, rows, ncols, block_size=1):
         self.rows = list(rows)
         self.ncols = ncols
+        if not (
+            isinstance(block_size, int) and block_size >= 1
+            and len(self.rows) % block_size == 0 and ncols % block_size == 0
+        ):
+            raise ValueError(
+                f"block size {block_size!r} does not divide the shape "
+                f"{len(self.rows)}x{ncols}"
+            )
+        self.block_size = block_size
         # r >> ncols is 0 exactly for a row in range, and costs O(1) there;
         # a row with a bit at ncols or beyond, or a negative one, leaves
         # something nonzero.

@@ -104,6 +104,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -139,14 +140,24 @@ def _integer(value, what: str):
     return value
 
 
+def _real(value, what: str):
+    """``value`` when it is a real number, numpy's included, else ValueError.
+
+    A bool is not taken for one, nor a string of digits.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     """Iteration and clipping limits for the message-passing decoder.
 
     ``max_iterations`` must be an integer of at least 1 (a numpy integer
     passes; a bool, float or string does not). ``llr_clip`` bounds every
-    prior a constraint update sees; it must be a positive, finite number
-    (NaN and inf are rejected).
+    prior a constraint update sees; it must be a positive, finite real
+    number (NaN, inf, a bool and a string are rejected).
     """
 
     max_iterations: int = 100
@@ -155,7 +166,7 @@ class DecoderConfig:
     def __post_init__(self):
         if _integer(self.max_iterations, "max_iterations") < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.llr_clip > 0:
+        if not _real(self.llr_clip, "llr_clip") > 0:
             raise ValueError(f"llr_clip must be positive, got {self.llr_clip}")
         if not math.isfinite(self.llr_clip):
             raise ValueError(f"llr_clip must be finite, got {self.llr_clip}")
@@ -943,7 +954,8 @@ def monte_carlo(
     comes first; ``max_trials`` of 0 yields an empty result list.
 
     Before any trial is drawn, a ValueError rejects: an SNR point that is
-    not finite or whose noise variance 1 / (2 * 10^(snr/10)) is not a
+    not a real number (a bool or string is not one), or that is not
+    finite, or whose noise variance 1 / (2 * 10^(snr/10)) is not a
     positive finite float (above about 3080 dB or below -3086 dB); one
     whose LLR scale 2 / variance, which ``awgn_llrs`` multiplies by,
     overflows (above about 3076.5 dB); a ``stop`` key other than
@@ -961,7 +973,7 @@ def monte_carlo(
     discarded, so the counts do not depend on the chunk size; at most one
     chunk per point is decoded past its early stop.
     """
-    snrs = list(snr_list)
+    snrs = [_real(snr, "an SNR point") for snr in snr_list]
     with np.errstate(all="ignore"):  # a NaN, inf or out-of-range point fails below
         sigma2 = 1.0 / (2.0 * 10.0 ** (np.array(snrs, dtype=np.float64) / 10.0))
         scale = 2.0 / sigma2

@@ -300,14 +300,17 @@ def circulant_expand(H):
     """Expand each entry to its N x N circulant (first column = coefficients).
 
     Entry a(x) becomes the circulant A with A[i, j] = a_((i - j) mod N),
-    so the identity-shift I_r corresponds to x^r.
+    so the identity-shift I_r corresponds to x^r. The result has block
+    size N: row s of block row i is row 0 of it with every block turned
+    by s, so rows (i, s) and (j, t) XOR to a word of the same weight as
+    rows (i, (s - t) mod N) and (j, 0).
     """
     m = H.ring
     # Row r of the circulant of a(x) holds the coefficients of x^r * t(a).
     rows = []
     for row in H.rows:
         rows.extend(circulant_rows([transpose_poly(p, m).bits for p in row], m.N))
-    return BinMatrix(rows, H.ncols * m.N)
+    return BinMatrix(rows, H.ncols * m.N, m.N)
 
 
 def row_edges(H):

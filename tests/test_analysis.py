@@ -35,7 +35,7 @@ from qcldpc.analysis import (
 from qcldpc.binmat import BinMatrix
 from qcldpc.binmat import rank as rank_scalar
 from qcldpc.construct import generator_case1
-from qcldpc.gf2poly import RingModulus
+from qcldpc.gf2poly import BinaryPoly, RingModulus
 from qcldpc.gldpc import base_from_exponents, construct_generator, load_spec
 from qcldpc.polymat import PolyMatrix, circulant_expand, read_pmx
 from conftest import data_path
@@ -293,6 +293,49 @@ def repeated_column_generators(draw):
         sum(1 << j for j, c in enumerate(layout) if c is not None and b >> c & 1) for b in base
     ]
     return BinMatrix(rows, len(layout))
+
+
+@st.composite
+def circulant_generators(draw):
+    """circulant_expand of a polynomial generator over x^N + 1, N in 1..7.
+
+    Entries come from a pool that holds zero, every entry x^0 + x^d +
+    x^2d + ... with d a divisor of N (d < N turns into itself after d
+    shifts, so its rotations repeat with period d; d = 1 is the all-ones
+    entry) and a few random ones. A block row is fresh, zero, or a copy
+    of an earlier one. Up to 12 block columns reach two 64-bit words.
+    """
+    N = draw(st.integers(1, 7))
+    full = (1 << N) - 1
+    periodic = [full // ((1 << d) - 1) for d in range(1, N + 1) if N % d == 0]
+    pool = [0, *periodic, *draw(st.lists(st.integers(0, full), min_size=1, max_size=3))]
+    width = draw(st.integers(1, 12))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["fresh", "zero", "copy"]))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "copy" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append(draw(st.lists(st.sampled_from(pool), min_size=width, max_size=width)))
+    H = PolyMatrix([[BinaryPoly(e) for e in row] for row in rows], RingModulus(N))
+    return circulant_expand(H)
+
+
+# Over x^6 + 1, entries [1, J, J] and [x + x^4, J, J], J all ones, give
+# rows (0, 0) = (1, J, J) and (1, 0) = (x^2 + x^5, J, J), the entries'
+# transposes. The rows weigh 13 and 14, and rows (0, s) and (1, t) XOR
+# to weight 1 where t - s = 1 or 4 (mod 6), else 3: row (0, 0) meets
+# weight 1 at t = 1, shift difference s - t = 5, before t = 4, the
+# smaller difference 2. x + x^4 has period 3, so pairs (1, s) and
+# (1, s + 3) are zero.
+TIED_SHIFTS = circulant_expand(
+    PolyMatrix(
+        [[BinaryPoly(e) for e in row] for row in [[0b1, 0b111111, 0b111111], [0b10010, 0b111111, 0b111111]]],
+        RingModulus(6),
+    )
+)
 
 
 TIED_PAIRS = BinMatrix([(2**64 - 1) ^ p for p in (0b11, 0b11000, 0b101000, 0b101)], 64)
@@ -618,30 +661,18 @@ class TestLowWeightSearch:
         assert low_weight_search(Gb, 20_000, seed) == want
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        tied_generators(),
-        st.integers(0, 2600),
-        st.sampled_from([8, 600, analysis._SWEEP_BYTES]),
-        st.sampled_from([8, 2000, analysis._PAIR_BYTES]),
-    )
+    @given(tied_generators(), st.integers(0, 2600), st.sampled_from([8, 600, analysis._SWEEP_BYTES]))
     # Pairs (0, 3) and (1, 2) weigh 2, the other pairs 4 and the rows 62;
-    # with a row per block, (1, 2) is weighed before (0, 3), which is
-    # evaluated first; with a lead row per chunk, (1, 2) is weighed after.
-    @example(TIED_PAIRS, 10, 8, 8)
-    @example(TIED_PAIRS, 10, analysis._SWEEP_BYTES, 8)
-    @example(TIED_PAIRS, 10, analysis._SWEEP_BYTES, analysis._PAIR_BYTES)
-    def test_matches_sequential_rounds_in_any_sweep_block(
-        self, Gb, iterations, sweep_bytes, pair_bytes
-    ):
-        # 8 bytes make a block of one row; 600 split 60 rows of one to
-        # three words into 1 to 4 blocks. A pair cap of 8 bytes makes a
-        # chunk of one lead row, so one pair per chunk where a block is
-        # one row; 2000 bytes hold 1 to 4 lead rows against a block.
-        # Ties must go to the first evaluation wherever the blocks and
-        # chunks fall.
+    # (0, 3) is evaluated first, and wins with one pair per broadcast too.
+    @example(TIED_PAIRS, 10, 8)
+    @example(TIED_PAIRS, 10, analysis._SWEEP_BYTES)
+    def test_matches_sequential_rounds_in_any_sweep_block(self, Gb, iterations, sweep_bytes):
+        # 8 bytes make a broadcast of one pair; 600 split a lead row's
+        # pairs with up to 60 rows of one to three words into 1 to 3
+        # broadcasts. Ties must go to the first evaluation wherever the
+        # broadcasts fall.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(analysis, "_SWEEP_BYTES", sweep_bytes)
-            mp.setattr(analysis, "_PAIR_BYTES", pair_bytes)
             swept = analysis._lightest_sweep(Gb, iterations)
             got = low_weight_search(Gb, iterations, 5)
         want = swept_in_order(Gb, iterations)
@@ -663,23 +694,49 @@ class TestLowWeightSearch:
             got = low_weight_search(Gb, iterations, 3)
         assert got == sequential_low_weight_search(Gb, iterations, 3)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        circulant_generators().flatmap(
+            lambda Gb: st.tuples(st.just(Gb), st.integers(0, Gb.nrows * (Gb.nrows + 1) // 2 + 2))
+        ),
+        st.sampled_from([8, 600, analysis._SWEEP_BYTES]),
+    )
+    @example((TIED_SHIFTS, 19), analysis._SWEEP_BYTES)
+    @example((TIED_SHIFTS, 19), 8)
+    @example((TIED_SHIFTS, 25), 600)
+    @example((TIED_SHIFTS, 18), analysis._SWEEP_BYTES)  # the weight-1 pair, evaluation 18, just past
+    def test_sweep_reads_shifted_pairs_in_order(self, sweep, sweep_bytes):
+        # A circulant generator's pairs are read from its shift tables;
+        # the first lightest evaluation must win whatever the budget (in
+        # or past a lead row, or past every pair) and however the tables'
+        # broadcasts fall: 8 bytes make a broadcast of one pair.
+        Gb, iterations = sweep
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_SWEEP_BYTES", sweep_bytes)
+            swept = analysis._lightest_sweep(Gb, iterations)
+        want = swept_in_order(Gb, iterations)
+        assert swept == want if want else swept[0] > Gb.ncols
+
     def test_sweep_packs_rows_a_block_at_a_time(self):
         # hamming15's generator is 3760 x 5640, 2.7 MB packed whole; at
-        # 20,000 evaluations the search ends inside the pair sweep.
+        # both budgets the search ends inside the pair sweep, which packs
+        # the 10 base rows and the 376 rows of one block row, and XORs a
+        # bounded run of them at a time.
         spec = load_spec(data_path("hamming15.json"))
         Gb = circulant_expand(construct_generator(spec).matrix)
         # numpy.random's first use in a process allocates about 790 KB of
         # its own; a shorter search takes it.
         low_weight_search(Gb, 1_000, 1)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            report = low_weight_search(Gb, 20_000, 1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert report.upper == report.witness.bit_count() > 0
-        assert peak < 512 * 1024
+        for iterations in (20_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                report = low_weight_search(Gb, iterations, 1)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert report.upper == report.witness.bit_count() > 0
+            assert peak < 512 * 1024, iterations
 
     @pytest.mark.parametrize("name", ["n79", "prelift68"])
     def test_search_with_rounds_stays_small(self, name):

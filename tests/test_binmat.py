@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import P
 from qcldpc.binmat import (
     BinMatrix,
     RowEchelon,
@@ -15,6 +16,8 @@ from qcldpc.binmat import (
     unpack_bits,
     write_alist,
 )
+from qcldpc.gf2poly import RingModulus
+from qcldpc.polymat import PolyMatrix, circulant_expand
 
 
 def random_binmat(rng, nrows, ncols, density=0.4):
@@ -70,6 +73,32 @@ class TestBinMatrix:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             BinMatrix([0b1], 1).matmul(BinMatrix([0b11, 0b01], 2))
+
+    @pytest.mark.parametrize(
+        "nrows, ncols, block_size",
+        [(4, 6, 4), (4, 6, 3), (6, 4, 4), (3, 5, 2), (0, 5, 2), (2, 2, 0), (2, 2, -2), (2, 2, 2.0)],
+    )
+    def test_block_size_must_divide_both_dimensions(self, nrows, ncols, block_size):
+        with pytest.raises(ValueError, match="block size"):
+            BinMatrix([0] * nrows, ncols, block_size)
+
+    @pytest.mark.parametrize("nrows, ncols, block_size", [(4, 6, 2), (0, 0, 3), (3, 3, 3), (2, 5, 1)])
+    def test_block_size_dividing_both_dimensions_is_kept(self, nrows, ncols, block_size):
+        assert BinMatrix([0] * nrows, ncols, block_size).block_size == block_size
+        assert BinMatrix([0] * nrows, ncols).block_size == 1
+
+    def test_derived_matrices_have_block_size_one(self, tmp_path):
+        # Only circulant_expand lays rows out as circulant blocks; a
+        # transpose, product or alist read of its result is a plain matrix,
+        # and equality ignores the block size.
+        m = circulant_expand(PolyMatrix([[P("1+x"), P("x^2")], [P("0"), P("1")]], RingModulus(3)))
+        assert m.block_size == 3
+        assert m == BinMatrix(m.rows, m.ncols)
+        path = tmp_path / "m.alist"
+        write_alist(m, path)
+        derived = [m.transpose(), m.matmul(m.transpose()), read_alist(path)]
+        assert [d.block_size for d in derived] == [1, 1, 1]
+        assert derived[2] == m
 
 
 class TestRank:

@@ -146,6 +146,16 @@ class TestConfigAndCounts:
             with pytest.raises(ValueError, match="llr_clip"):
                 DecoderConfig(llr_clip=clip)
 
+    @pytest.mark.parametrize("clip", ["20", True, None, 20j, [20.0]])
+    def test_llr_clip_that_is_not_a_real_number_rejected(self, clip):
+        # A string used to reach the comparison with 0 and raise a TypeError.
+        with pytest.raises(ValueError, match=f"^llr_clip must be a real number, got {re.escape(repr(clip))}$"):
+            DecoderConfig(llr_clip=clip)
+
+    @pytest.mark.parametrize("clip", [20, np.float32(7.5), np.int64(3), 1e-300])
+    def test_llr_clip_takes_any_positive_finite_real(self, clip):
+        assert DecoderConfig(llr_clip=clip).llr_clip == clip
+
     def test_trial_result_rates(self):
         r = TrialResult(0.0, trials=4, bit_errors=6, block_errors=2, seed=1, nbits=10)
         assert r.ber == 0.15 and r.bler == 0.5
@@ -719,6 +729,24 @@ class TestMonteCarlo:
         monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
         with pytest.raises(ValueError, match="^SNR points must be finite and give a positive"):
             monte_carlo(spec, G, [1.0, bad], {"max_trials": 3})
+
+    @pytest.mark.parametrize("bad", ["1", True, np.bool_(False), None, 1 + 0j, [1.0]])
+    def test_snr_that_is_not_a_real_number_rejected(self, monkeypatch, bad):
+        """A string ended in awgn_llrs with a TypeError, and True ran as 1 dB; before any draw."""
+        spec, G, _ = coded("c1.json")
+        monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
+        message = f"^an SNR point must be a real number, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            monte_carlo(spec, G, [1.0, bad], {"max_trials": 3})
+
+    def test_snr_points_of_any_real_type_run_alike(self):
+        spec, G, _ = coded("c1.json")
+        stop = {"max_trials": 2}
+        want = monte_carlo(spec, G, [1.0, 2.0], stop)
+        got = monte_carlo(spec, G, [np.float64(1.0), np.int64(2)], stop)
+        assert [(r.trials, r.bit_errors, r.block_errors) for r in got] == [
+            (r.trials, r.bit_errors, r.block_errors) for r in want
+        ]
 
     @pytest.mark.parametrize("snr", [3077.0, 3079.0])
     def test_snr_whose_llrs_overflow_rejected(self, monkeypatch, snr):

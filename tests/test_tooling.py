@@ -23,6 +23,7 @@ import ast
 import functools
 import importlib.util
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -553,3 +554,13 @@ def test_pass_faults_counts_the_design_workload(passes_report):
     assert report["setups_between"] == 1
     assert report["minor_faults_per_pass"]["min"] >= 0
     assert report["pass_s_median"] > 0
+
+
+@pytest.mark.parametrize("workload", ["design", "ber-highsnr"])
+def test_passes_reports_the_quartiles_of_pass_time(passes_report, workload):
+    # The inclusive quartiles of the same unwrapped passes as the median:
+    # over two passes a and b they are (3a + b) / 4 and (a + 3b) / 4.
+    report = passes_report(workload)
+    q1, mid, q3 = report["pass_s_q1"], report["pass_s_median"], report["pass_s_q3"]
+    assert 0 < q1 <= mid <= q3
+    assert math.isclose(q1 + q3, 2 * mid)

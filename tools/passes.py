@@ -11,7 +11,9 @@ loop runs passes 1..P twice:
    read around each ``run_pass`` only, and each pass is followed by as
    many set-ups as ``--setups-between`` asks (perfbench's run.py samples
    set-up between its measured passes). These passes give
-   ``minor_faults_per_pass`` and ``pass_s_median``.
+   ``minor_faults_per_pass`` and ``pass_s_median``, with the pass time's
+   quartiles ``pass_s_q1`` and ``pass_s_q3`` (inclusive, as the faults'),
+   so that a claim made over a fixed pass count can state its spread.
 2. With the workload's stage names wrapped, for the run of this tool only.
    These passes give the stage split, as medians over the passes.
 
@@ -321,13 +323,15 @@ def main(argv=None):
     print_table("spec" if args.workload == "design" else "stage", rows)
     print_table("setup stage", setup_rows)
     q1, _, q3 = quantiles(faults, n=4, method="inclusive")
+    pass_q1, _, pass_q3 = quantiles(pass_s, n=4, method="inclusive")
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "passes": args.passes,
         "setups_between": args.setups_between, "failed_ops": failed,
         "minor_faults_per_pass": {
             "median": median(faults), "q1": q1, "q3": q3, "min": min(faults), "max": max(faults),
         },
-        "pass_s_median": median(pass_s), **report, **setup_report,
+        "pass_s_median": median(pass_s), "pass_s_q1": pass_q1, "pass_s_q3": pass_q3,
+        **report, **setup_report,
     }))
     return 1 if failed else 0
 
