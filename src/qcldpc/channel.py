@@ -1,8 +1,9 @@
 """Encoding, BPSK-AWGN channel, and iterative GLDPC decoding.
 
-``encode`` reads a term table of the generator, built once per generator
-content (an ``lru_cache`` keyed on its entries' bits) from each entry's
-``gf2poly.bit_positions``: block j of a codeword is T(sum_i m_i g_ij),
+``encode`` reads a term table of the generator, ``_encoder_table``, built
+from each entry's ``gf2poly.bit_positions``: ``monte_carlo`` builds it
+once per call and hands it to every trial's ``encode``, and a call
+without one builds its own. Block j of a codeword is T(sum_i m_i g_ij),
 with T the circulant transpose, and since T is a ring automorphism that
 is one cyclic rotation of T(m_i) per term of g_ij, with no polynomial
 product. Bits go between ints and 0/1 arrays through ``binmat.pack_bits``
@@ -14,7 +15,8 @@ The decoder updates every constraint of a GLDPC spec in parallel
 base row through one vectorized update, and ``bcjr_component`` is the
 one constraint-node update for every row, a plain single-parity check
 included. It returns the exact bitwise MAP extrinsics through one of
-three kernels, chosen from the component alone:
+three kernels, chosen from the component alone (one whose kernel table
+would pass ``_MAX_KERNEL_TABLE`` entries is refused):
 
 - single-parity checks (p = 1, all ones) use the tanh rule;
 - components with at most q * 2^p codewords (2^(q-p) of them) enumerate
@@ -198,26 +200,18 @@ class TrialResult:
         return self.block_errors / self.trials if self.trials else 0.0
 
 
-@functools.lru_cache(maxsize=1)
-def _encoder_table(N: int, width: int, entries: tuple):
-    """Per column block j, one (message row i, e) per term x^e of g_ij.
+def _encoder_table(G: PolyMatrix):
+    """Per column block j of ``G``, one (message row i, e) per term x^e of g_ij.
 
-    ``entries`` holds the bits of every entry g_ij of a generator with
-    ``width`` column blocks of size N, row by row. The table is built once
-    per generator content, so an entry changed in place gives a new one.
     Each column's terms run by row i, then by exponent e.
     """
     return [
-        tuple(
-            (i, e)
-            for i in range(len(entries) // width)
-            for e in bit_positions(entries[i * width + j])
-        )
-        for j in range(width)
+        tuple((i, e) for i, row in enumerate(G.rows) for e in bit_positions(row[j].bits))
+        for j in range(G.ncols)
     ]
 
 
-def encode(G: PolyMatrix, message) -> int:
+def encode(G: PolyMatrix, message, *, _table=None) -> int:
     """Encode a polynomial message vector to bit-packed codeword bits.
 
     Generator rows satisfy the transposed parity identity, so block j of
@@ -226,8 +220,9 @@ def encode(G: PolyMatrix, message) -> int:
     plain circulant expansion of the parity-check matrix. T is a ring
     automorphism and takes x^e to x^-e, so the block is the sum of
     T(m_i) x^-e over the terms x^e of every g_ij: one cyclic rotation of
-    T(m_i), right by e, per term of G's term table (``_encoder_table``),
-    which is built once per generator content.
+    T(m_i), right by e, per term of G's term table (``_encoder_table``).
+    ``monte_carlo`` builds that table once per call and passes it as
+    ``_table``; a call without one builds its own.
     """
     message = list(message)
     if len(message) != G.nrows:
@@ -241,8 +236,7 @@ def encode(G: PolyMatrix, message) -> int:
         doubled.append(a | a << N)
     mask = (1 << N) - 1
     bits = 0
-    entries = tuple([p.bits for row in G.rows for p in row])
-    for j, terms in enumerate(_encoder_table(N, G.ncols, entries)):
+    for j, terms in enumerate(_encoder_table(G) if _table is None else _table):
         block = 0
         for i, e in terms:
             block ^= doubled[i] >> e
@@ -327,6 +321,37 @@ def _spc_kernel(comp: ComponentCode, batch: int):
     return run
 
 
+# Entries one row's kernel table may hold: the codewords an enumerating
+# kernel sums over, or the q * 2^p trellis states a trellis kernel steps
+# through. A kernel's work arrays grow with it per row, and the bundled
+# components need at most 240.
+_MAX_KERNEL_TABLE = 1 << 15
+
+
+def _kernel_of(comp: ComponentCode):
+    """The kernel that updates ``comp``'s rows, or ValueError when it is too large.
+
+    A single-parity check takes ``_spc_kernel``. Any other component takes
+    ``_enumerated_kernel`` when 2^(q-p) <= q * 2^p and ``_product_trellis``
+    otherwise; the chosen kernel's table, the 2^(q - rank) codewords of
+    the enumeration or the q * 2^p trellis states, must hold at most
+    ``_MAX_KERNEL_TABLE`` entries.
+    """
+    if comp.p == 1 and all(comp.parity[0]):
+        return _spc_kernel
+    q, p = comp.q, comp.p
+    if 2 ** (q - p) <= q * 2**p:
+        kernel, size = _enumerated_kernel, 2 ** (q - len(_pivots(comp.parity)))
+    else:
+        kernel, size = _product_trellis, q * 2**p
+    if size > _MAX_KERNEL_TABLE:
+        raise ValueError(
+            f"a component of {p} parity rows over {q} bits needs a kernel table of "
+            f"{size} entries, past the bound of {_MAX_KERNEL_TABLE}"
+        )
+    return kernel
+
+
 def _prepare_kernel(comp: ComponentCode, batch: int, bound: float = math.inf):
     """The constraint update of ``batch`` rows of ``comp``, as ``run(arr, out)``.
 
@@ -337,12 +362,9 @@ def _prepare_kernel(comp: ComponentCode, batch: int, bound: float = math.inf):
     prior's magnitude: while q times it stays within half ``_PROB_SPAN``,
     no row can be wide and ``run`` skips the span scan.
     """
-    if comp.p == 1 and all(comp.parity[0]):
+    kernel = _kernel_of(comp)
+    if kernel is _spc_kernel:
         return _spc_kernel(comp, batch)
-    if 2 ** (comp.q - comp.p) <= comp.q * 2**comp.p:
-        kernel = _enumerated_kernel
-    else:
-        kernel = _product_trellis
     run = _in_pairs(kernel, comp, batch)
     # A row's span is at most q times its largest prior, so no row can be
     # wide while that stays within half the bound (the half leaves room
@@ -400,10 +422,12 @@ def bcjr_component(comp: ComponentCode, priors, *, out=None, _kernel=None) -> np
     codeword enumeration when 2^(q-p) <= q * 2^p and the probability-
     domain syndrome trellis otherwise; rows whose priors sum to more than
     ``_PROB_SPAN`` in magnitude go to the log-domain trellis instead,
-    whose metrics are clamped at ``_TRELLIS_CLAMP``. Accepts a single
-    length-q prior vector or a batch of them (rows x q) with any strides.
-    The extrinsics go to a new array of the priors' layout, or into
-    ``out``, a float64 array of the priors' shape with any strides.
+    whose metrics are clamped at ``_TRELLIS_CLAMP``. A component whose
+    kernel table passes ``_MAX_KERNEL_TABLE`` entries is a ValueError
+    (see ``_kernel_of``). Accepts a single length-q prior vector or a
+    batch of them (rows x q) with any strides. The extrinsics go to a new
+    array of the priors' layout, or into ``out``, a float64 array of the
+    priors' shape with any strides.
 
     Every kernel computes on the (q x rows) transpose, so it runs fastest
     on a bit-major batch: the ``.T`` view of a C-ordered (q x rows) array,
@@ -466,15 +490,12 @@ _TRELLIS_CLAMP = 2.5e4
 _RESCALE_STEPS = 256
 
 
-@functools.cache
-def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Half-sign table (K x q) and bit-value masks (2q x K) of K codewords.
+def _pivots(parity: tuple) -> dict:
+    """The reduced row echelon form of ``parity``: pivot column -> row mask.
 
-    Row w of the sign table holds +1/2 where codeword w has a 0 and
-    -1/2 where it has a 1; column w of the masks is [bit is 0 | bit is 1].
+    Its size is the rank of the parity rows.
     """
-    q = len(parity[0])
-    pivots = {}  # reduced row echelon form: pivot column -> row mask
+    pivots = {}
     for row in parity:
         mask = pack_bits(row)
         for col, r in pivots.items():
@@ -486,6 +507,18 @@ def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
                 if r >> col & 1:
                     pivots[c] = r ^ mask
             pivots[col] = mask
+    return pivots
+
+
+@functools.cache
+def _codebook(parity: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Half-sign table (K x q) and bit-value masks (2q x K) of K codewords.
+
+    Row w of the sign table holds +1/2 where codeword w has a 0 and
+    -1/2 where it has a 1; column w of the masks is [bit is 0 | bit is 1].
+    """
+    q = len(parity[0])
+    pivots = _pivots(parity)
     words = [0]
     for free in (j for j in range(q) if j not in pivots):
         basis = (1 << free) | sum(1 << c for c, r in pivots.items() if r >> free & 1)
@@ -675,6 +708,8 @@ def _decoder_tables(spec: GldpcSpec):
     from the spec's content on each call, its effective matrix's entries
     and its components' parity rows, and built once per content
     (``_tables_of``), so a spec edited in place gets tables of its own.
+    A component whose kernel would be too large (``_kernel_of``) is a
+    ValueError here, before any frame is decoded.
 
     Returns (n, rows, edges, checks):
 
@@ -706,10 +741,12 @@ def _tables_of(N: int, entries: tuple, parities: tuple):
     rows, checks, start = [], [], 0
     for idx, parity in zip(row_idx, parities):
         comp = ComponentCode.spc(idx.shape[1]) if parity is None else ComponentCode(parity)
+        _kernel_of(comp)  # a component too large to decode fails here, before any work
         rows.append((comp, slice(start, start + comp.q)))
         checks += [[start + k for k, b in enumerate(row) if b] for row in comp.parity]
         start += comp.q
-    degree = max(map(len, checks))
+    # A check of all-zero parity reads only the padding line, so D is at least 1.
+    degree = max(1, *map(len, checks))
     lines = np.array([c + [start] * (degree - len(c)) for c in checks], dtype=np.intp)
     lines = lines.T.ravel()
     edges.setflags(write=False)
@@ -918,10 +955,11 @@ def gldpc_decode(spec: GldpcSpec, llrs, cfg: DecoderConfig | None = None):
     return pack_bits(hard[0]), bool(converged[0]), int(iterations[0])
 
 
-def _draw_trial(G: PolyMatrix, master_seed: int, snr_idx: int, trial: int, snr_db: float):
+def _draw_trial(G: PolyMatrix, master_seed: int, snr_idx: int, trial: int, snr_db: float, table):
     """Sent bits and channel LLRs of one trial, from its own generator.
 
-    The generator is ``default_rng([master_seed, snr_idx, trial])``; it
+    ``table`` is G's ``_encoder_table``, which ``encode`` reads. The
+    generator is ``default_rng([master_seed, snr_idx, trial])``; it
     draws the message bits first, then the channel noise. Every message
     row comes from one uint8 draw of 4 * ceil(N / 4) bits per row, of
     which the row keeps the first N. numpy fills uint8 draws from 32-bit
@@ -934,7 +972,7 @@ def _draw_trial(G: PolyMatrix, master_seed: int, snr_idx: int, trial: int, snr_d
     rng = np.random.default_rng([master_seed, snr_idx, trial])
     bits = rng.integers(0, 2, size=(G.nrows, 4 * -(-N // 4)), dtype=np.uint8)
     message = [BinaryPoly(pack_bits(row[:N])) for row in bits]
-    sent_bits = unpack_bits(encode(G, message), n)
+    sent_bits = unpack_bits(encode(G, message, _table=table), n)
     return sent_bits, awgn_llrs(sent_bits, snr_db, rng)
 
 
@@ -961,9 +999,11 @@ def monte_carlo(
     overflows (above about 3076.5 dB); a ``stop`` key other than
     ``min_block_errors`` and ``max_trials``; a ``stop`` value that is not
     an integer (a numpy integer passes; a bool, float or string does
-    not); a negative ``max_trials``; a ``min_block_errors`` below 1; and a
+    not); a negative ``max_trials``; a ``min_block_errors`` below 1; a
+    spec with a component too large to decode (``_kernel_of``); and a
     generator ``G`` whose ring x^N + 1 or code length differs from the
-    spec's effective matrix's.
+    spec's effective matrix's. Past these checks it builds G's term table
+    (``_encoder_table``) once, and every trial's ``encode`` reads it.
 
     One schedule yields every (point, trial) to draw: trials 0 ..
     ``max_trials`` - 1 of each point in turn, moving to the next point
@@ -1002,6 +1042,7 @@ def monte_carlo(
         return []
     if cfg is None:
         cfg = DecoderConfig()
+    table = _encoder_table(G)
     counts = [[0, 0, 0] for _ in snrs]  # trials, bit errors, block errors
 
     def stopped(point):
@@ -1021,7 +1062,7 @@ def monte_carlo(
     # (point, trial) pairs may all be taken before any of them is drawn.
     while chunk := list(itertools.islice(to_draw, len(llrs))):
         for row, (point, trial) in enumerate(chunk):
-            sent[row], llrs[row] = _draw_trial(G, master_seed, point, trial, snrs[point])
+            sent[row], llrs[row] = _draw_trial(G, master_seed, point, trial, snrs[point], table)
         hard, _, _ = _decode_frames(tables, llrs[: len(chunk)], cfg)
         for (p, _), errs in zip(chunk, np.count_nonzero(hard != sent[: len(chunk)], axis=1)):
             if stopped(p):

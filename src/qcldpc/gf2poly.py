@@ -45,6 +45,10 @@ def bit_positions(bits):
 
 _TERM_RE = re.compile(r"^(1|x(\^(-?\d+))?)$")
 
+# The most bits a term read without a ring may have, 2^28: polymat's bound
+# on a binary expansion, so x^e is refused before it is shifted out.
+_MAX_TERM_BITS = 1 << 28
+
 
 class BinaryPoly:
     """A polynomial over GF(2), coefficients bit-packed into an int."""
@@ -62,7 +66,8 @@ class BinaryPoly:
 
         Given a modulus, every exponent is reduced mod N, so x^-100 and
         x^(N + 1) read as in the ring; without one, negative exponents are
-        rejected.  Repeated terms cancel.
+        rejected, and so are exponents of ``_MAX_TERM_BITS`` or more.
+        Repeated terms cancel.
         """
         text = text.strip()
         if text in ("0", ""):
@@ -84,6 +89,8 @@ class BinaryPoly:
                 e %= modulus.N
             elif e < 0:
                 raise ValueError(f"negative exponent {e} needs a modulus")
+            elif e >= _MAX_TERM_BITS:
+                raise ValueError(f"term x^{e} exceeds the bound of {_MAX_TERM_BITS} bits")
             bits ^= 1 << e
         return cls(bits)
 

@@ -71,6 +71,23 @@ def poly_matrix(bit_rows, N):
     return PolyMatrix([[BinaryPoly(b) for b in row] for row in bit_rows], RingModulus(N))
 
 
+def large_component_spec():
+    """A 138-bit GLDPC spec over x^3 + 1 whose first row takes a 20 x 46 component.
+
+    Its q * 2^p = 46 * 2^20 trellis table is past the decoder's kernel
+    bound; its generator, girth and distance stay small.
+    """
+    parity = [
+        "".join("1" if (c + r) % 3 == 0 else "0" for c in range(26))
+        + "0" * r + "1" + "0" * (19 - r)
+        for r in range(20)
+    ]
+    return {
+        "N": 3, "exponents": [k % 3 for k in range(46)],
+        "assignment": [{"parity": parity}, None],
+    }
+
+
 def hamming64():
     """[6,3] shortened Hamming parity in [M | I] form."""
     return ComponentCode(

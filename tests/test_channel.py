@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcldpc
-from conftest import P, data_path, hamming64, hamming74, in_kernel, permuted74
+from conftest import (
+    P, data_path, hamming64, hamming74, in_kernel, large_component_spec, permuted74,
+)
 from qcldpc import channel
 from qcldpc.binmat import pack_bits
 from qcldpc.channel import (
@@ -200,11 +202,13 @@ class TestEncode:
             assert in_kernel(Hb, word)
 
     def test_matches_the_product_formula(self):
-        # Alternating generators: each call must read its own G's term table.
+        # Alternating generators: each call must read its own G's term
+        # table, whether it builds it or is handed it.
         rng = random.Random(81)
         generators = [coded(name)[1] for name in SPEC_NAMES]
+        tables = [channel._encoder_table(G) for G in generators]
         for _ in range(3):
-            for G in generators:
+            for G, table in zip(generators, tables):
                 N = G.modulus.N
                 messages = [
                     random_message(rng, G),
@@ -213,11 +217,11 @@ class TestEncode:
                     [BinaryPoly(1 << rng.randrange(4 * N)) for _ in range(G.nrows)],
                 ]
                 for message in messages:
-                    assert encode(G, message) == product_formula(G, message)
+                    word = product_formula(G, message)
+                    assert encode(G, message) == encode(G, message, _table=table) == word
 
     def test_entry_changed_in_place_is_seen(self):
-        # The term table is keyed on the generator's entries, not on the
-        # generator object.
+        # A call without a table reads the generator's entries as they are.
         G = PolyMatrix(coded("c1.json")[1].rows, RingModulus(68))
         message = random_message(random.Random(82), G)
         first = encode(G, message)
@@ -225,25 +229,29 @@ class TestEncode:
         G.rows[0][0] = BinaryPoly(0)
         edited = encode(G, message)
         assert edited != first and edited == product_formula(G, message)
-        channel._encoder_table.cache_clear()
-        assert encode(G, message) == edited
 
-    def test_term_table_is_built_once_per_generator_content(self):
+    def test_one_monte_carlo_call_builds_the_term_table_once(self, monkeypatch):
+        # Eight frames: one table, handed to each frame's one encode call.
         spec, G, _ = coded("hamming15.json")
-        channel._encoder_table.cache_clear()
-        monte_carlo(spec, G, [3.0], {"max_trials": 8}, cfg=DecoderConfig(max_iterations=3))
-        info = channel._encoder_table.cache_info()
-        assert (info.misses, info.hits) == (1, 7)
-        # A copy with the same entries hits; an entry edited in place is a
-        # new key, one more miss, and the word follows the edited generator.
-        G = PolyMatrix(G.rows, G.modulus)
-        message = random_message(random.Random(85), G)
-        encode(G, message)
-        assert channel._encoder_table.cache_info().misses == 1
-        G.rows[0][0] = G.rows[0][0] + BinaryPoly(1)
-        word = encode(G, message)
-        assert channel._encoder_table.cache_info().misses == 2
-        assert word == product_formula(G, message)
+        built, tables = [], []
+        build, encoder = channel._encoder_table, channel.encode
+
+        def counted_build(G):
+            built.append(build(G))
+            return built[-1]
+
+        def counted_encode(G, message, *, _table=None):
+            tables.append(_table)
+            return encoder(G, message, _table=_table)
+
+        monkeypatch.setattr(channel, "_encoder_table", counted_build)
+        monkeypatch.setattr(channel, "encode", counted_encode)
+        cfg = DecoderConfig(max_iterations=3)
+        monte_carlo(spec, G, [3.0], {"max_trials": 8}, cfg=cfg)
+        assert len(built) == 1 and len(tables) == 8
+        assert all(table is built[0] for table in tables)
+        monte_carlo(spec, G, [3.0], {"max_trials": 2}, cfg=cfg)
+        assert len(built) == 2 and len(tables) == 10
 
 
 class TestAwgnLlrs:
@@ -566,6 +574,61 @@ class TestGldpcDecode:
         assert np.isinf(llr).sum() == len(llr[::5])
         assert gldpc_decode(spec, llr) == (sent, True, 1)
 
+    def test_all_zero_parity_rows_converge_at_the_first_iteration(self):
+        # Every check of such a component reads only the all-zero padding
+        # line, so each frame converges at once on its channel decisions.
+        spec = GldpcSpec.from_json_dict({
+            "N": 5, "exponents": [0, 1, 2, 3],
+            "assignment": [{"parity": ["0000"]}, {"parity": ["0000"]}],
+        })
+        llrs = np.random.default_rng(87).standard_normal((3, 20))
+        for llr in llrs:
+            assert gldpc_decode(spec, llr) == (pack_bits(llr < 0), True, 1)
+        hard, converged, iterations = _decode_frames(_decoder_tables(spec), llrs, DecoderConfig())
+        assert np.array_equal(hard, llrs < 0)
+        assert converged.all() and (iterations == 1).all()
+        G = construct_generator(spec).matrix
+        (row,) = monte_carlo(spec, G, [1.0], {"max_trials": 4})
+        assert row.trials == 4
+
+
+class TestKernelBound:
+    def test_bundled_kernel_tables_fit(self):
+        sizes = []
+        for name in SPEC_NAMES:
+            for comp in load(name).assignment:
+                if comp is not None:
+                    q, p = comp.q, comp.p
+                    if channel._kernel_of(comp) is channel._enumerated_kernel:
+                        sizes.append(2 ** (q - len(channel._pivots(comp.parity))))
+                    else:
+                        sizes.append(q << p)
+        assert max(sizes) == 240 <= channel._MAX_KERNEL_TABLE
+
+    def test_large_component_is_one_value_error(self):
+        comp = ComponentCode(large_component_spec()["assignment"][0]["parity"])
+        words = f"kernel table of {46 << 20} entries, past the bound of 32768"
+        with pytest.raises(ValueError, match=words):
+            bcjr_component(comp, np.zeros(46))
+
+    def test_rank_deficient_rows_count_every_codeword(self):
+        # 15 copies of one row: 2^(q-p) = 2^15 would pass, but the codebook
+        # holds 2^(q - rank) = 2^29 words.
+        comp = ComponentCode([[1] + [0] * 29] * 15)
+        assert 2 ** (comp.q - comp.p) <= channel._MAX_KERNEL_TABLE
+        with pytest.raises(ValueError, match=f"kernel table of {1 << 29} entries"):
+            channel._kernel_of(comp)
+
+    def test_monte_carlo_refuses_before_any_work(self, monkeypatch):
+        spec = GldpcSpec.from_json_dict(large_component_spec())
+        G = construct_generator(spec).matrix
+        monkeypatch.setattr(channel, "_draw_trial", _never_drawn)
+        monkeypatch.setattr(channel, "_work", _never_drawn)
+        with pytest.raises(ValueError, match="past the bound"):
+            monte_carlo(spec, G, [1.0], {"max_trials": 2})
+        with pytest.raises(ValueError, match="past the bound"):
+            gldpc_decode(spec, np.zeros(138))
+
 
 # Decodes, in a process of its own, three noisy all-zero words of one spec.
 FRESH_DECODE = """
@@ -850,8 +913,9 @@ class TestDrawTrial:
     @pytest.mark.parametrize("name", SPEC_NAMES)
     def test_matches_per_row_draws(self, name):
         _, G, _ = coded(name)
+        table = channel._encoder_table(G)
         for point, trial, snr in ((0, 0, -1.0), (1, 3, 2.5), (4, 11, 0.0)):
-            sent, llr = channel._draw_trial(G, 21, point, trial, snr)
+            sent, llr = channel._draw_trial(G, 21, point, trial, snr, table)
             want_sent, want_llr = per_row_draw_trial(G, 21, point, trial, snr)
             assert np.array_equal(sent, want_sent) and np.array_equal(llr, want_llr)
 
@@ -1258,8 +1322,9 @@ class TestRowUpdatesStayTraceable:
         # iteration in which some frames leave and some stay.
         spec, G, _ = coded("c1.json")
         snrs = (-3.0, -1.0, 1.0, 3.0)
+        table = channel._encoder_table(G)
         llrs = np.array([
-            channel._draw_trial(G, 5, point, trial, snr)[1]
+            channel._draw_trial(G, 5, point, trial, snr, table)[1]
             for point, snr in enumerate(snrs) for trial in range(4)
         ])
         plans = []

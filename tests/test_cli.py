@@ -25,7 +25,7 @@ from qcldpc.gf2poly import RingModulus
 from qcldpc.gldpc import GldpcSpec, construct_generator, expand_binary, load_spec
 from qcldpc.polymat import circulant_expand, read_pmx
 
-from conftest import data_path, in_kernel
+from conftest import data_path, in_kernel, large_component_spec
 
 
 def _never(*args, **kwargs):
@@ -293,6 +293,18 @@ class TestExitCodes:
         for command in ("construct", "girth"):
             cases.append(([command, "--matrix", str(pmx), "--N", str(self.BIG_N)],
                           f"error: binary expansion {self.BIG_N} x {self.BIG_N} {bound}"))
+        # rank reads its matrix without a ring, so the exponent is taken as
+        # written: the term is refused before 1 is shifted by it.
+        far = tmp_path / "far.pmx"
+        far.write_text("1;x^100000000000\n", encoding="utf-8")
+        cases.append((["rank", "--matrix", str(far), "--N", "3"],
+                      "error: term x^100000000000 exceeds the bound of 268435456 bits"))
+        # A 20 x 46 component's trellis table is refused before any trial.
+        (tmp_path / "large.json").write_text(json.dumps(large_component_spec()), encoding="utf-8")
+        cases.append((["simulate", "--spec", str(tmp_path / "large.json"), "--snr", "1",
+                       "--max-trials", "2"],
+                      "error: a component of 20 parity rows over 46 bits needs a kernel table "
+                      f"of {46 << 20} entries, past the bound of 32768"))
         zero = tmp_path / "zero.pmx"  # its Smith entry is 0, so d = x^N + 1
         zero.write_text("0;0;0\n", encoding="utf-8")
         cases.append((["rank", "--matrix", str(zero), "--N", str(self.BIG_N)],

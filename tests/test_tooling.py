@@ -493,11 +493,14 @@ def test_ber_stages_splits_every_pass(passes_report, workload):
     assert list(report["minor_faults_per_pass"]) == ["median", "q1", "q3", "min", "max"]
     stages = report["stages"]
     assert list(stages) == [
-        "draw", "encode", "decode", "plan", "kernel", "check", "decode_own", "rest",
+        "table", "draw", "encode", "decode", "plan", "kernel", "check", "decode_own", "rest",
     ]
-    for name in ("draw", "encode", "decode", "plan", "kernel", "check"):
+    for name in ("table", "draw", "encode", "decode", "plan", "kernel", "check"):
         assert stages[name]["calls"] > 0 and stages[name]["s"] > 0
+    # A pass is one monte_carlo call: one term table, read by every frame's
+    # one encode call.
     frames = {"ber-waterfall": 12, "ber-highsnr": 8}[workload]
+    assert stages["table"]["calls"] == 1
     assert stages["draw"]["calls"] == stages["encode"]["calls"] == frames
     assert stages["encode"]["s"] < stages["draw"]["s"]
     # Each decode plans its first set of frames and plans again only when
@@ -508,8 +511,8 @@ def test_ber_stages_splits_every_pass(passes_report, workload):
     nested = ("plan", "kernel", "check")
     assert sum(stages[name]["s"] for name in nested) < stages["decode"]["s"]
     assert stages["decode_own"]["s"] > 0
-    # Over two passes a median is a mean, so this says that draw and
-    # decode fit inside the wrapped passes' time.
+    # Over two passes a median is a mean, so this says that table, draw
+    # and decode fit inside the wrapped passes' time.
     assert stages["rest"]["s"] > 0
 
 

@@ -21,6 +21,8 @@ A BER workload's split wraps these names of ``qcldpc.channel``, which
 ``monte_carlo`` reaches through the module's globals (perfbench's tracer
 does not wrap ``_decode_frames``, so it cannot split a pass this way):
 
+- table: ``_encoder_table``, the generator's term table, which
+  ``monte_carlo`` builds once per call and every trial's encode reads;
 - draw: ``_draw_trial``, one trial's message, codeword and channel LLRs;
 - encode: ``encode``, the codeword part of draw;
 - decode: ``_decode_frames``, one chunk of frames;
@@ -34,7 +36,7 @@ does not wrap ``_decode_frames``, so it cannot split a pass this way):
 
 Per stage it reports seconds and calls per pass and microseconds per call;
 ``decode_own`` is decode less plan, kernel and check, ``rest`` the pass
-less draw and decode. Since plan holds the gather indices and the priors'
+less table, draw and decode. Since plan holds the gather indices and the priors'
 gather, ``decode_own`` leaves them out.
 
 The ``design`` split attributes every job that ``run_pass`` times to the
@@ -92,6 +94,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 BER_STAGES = {
+    "table": "_encoder_table",
     "draw": "_draw_trial",
     "encode": "encode",
     "decode": "_decode_frames",
@@ -216,7 +219,9 @@ def ber_split(passes):
     rows["decode_own"] = {
         "s": median(s["decode"] - s["plan"] - s["kernel"] - s["check"] for _, s, _ in passes)
     }
-    rows["rest"] = {"s": median(t - s["draw"] - s["decode"] for t, s, _ in passes)}
+    rows["rest"] = {
+        "s": median(t - s["table"] - s["draw"] - s["decode"] for t, s, _ in passes)
+    }
     return {"stages": rows}, rows
 
 
